@@ -17,6 +17,7 @@ from pathlib import Path
 
 from twistver import (Field, SearchPlan, Twist, build_code, build_variety,
                       classify_min_words, min_distance)
+from twistver.codes import DEFAULT_BUDGET
 
 CASES = [
     # label, p, e, t, n, sigma exponents (powers of p)
@@ -64,7 +65,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="out")
     ap.add_argument("--workers", type=int, default=1)
-    ap.add_argument("--budget", type=int, default=100_000_000)
+    ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     args = ap.parse_args()
 
     out_dir = Path(args.out_dir)

@@ -23,8 +23,8 @@ import time
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .codes import (BudgetExceeded, SearchPlan, build_code, classify_min_words,
-                    min_distance, verify_general_position)
+from .codes import (DEFAULT_BUDGET, BudgetExceeded, SearchPlan, build_code,
+                    classify_min_words, min_distance, verify_general_position)
 from .ff import Field, build_field
 from .veronese import (ScrollFrame, Twist, build_variety, load_variety,
                        monomial_basis, scroll_plucker_check)
@@ -32,8 +32,6 @@ from .veronese import (ScrollFrame, Twist, build_variety, load_variety,
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_BUDGET = 2
-
-DEFAULT_BUDGET = 100_000_000
 
 
 @dataclass
@@ -95,7 +93,10 @@ def _resolve_plan(cfg: ExperimentConfig) -> SearchPlan:
         budget = int(env) if env else DEFAULT_BUDGET
     workers = cfg.workers
     if workers is None:
-        workers = os.cpu_count() or 1
+        # the CPUs this process may run on, which a container can limit
+        # below the machine's count
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
     return SearchPlan(w_max=cfg.w_max, budget=budget, workers=workers)
 
 
@@ -131,8 +132,7 @@ def cmd_field(args) -> int:
         print(f"GF({field.order}) = GF({field.p}^{field.m})")
         print(f"modulus: {field.modulus_str()}  coefficients {list(field.modulus)}")
         print(f"subfield orders: {payload['subfield_orders']}")
-        if field.generator is not None:
-            print(f"primitive element: {field.generator}")
+        print(f"primitive element: {field.generator}")
     return EXIT_OK
 
 
@@ -149,13 +149,13 @@ def cmd_build(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_code(args, cfg: ExperimentConfig) -> int:
+    plan = _resolve_plan(cfg)
     if args.variety:
         variety = load_variety(args.variety)
         _progress(f"loaded point table from {args.variety}")
     else:
         _, _, variety = _build_with_warnings(cfg)
     code = build_code(variety)
-    plan = _resolve_plan(cfg)
     _progress(f"code length {code.nu}, dimension {code.kappa}, "
               f"check rank {code.effective_N}; searching (budget {plan.budget}, "
               f"workers {plan.workers})")
@@ -182,8 +182,8 @@ def cmd_code(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_verify(args, cfg: ExperimentConfig) -> int:
-    _, twist, variety = _build_with_warnings(cfg)
     plan = _resolve_plan(cfg)
+    _, twist, variety = _build_with_warnings(cfg)
     prop = args.property
     result: dict = {"property": prop}
     ok = False
@@ -234,7 +234,7 @@ def _add_experiment_flags(sp) -> None:
     sp.add_argument("--sigma-q", dest="sigma_q", help="comma-separated exponents as powers of q")
     sp.add_argument("--budget", type=int, help="max subsets checked per search level")
     sp.add_argument("--w-max", dest="w_max", type=int, help="largest subset size to search")
-    sp.add_argument("--workers", type=int, help="parallel workers (default: all cores)")
+    sp.add_argument("--workers", type=int, help="parallel workers (default: the CPUs this process may use)")
     sp.add_argument("--allow-collapse", action="store_true",
                     help="silence the repeated-monomial collapse warning")
     sp.add_argument("--config", help="JSON config file; flags override it")

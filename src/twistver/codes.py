@@ -121,6 +121,12 @@ class SearchPlan:
     budget: int = DEFAULT_BUDGET
     workers: int = 1
 
+    def __post_init__(self):
+        if self.budget < 1:
+            raise ValueError(f"budget must be at least 1, got {self.budget}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
+
 
 @dataclass
 class StageRecord:
@@ -339,7 +345,7 @@ def _run_level(code: Code, w: int, plan: SearchPlan, *, early_exit: bool,
              for c1 in range(nu - w + 1)
              if caps is None or caps[c1] > 0]
 
-    workers = max(1, plan.workers)
+    workers = plan.workers
     if workers > 1 and total >= PARALLEL_MIN_CHECKS and len(tasks) > 1:
         chunks = [tasks[i::workers] for i in range(workers)]
         chunks = [c for c in chunks if c]

@@ -14,16 +14,14 @@ and table-free.  Cross-field embeddings are out of scope (subfield
 membership is decided by x^{q'} = x), so Conway-style compatibility is not
 needed.
 
-Two arithmetic modes are kept in sync and tested against each other:
-
-* polynomial mode: coefficient-vector arithmetic, always available;
-* table mode: discrete log / antilog tables over the smallest primitive
-  element, built automatically for orders <= TABLE_AUTO_MAX and on request
-  up to TABLE_HARD_MAX.
-
-Fields of order <= PAIR_TABLE_MAX additionally carry full pairwise
-operation tables (numpy), so bulk row operations in the linear-algebra
-layer reduce to single fancy-index gathers.
+Every field carries exp/log tables over its smallest primitive element.
+`Field.ops` does array arithmetic: add, sub, neg, mul, div and inv on
+numpy arrays, written as lookups (`ops.mul[a, b]`).  Up to PAIR_TABLE_MAX
+it is FieldTables, one gather into a pairwise int16 table per operation;
+above, LogOps computes the same entries by exp/log gathers and digit-wise
+base-p addition (XOR when p = 2).  Scalar methods read the same tables.
+Polynomial mode (add_poly, sub_poly, mul_poly) builds the tables and is
+the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -34,10 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-DEFAULT_MAX_ORDER = 1 << 20  # largest p^m accepted by default
-TABLE_AUTO_MAX = 1 << 12     # log/antilog tables built automatically below this
-TABLE_HARD_MAX = 1 << 20     # ... and on explicit request up to this
-PAIR_TABLE_MAX = 1 << 10     # full pairwise numpy tables below this
+DEFAULT_MAX_ORDER = 1 << 20  # largest p^m accepted
+PAIR_TABLE_MAX = 1 << 10     # full pairwise numpy tables up to this order
 
 
 def is_prime(n: int) -> bool:
@@ -180,15 +176,15 @@ def lex_smallest_irreducible(p: int, m: int) -> list[int]:
 
 @dataclass(frozen=True)
 class FieldTables:
-    """Pairwise numpy operation tables for a small field.
+    """Pairwise numpy operation tables: the array ops of a field of order
+    <= PAIR_TABLE_MAX, one gather per operation (`mul[a, b]`, `neg[a]`).
 
-    All arrays are indexed by the integer element encoding.  `exp` has
-    length order-1 (exp[i] = g^i); `log[0]` is a sentinel 0 and must never
-    be consulted for the zero element.
+    All arrays are indexed by the integer element encoding.  Division by
+    zero and the inverse of zero read 0; callers reject them first.
     """
 
-    exp: np.ndarray
-    log: np.ndarray
+    dtype = np.int16
+
     add: np.ndarray
     sub: np.ndarray
     neg: np.ndarray
@@ -197,16 +193,69 @@ class FieldTables:
     inv: np.ndarray
 
 
+class _Computed:
+    """Indexed like a FieldTables array; computes the entries instead."""
+
+    def __init__(self, fn):
+        self._fn = fn
+
+    def __getitem__(self, key):
+        return self._fn(*key) if isinstance(key, tuple) else self._fn(key)
+
+
+class LogOps:
+    """The array ops of any field by exp/log gathers and digit-wise
+    addition, indexed like FieldTables so that callers need not know
+    which they hold.  Division by zero and the inverse of zero give 0."""
+
+    dtype = np.int32
+
+    def __init__(self, field: Field):
+        self.p, self.m = field.p, field.m
+        self._exp, self._log = field._exp, field._log
+        self.add = _Computed(lambda a, b: self._digitwise(a, b, 1))
+        self.sub = _Computed(lambda a, b: self._digitwise(a, b, -1))
+        self.neg = _Computed(lambda a: self._digitwise(0, a, -1))
+        self.mul = _Computed(lambda a, b: self._via_log(a, b, 1))
+        self.div = _Computed(lambda a, b: self._via_log(a, b, -1))
+        self.inv = _Computed(lambda a: self._via_log(1, a, -1))
+
+    def _digitwise(self, a, b, sign: int):
+        if self.p == 2:
+            return a ^ b
+        # a // p**i is congruent to digit i of a mod p, so one reduction
+        # per digit suffices
+        out, pw = 0, 1
+        for _ in range(self.m):
+            out = out + (a // pw + sign * (b // pw)) % self.p * pw
+            pw *= self.p
+        return out
+
+    def _via_log(self, a, b, sign: int):
+        out = self._exp[(self._log[a] + sign * self._log[b]) % self._exp.size]
+        return np.where((a == 0) | (b == 0), 0, out)
+
+    def tabulate(self) -> FieldTables:
+        order = self.p ** self.m
+        a, b = np.ogrid[:order, :order]
+        x = np.arange(order)
+        add, mul, neg, inv = self.add[a, b], self.mul[a, b], self.neg[x], self.inv[x]
+        # a - b = a + (-b) and a / b = a * b^-1: one gather each
+        t = dict(add=add, sub=add[:, neg], neg=neg, mul=mul, div=mul[:, inv], inv=inv)
+        return FieldTables(**{k: v.astype(FieldTables.dtype) for k, v in t.items()})
+
+
 class Field:
     """The field GF(p^m), optionally viewed as F_{q^t} with q = p^e.
 
     The (e, t) split only labels the field for reporting and for
     power-of-q automorphism input; arithmetic depends on p and m alone.
+    `ops` does the array arithmetic; the scalar methods read the same
+    tables, one lookup per call, because pg and veronese call them one
+    element at a time.
     """
 
-    def __init__(self, p: int, m: int, e: int = 1,
-                 tables: Optional[bool] = None,
-                 max_order: int = DEFAULT_MAX_ORDER):
+    def __init__(self, p: int, m: int, e: int = 1):
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if m < 1:
@@ -214,9 +263,9 @@ class Field:
         if e < 1 or m % e:
             raise ValueError(f"e = {e} does not divide m = {m}")
         order = p ** m
-        if order > max_order:
+        if order > DEFAULT_MAX_ORDER:
             raise ValueError(
-                f"p^m = {order} exceeds the configured bound {max_order}")
+                f"p^m = {order} exceeds the supported bound {DEFAULT_MAX_ORDER}")
         self.p = p
         self.m = m
         self.e = e
@@ -225,20 +274,17 @@ class Field:
         self.order = order
         self.modulus: tuple[int, ...] = tuple(lex_smallest_irreducible(p, m))
 
-        self._exp: Optional[np.ndarray] = None
-        self._log: Optional[np.ndarray] = None
-        self._tables: Optional[FieldTables] = None
-        self.generator: Optional[int] = None
-
-        if tables is None:
-            tables = order <= TABLE_AUTO_MAX
-        if tables:
-            if order > TABLE_HARD_MAX:
-                raise ValueError(
-                    f"table mode supports p^m <= {TABLE_HARD_MAX}, got {order}")
-            self._build_log_tables()
-            if order <= PAIR_TABLE_MAX:
-                self._build_pair_tables()
+        self.generator = self._find_generator()
+        self._exp = self._exp_table()
+        # log[0] stays 0 and must never be consulted for the zero element
+        self._log = np.zeros(order, dtype=np.int32)
+        self._log[self._exp] = np.arange(order - 1, dtype=np.int32)
+        log_ops = LogOps(self)
+        # pairwise tables would need order^2 entries above PAIR_TABLE_MAX
+        self.tables: Optional[FieldTables] = (
+            log_ops.tabulate() if order <= PAIR_TABLE_MAX else None)
+        self.ops: FieldTables | LogOps = (
+            log_ops if self.tables is None else self.tables)
 
     # -- encoding ----------------------------------------------------------
 
@@ -264,7 +310,7 @@ class Field:
             raise ValueError(f"{a} is not an element encoding of GF({self.order})")
         return a
 
-    # -- polynomial-mode arithmetic (always available) ----------------------
+    # -- polynomial mode: builds the tables, reference for the tests ---------
 
     def add_poly(self, a: int, b: int) -> int:
         p = self.p
@@ -292,36 +338,28 @@ class Field:
         prod = poly_mul(list(self.to_coeffs(a)), list(self.to_coeffs(b)), self.p)
         return self.from_coeffs(poly_rem(prod, list(self.modulus), self.p) + [0] * self.m)
 
-    # -- public arithmetic (table-accelerated when available) ----------------
+    # -- scalar arithmetic -----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self._tables is not None:
-            return int(self._tables.add[a, b])
-        return self.add_poly(a, b)
+        return int(self.ops.add[a, b])
 
     def sub(self, a: int, b: int) -> int:
-        if self._tables is not None:
-            return int(self._tables.sub[a, b])
-        return self.sub_poly(a, b)
+        return int(self.ops.sub[a, b])
 
     def neg(self, a: int) -> int:
         return self.sub(0, a)
 
     def mul(self, a: int, b: int) -> int:
-        if self._exp is not None:
-            if a == 0 or b == 0:
-                return 0
-            n = self.order - 1
-            return int(self._exp[(int(self._log[a]) + int(self._log[b])) % n])
-        return self.mul_poly(a, b)
+        if a == 0 or b == 0:
+            return 0
+        n = self.order - 1
+        return int(self._exp[(int(self._log[a]) + int(self._log[b])) % n])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        if self._exp is not None:
-            n = self.order - 1
-            return int(self._exp[(-int(self._log[a])) % n])
-        return self.pow(a, self.order - 2)
+        n = self.order - 1
+        return int(self._exp[(-int(self._log[a])) % n])
 
     def div(self, a: int, b: int) -> int:
         if b == 0:
@@ -333,17 +371,8 @@ class Field:
             return self.pow(self.inv(a), -k)
         if a == 0:
             return 1 if k == 0 else 0
-        if self._exp is not None:
-            n = self.order - 1
-            return int(self._exp[(int(self._log[a]) * k) % n])
-        result = 1
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul_poly(result, base)
-            base = self.mul_poly(base, base)
-            k >>= 1
-        return result
+        n = self.order - 1
+        return int(self._exp[(int(self._log[a]) * k) % n])
 
     def frobenius(self, a: int, s: int) -> int:
         """a^(p^s), the s-th power of the absolute Frobenius."""
@@ -388,68 +417,24 @@ class Field:
             k >>= 1
         return result
 
-    def _build_log_tables(self) -> None:
-        n = self.order - 1
-        g = self._find_generator()
-        self.generator = g
-        exp = np.zeros(max(n, 1), dtype=np.int32)
-        log = np.zeros(self.order, dtype=np.int64)
-        x = 1
-        for i in range(n):
-            exp[i] = x
-            log[x] = i
-            x = self.mul_poly(x, g)
-        if n == 0:
-            exp[0] = 1
-        self._exp = exp
-        self._log = log
+    def _exp_table(self) -> np.ndarray:
+        """exp[i] = g^i for 0 <= i < order - 1, g the generator.
 
-    def _build_pair_tables(self) -> None:
-        order, p, m = self.order, self.p, self.m
-        n = order - 1
-        idx = np.arange(order, dtype=np.int64)
-        # base-p digit matrix, shape (order, m)
-        digits = np.empty((order, m), dtype=np.int64)
-        rem = idx.copy()
-        for i in range(m):
-            digits[:, i] = rem % p
-            rem //= p
-        weights = p ** np.arange(m, dtype=np.int64)
-
-        def recompose(dg):
-            return (dg * weights).sum(axis=-1)
-
-        add = recompose((digits[:, None, :] + digits[None, :, :]) % p)
-        sub = recompose((digits[:, None, :] - digits[None, :, :]) % p)
-        neg = recompose((-digits) % p)
-
-        log, exp = self._log, self._exp
-        if n > 0:
-            mul = exp[(log[:, None] + log[None, :]) % n].astype(np.int64)
-            mul[0, :] = 0
-            mul[:, 0] = 0
-            div = exp[(log[:, None] - log[None, :]) % n].astype(np.int64)
-            div[0, :] = 0
-            div[:, 0] = 0  # poisoned: division by zero is rejected upstream
-            invv = exp[(-log) % n].astype(np.int64)
-            invv[0] = 0
-        else:
-            mul = np.zeros((order, order), dtype=np.int64)
-            mul[1, 1] = 1
-            div = mul.copy()
-            invv = np.array([0, 1], dtype=np.int64)
-
-        dt = np.int16 if order <= (1 << 14) else np.int32
-        self._tables = FieldTables(
-            exp=self._exp.astype(dt),
-            log=self._log.astype(np.int32),
-            add=add.astype(dt), sub=sub.astype(dt), neg=neg.astype(dt),
-            mul=mul.astype(dt), div=div.astype(dt), inv=invv.astype(dt),
-        )
-
-    @property
-    def tables(self) -> Optional[FieldTables]:
-        return self._tables
+        Multiplying by g^k is F_p-linear on coefficient vectors, so the
+        powers k..2k-1 are the powers 0..k-1 times the matrix of g^k, and
+        squaring that matrix doubles k.
+        """
+        p, m, n = self.p, self.m, self.order - 1
+        # row i holds the coefficients of x^i * g^k, starting from k = 1
+        step = np.array([self.to_coeffs(self.mul_poly(p ** i, self.generator))
+                         for i in range(m)], dtype=np.int64)
+        coeffs = np.zeros((1, m), dtype=np.int64)
+        coeffs[0, 0] = 1
+        while len(coeffs) < n:
+            block = coeffs[:n - len(coeffs)] @ step % p
+            coeffs = np.concatenate([coeffs, block])
+            step = step @ step % p
+        return (coeffs @ p ** np.arange(m, dtype=np.int64)).astype(LogOps.dtype)
 
     # -- reporting -------------------------------------------------------------
 

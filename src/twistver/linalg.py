@@ -3,7 +3,9 @@
 Matrices are small (a few hundred rows/columns at most) and dense; entries
 are integer element encodings stored in a numpy array.  Elimination uses a
 first-nonzero pivot scan, which is fully general over an exact field, and
-all results are deterministic.
+all results are deterministic.  Every entry operation goes through the
+field's array ops (`Field.ops`), a whole row or block at a time, so all
+fields up to ff.DEFAULT_MAX_ORDER run the same code.
 
 The subset-independence workhorse is IncrementalElim: a stack of
 column-reduced copies of a fixed matrix that lets a subset-enumeration
@@ -110,7 +112,7 @@ def _row_echelon(field: Field, a: np.ndarray) -> list[tuple[int, int]]:
     Deterministic: columns scanned left to right, pivot is the first row
     with a nonzero entry at or below the current one.
     """
-    t = field.tables
+    ops = field.ops
     rows, cols = a.shape
     pivots: list[tuple[int, int]] = []
     r = 0
@@ -124,22 +126,12 @@ def _row_echelon(field: Field, a: np.ndarray) -> list[tuple[int, int]]:
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
         piv = int(a[r, c])
-        if t is not None:
-            if piv != 1:
-                a[r] = t.div[a[r], piv]
-            nzrows = np.nonzero(a[:, c])[0]
-            for i in nzrows.tolist():
-                if i != r:
-                    a[i] = t.sub[a[i], t.mul[int(a[i, c])][a[r]]]
-        else:
-            inv = field.inv(piv)
-            if piv != 1:
-                a[r] = [field.mul(inv, int(x)) for x in a[r]]
-            for i in range(rows):
-                if i != r and a[i, c]:
-                    f = int(a[i, c])
-                    a[i] = [field.sub(int(x), field.mul(f, int(y)))
-                            for x, y in zip(a[i], a[r])]
+        if piv != 1:
+            a[r] = ops.div[a[r], piv]
+        # rows with factor 0, the pivot row among them, are left unchanged
+        factors = a[:, c].copy()
+        factors[r] = 0
+        a[:] = ops.sub[a, ops.mul[factors[:, None], a[r]]]
         pivots.append((r, c))
         r += 1
     return pivots
@@ -160,27 +152,25 @@ def kernel_basis(m: Matrix) -> list[np.ndarray]:
     f = m.field
     a = m.data.copy()
     pivots = _row_echelon(f, a)
+    pivot_rows = [r for r, _ in pivots]
     pivot_cols = [c for _, c in pivots]
     free_cols = [c for c in range(m.cols) if c not in pivot_cols]
     basis = []
     for fc in free_cols:
         v = np.zeros(m.cols, dtype=np.int64)
         v[fc] = 1
-        for r, c in pivots:
-            v[c] = f.neg(int(a[r, fc]))
+        v[pivot_cols] = f.ops.neg[a[pivot_rows, fc]]
         basis.append(v)
     return basis
 
 
 def mat_vec(m: Matrix, v: Sequence[int]) -> list[int]:
-    f = m.field
-    out = []
-    for i in range(m.rows):
-        acc = 0
-        for j in range(m.cols):
-            acc = f.add(acc, f.mul(int(m.data[i, j]), int(v[j])))
-        out.append(acc)
-    return out
+    ops = m.field.ops
+    terms = ops.mul[m.data, np.asarray(v, dtype=np.int64)]
+    acc = np.zeros(m.rows, dtype=np.int64)
+    for j in range(m.cols):
+        acc = ops.add[acc, terms[:, j]]
+    return acc.tolist()
 
 
 def is_independent(m: Matrix, column_subset: Sequence[int]) -> bool:
@@ -191,13 +181,8 @@ def is_independent(m: Matrix, column_subset: Sequence[int]) -> bool:
     for c in cols:
         if not 0 <= c < m.cols:
             raise ValueError(f"column index {c} out of range")
-    if m.field.tables is not None:
-        elim = IncrementalElim(m.field, m.data)
-        for c in sorted(cols):
-            if not elim.push(c):
-                return False
-        return True
-    return rank(m.submatrix_cols(cols)) == len(cols)
+    elim = IncrementalElim(m.field, m.data)
+    return all(elim.push(c) for c in sorted(cols))
 
 
 def det(m: Matrix) -> int:
@@ -205,6 +190,7 @@ def det(m: Matrix) -> int:
     f = m.field
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
+    ops = f.ops
     a = m.data.copy()
     n = m.rows
     sign_flips = 0
@@ -219,12 +205,9 @@ def det(m: Matrix) -> int:
             sign_flips += 1
         piv = int(a[c, c])
         acc = f.mul(acc, piv)
-        inv = f.inv(piv)
-        for i in range(c + 1, n):
-            if a[i, c]:
-                fac = f.mul(int(a[i, c]), inv)
-                a[i] = [f.sub(int(x), f.mul(fac, int(y)))
-                        for x, y in zip(a[i], a[c])]
+        below = a[c + 1:]  # a view: only rows below the pivot are eliminated
+        factors = ops.div[below[:, c], piv]
+        below[:] = ops.sub[below, ops.mul[factors[:, None], a[c]]]
     if sign_flips % 2 and f.p != 2:
         acc = f.neg(acc)
     return acc
@@ -242,15 +225,11 @@ class IncrementalElim:
     """
 
     def __init__(self, field: Field, columns: np.ndarray):
-        t = field.tables
-        if t is None:
-            raise ValueError(
-                "IncrementalElim requires pairwise-table mode "
-                f"(field order <= {1 << 10})")
-        self._sub = t.sub
-        self._div = t.div
-        self._mul = t.mul
-        base = np.ascontiguousarray(columns, dtype=t.sub.dtype)
+        ops = field.ops
+        self._sub = ops.sub
+        self._div = ops.div
+        self._mul = ops.mul
+        base = np.ascontiguousarray(columns, dtype=ops.dtype)
         self.ncols = base.shape[1]
         self._stack: list[tuple[int, np.ndarray]] = [(-1, base)]
 

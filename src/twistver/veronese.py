@@ -29,7 +29,9 @@ import numpy as np
 
 from .ff import Field
 from .linalg import Matrix, det, rank
-from .pg import ProjPoint, enum_points
+from .pg import ProjPoint, enum_points, point_count
+
+MAX_POINTS = 1 << 16  # largest point set build_variety embeds
 
 ExponentVector = tuple[int, ...]
 
@@ -212,28 +214,23 @@ class VarietyMatrix:
         Matrix(self.field, self.coords).write_csv(path)
 
 
-def build_variety(field: Field, n: int, twist: Twist,
-                  max_points: int = 1 << 16) -> VarietyMatrix:
+def build_variety(field: Field, n: int, twist: Twist) -> VarietyMatrix:
     """Embed every point; verify injectivity and record the table rank."""
     if twist.p != field.p or twist.m != field.m:
         raise ValueError("twist was built for a different field")
+    num = point_count(field, n)
+    if num > MAX_POINTS:
+        raise ValueError(f"{num} points exceed the supported bound {MAX_POINTS}")
     pts = enum_points(field, n)
-    if len(pts) > max_points:
-        raise ValueError(
-            f"{len(pts)} points exceed the configured bound {max_points}")
     basis = monomial_basis(n, twist)
     coords = np.zeros((len(pts), basis.effective_N), dtype=np.int64)
     for i, p in enumerate(pts):
         coords[i] = embed_point(field, p, basis)
 
     # injectivity: canonical projective representatives of rows are distinct
-    seen = set()
-    for i in range(len(pts)):
-        row = coords[i]
-        nz = row[np.nonzero(row)[0][0]]
-        inv = field.inv(int(nz))
-        seen.add(tuple(field.mul(inv, int(x)) for x in row))
-    if len(seen) != len(pts):
+    lead = coords[np.arange(len(pts)), (coords != 0).argmax(axis=1)]
+    canon = field.ops.div[coords, lead[:, None]]
+    if len(set(map(tuple, canon.tolist()))) != len(pts):
         raise AssertionError("embedding failed injectivity check")
 
     r = rank(Matrix(field, coords))

@@ -108,6 +108,24 @@ def test_code_command_budget_exit(tmp_path, capsys):
     assert rep["delta_exact"] is False
 
 
+def test_code_command_rejects_budget_below_one(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = run_cli(["code", "--p", "5", "--t", "1", "--sigma", "0,0",
+                    "--workers", "1", "--budget", "-3", "-o", str(out)])
+    assert code == 1
+    assert "budget must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_code_command_rejects_workers_below_one(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = run_cli(["code", "--p", "5", "--t", "1", "--sigma", "0,0",
+                    "--workers", "0", "-o", str(out)])
+    assert code == 1
+    assert "workers must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_code_command_from_variety_file(tmp_path):
     vfile = tmp_path / "v.json"
     assert run_cli(["build", "--p", "2", "--e", "1", "--t", "4", "--n", "2",

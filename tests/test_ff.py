@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistver.ff import (Field, build_field, is_irreducible, is_prime,
-                         lex_smallest_irreducible, poly_mul, prime_factors)
+from twistver.ff import (Field, FieldTables, LogOps, build_field,
+                         is_irreducible, is_prime, lex_smallest_irreducible,
+                         poly_mul, prime_factors)
 
 from conftest import get_field
 
@@ -160,6 +162,46 @@ def test_pair_tables_consistent(gf27):
             assert int(t.sub[a, b]) == gf27.sub_poly(a, b)
             if b:
                 assert gf27.mul(int(t.div[a, b]), b) == a
+
+
+@pytest.mark.parametrize("p,m", [(2, 4), (3, 3), (3, 4)])
+def test_pair_ops_match_log_ops(p, m):
+    f = get_field(p, m)
+    pair, log = f.ops, LogOps(f)
+    assert isinstance(pair, FieldTables)
+    a, b = np.divmod(np.arange(f.order ** 2), f.order)  # every pair
+    for op in ("add", "sub", "mul", "div"):
+        assert (getattr(pair, op)[a, b] == getattr(log, op)[a, b]).all(), op
+    x = np.arange(f.order)
+    assert (pair.neg[x] == log.neg[x]).all()
+    assert (pair.inv[x] == log.inv[x]).all()
+
+
+@pytest.mark.parametrize("p,m", [(2, 11), (3, 7)])
+def test_log_ops_match_polynomial_mode(p, m):
+    f = get_field(p, m)
+    ops = f.ops
+    assert isinstance(ops, LogOps) and f.tables is None
+    rng = np.random.default_rng(31)
+    a = rng.integers(0, f.order, size=400)
+    b = rng.integers(0, f.order, size=400)
+    a[:10] = 0
+    b[10:20] = 0
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert ops.add[a, b].tolist() == [f.add_poly(x, y) for x, y in pairs]
+    assert ops.sub[a, b].tolist() == [f.sub_poly(x, y) for x, y in pairs]
+    assert ops.mul[a, b].tolist() == [f.mul_poly(x, y) for x, y in pairs]
+    assert [f.add_poly(x, y) for x, y in zip(ops.neg[a].tolist(), a.tolist())] \
+        == [0] * a.size
+    nz = b != 0
+    quot, inv = ops.div[a[nz], b[nz]].tolist(), ops.inv[b[nz]].tolist()
+    for x, y, qt, iv in zip(a[nz].tolist(), b[nz].tolist(), quot, inv):
+        assert f.mul_poly(qt, y) == x and f.mul_poly(iv, y) == 1
+    # the scalar methods share the same tables
+    for x, y in pairs[:50]:
+        assert f.add(x, y) == f.add_poly(x, y)
+        assert f.sub(x, y) == f.sub_poly(x, y)
+        assert f.mul(x, y) == f.mul_poly(x, y)
 
 
 # -- element enumeration and subfields ---------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -183,19 +184,54 @@ def test_incremental_pair_groups(gf27):
             assert ((c1, c2) in pairs) == expected
 
 
-def test_incremental_requires_tables():
-    from twistver.ff import Field
-    f = Field(2, 11, tables=True)  # log tables only: order above pair-table cap
+def test_incremental_elim_above_pair_table_order():
+    # GF(2^11) has no pairwise tables, so elimination runs on the exp/log
+    # ops; push, split_extensions and pair_groups must still agree with rank
+    f = get_field(2, 11)
     assert f.tables is None
-    with pytest.raises(ValueError):
-        IncrementalElim(f, np.eye(3, dtype=np.int64))
+    g = f.generator
+    rng = np.random.default_rng(19)
+    u, v, w, x = (rng.integers(1, f.order, size=4).tolist() for _ in range(4))
+
+    def lin(s, a, t, b):  # s*a + t*b
+        return [f.add(f.mul(s, ai), f.mul(t, bi)) for ai, bi in zip(a, b)]
+
+    # column 2 lies in span{0, 1}; 3 and 4 are proportional; 6 is in span{1, 5}
+    cols = [u, v, lin(1, u, g, v), w, [f.mul(f.pow(g, 5), c) for c in w], x,
+            lin(1, v, f.pow(g, 2), x)]
+    m = Matrix(f, np.array(cols).T)
+    elim = IncrementalElim(f, m.data)
+    for size in (3, 4):
+        for sub in itertools.combinations(range(7), size):
+            elim.reset()
+            ok = all(elim.push(c) for c in sub)
+            assert ok == (rank(m.submatrix_cols(sub)) == size)
+
+    elim.reset()
+    assert elim.push(0) and elim.push(1)
+    dead, alive = elim.split_extensions()
+    assert dead.tolist() == [2]
+    for c in alive.tolist():
+        assert rank(m.submatrix_cols([0, 1, c])) == 3
+
+    elim.reset()
+    assert elim.push(0)
+    dead, groups = elim.pair_groups()
+    assert dead.size == 0
+    pairs = {(int(gr[i]), int(gr[j]))
+             for gr in groups
+             for i in range(len(gr)) for j in range(i + 1, len(gr))}
+    assert {(1, 2), (3, 4)} <= pairs
+    for c1, c2 in itertools.combinations(range(1, 7), 2):
+        expected = rank(m.submatrix_cols([0, c1, c2])) < 3
+        assert ((c1, c2) in pairs) == expected
 
 
-def test_scalar_elimination_path_without_pair_tables():
-    # rank/kernel/is_independent must still work on fields too large for
+def test_elimination_above_pair_table_order():
+    # rank/kernel/is_independent must also work on fields too large for
     # the pairwise tables
     from twistver.ff import Field
-    f = Field(2, 11, tables=True)
+    f = Field(2, 11)
     g = f.generator
     rows = [[1, g, 0], [0, 1, g], [g, 0, 1]]  # det = 1 + g^3, nonzero
     m = Matrix.from_rows(f, rows)
@@ -231,6 +267,19 @@ def test_det_multiplicative_gf7():
             [[sum(int(a.data[i, k]) * int(b.data[k, j]) for k in range(3)) % 7
               for j in range(3)] for i in range(3)]))
         assert det(ab) == f.mul(det(a), det(b))
+
+
+@pytest.mark.parametrize("p,m_", [(2, 11), (3, 7)])
+def test_det_multiplicative_above_pair_table_order(p, m_):
+    f = get_field(p, m_)
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        a = random_matrix(f, 3, 3, rng)
+        b = random_matrix(f, 3, 3, rng)
+        ab = [[functools.reduce(f.add_poly, [
+                  f.mul_poly(int(a.data[i, k]), int(b.data[k, j]))
+                  for k in range(3)]) for j in range(3)] for i in range(3)]
+        assert det(Matrix.from_rows(f, ab)) == f.mul(det(a), det(b))
 
 
 # -- interchange -------------------------------------------------------------
