@@ -3,20 +3,23 @@ search, and minimum-weight support classification.
 
 The parity-check matrix H has one column per embedded point, in the fixed
 point-enumeration order.  The minimum distance equals the size of the
-smallest linearly dependent column subset, and the search for it is staged:
+smallest linearly dependent column subset.  min_distance runs one search
+path for every size w = 2, 3, ...: a scan of all w-subsets in
+lexicographic order that stops at the first dependent one, so the first
+level with a hit gives delta and the lexicographically first minimal
+dependent set as witness.  No level restricts its candidates; the labels
+in the stage log only name what a level establishes:
 
-* levels w = 2 .. d+1 exhaustively verify that every w-subset of columns
-  is independent (general position of the point set);
-* level w = d+2 enumerates candidate minimal dependent sets.  Dependent
-  (d+2)-subsets can only come from points on a common line, and when the
-  fixed-subfield order q' exceeds d, only from points on a common
-  PG(1, q') subline; the candidate generator applies exactly those
-  restrictions.  On a projective line (n = 2) with q' <= d the level is a
-  plain exhaustive scan;
-* levels w >= d+3 scan subsets in lexicographic order with early exit at
-  the first dependent set.
+* "general-position" for w <= d+1 (every w-subset independent);
+* "minimal-dependent" for w = d+2, where the dependent sets are expected
+  on fixed-subfield sublines;
+* "lex-search" above.
 
-Each exhaustive level walks a depth-first tree of independent column
+That expected subline structure is an output, not a shortcut:
+classify_min_words scans the d+2 level in full and checks every support
+for collinear pre-images on a common PG(1, q') subline.
+
+Each level walks a depth-first tree of independent column
 prefixes, reusing the incremental elimination workspace; one vectorized
 scan per prefix classifies every extension column as in-span or
 independent, so a level that nominally checks C(nu, w) subsets only does
@@ -28,7 +31,8 @@ lexicographic minimum, and reported check counts are closed-form, so a
 report is bit-identical for any worker count.
 
 An unstructured brute-force oracle (plain subset enumeration, scalar
-arithmetic, no staging) cross-validates the staged search on small codes.
+arithmetic, no staging) cross-validates the search on small codes: the
+same delta and the same lexicographically first witness.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import numpy as np
 
 from .ff import Field
 from .linalg import IncrementalElim, Matrix, kernel_basis
-from .pg import all_lines, is_collinear, on_common_subline, sublines_of_line
+from .pg import is_collinear, on_common_subline
 from .veronese import Twist, VarietyMatrix
 
 PARALLEL_MIN_CHECKS = 200_000  # below this a pool costs more than it saves
@@ -57,10 +61,8 @@ DEFAULT_ORACLE_CAP = 2_000_000
 class DependencyInvariantError(RuntimeError):
     """A dependent subset smaller than the current level was encountered.
 
-    Earlier exhaustive levels (or the line/subline restriction they
-    justify) rule this out, so seeing one means a bug or a genuine
-    counterexample to the dependent-set classification; either way the
-    search must not continue silently.
+    Earlier exhaustive levels rule this out, so seeing one means a bug;
+    the search must not continue silently.
     """
 
     def __init__(self, subset):
@@ -323,8 +325,10 @@ def _pool_scan(args):
 
 
 def _run_level(code: Code, w: int, plan: SearchPlan, *, early_exit: bool,
-               label: str, restriction: str = "none"):
-    """One exhaustive (or lex-first) level over all w-subsets."""
+               label: str):
+    """One level over all w-subsets: exhaustive, or with early exit at the
+    lexicographically first dependent subset.  Every subset is a
+    candidate (restriction "none")."""
     nu = code.nu
     field = code.field
     h = code.H.data
@@ -373,16 +377,12 @@ def _run_level(code: Code, w: int, plan: SearchPlan, *, early_exit: bool,
         checked = total
         capped = any_capped
 
-    record = StageRecord(label=label, w=w, restriction=restriction,
+    record = StageRecord(label=label, w=w, restriction="none",
                          checked=checked, dependent_found=len(hits),
                          early_exit=early_exit, capped=capped,
                          seconds=time.perf_counter() - start)
     return record, hits
 
-
-# ---------------------------------------------------------------------------
-# Candidate-restricted level at w = d + 2
-# ---------------------------------------------------------------------------
 
 def _subset_dependent(elim: IncrementalElim, subset: Sequence[int]) -> bool:
     elim.reset()
@@ -395,77 +395,22 @@ def _subset_dependent(elim: IncrementalElim, subset: Sequence[int]) -> bool:
         elim.reset()
 
 
-def _run_candidate_level(code: Code, w: int, plan: SearchPlan,
-                         use_sublines: bool):
-    """Enumerate (d+2)-subsets of collinear point sets, optionally only
-    within fixed-subfield sublines, and rank-check each candidate."""
-    start = time.perf_counter()
-    field = code.field
-    variety = code.variety
-    pts = variety.points
-    index = {p: i for i, p in enumerate(pts)}
-    if variety.n == 2:
-        lines = [tuple(range(len(pts)))]
-    else:
-        lines = all_lines(field, pts)
-
-    elim = IncrementalElim(field, code.H.data)
-    qf = code.twist.q_fixed
-    hits: list[tuple[int, ...]] = []
-    checked = 0
-    capped = False
-    for line in lines:
-        if use_sublines:
-            groups = [sorted(index[p] for p in sub)
-                      for sub in sublines_of_line(
-                          field, [pts[i] for i in line], qf)]
-        else:
-            groups = [list(line)]
-        for cols in groups:
-            if len(cols) < w:
-                continue
-            for subset in combinations(cols, w):
-                if checked >= plan.budget:
-                    capped = True
-                    break
-                checked += 1
-                if _subset_dependent(elim, subset):
-                    hits.append(subset)
-            if capped:
-                break
-        if capped:
-            break
-
-    hits = sorted(set(hits))
-    record = StageRecord(label="minimal-dependent", w=w,
-                         restriction="subline" if use_sublines else "collinear",
-                         checked=checked, dependent_found=len(hits),
-                         early_exit=False, capped=capped,
-                         seconds=time.perf_counter() - start)
-    return record, hits
-
-
 # ---------------------------------------------------------------------------
-# Staged exact minimum distance
+# Exact minimum distance
 # ---------------------------------------------------------------------------
 
-def _dispatch_level(code: Code, w: int, plan: SearchPlan):
+def _level_label(code: Code, w: int) -> str:
     d = code.twist.d
     if w <= d + 1:
-        return _run_level(code, w, plan, early_exit=False,
-                          label="general-position")
+        return "general-position"
     if w == d + 2:
-        if code.twist.q_fixed > d:
-            return _run_candidate_level(code, w, plan, use_sublines=True)
-        if code.variety.n >= 3:
-            return _run_candidate_level(code, w, plan, use_sublines=False)
-        return _run_level(code, w, plan, early_exit=False,
-                          label="minimal-dependent")
-    return _run_level(code, w, plan, early_exit=True, label="lex-search")
+        return "minimal-dependent"
+    return "lex-search"
 
 
 def min_distance(code: Code, plan: Optional[SearchPlan] = None) -> CodeReport:
-    """Exact minimum distance by staged search, or a proven lower bound.
+    """Exact minimum distance by one early-exit scan per level, or a
+    proven lower bound.
 
     The returned report carries the per-level log; delta_exact is False
     only when a budget cap stopped the search first.
@@ -489,14 +434,15 @@ def min_distance(code: Code, plan: Optional[SearchPlan] = None) -> CodeReport:
     )
     t0 = time.perf_counter()
     for w in range(2, w_cap + 1):
-        record, hits = _dispatch_level(code, w, plan)
+        record, hits = _run_level(code, w, plan, early_exit=True,
+                                  label=_level_label(code, w))
         report.stage_log.append(record)
         report.timings[f"w{w}"] = round(record.seconds, 6)
         if hits:
             report.delta = w
             report.delta_exact = True
             report.delta_lower_bound = w
-            witness = min(hits)
+            witness = hits[0]
             report.witness = list(witness)
             report.witness_points = [list(code.variety.points[i])
                                      for i in witness]
@@ -671,34 +617,29 @@ def verify_general_position(code: Code, k: int,
     """Exhaustively test every k-subset of columns for independence.
 
     Returns ok=True, or ok=False with the lexicographically first
-    dependent k-subset as witness.
+    dependent k-subset as witness.  Levels 2 .. k each stop at their
+    first dependent subset, so a level sees one smaller than itself only
+    through a bug, and the DependencyInvariantError propagates.
     """
     plan = plan or SearchPlan()
-    if k > code.effective_N + 1:
-        raise ValueError(f"k = {k} exceeds effective_N + 1")
-    if comb(code.nu, k) > plan.budget:
+    if not 2 <= k <= code.effective_N + 1:
+        raise ValueError(f"k = {k} is outside [2, effective_N + 1]")
+    # every level must run in full: a truncated one could leave a smaller
+    # dependent set for the next level to trip over
+    largest = max(comb(code.nu, w) for w in range(2, k + 1))
+    if largest > plan.budget:
         raise BudgetExceeded(
-            f"{comb(code.nu, k)} subsets exceed the budget {plan.budget}; "
+            f"{largest} subsets exceed the budget {plan.budget}; "
             "raise it explicitly to proceed")
-    checked_k = 0
     for w in range(2, k + 1):
-        try:
-            record, hits = _run_level(code, w, plan, early_exit=False,
-                                      label="general-position")
-        except DependencyInvariantError as exc:
-            # a dependent set below the verified levels: fall through to
-            # the direct witness scan
-            hits = [exc.subset]
-            record = None
-        if record is not None and w == k:
-            checked_k = record.checked
+        record, hits = _run_level(code, w, plan, early_exit=True,
+                                  label="general-position")
+        if hits and w < k:  # level k never ran, so no k-subset was checked
+            return GeneralPositionResult(False, k, 0,
+                                         _lex_first_dependent(code, k))
         if hits:
-            if w == k:
-                return GeneralPositionResult(False, k, record.checked,
-                                             min(hits))
-            return GeneralPositionResult(
-                False, k, checked_k, _lex_first_dependent(code, k))
-    return GeneralPositionResult(True, k, checked_k)
+            return GeneralPositionResult(False, k, record.checked, hits[0])
+    return GeneralPositionResult(True, k, record.checked)
 
 
 def _lex_first_dependent(code: Code, k: int) -> tuple:
@@ -712,10 +653,13 @@ def _lex_first_dependent(code: Code, k: int) -> tuple:
 
 def verify_oracle_equivalence(code: Code, plan: Optional[SearchPlan] = None,
                               max_checks: int = DEFAULT_ORACLE_CAP):
-    """Staged search and brute-force oracle must agree exactly."""
+    """Search and brute-force oracle must agree exactly: on delta and on
+    the lexicographically first dependent set."""
     report = min_distance(code, plan)
-    oracle_delta, _ = oracle_min_distance(code, max_checks=max_checks)
-    ok = report.delta_exact and report.delta == oracle_delta
+    oracle_delta, oracle_witness = oracle_min_distance(code,
+                                                       max_checks=max_checks)
+    ok = (report.delta_exact and report.delta == oracle_delta
+          and report.witness == list(oracle_witness))
     return ok, report.delta, oracle_delta
 
 

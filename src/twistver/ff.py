@@ -19,7 +19,9 @@ Every field carries exp/log tables over its smallest primitive element.
 numpy arrays, written as lookups (`ops.mul[a, b]`).  Up to PAIR_TABLE_MAX
 it is FieldTables, one gather into a pairwise int16 table per operation;
 above, LogOps computes the same entries by exp/log gathers and digit-wise
-base-p addition (XOR when p = 2).  Scalar methods read the same tables.
+base-p addition (XOR when p = 2).  `Field.eval_monomials` evaluates a
+table of monomials at a table of points in the log domain.  Scalar
+methods read the same tables.
 Polynomial mode (add_poly, sub_poly, mul_poly) builds the tables and is
 the reference the tests compare against.
 """
@@ -251,8 +253,8 @@ class Field:
     The (e, t) split only labels the field for reporting and for
     power-of-q automorphism input; arithmetic depends on p and m alone.
     `ops` does the array arithmetic; the scalar methods read the same
-    tables, one lookup per call, because pg and veronese call them one
-    element at a time.
+    tables, one lookup per call, because pg, the scroll cross-check and
+    the brute-force oracle call them one element at a time.
     """
 
     def __init__(self, p: int, m: int, e: int = 1):
@@ -279,6 +281,7 @@ class Field:
         # log[0] stays 0 and must never be consulted for the zero element
         self._log = np.zeros(order, dtype=np.int32)
         self._log[self._exp] = np.arange(order - 1, dtype=np.int32)
+        self._subfields: dict[int, list[int]] = {}
         log_ops = LogOps(self)
         # pairwise tables would need order^2 entries above PAIR_TABLE_MAX
         self.tables: Optional[FieldTables] = (
@@ -374,6 +377,17 @@ class Field:
         n = self.order - 1
         return int(self._exp[(int(self._log[a]) * k) % n])
 
+    def eval_monomials(self, points, exponents) -> np.ndarray:
+        """Table of prod_j points[i][j] ** exponents[k][j]: one row per
+        point, one column per exponent vector, with 0^0 = 1.  Exponents
+        add up in the log domain; a zero coordinate under a positive
+        exponent zeroes the entry."""
+        pts = np.asarray(points, dtype=np.int64)
+        exps = np.asarray(exponents, dtype=np.int64)
+        s = (self._log[pts].astype(np.int64) @ exps.T) % (self.order - 1)
+        vanish = (pts == 0).astype(np.int64) @ (exps > 0).T.astype(np.int64)
+        return np.where(vanish > 0, 0, self._exp[s]).astype(np.int64)
+
     def frobenius(self, a: int, s: int) -> int:
         """a^(p^s), the s-th power of the absolute Frobenius."""
         if not 0 <= s < self.m:
@@ -388,11 +402,15 @@ class Field:
         return [self.p ** s for s in range(1, self.m + 1) if self.m % s == 0]
 
     def subfield_elements(self, q_sub: int) -> list[int]:
-        """All solutions of x^{q_sub} = x, i.e. the subfield of that order."""
-        if q_sub not in self.subfield_orders():
-            raise ValueError(
-                f"{q_sub} is not a subfield order of GF({self.order})")
-        return [x for x in self.elements() if self.pow(x, q_sub) == x]
+        """All solutions of x^{q_sub} = x, i.e. the subfield of that
+        order, ascending: zero and the powers of g^((order-1)/(q_sub-1))."""
+        if q_sub not in self._subfields:
+            if q_sub not in self.subfield_orders():
+                raise ValueError(
+                    f"{q_sub} is not a subfield order of GF({self.order})")
+            step = (self.order - 1) // (q_sub - 1)
+            self._subfields[q_sub] = [0] + sorted(self._exp[::step].tolist())
+        return list(self._subfields[q_sub])
 
     # -- tables ---------------------------------------------------------------
 

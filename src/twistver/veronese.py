@@ -163,18 +163,7 @@ def monomial_basis(n: int, twist: Twist) -> MonomialBasis:
 
 def embed_point(field: Field, point: ProjPoint, basis: MonomialBasis) -> np.ndarray:
     """Evaluate every basis monomial at the point (0^0 = 1)."""
-    out = np.zeros(basis.effective_N, dtype=np.int64)
-    for i, mono in enumerate(basis.monomials):
-        acc = 1
-        for coord, expo in zip(point, mono):
-            if expo == 0:
-                continue
-            if coord == 0:
-                acc = 0
-                break
-            acc = field.mul(acc, field.pow(coord, expo))
-        out[i] = acc
-    return out
+    return field.eval_monomials([point], basis.monomials)[0]
 
 
 @dataclass
@@ -223,9 +212,7 @@ def build_variety(field: Field, n: int, twist: Twist) -> VarietyMatrix:
         raise ValueError(f"{num} points exceed the supported bound {MAX_POINTS}")
     pts = enum_points(field, n)
     basis = monomial_basis(n, twist)
-    coords = np.zeros((len(pts), basis.effective_N), dtype=np.int64)
-    for i, p in enumerate(pts):
-        coords[i] = embed_point(field, p, basis)
+    coords = field.eval_monomials(pts, basis.monomials)
 
     # injectivity: canonical projective representatives of rows are distinct
     lead = coords[np.arange(len(pts)), (coords != 0).argmax(axis=1)]

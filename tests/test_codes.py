@@ -57,7 +57,7 @@ def test_min_distance_classical_conic():
     rep = min_distance(get_code(5, 1, 2, (0, 0)))
     assert (rep.nu, rep.kappa, rep.delta, rep.status) == (6, 3, 4, "MDS")
     by_w = {s.w: s for s in rep.stage_log}
-    assert by_w[4].restriction == "subline"  # q' = 5 > d = 2
+    assert by_w[4].restriction == "none"  # q' = 5 > d = 2, yet no shortcut
 
 
 def test_witness_is_minimal_dependent():
@@ -98,16 +98,20 @@ def test_degree_one_twist_code():
     assert (rep.nu, rep.kappa, rep.delta, rep.status) == (28, 26, 3, "MDS")
 
 
-# -- restricted level at d + 2 ----------------------------------------------------
+# -- the d + 2 level -----------------------------------------------------------------
 
 def test_subline_restricted_level_gf16():
     c = get_code(2, 4, 2, (0, 2))
     rep = min_distance(c)
     assert (rep.nu, rep.kappa, rep.delta, rep.status) == (17, 13, 4, "almost-MDS")
     by_w = {s.w: s for s in rep.stage_log}
-    assert by_w[4].restriction == "subline"
-    assert by_w[4].checked == 68 * comb(5, 4) == 340
-    assert by_w[4].dependent_found == 340
+    assert by_w[4].restriction == "none"
+    # the 340 supports on the 68 PG(1, 4) sublines are counted by the
+    # classification, which scans the level in full
+    rep = classify_min_words(c, rep)
+    assert rep.min_weight_support_count == 68 * comb(5, 4) == 340
+    classify = [s for s in rep.stage_log if s.label == "classify"]
+    assert classify[0].dependent_found == 340
 
 
 def test_collinear_restricted_level_pg2():
@@ -115,9 +119,10 @@ def test_collinear_restricted_level_pg2():
     rep = min_distance(c)
     assert rep.delta == 4
     by_w = {s.w: s for s in rep.stage_log}
-    # q' = 4 > d = 2: each of the 21 lines is its own subline
-    assert by_w[4].restriction == "subline"
-    assert by_w[4].checked == 21 * comb(5, 4) == 105
+    # q' = 4 > d = 2: each of the 21 lines is its own subline, but the
+    # level scans every 4-subset until the first dependent one
+    assert by_w[4].restriction == "none"
+    assert by_w[4].checked == _lex_rank((0, 1, 2, 20), 21) + 1 == 18
 
 
 def test_full_level_counts_p2():
@@ -129,13 +134,13 @@ def test_full_level_counts_p2():
 
 
 def test_plane_with_small_fixed_subfield():
-    # n = 3 over GF(4), twist (0,1): q' = 2 = d, so the d+2 level checks
-    # only collinear candidates and the d+3 level resolves by lex search
+    # n = 3 over GF(4), twist (0,1): q' = 2 = d, the d+2 level holds no
+    # dependent set and the d+3 level resolves by lex search
     c = get_code(2, 2, 3, (0, 1))
     rep = min_distance(c)
     by_w = {s.w: s for s in rep.stage_log}
-    assert by_w[4].restriction == "collinear"
-    assert by_w[4].checked == 21 * comb(5, 4) == 105
+    assert by_w[4].restriction == "none"
+    assert by_w[4].checked == comb(21, 4) == 5985
     assert by_w[4].dependent_found == 0
     assert rep.delta == 5
     # independent upper-bound witness: any 5 points of a line embed into a
@@ -143,6 +148,19 @@ def test_plane_with_small_fixed_subfield():
     from twistver.pg import all_lines
     line = all_lines(c.field, c.variety.points)[0]
     assert rank(c.H.submatrix_cols(list(line[:5]))) == 4
+
+
+def test_plane_over_gf16_with_fixed_subfield_gf4():
+    # n = 3 over GF(16), twist (0,2): q' = 4 > d = 2; 273 points, and the
+    # d+2 level stops at its first dependent 4-subset
+    rep = min_distance(get_code(2, 4, 3, (0, 2)))
+    assert (rep.nu, rep.kappa, rep.delta) == (273, 264, 4)
+    assert rep.delta_exact
+    assert rep.witness == [0, 1, 2, 7]
+    assert rep.status == "other"
+    by_w = {s.w: s for s in rep.stage_log}
+    assert by_w[3].checked == comb(273, 3)
+    assert by_w[4].restriction == "none" and by_w[4].dependent_found == 1
 
 
 # -- classification ---------------------------------------------------------------
@@ -222,6 +240,16 @@ def test_oracle_equivalence(cfg):
     assert ok, (cfg, staged, oracle)
 
 
+def test_oracle_equivalence_requires_equal_witness(monkeypatch):
+    c = get_code(5, 1, 2, (0, 0))
+    delta, _ = oracle_min_distance(c)
+    other = tuple(reversed(range(c.nu)))[:delta]  # dependent, not lex-first
+    monkeypatch.setattr(codes_mod, "oracle_min_distance",
+                        lambda code, max_checks: (delta, other))
+    ok, staged, oracle = verify_oracle_equivalence(c)
+    assert not ok and staged == oracle == delta
+
+
 def test_oracle_cap():
     with pytest.raises(BudgetExceeded):
         oracle_min_distance(get_code(3, 3, 2, (0, 0, 2)), max_checks=100)
@@ -292,6 +320,32 @@ def test_general_position_conic_failure():
     res = verify_general_position(get_code(5, 1, 2, (0, 0)), 4)
     assert not res.ok
     assert res.witness == (0, 1, 2, 3)
+    # early exit: the prefix (0, 1, 2) and its extensions 3, 4, 5
+    assert res.checked == _lex_rank((0, 1, 2, 5), 6) + 1 == 3
+
+
+def test_general_position_dependent_set_below_k():
+    # the GF(4) plane Veronese code has delta = 4 < k = 5: level 4 finds
+    # (0, 1, 2, 3), level 5 never runs, and the witness is the lex-first
+    # dependent 5-subset
+    res = verify_general_position(get_code(2, 2, 3, (0, 0)), 5)
+    assert not res.ok
+    assert res.witness == (0, 1, 2, 3, 4)
+    assert res.checked == 0
+
+
+def test_general_position_k_range():
+    c = get_code(5, 1, 2, (0, 0))
+    for k in (1, c.effective_N + 2):
+        with pytest.raises(ValueError):
+            verify_general_position(c, k)
+
+
+def test_general_position_budget_covers_every_level():
+    # C(6, 4) = 15 fits the budget, but level 3 needs C(6, 3) = 20
+    with pytest.raises(BudgetExceeded):
+        verify_general_position(get_code(5, 1, 2, (0, 0)), 4,
+                                SearchPlan(budget=15))
 
 
 def test_general_position_budget_error():

@@ -225,6 +225,17 @@ def test_subfield_sizes():
         f16.subfield_elements(8)
 
 
+@pytest.mark.parametrize("p,m", [(2, 4), (2, 6), (3, 2), (3, 4), (5, 2)])
+def test_subfield_elements_match_fixed_points_of_pow(p, m):
+    f = get_field(p, m)
+    for q_sub in f.subfield_orders():
+        expected = [x for x in f.elements() if f.pow(x, q_sub) == x]
+        got = f.subfield_elements(q_sub)
+        assert got == expected
+        got.append(-1)  # callers get their own list
+        assert f.subfield_elements(q_sub) == expected
+
+
 def test_subfield_is_closed():
     f = get_field(2, 4)
     sub = f.subfield_elements(4)
@@ -243,3 +254,25 @@ def test_prime_helpers():
     assert is_prime(2) and is_prime(97) and not is_prime(1) and not is_prime(91)
     assert prime_factors(12) == [2, 3]
     assert prime_factors(1) == []
+
+
+# -- monomial evaluation --------------------------------------------------------
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 4), (3, 3), (7, 1), (2, 11)])
+def test_eval_monomials_matches_scalar_pow(p, m):
+    f = get_field(p, m)
+    rng = np.random.default_rng(p * 100 + m)
+    pts = rng.integers(0, f.order, size=(40, 3))
+    pts[:8] = 0  # zero coordinates, including the all-zero row
+    pts[8:16, 1] = 0
+    exps = rng.integers(0, 3 * f.order, size=(6, 3))
+    exps[0] = 0  # the constant monomial: 0^0 = 1
+    exps[1, 0] = 0
+    table = f.eval_monomials(pts.tolist(), exps.tolist())
+    assert table.shape == (40, 6) and table.dtype == np.int64
+    for i, pt in enumerate(pts.tolist()):
+        for k, ex in enumerate(exps.tolist()):
+            acc = 1
+            for x, e in zip(pt, ex):
+                acc = f.mul(acc, f.pow(x, e))
+            assert table[i, k] == acc, (pt, ex)
