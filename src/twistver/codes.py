@@ -4,20 +4,27 @@ search, and minimum-weight support classification.
 The parity-check matrix H has one column per embedded point, in the fixed
 point-enumeration order.  The minimum distance equals the size of the
 smallest linearly dependent column subset.  min_distance runs one search
-path for every size w = 2, 3, ...: a scan of all w-subsets in
+routine for every size w = 2, 3, ...: a scan of w-subsets in
 lexicographic order that stops at the first dependent one, so the first
 level with a hit gives delta and the lexicographically first minimal
-dependent set as witness.  No level restricts its candidates; the labels
-in the stage log only name what a level establishes:
+dependent set as witness.  The labels in the stage log name what a level
+establishes:
 
 * "general-position" for w <= d+1 (every w-subset independent);
 * "minimal-dependent" for w = d+2, where the dependent sets are expected
   on fixed-subfield sublines;
 * "lex-search" above.
 
-That expected subline structure is an output, not a shortcut:
-classify_min_words scans the d+2 level in full and checks every support
-for collinear pre-images on a common PG(1, q') subline.
+Every level scans all w-subsets (restriction "none") except one: for
+n >= 3 and q' <= d no PG(1, q') subline holds d+2 points, so the d+2
+level holds no dependent set, and an unrestricted scan would have to
+visit all C(nu, d+2) subsets to show it.  That level scans only the
+(d+2)-subsets of each line in full (restriction "collinear"), relying on
+the paper's result that dependent (d+2)-sets are collinear; tier-1
+cross-checks it against the unrestricted scan and the oracle.  Otherwise
+the subline structure is an output, not a shortcut: classify_min_words
+scans the d+2 level in full and checks every support for collinear
+pre-images on a common PG(1, q') subline.
 
 Each level walks a depth-first tree of independent column
 prefixes, reusing the incremental elimination workspace; one vectorized
@@ -50,7 +57,7 @@ import numpy as np
 
 from .ff import Field
 from .linalg import IncrementalElim, Matrix, kernel_basis
-from .pg import is_collinear, on_common_subline
+from .pg import all_lines, is_collinear, on_common_subline
 from .veronese import Twist, VarietyMatrix
 
 PARALLEL_MIN_CHECKS = 200_000  # below this a pool costs more than it saves
@@ -324,33 +331,25 @@ def _pool_scan(args):
                        tasks, early_exit)
 
 
-def _run_level(code: Code, w: int, plan: SearchPlan, *, early_exit: bool,
-               label: str):
-    """One level over all w-subsets: exhaustive, or with early exit at the
-    lexicographically first dependent subset.  Every subset is a
-    candidate (restriction "none")."""
-    nu = code.nu
-    field = code.field
-    h = code.H.data
-    total = comb(nu, w)
-    start = time.perf_counter()
+def _first_column_tasks(ncols: int, w: int, budget: int):
+    """(first column, cap) tasks covering the lexicographically first
+    `budget` w-subsets of range(ncols); cap None is the whole subtree."""
+    tasks: list[tuple[int, Optional[int]]] = []
+    for c1 in range(ncols - w + 1):
+        if budget <= 0:
+            break
+        size = comb(ncols - 1 - c1, w - 1)
+        tasks.append((c1, None if size <= budget else budget))
+        budget -= size
+    return tasks
 
-    caps: Optional[dict[int, int]] = None
-    budget_capped = total > plan.budget
-    if budget_capped:
-        caps = {}
-        remaining = plan.budget
-        for c1 in range(nu - w + 1):
-            size = comb(nu - 1 - c1, w - 1)
-            take = min(size, remaining)
-            remaining -= take
-            caps[c1] = take
-    tasks = [(c1, caps[c1] if caps is not None else None)
-             for c1 in range(nu - w + 1)
-             if caps is None or caps[c1] > 0]
 
-    workers = plan.workers
-    if workers > 1 and total >= PARALLEL_MIN_CHECKS and len(tasks) > 1:
+def _scan_columns(field: Field, h: np.ndarray, w: int,
+                  tasks: list[tuple[int, Optional[int]]], early_exit: bool,
+                  workers: int):
+    """Scan the tasks' subtrees of h's columns, serially or split across
+    a fork pool.  Returns (sorted distinct hits, any task capped)."""
+    if workers > 1 and len(tasks) > 1:
         chunks = [tasks[i::workers] for i in range(workers)]
         chunks = [c for c in chunks if c]
         ctx = get_context("fork")
@@ -358,11 +357,53 @@ def _run_level(code: Code, w: int, plan: SearchPlan, *, early_exit: bool,
                       initargs=(field.p, field.m, field.e, h)) as pool:
             parts = pool.map(_pool_scan,
                              [(w, chunk, early_exit) for chunk in chunks])
-        hits = sorted({hh for _, part_hits, _ in parts for hh in part_hits})
-        any_capped = any(cp for _, _, cp in parts)
+        return (sorted({hh for _, part_hits, _ in parts for hh in part_hits}),
+                any(cp for _, _, cp in parts))
+    _, hits, capped = _scan_tasks(field, h, w, tasks, early_exit)
+    return sorted(set(hits)), capped
+
+
+def _run_level(code: Code, w: int, plan: SearchPlan, *, early_exit: bool,
+               label: str, lines: Optional[Sequence[Sequence[int]]] = None):
+    """One level of w-subsets in lexicographic order: exhaustive, or with
+    early exit at the first dependent subset.
+
+    Every w-subset is a candidate (restriction "none"), or, given `lines`
+    as sorted column lists, only the w-subsets of one line (restriction
+    "collinear"); each line is then scanned in full, since the
+    lexicographically first hit may lie on any of them.
+    """
+    assert lines is None or not early_exit, "a collinear level runs in full"
+    nu = code.nu
+    start = time.perf_counter()
+    if lines is None:
+        groups, restriction = [range(nu)], "none"
     else:
-        _, hits, any_capped = _scan_tasks(field, h, w, tasks, early_exit)
-        hits = sorted(set(hits))
+        groups, restriction = [g for g in lines if len(g) >= w], "collinear"
+    total = sum(comb(len(g), w) for g in groups)
+    # one pool per level, and only for the unrestricted scan: a line is
+    # too small to be worth one
+    workers = (plan.workers if lines is None and total >= PARALLEL_MIN_CHECKS
+               else 1)
+
+    hits: list[tuple[int, ...]] = []
+    any_capped = False
+    remaining = plan.budget
+    for cols in groups:
+        tasks = _first_column_tasks(len(cols), w, remaining)
+        if not tasks:
+            break
+        remaining -= comb(len(cols), w)
+        h = code.H.data if lines is None else code.H.data[:, cols]
+        try:
+            part, capped = _scan_columns(code.field, h, w, tasks, early_exit,
+                                         workers)
+        except DependencyInvariantError as exc:
+            raise DependencyInvariantError(
+                tuple(cols[i] for i in exc.subset)) from exc
+        hits.extend(tuple(cols[i] for i in hh) for hh in part)
+        any_capped = any_capped or capped
+    hits.sort()
 
     if early_exit and hits:
         hits = hits[:1]
@@ -370,14 +411,14 @@ def _run_level(code: Code, w: int, plan: SearchPlan, *, early_exit: bool,
         # the leaf that produced the lexicographically first hit
         checked = _lex_rank(hits[0][:-1] + (nu - 1,), nu) + 1
         capped = False
-    elif budget_capped:
-        checked = min(plan.budget, total)
+    elif total > plan.budget:
+        checked = plan.budget
         capped = True
     else:
         checked = total
         capped = any_capped
 
-    record = StageRecord(label=label, w=w, restriction="none",
+    record = StageRecord(label=label, w=w, restriction=restriction,
                          checked=checked, dependent_found=len(hits),
                          early_exit=early_exit, capped=capped,
                          seconds=time.perf_counter() - start)
@@ -399,18 +440,21 @@ def _subset_dependent(elim: IncrementalElim, subset: Sequence[int]) -> bool:
 # Exact minimum distance
 # ---------------------------------------------------------------------------
 
-def _level_label(code: Code, w: int) -> str:
+def _dispatch_level(code: Code, w: int, plan: SearchPlan):
     d = code.twist.d
-    if w <= d + 1:
-        return "general-position"
-    if w == d + 2:
-        return "minimal-dependent"
-    return "lex-search"
+    if w == d + 2 and code.variety.n >= 3 and code.twist.q_fixed <= d:
+        # no dependent set here: prove it on the lines only (see above)
+        return _run_level(code, w, plan, early_exit=False,
+                          label="minimal-dependent",
+                          lines=all_lines(code.field, code.variety.points))
+    label = ("general-position" if w <= d + 1 else
+             "minimal-dependent" if w == d + 2 else "lex-search")
+    return _run_level(code, w, plan, early_exit=True, label=label)
 
 
 def min_distance(code: Code, plan: Optional[SearchPlan] = None) -> CodeReport:
-    """Exact minimum distance by one early-exit scan per level, or a
-    proven lower bound.
+    """Exact minimum distance by one lexicographic scan per level (see
+    the module docstring), or a proven lower bound.
 
     The returned report carries the per-level log; delta_exact is False
     only when a budget cap stopped the search first.
@@ -434,8 +478,7 @@ def min_distance(code: Code, plan: Optional[SearchPlan] = None) -> CodeReport:
     )
     t0 = time.perf_counter()
     for w in range(2, w_cap + 1):
-        record, hits = _run_level(code, w, plan, early_exit=True,
-                                  label=_level_label(code, w))
+        record, hits = _dispatch_level(code, w, plan)
         report.stage_log.append(record)
         report.timings[f"w{w}"] = round(record.seconds, 6)
         if hits:

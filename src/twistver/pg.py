@@ -77,13 +77,17 @@ def line_through(field: Field, p0: ProjPoint, p1: ProjPoint) -> tuple[ProjPoint,
 def all_lines(field: Field, points: Sequence[ProjPoint]) -> list[tuple[int, ...]]:
     """All lines of PG(n-1) as sorted tuples of indices into `points`."""
     index = {p: i for i, p in enumerate(points)}
-    seen: set[tuple[int, ...]] = set()
-    for i, j in combinations(range(len(points)), 2):
-        if any(i in ln and j in ln for ln in seen):
-            continue
-        line = line_through(field, points[i], points[j])
-        seen.add(tuple(sorted(index[p] for p in line)))
-    return sorted(seen)
+    covered = np.zeros((len(points), len(points)), dtype=bool)
+    lines: list[tuple[int, ...]] = []
+    for i in range(len(points)):
+        for j in (np.flatnonzero(~covered[i, i + 1:]) + i + 1).tolist():
+            if covered[i, j]:  # on a line found earlier in this row
+                continue
+            line = sorted(index[p] for p in line_through(field, points[i],
+                                                          points[j]))
+            covered[np.ix_(line, line)] = True
+            lines.append(tuple(line))
+    return sorted(lines)
 
 
 def _frame_coefficients(field: Field, p0: ProjPoint, p1: ProjPoint,

@@ -134,13 +134,13 @@ def test_full_level_counts_p2():
 
 
 def test_plane_with_small_fixed_subfield():
-    # n = 3 over GF(4), twist (0,1): q' = 2 = d, the d+2 level holds no
-    # dependent set and the d+3 level resolves by lex search
+    # n = 3 over GF(4), twist (0,1): q' = 2 = d, so the d+2 level checks
+    # only collinear candidates and the d+3 level resolves by lex search
     c = get_code(2, 2, 3, (0, 1))
     rep = min_distance(c)
     by_w = {s.w: s for s in rep.stage_log}
-    assert by_w[4].restriction == "none"
-    assert by_w[4].checked == comb(21, 4) == 5985
+    assert by_w[4].restriction == "collinear"
+    assert by_w[4].checked == 21 * comb(5, 4) == 105
     assert by_w[4].dependent_found == 0
     assert rep.delta == 5
     # independent upper-bound witness: any 5 points of a line embed into a
@@ -148,6 +148,38 @@ def test_plane_with_small_fixed_subfield():
     from twistver.pg import all_lines
     line = all_lines(c.field, c.variety.points)[0]
     assert rank(c.H.submatrix_cols(list(line[:5]))) == 4
+
+
+def test_collinear_level_agrees_with_unrestricted_scan():
+    # GF(8) plane, twist (0,1): q' = 2 = d.  The collinear level checks
+    # 73 lines x C(9, 4) candidates; the unrestricted scan of all
+    # C(73, 4) subsets must find no dependent set either.
+    c = get_code(2, 3, 3, (0, 1))
+    rep = min_distance(c)
+    by_w = {s.w: s for s in rep.stage_log}
+    assert by_w[4].restriction == "collinear"
+    assert by_w[4].checked == 73 * comb(9, 4)
+    assert by_w[4].dependent_found == 0
+    full, hits = codes_mod._run_level(c, 4, SearchPlan(), early_exit=False,
+                                      label="minimal-dependent")
+    assert (full.restriction, full.checked, hits) == ("none", comb(73, 4), [])
+    assert (rep.delta, rep.delta_exact, rep.witness) == (5, True,
+                                                         [0, 1, 2, 3, 4])
+
+
+def test_plane_over_gf16_with_fixed_subfield_gf2():
+    # n = 3 over GF(16), twist (0,1): q' = 2 = d.  An unrestricted d+2
+    # level would need C(273, 4) > DEFAULT_BUDGET checks; the collinear
+    # level needs 273 x C(17, 4), so delta stays exact at the default budget
+    rep = min_distance(get_code(2, 4, 3, (0, 1)))
+    assert (rep.nu, rep.kappa, rep.delta, rep.delta_exact) == (273, 264, 5,
+                                                               True)
+    assert comb(273, 4) > codes_mod.DEFAULT_BUDGET
+    by_w = {s.w: s for s in rep.stage_log}
+    assert by_w[4].restriction == "collinear"
+    assert by_w[4].checked == 273 * comb(17, 4) == 649740
+    assert by_w[4].dependent_found == 0 and not by_w[4].capped
+    assert rep.witness == [0, 1, 2, 3, 4]
 
 
 def test_plane_over_gf16_with_fixed_subfield_gf4():
@@ -231,6 +263,7 @@ ORACLE_CONFIGS = [
     (2, 3, 2, (0, 1)),   # nu = 9
     (3, 2, 2, (0, 1)),   # nu = 10
     (7, 1, 2, (0, 0)),   # nu = 8
+    (2, 2, 3, (0, 1)),   # nu = 21, collinear d+2 level
 ]
 
 

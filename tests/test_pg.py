@@ -79,6 +79,17 @@ def test_all_lines_of_pg2_gf4():
         assert sum(1 for ln in lines if i in ln and j in ln) == 1
 
 
+def test_all_lines_of_pg3_gf3():
+    # in PG(3,3) lines are not hyperplanes
+    f = get_field(3, 1)
+    pts = enum_points(f, 4)
+    lines = all_lines(f, pts)
+    assert len(lines) == 130 and lines == sorted(lines)
+    assert all(len(ln) == 4 and list(ln) == sorted(ln) for ln in lines)
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        assert sum(1 for ln in lines if i in ln and j in ln) == 1
+
+
 # -- sublines ----------------------------------------------------------------
 
 def test_subline_canonical_frame_f2(gf16):
