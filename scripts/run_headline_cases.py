@@ -2,8 +2,9 @@
 """Reproduce the headline code constructions at desk scale.
 
 Builds each configuration, runs the exact staged minimum-distance search
-(plus support classification when the distance is d+2), prints a summary
-table, and writes one JSON report per configuration.
+(plus support classification when the distance is d+2 and the
+classification fits the budget), prints a summary table, and writes one
+JSON report per configuration.
 
 Usage:
     python scripts/run_headline_cases.py [--out-dir out] [--workers N]
@@ -17,7 +18,7 @@ from pathlib import Path
 
 from twistver import (Field, SearchPlan, Twist, build_code, build_variety,
                       classify_min_words, min_distance)
-from twistver.codes import DEFAULT_BUDGET
+from twistver.codes import DEFAULT_BUDGET, classification_fits
 
 CASES = [
     # label, p, e, t, n, sigma exponents (powers of p)
@@ -39,7 +40,8 @@ def run_case(label, p, e, t, n, exps, plan, out_dir):
     variety = build_variety(field, n, twist)
     code = build_code(variety)
     report = min_distance(code, plan)
-    if report.delta_exact and report.delta == twist.d + 2:
+    if (report.delta_exact and report.delta == twist.d + 2
+            and classification_fits(code, plan)):
         report = classify_min_words(code, report, plan)
     elapsed = time.perf_counter() - t0
 

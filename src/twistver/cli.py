@@ -24,7 +24,8 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 from .codes import (DEFAULT_BUDGET, BudgetExceeded, SearchPlan, build_code,
-                    classify_min_words, min_distance, verify_general_position)
+                    classification_fits, classify_min_words, min_distance,
+                    verify_general_position)
 from .ff import Field, build_field
 from .veronese import (ScrollFrame, Twist, build_variety, load_variety,
                        monomial_basis, scroll_plucker_check)
@@ -165,9 +166,14 @@ def cmd_code(args, cfg: ExperimentConfig) -> int:
                   f"checked={s.checked} dependent={s.dependent_found} "
                   f"({s.seconds:.2f}s)")
     if report.delta_exact and report.delta == code.twist.d + 2:
-        report = classify_min_words(code, report, plan)
-        _progress(f"  [classify] supports={report.min_weight_support_count} "
-                  f"violations={len(report.violations)}")
+        if classification_fits(code, plan):
+            report = classify_min_words(code, report, plan)
+            _progress(f"  [classify] supports={report.min_weight_support_count} "
+                      f"violations={len(report.violations)}")
+        else:
+            _progress(f"  [classify] skipped: C({code.nu}, {report.delta}) "
+                      f"subsets exceed the budget {plan.budget}; "
+                      "min_weight_support_count is null")
     payload = report.to_json()
     payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     _emit(payload, cfg.output)

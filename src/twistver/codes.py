@@ -15,16 +15,34 @@ establishes:
   on fixed-subfield sublines;
 * "lex-search" above.
 
-Every level scans all w-subsets (restriction "none") except one: for
-n >= 3 and q' <= d no PG(1, q') subline holds d+2 points, so the d+2
-level holds no dependent set, and an unrestricted scan would have to
-visit all C(nu, d+2) subsets to show it.  That level scans only the
-(d+2)-subsets of each line in full (restriction "collinear"), relying on
-the paper's result that dependent (d+2)-sets are collinear; tier-1
-cross-checks it against the unrestricted scan and the oracle.  Otherwise
-the subline structure is an output, not a shortcut: classify_min_words
-scans the d+2 level in full and checks every support for collinear
-pre-images on a common PG(1, q') subline.
+Column symmetries.  For M in GL(n, q^t) the embedding satisfies
+nu(Mv) = (M^{s_0} (x) ... (x) M^{s_{d-1}}) nu(v), so M permutes the
+columns of H up to nonzero scalars through an invertible linear map, and
+a column subset is dependent exactly when its image is.  Once per
+min_distance / verify_general_position call, three generators of
+GL(n, q^t) (diag(g, 1, ..., 1), the cyclic coordinate shift and I + E_01)
+are mapped to column permutations and each is kept only if H itself
+passes the checks of _is_column_symmetry; nothing rests on the identity
+above.  A breadth-first search over the kept permutations then gives k:
+2 if the orbit of the column pair {0, 1} is every pair, else 1 if the
+orbit of column 0 is every column, else 0.
+
+A level then scans only the C(nu-k, w-k) w-subsets that contain the
+columns 0 .. k-1 (McKay's "one representative per orbit", B. D. McKay,
+J. Algorithms 26, 1998).  This is exact for two reasons:
+
+* every w-subset is mapped by a symmetry onto one containing them, so a
+  level with no dependent superset of the prefix is empty (restriction
+  "orbit:k" in the stage log);
+* these supersets are the lexicographically first C(nu-k, w-k)
+  w-subsets, so the first hit among them is the global lex-first
+  witness, found after the same number of checks as by the full scan
+  (restriction "none").
+
+The subline structure is an output, not a shortcut: classify_min_words
+scans the d+2 level in full (k = 0, since it must list every support)
+and checks every support for collinear pre-images on a common PG(1, q')
+subline.
 
 Each level walks a depth-first tree of independent column
 prefixes, reusing the incremental elimination workspace; one vectorized
@@ -33,13 +51,13 @@ independent, so a level that nominally checks C(nu, w) subsets only does
 C(nu, w-1) eliminations.
 
 Everything is deterministic: subsets are visited in lexicographic order,
-parallel runs partition the tree by first column and reduce by
-lexicographic minimum, and reported check counts are closed-form, so a
-report is bit-identical for any worker count.
+parallel runs partition the tree by the column after the prefix and
+reduce by lexicographic minimum, and reported check counts are
+closed-form, so a report is bit-identical for any worker count.
 
 An unstructured brute-force oracle (plain subset enumeration, scalar
-arithmetic, no staging) cross-validates the search on small codes: the
-same delta and the same lexicographically first witness.
+arithmetic, no staging, no symmetry) cross-validates the search on small
+codes: the same delta and the same lexicographically first witness.
 """
 
 from __future__ import annotations
@@ -56,8 +74,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ff import Field
-from .linalg import IncrementalElim, Matrix, kernel_basis
-from .pg import all_lines, is_collinear, on_common_subline
+from .linalg import IncrementalElim, Matrix, kernel_basis, rank
+from .pg import is_collinear, subline_through
 from .veronese import Twist, VarietyMatrix
 
 PARALLEL_MIN_CHECKS = 200_000  # below this a pool costs more than it saves
@@ -222,9 +240,10 @@ def _lex_rank(subset: Sequence[int], nu: int) -> int:
     return r
 
 
-def _scan_subtree(elim: IncrementalElim, first_col: int, w: int,
+def _scan_subtree(elim: IncrementalElim, head: tuple[int, ...], w: int,
                   early_exit: bool, cap: Optional[int]):
-    """DFS below one first column.  Returns (checked, hits, stopped_early).
+    """DFS below one head, the forced leading columns of every subset it
+    visits.  Returns (checked, hits, stopped_early).
 
     Visits independent prefixes in lexicographic order; at prefix size
     w-1 every remaining column is classified in one vectorized scan.
@@ -234,17 +253,14 @@ def _scan_subtree(elim: IncrementalElim, first_col: int, w: int,
     hits: list[tuple[int, ...]] = []
     limit = cap if cap is not None else None
     capped = False
-    prefix = [first_col]
+    prefix = list(head)
     ncols = elim.ncols
     push, pop, split, pairs = (elim.push, elim.pop, elim.split_extensions,
                                elim.pair_groups)
 
-    if not push(first_col):
-        raise DependencyInvariantError((first_col,))
-
     def rec(remaining: int) -> bool:
         nonlocal checked, capped
-        if remaining == 1:  # only for w == 2
+        if remaining == 1:
             deps, indeps = split()
             checked += int(deps.size) + int(indeps.size)
             if deps.size:
@@ -292,23 +308,30 @@ def _scan_subtree(elim: IncrementalElim, first_col: int, w: int,
         return False
 
     try:
-        rec(w - 1)
+        for i, c in enumerate(head):
+            if not push(c):
+                if i + 1 < w:
+                    raise DependencyInvariantError(head[:i + 1])
+                return 1, [tuple(head)], False  # the head is the subset
+        if len(head) == w:
+            return 1, [], False
+        rec(w - len(head))
     finally:
-        pop()
+        elim.reset()
     return checked, hits, capped
 
 
 def _scan_tasks(field: Field, h: np.ndarray, w: int,
-                tasks: list[tuple[int, Optional[int]]],
+                tasks: list[tuple[tuple[int, ...], Optional[int]]],
                 early_exit: bool):
-    """Scan several first-column subtrees in order.  Early exit stops at
-    the first hit, which lex-dominates everything later in the task list."""
+    """Scan several head subtrees in order.  Early exit stops at the first
+    hit, which lex-dominates everything later in the task list."""
     elim = IncrementalElim(field, h)
     checked = 0
     hits: list[tuple[int, ...]] = []
     capped = False
-    for first_col, cap in tasks:
-        c, hh, cp = _scan_subtree(elim, first_col, w, early_exit, cap)
+    for head, cap in tasks:
+        c, hh, cp = _scan_subtree(elim, head, w, early_exit, cap)
         checked += c
         hits.extend(hh)
         capped = capped or cp
@@ -331,22 +354,27 @@ def _pool_scan(args):
                        tasks, early_exit)
 
 
-def _first_column_tasks(ncols: int, w: int, budget: int):
-    """(first column, cap) tasks covering the lexicographically first
-    `budget` w-subsets of range(ncols); cap None is the whole subtree."""
-    tasks: list[tuple[int, Optional[int]]] = []
-    for c1 in range(ncols - w + 1):
+def _level_tasks(nu: int, k: int, w: int, budget: int):
+    """(head, cap) tasks covering the lexicographically first `budget`
+    w-subsets of range(nu) that contain range(k).  A head is range(k)
+    plus the next column, or range(k) alone when one vectorized scan
+    covers the level; cap None is the whole subtree."""
+    prefix = tuple(range(k))
+    if w - k <= 1:
+        return [(prefix, None if nu - k <= budget else budget)]
+    tasks: list[tuple[tuple[int, ...], Optional[int]]] = []
+    for c in range(k, nu - (w - k) + 1):
         if budget <= 0:
             break
-        size = comb(ncols - 1 - c1, w - 1)
-        tasks.append((c1, None if size <= budget else budget))
+        size = comb(nu - 1 - c, w - k - 1)
+        tasks.append((prefix + (c,), None if size <= budget else budget))
         budget -= size
     return tasks
 
 
 def _scan_columns(field: Field, h: np.ndarray, w: int,
-                  tasks: list[tuple[int, Optional[int]]], early_exit: bool,
-                  workers: int):
+                  tasks: list[tuple[tuple[int, ...], Optional[int]]],
+                  early_exit: bool, workers: int):
     """Scan the tasks' subtrees of h's columns, serially or split across
     a fork pool.  Returns (sorted distinct hits, any task capped)."""
     if workers > 1 and len(tasks) > 1:
@@ -364,46 +392,26 @@ def _scan_columns(field: Field, h: np.ndarray, w: int,
 
 
 def _run_level(code: Code, w: int, plan: SearchPlan, *, early_exit: bool,
-               label: str, lines: Optional[Sequence[Sequence[int]]] = None):
+               label: str, k: int = 0):
     """One level of w-subsets in lexicographic order: exhaustive, or with
     early exit at the first dependent subset.
 
-    Every w-subset is a candidate (restriction "none"), or, given `lines`
-    as sorted column lists, only the w-subsets of one line (restriction
-    "collinear"); each line is then scanned in full, since the
-    lexicographically first hit may lie on any of them.
+    With k > 0 (early exit only) the level scans only the subsets that
+    contain the columns 0 .. k-1, which are the lexicographically first
+    C(nu-k, w-k).  The caller must have proved, by column_orbit_prefix,
+    that every w-subset maps onto one of them under a symmetry of H, so
+    an empty scan proves the level empty (restriction "orbit:k"), and a
+    hit is the one the unrestricted scan would have stopped at
+    (restriction "none").
     """
-    assert lines is None or not early_exit, "a collinear level runs in full"
+    assert early_exit or not k, "a reduced level lists only some hits"
     nu = code.nu
     start = time.perf_counter()
-    if lines is None:
-        groups, restriction = [range(nu)], "none"
-    else:
-        groups, restriction = [g for g in lines if len(g) >= w], "collinear"
-    total = sum(comb(len(g), w) for g in groups)
-    # one pool per level, and only for the unrestricted scan: a line is
-    # too small to be worth one
-    workers = (plan.workers if lines is None and total >= PARALLEL_MIN_CHECKS
-               else 1)
-
-    hits: list[tuple[int, ...]] = []
-    any_capped = False
-    remaining = plan.budget
-    for cols in groups:
-        tasks = _first_column_tasks(len(cols), w, remaining)
-        if not tasks:
-            break
-        remaining -= comb(len(cols), w)
-        h = code.H.data if lines is None else code.H.data[:, cols]
-        try:
-            part, capped = _scan_columns(code.field, h, w, tasks, early_exit,
-                                         workers)
-        except DependencyInvariantError as exc:
-            raise DependencyInvariantError(
-                tuple(cols[i] for i in exc.subset)) from exc
-        hits.extend(tuple(cols[i] for i in hh) for hh in part)
-        any_capped = any_capped or capped
-    hits.sort()
+    total = comb(nu - k, w - k)
+    workers = plan.workers if total >= PARALLEL_MIN_CHECKS else 1
+    tasks = _level_tasks(nu, k, w, plan.budget)
+    hits, any_capped = _scan_columns(code.field, code.H.data, w, tasks,
+                                     early_exit, workers)
 
     if early_exit and hits:
         hits = hits[:1]
@@ -418,6 +426,7 @@ def _run_level(code: Code, w: int, plan: SearchPlan, *, early_exit: bool,
         checked = total
         capped = any_capped
 
+    restriction = f"orbit:{k}" if k and not hits else "none"
     record = StageRecord(label=label, w=w, restriction=restriction,
                          checked=checked, dependent_found=len(hits),
                          early_exit=early_exit, capped=capped,
@@ -437,20 +446,127 @@ def _subset_dependent(elim: IncrementalElim, subset: Sequence[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exact minimum distance
+# Column symmetries
 # ---------------------------------------------------------------------------
 
-def _dispatch_level(code: Code, w: int, plan: SearchPlan):
-    d = code.twist.d
-    if w == d + 2 and code.variety.n >= 3 and code.twist.q_fixed <= d:
-        # no dependent set here: prove it on the lines only (see above)
-        return _run_level(code, w, plan, early_exit=False,
-                          label="minimal-dependent",
-                          lines=all_lines(code.field, code.variety.points))
-    label = ("general-position" if w <= d + 1 else
-             "minimal-dependent" if w == d + 2 else "lex-search")
-    return _run_level(code, w, plan, early_exit=True, label=label)
+# The pair orbit search holds two nu x nu boolean masks; above this many
+# entries (nu > 4096) only the point orbit is searched, so k <= 1.
+PAIR_ORBIT_MAX = 1 << 24
 
+
+def _gl_generators(field: Field, n: int) -> list[np.ndarray]:
+    """diag(g, 1, ..., 1), the cyclic coordinate shift and I + E_01: they
+    generate GL(n, q^t), whose projective image is 2-transitive on the
+    points of PG(n-1, q^t)."""
+    eye = np.eye(n, dtype=np.int64)
+    diag = eye.copy()
+    diag[0, 0] = field.generator
+    shift = np.roll(eye, 1, axis=1)
+    transvection = eye.copy()
+    transvection[0, 1] = 1
+    return [diag, shift, transvection]
+
+
+def _induced_permutation(code: Code, mat: np.ndarray):
+    """(perm, images) for a matrix M: images[j] embeds M . points[j], and
+    perm[j] is the index of its projective point, or -1 where M . points[j]
+    is zero or not a listed point."""
+    field, ops = code.field, code.field.ops
+    pts = np.asarray(code.variety.points, dtype=np.int64)
+    terms = ops.mul[pts[:, None, :], mat[None, :, :]]
+    img = terms[:, :, 0]
+    for s in range(1, mat.shape[1]):
+        img = ops.add[img, terms[:, :, s]]
+    lead = img[np.arange(len(img)), (img != 0).argmax(axis=1)]
+    canon = ops.div[img, lead[:, None]]
+    place = field.order ** np.arange(pts.shape[1] - 1, -1, -1,
+                                     dtype=np.int64)
+    keys, want = pts @ place, canon @ place  # keys ascend with the points
+    perm = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    perm[(keys[perm] != want) | (lead == 0)] = -1
+    images = field.eval_monomials(img, code.variety.basis.monomials)
+    return perm, images
+
+
+def _is_column_symmetry(code: Code, perm: np.ndarray,
+                        images: np.ndarray) -> bool:
+    """True iff an invertible linear map sends every column j of H to a
+    nonzero multiple of column perm[j], which preserves the linear
+    dependence of every column subset.  Checked on H itself:
+
+    * perm is a bijection of the columns;
+    * images[j] is a nonzero multiple of column perm[j];
+    * rank([H^T | images]) == rank(images) == effective_N, which with
+      rank(H) == effective_N (build_code checks it) gives
+      images = H^T B for an invertible B.
+    """
+    nu, ops = code.nu, code.field.ops
+    if not np.array_equal(np.sort(perm), np.arange(nu)):
+        return False
+    target = code.H.data.T[perm]
+    rows = np.arange(nu)
+    lead = (images != 0).argmax(axis=1)
+    num, den = images[rows, lead], target[rows, lead]
+    if not (num.all() and den.all()):
+        return False
+    scale = ops.div[num, den]
+    if not np.array_equal(ops.mul[scale[:, None], target], images):
+        return False
+    n_eff = code.effective_N
+    return (rank(Matrix(code.field, images)) == n_eff and
+            rank(Matrix(code.field, np.hstack([code.H.data.T, images])))
+            == n_eff)
+
+
+def _orbit(size: int, start: int, images) -> np.ndarray:
+    """Mask of the orbit of `start` in range(size), by breadth-first
+    search; images(frontier) lists each generator's image of it."""
+    seen = np.zeros(size, dtype=bool)
+    seen[start] = True
+    frontier = np.array([start], dtype=np.int64)
+    while frontier.size:
+        step = np.zeros_like(seen)
+        for image in images(frontier):
+            step[image] = True
+        step &= ~seen
+        seen |= step
+        frontier = np.flatnonzero(step)
+    return seen
+
+
+def _orbit_prefix(nu: int, perms: Sequence[np.ndarray]) -> int:
+    """k = 2 if the orbit of the pair {0, 1} under the group the perms
+    generate is every pair, else k = 1 if the orbit of point 0 is every
+    point, else k = 0."""
+    if not perms or not _orbit(nu, 0, lambda f: [p[f] for p in perms]).all():
+        return 0
+    if nu * nu > PAIR_ORBIT_MAX:
+        return 1
+
+    def pair_images(frontier):  # the pair {a < b} is a * nu + b
+        a, b = np.divmod(frontier, nu)
+        return [np.minimum(p[a], p[b]) * nu + np.maximum(p[a], p[b])
+                for p in perms]
+
+    orbit = _orbit(nu * nu, 1, pair_images)
+    return 2 if np.count_nonzero(orbit) == comb(nu, 2) else 1
+
+
+def column_orbit_prefix(code: Code) -> int:
+    """Length k of the column prefix (0, ..., k-1) that every subset of
+    k or more columns can be mapped onto by a verified symmetry of H.
+    A generator that fails _is_column_symmetry is dropped."""
+    perms = []
+    for mat in _gl_generators(code.field, code.variety.n):
+        perm, images = _induced_permutation(code, mat)
+        if _is_column_symmetry(code, perm, images):
+            perms.append(perm)
+    return _orbit_prefix(code.nu, perms)
+
+
+# ---------------------------------------------------------------------------
+# Exact minimum distance
+# ---------------------------------------------------------------------------
 
 def min_distance(code: Code, plan: Optional[SearchPlan] = None) -> CodeReport:
     """Exact minimum distance by one lexicographic scan per level (see
@@ -477,8 +593,14 @@ def min_distance(code: Code, plan: Optional[SearchPlan] = None) -> CodeReport:
         singleton_bound=code.nu - code.kappa + 1,
     )
     t0 = time.perf_counter()
+    k = column_orbit_prefix(code)
+    report.timings["symmetry"] = round(time.perf_counter() - t0, 6)
+    d = code.twist.d
     for w in range(2, w_cap + 1):
-        record, hits = _dispatch_level(code, w, plan)
+        label = ("general-position" if w <= d + 1 else
+                 "minimal-dependent" if w == d + 2 else "lex-search")
+        record, hits = _run_level(code, w, plan, early_exit=True,
+                                  label=label, k=k)
         report.stage_log.append(record)
         report.timings[f"w{w}"] = round(record.seconds, 6)
         if hits:
@@ -532,6 +654,12 @@ def mds_status(report: CodeReport) -> str:
 # Minimum-weight support classification
 # ---------------------------------------------------------------------------
 
+def classification_fits(code: Code, plan: SearchPlan) -> bool:
+    """Whether classify_min_words' full scan of the C(nu, d+2) subsets of
+    the d+2 level fits the plan's budget."""
+    return comb(code.nu, code.twist.d + 2) <= plan.budget
+
+
 def classify_min_words(code: Code, report: CodeReport,
                        plan: Optional[SearchPlan] = None) -> CodeReport:
     """Enumerate every dependent (d+2)-subset exhaustively (no geometric
@@ -544,12 +672,12 @@ def classify_min_words(code: Code, report: CodeReport,
         raise ValueError(
             "support classification applies only when the exact minimum "
             "distance equals d + 2")
-    record, hits = _run_level(code, d + 2, plan, early_exit=False,
-                              label="classify")
-    if record.capped:
+    if not classification_fits(code, plan):
         raise BudgetExceeded(
             f"classification needs {comb(code.nu, d + 2)} checks, "
             f"budget is {plan.budget}")
+    record, hits = _run_level(code, d + 2, plan, early_exit=False,
+                              label="classify")
 
     field = code.field
     qf = code.twist.q_fixed
@@ -565,8 +693,10 @@ def classify_min_words(code: Code, report: CodeReport,
             violations.append({"columns": list(subset),
                                "problem": "kernel vector not fully supported"})
         collinear = is_collinear(field, pts)
-        on_sub = collinear and qf + 1 >= len(pts) and on_common_subline(
-            field, pts, qf)
+        # distinct collinear points: the first three frame the one
+        # PG(1, q') subline that could hold them all
+        on_sub = (collinear and qf + 1 >= len(pts)
+                  and set(pts) <= set(subline_through(field, *pts[:3], qf)))
         if not collinear:
             violations.append({"columns": list(subset),
                                "problem": "pre-images not collinear"})
@@ -657,7 +787,8 @@ class GeneralPositionResult:
 
 def verify_general_position(code: Code, k: int,
                             plan: Optional[SearchPlan] = None) -> GeneralPositionResult:
-    """Exhaustively test every k-subset of columns for independence.
+    """Exhaustively test every k-subset of columns for independence,
+    through the supersets of the same column prefix as min_distance.
 
     Returns ok=True, or ok=False with the lexicographically first
     dependent k-subset as witness.  Levels 2 .. k each stop at their
@@ -667,16 +798,18 @@ def verify_general_position(code: Code, k: int,
     plan = plan or SearchPlan()
     if not 2 <= k <= code.effective_N + 1:
         raise ValueError(f"k = {k} is outside [2, effective_N + 1]")
+    orbit_k = column_orbit_prefix(code)
     # every level must run in full: a truncated one could leave a smaller
     # dependent set for the next level to trip over
-    largest = max(comb(code.nu, w) for w in range(2, k + 1))
+    largest = max(comb(code.nu - orbit_k, w - orbit_k)
+                  for w in range(2, k + 1))
     if largest > plan.budget:
         raise BudgetExceeded(
             f"{largest} subsets exceed the budget {plan.budget}; "
             "raise it explicitly to proceed")
     for w in range(2, k + 1):
         record, hits = _run_level(code, w, plan, early_exit=True,
-                                  label="general-position")
+                                  label="general-position", k=orbit_k)
         if hits and w < k:  # level k never ran, so no k-subset was checked
             return GeneralPositionResult(False, k, 0,
                                          _lex_first_dependent(code, k))

@@ -238,10 +238,19 @@ class LogOps:
         return np.where((a == 0) | (b == 0), 0, out)
 
     def tabulate(self) -> FieldTables:
-        order = self.p ** self.m
+        p, order = self.p, self.p ** self.m
         a, b = np.ogrid[:order, :order]
         x = np.arange(order)
-        add, mul, neg, inv = self.add[a, b], self.mul[a, b], self.neg[x], self.inv[x]
+        # the addition table of GF(p^(k+1)) from that of GF(p^k): the top
+        # digit, the slow index of an encoding, adds mod p on its own
+        digit = (x[:p, None] + x[None, :p]) % p
+        add = digit
+        while len(add) < order:
+            n = len(add)
+            add = (digit[:, None, :, None] * n
+                   + add[None, :, None, :]).reshape(n * p, n * p)
+        # -a is the b with a + b = 0, the smallest entry of row a
+        mul, neg, inv = self.mul[a, b], np.argmin(add, axis=1), self.inv[x]
         # a - b = a + (-b) and a / b = a * b^-1: one gather each
         t = dict(add=add, sub=add[:, neg], neg=neg, mul=mul, div=mul[:, inv], inv=inv)
         return FieldTables(**{k: v.astype(FieldTables.dtype) for k, v in t.items()})

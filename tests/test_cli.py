@@ -108,6 +108,20 @@ def test_code_command_budget_exit(tmp_path, capsys):
     assert rep["delta_exact"] is False
 
 
+def test_code_command_keeps_exact_result_when_classification_does_not_fit(
+        tmp_path, capsys):
+    # GF(16) plane, twist (0,2): delta = 4 = d + 2 is exact, but the
+    # classification would need C(273, 4) > DEFAULT_BUDGET checks
+    out = tmp_path / "report.json"
+    code = run_cli(["code", "--p", "2", "--t", "4", "--n", "3",
+                    "--sigma", "0,2", "--workers", "1", "-o", str(out)])
+    assert code == 0
+    rep = json.loads(out.read_text())
+    assert (rep["delta"], rep["delta_exact"]) == (4, True)
+    assert rep["min_weight_support_count"] is None
+    assert "[classify] skipped" in capsys.readouterr().err
+
+
 def test_code_command_rejects_budget_below_one(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = run_cli(["code", "--p", "5", "--t", "1", "--sigma", "0,0",
@@ -221,7 +235,7 @@ def test_verify_general_position(tmp_path, capsys):
                     "--sigma", "0,0,2", "--workers", "1", "-o", str(out)])
     assert code == 0
     res = json.loads(out.read_text())
-    assert res["pass"] is True and res["checked"] == 20475
+    assert res["pass"] is True and res["checked"] == 325  # C(26, 2)
 
 
 def test_verify_general_position_failure(capsys):

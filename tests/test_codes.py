@@ -1,6 +1,8 @@
 import itertools
 from math import comb
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -43,8 +45,8 @@ def test_min_distance_track_gf27():
     assert rep.status == "almost-MDS"
     assert rep.singleton_bound == 7
     by_w = {s.w: s for s in rep.stage_log}
-    assert by_w[4].checked == comb(28, 4) == 20475
-    assert by_w[5].checked == comb(28, 5) == 98280
+    assert by_w[4].checked == comb(26, 2) == 325
+    assert by_w[5].checked == comb(26, 3) == 2600
     assert by_w[6].dependent_found == 1 and by_w[6].early_exit
 
 
@@ -129,18 +131,18 @@ def test_full_level_counts_p2():
     rep = min_distance(get_code(2, 5, 2, (0, 2)))
     assert (rep.nu, rep.kappa, rep.delta, rep.status) == (33, 29, 5, "MDS")
     by_w = {s.w: s for s in rep.stage_log}
-    assert by_w[4].checked == comb(33, 4) == 40920
-    assert by_w[4].restriction == "none"  # q' = 2 = d: no subline shortcut
+    assert by_w[4].checked == comb(31, 2) == 465
+    assert by_w[4].restriction == "orbit:2"  # the supersets of {0, 1}
 
 
 def test_plane_with_small_fixed_subfield():
-    # n = 3 over GF(4), twist (0,1): q' = 2 = d, so the d+2 level checks
-    # only collinear candidates and the d+3 level resolves by lex search
+    # n = 3 over GF(4), twist (0,1): q' = 2 = d, so the d+2 level holds
+    # no dependent set and the d+3 level resolves by lex search
     c = get_code(2, 2, 3, (0, 1))
     rep = min_distance(c)
     by_w = {s.w: s for s in rep.stage_log}
-    assert by_w[4].restriction == "collinear"
-    assert by_w[4].checked == 21 * comb(5, 4) == 105
+    assert by_w[4].restriction == "orbit:2"
+    assert by_w[4].checked == comb(19, 2) == 171
     assert by_w[4].dependent_found == 0
     assert rep.delta == 5
     # independent upper-bound witness: any 5 points of a line embed into a
@@ -151,14 +153,14 @@ def test_plane_with_small_fixed_subfield():
 
 
 def test_collinear_level_agrees_with_unrestricted_scan():
-    # GF(8) plane, twist (0,1): q' = 2 = d.  The collinear level checks
-    # 73 lines x C(9, 4) candidates; the unrestricted scan of all
+    # GF(8) plane, twist (0,1): q' = 2 = d.  The orbit level checks the
+    # C(71, 2) supersets of {0, 1}; the unrestricted scan of all
     # C(73, 4) subsets must find no dependent set either.
     c = get_code(2, 3, 3, (0, 1))
     rep = min_distance(c)
     by_w = {s.w: s for s in rep.stage_log}
-    assert by_w[4].restriction == "collinear"
-    assert by_w[4].checked == 73 * comb(9, 4)
+    assert by_w[4].restriction == "orbit:2"
+    assert by_w[4].checked == comb(71, 2)
     assert by_w[4].dependent_found == 0
     full, hits = codes_mod._run_level(c, 4, SearchPlan(), early_exit=False,
                                       label="minimal-dependent")
@@ -169,16 +171,45 @@ def test_collinear_level_agrees_with_unrestricted_scan():
 
 def test_plane_over_gf16_with_fixed_subfield_gf2():
     # n = 3 over GF(16), twist (0,1): q' = 2 = d.  An unrestricted d+2
-    # level would need C(273, 4) > DEFAULT_BUDGET checks; the collinear
-    # level needs 273 x C(17, 4), so delta stays exact at the default budget
+    # level would need C(273, 4) > DEFAULT_BUDGET checks; the orbit level
+    # needs C(271, 2), so delta stays exact at the default budget
     rep = min_distance(get_code(2, 4, 3, (0, 1)))
     assert (rep.nu, rep.kappa, rep.delta, rep.delta_exact) == (273, 264, 5,
                                                                True)
     assert comb(273, 4) > codes_mod.DEFAULT_BUDGET
     by_w = {s.w: s for s in rep.stage_log}
-    assert by_w[4].restriction == "collinear"
-    assert by_w[4].checked == 273 * comb(17, 4) == 649740
+    assert by_w[4].restriction == "orbit:2"
+    assert by_w[4].checked == comb(271, 2) == 36585
     assert by_w[4].dependent_found == 0 and not by_w[4].capped
+    assert rep.witness == [0, 1, 2, 3, 4]
+
+
+def test_plane_over_gf9_with_fixed_subfield_gf3():
+    # n = 3 over GF(9), twist (0,0,1): q' = 3 = d.  Unreduced, level 6
+    # alone is C(91, 6) > DEFAULT_BUDGET subsets; the orbit level scans
+    # C(89, 4), enough to use the pool, and the report must not depend on it
+    c = get_code(3, 2, 3, (0, 0, 1))
+    reports = [min_distance(c, SearchPlan(workers=k)) for k in (1, 2)]
+    rep = reports[0]
+    assert (rep.nu, rep.delta, rep.delta_exact) == (91, 7, True)
+    assert rep.witness == list(range(7))
+    by_w = {s.w: s for s in rep.stage_log}
+    assert by_w[6].restriction == "orbit:2"
+    assert by_w[6].checked == comb(89, 4) > codes_mod.PARALLEL_MIN_CHECKS
+    assert by_w[6].dependent_found == 0 and not by_w[6].capped
+    assert reports[0].canonical_hash() == reports[1].canonical_hash()
+
+
+def test_line_over_gf2048_above_pair_table_order():
+    # GF(2^11) computes with exp/log ops, and the pair orbit search covers
+    # C(2049, 2) pairs; the d+2 level is C(2047, 2) checks, C(2049, 4)
+    # unreduced
+    rep = min_distance(get_code(2, 11, 2, (0, 1)))
+    assert (rep.nu, rep.kappa, rep.delta, rep.status) == (2049, 2045, 5,
+                                                          "MDS")
+    by_w = {s.w: s for s in rep.stage_log}
+    assert by_w[4].restriction == "orbit:2"
+    assert by_w[4].checked == comb(2047, 2)
     assert rep.witness == [0, 1, 2, 3, 4]
 
 
@@ -191,7 +222,7 @@ def test_plane_over_gf16_with_fixed_subfield_gf4():
     assert rep.witness == [0, 1, 2, 7]
     assert rep.status == "other"
     by_w = {s.w: s for s in rep.stage_log}
-    assert by_w[3].checked == comb(273, 3)
+    assert by_w[3].checked == comb(271, 1)
     assert by_w[4].restriction == "none" and by_w[4].dependent_found == 1
 
 
@@ -207,6 +238,24 @@ def test_classify_gf16_supports():
     assert len(cols) == 340
 
 
+def test_classify_tests_collinearity_once_per_support(monkeypatch):
+    import twistver.pg as pg_mod
+    calls = []
+    real = pg_mod.is_collinear
+
+    def counting(field, points):
+        calls.append(len(points))
+        return real(field, points)
+
+    monkeypatch.setattr(pg_mod, "is_collinear", counting)
+    monkeypatch.setattr(codes_mod, "is_collinear", counting)
+    c = get_code(2, 4, 2, (0, 2))
+    rep = classify_min_words(c, min_distance(c))
+    assert len(calls) == rep.min_weight_support_count == 340
+    assert rep.violations == []
+    assert all(s["collinear"] and s["on_subline"] for s in rep.supports)
+
+
 def test_classify_classical_conic_all_quadruples():
     c = get_code(5, 1, 2, (0, 0))
     rep = classify_min_words(c, min_distance(c))
@@ -220,6 +269,20 @@ def test_classify_veronese_surface_supports_collinear():
     assert rep.min_weight_support_count == 105
     assert rep.violations == []
     assert all(s["collinear"] for s in rep.supports)
+
+
+def test_classify_over_budget_raises_before_scanning(monkeypatch):
+    c = get_code(5, 1, 2, (0, 0))
+    rep = min_distance(c)
+    plan = SearchPlan(budget=comb(6, 4) - 1)
+    assert not codes_mod.classification_fits(c, plan)
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the level ran")
+
+    monkeypatch.setattr(codes_mod, "_run_level", no_scan)
+    with pytest.raises(BudgetExceeded):
+        classify_min_words(c, rep, plan)
 
 
 def test_classify_requires_exact_d_plus_2():
@@ -263,7 +326,7 @@ ORACLE_CONFIGS = [
     (2, 3, 2, (0, 1)),   # nu = 9
     (3, 2, 2, (0, 1)),   # nu = 10
     (7, 1, 2, (0, 0)),   # nu = 8
-    (2, 2, 3, (0, 1)),   # nu = 21, collinear d+2 level
+    (2, 2, 3, (0, 1)),   # nu = 21, empty d+2 level
 ]
 
 
@@ -295,18 +358,116 @@ def test_oracle_witness_is_dependent():
     assert rank(c.H.submatrix_cols(list(witness))) < 5
 
 
+# -- column symmetries ------------------------------------------------------------
+
+def _scan_levels(code, k):
+    """min_distance's levels run directly with a forced prefix of k
+    columns: (delta, witness, status, dependent_found per level)."""
+    found = []
+    for w in range(2, code.effective_N + 2):
+        record, hits = codes_mod._run_level(code, w, SearchPlan(),
+                                            early_exit=True, label="x", k=k)
+        found.append(record.dependent_found)
+        if hits:
+            status = mds_status(SimpleNamespace(
+                delta_exact=True, delta=w, nu=code.nu, kappa=code.kappa))
+            return w, hits[0], status, found
+    return None, None, None, found
+
+
+CROSS_CHECK_CONFIGS = ORACLE_CONFIGS + [
+    (3, 3, 2, (0, 0, 2)),     # track-27
+    (3, 3, 2, (0, 0, 1)),     # nrc-27
+    (2, 5, 2, (0, 2)),        # arc-32
+    (2, 4, 2, (0, 2)),        # subline-16
+    (2, 2, 3, (0, 0), 2),     # veronese-surface-4
+    (2, 3, 3, (0, 1)),        # plane-8
+]  # conic-5 and subline-9 are in ORACLE_CONFIGS
+
+
+@pytest.mark.parametrize("cfg", CROSS_CHECK_CONFIGS)
+def test_orbit_levels_match_unreduced_scan(cfg):
+    c = get_code(*cfg)
+    k = codes_mod.column_orbit_prefix(c)
+    assert k == 2
+    reduced = _scan_levels(c, k)
+    assert reduced[0] is not None
+    assert reduced == _scan_levels(c, 0)
+    rep = min_distance(c)
+    assert (rep.delta, tuple(rep.witness), rep.status,
+            [s.dependent_found for s in rep.stage_log]) == reduced
+
+
+def test_every_generator_is_a_verified_symmetry():
+    c = get_code(3, 3, 2, (0, 0, 2))
+    for mat in codes_mod._gl_generators(c.field, 2):
+        perm, images = codes_mod._induced_permutation(c, mat)
+        assert codes_mod._is_column_symmetry(c, perm, images)
+        # the defining property: dependence of every 3-subset is preserved
+        for sub in itertools.combinations(range(c.nu), 3):
+            assert (rank(c.H.submatrix_cols(list(sub)))
+                    == rank(c.H.submatrix_cols(perm[list(sub)].tolist())))
+
+
+def test_symmetry_check_rejects_non_symmetries():
+    c = get_code(3, 3, 2, (0, 0, 2))
+    perm, images = codes_mod._induced_permutation(
+        c, codes_mod._gl_generators(c.field, 2)[2])
+    assert codes_mod._is_column_symmetry(c, perm, images)
+    # swapping two columns, with images equal to the swapped columns:
+    # only the rank test can reject it
+    swap = np.arange(c.nu)
+    swap[[0, 1]] = [1, 0]
+    assert not codes_mod._is_column_symmetry(c, swap, c.H.data.T[swap])
+    # not a bijection
+    twice = perm.copy()
+    twice[0] = twice[1]
+    assert not codes_mod._is_column_symmetry(c, twice, images)
+    # images that are not multiples of the permuted columns
+    assert not codes_mod._is_column_symmetry(c, np.roll(perm, 1), images)
+    # a singular matrix sends the point (0, 1) to zero
+    singular, _ = codes_mod._induced_permutation(
+        c, np.array([[1, 0], [0, 0]]))
+    assert -1 in singular.tolist()
+
+
+def test_no_verified_generator_means_unreduced_levels(monkeypatch):
+    c = get_code(3, 3, 2, (0, 0, 2))
+    reduced = min_distance(c)
+    monkeypatch.setattr(codes_mod, "_is_column_symmetry", lambda *a: False)
+    assert codes_mod.column_orbit_prefix(c) == 0
+    full = min_distance(c)
+    assert {s.restriction for s in full.stage_log} == {"none"}
+    assert (full.delta, full.delta_exact, full.witness, full.status) == (
+        reduced.delta, reduced.delta_exact, reduced.witness, reduced.status)
+    assert [s.checked for s in full.stage_log][2:4] == [comb(28, 4),
+                                                        comb(28, 5)]
+
+
+def test_orbit_prefix_of_intransitive_groups():
+    ident = np.arange(6)
+    cycle = np.roll(ident, 1)  # one 6-cycle: transitive on points only
+    assert codes_mod._orbit_prefix(6, []) == 0
+    assert codes_mod._orbit_prefix(6, [ident]) == 0
+    assert codes_mod._orbit_prefix(6, [cycle]) == 1
+    swap = ident.copy()
+    swap[[0, 1]] = [1, 0]  # with the cycle, all of S_6
+    assert codes_mod._orbit_prefix(6, [cycle, swap]) == 2
+
+
 # -- budgets and determinism ---------------------------------------------------------
 
 def test_budget_cap_gives_sound_lower_bound():
+    # level 4 scans the C(26, 2) = 325 supersets of {0, 1}: over the budget
     c = get_code(3, 3, 2, (0, 0, 2))
-    rep = min_distance(c, SearchPlan(budget=10_000))
+    rep = min_distance(c, SearchPlan(budget=100))
     assert not rep.delta_exact
     assert rep.delta is None
     assert rep.status == "unresolved"
     assert rep.delta_lower_bound == 4  # w=4 was capped, so only w<=3 proven
     capped = [s for s in rep.stage_log if s.capped]
     assert capped and capped[0].w == 4
-    rep2 = min_distance(c, SearchPlan(budget=10_000))
+    rep2 = min_distance(c, SearchPlan(budget=100))
     assert rep.canonical_hash() == rep2.canonical_hash()
 
 
@@ -341,7 +502,7 @@ def test_report_hash_stable_and_excludes_timings():
 
 def test_general_position_track():
     res = verify_general_position(get_code(3, 3, 2, (0, 0, 2)), 4)
-    assert res.ok and res.checked == comb(28, 4)
+    assert res.ok and res.checked == comb(26, 2)
 
 
 def test_general_position_pairs_always_hold():
@@ -375,10 +536,12 @@ def test_general_position_k_range():
 
 
 def test_general_position_budget_covers_every_level():
-    # C(6, 4) = 15 fits the budget, but level 3 needs C(6, 3) = 20
+    # GF(4), twist (0,1): nu = 5.  Level 5 scans the C(3, 3) = 1
+    # superset of {0, 1}, which fits the budget, but levels 3 and 4
+    # need C(3, 1) = C(3, 2) = 3
     with pytest.raises(BudgetExceeded):
-        verify_general_position(get_code(5, 1, 2, (0, 0)), 4,
-                                SearchPlan(budget=15))
+        verify_general_position(get_code(2, 2, 2, (0, 1)), 5,
+                                SearchPlan(budget=2))
 
 
 def test_general_position_budget_error():
