@@ -16,9 +16,8 @@ import sys
 import time
 from pathlib import Path
 
-from twistver import (Field, SearchPlan, Twist, build_code, build_variety,
-                      classify_min_words, min_distance)
-from twistver.codes import DEFAULT_BUDGET, classification_fits
+from twistver import Field, SearchPlan, Twist, build_code, build_variety
+from twistver.codes import DEFAULT_BUDGET, analyze
 
 CASES = [
     # label, p, e, t, n, sigma exponents (powers of p)
@@ -39,10 +38,7 @@ def run_case(label, p, e, t, n, exps, plan, out_dir):
     t0 = time.perf_counter()
     variety = build_variety(field, n, twist)
     code = build_code(variety)
-    report = min_distance(code, plan)
-    if (report.delta_exact and report.delta == twist.d + 2
-            and classification_fits(code, plan)):
-        report = classify_min_words(code, report, plan)
+    report = analyze(code, plan)
     elapsed = time.perf_counter() - t0
 
     payload = report.to_json()

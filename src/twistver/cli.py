@@ -9,7 +9,8 @@ uses the same keys as the long flags.  The search budget can also be set
 through the TWISTVER_BUDGET environment variable (lowest precedence among
 explicit settings).
 
-Exit codes: 0 success / exact result, 2 budget exhausted (bound only),
+Exit codes: 0 success (an exact result, or no dependent set up to
+--w-max), 2 budget exhausted (a capped level: a lower bound only),
 1 invalid input or a verification failure.
 """
 
@@ -23,9 +24,9 @@ import time
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .codes import (DEFAULT_BUDGET, BudgetExceeded, SearchPlan, build_code,
-                    classification_fits, classify_min_words, min_distance,
-                    verify_general_position)
+from .codes import (DEFAULT_BUDGET, BudgetExceeded, SearchPlan, analyze,
+                    build_code, verify_dep_classification,
+                    verify_general_position, verify_oracle_equivalence)
 from .ff import Field, build_field
 from .veronese import (ScrollFrame, Twist, build_variety, load_variety,
                        monomial_basis, scroll_plucker_check)
@@ -160,27 +161,26 @@ def cmd_code(args, cfg: ExperimentConfig) -> int:
     _progress(f"code length {code.nu}, dimension {code.kappa}, "
               f"check rank {code.effective_N}; searching (budget {plan.budget}, "
               f"workers {plan.workers})")
-    report = min_distance(code, plan)
+    report = analyze(code, plan)
     for s in report.stage_log:
         _progress(f"  [{s.label}] w={s.w} restriction={s.restriction} "
                   f"checked={s.checked} dependent={s.dependent_found} "
                   f"({s.seconds:.2f}s)")
-    if report.delta_exact and report.delta == code.twist.d + 2:
-        if classification_fits(code, plan):
-            report = classify_min_words(code, report, plan)
-            _progress(f"  [classify] supports={report.min_weight_support_count} "
-                      f"violations={len(report.violations)}")
-        else:
-            _progress(f"  [classify] skipped: C({code.nu}, {report.delta}) "
-                      f"subsets exceed the budget {plan.budget}; "
-                      "min_weight_support_count is null")
+    if (report.delta_exact and report.delta == code.twist.d + 2
+            and report.min_weight_support_count is None):
+        _progress(f"  [classify] skipped: C({code.nu}, {report.delta}) "
+                  f"subsets exceed the budget {plan.budget}; "
+                  "min_weight_support_count is null")
     payload = report.to_json()
     payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     _emit(payload, cfg.output)
-    if not report.delta_exact:
+    if report.capped:
         _progress(f"budget exhausted: only delta >= "
                   f"{report.delta_lower_bound} proven")
         return EXIT_BUDGET
+    if not report.delta_exact:
+        _progress(f"no dependent set of at most {plan.w_max} columns: "
+                  f"delta >= {report.delta_lower_bound}")
     if report.violations:
         _progress("support classification violations detected")
         return EXIT_INVALID
@@ -202,7 +202,6 @@ def cmd_verify(args, cfg: ExperimentConfig) -> int:
         result.update(k=k, checked=res.checked,
                       witness=list(res.witness) if res.witness else None)
     elif prop == "dep-classification":
-        from .codes import verify_dep_classification
         code = build_code(variety)
         ok, report, why = verify_dep_classification(code, plan)
         result.update(delta=report.delta,
@@ -216,7 +215,6 @@ def cmd_verify(args, cfg: ExperimentConfig) -> int:
         ok = not failures
         result.update(points=variety.num_points, failures=failures)
     elif prop == "oracle-equivalence":
-        from .codes import verify_oracle_equivalence
         code = build_code(variety)
         ok, staged, oracle = verify_oracle_equivalence(code, plan)
         result.update(staged_delta=staged, oracle_delta=oracle)
@@ -233,15 +231,17 @@ def cmd_verify(args, cfg: ExperimentConfig) -> int:
 
 def _add_experiment_flags(sp) -> None:
     sp.add_argument("--p", type=int, help="prime characteristic")
-    sp.add_argument("--e", type=int, default=None, help="base-field exponent, q = p^e (default 1)")
+    sp.add_argument("--e", type=int, help="base-field exponent, q = p^e "
+                    f"(default {ExperimentConfig.e})")
     sp.add_argument("--t", type=int, help="extension degree over F_q")
-    sp.add_argument("--n", type=int, default=None, help="ambient variables, points of PG(n-1) (default 2)")
+    sp.add_argument("--n", type=int, help="ambient variables, points of "
+                    f"PG(n-1) (default {ExperimentConfig.n})")
     sp.add_argument("--sigma", help="comma-separated Frobenius exponents (powers of p), e.g. 0,0,2")
     sp.add_argument("--sigma-q", dest="sigma_q", help="comma-separated exponents as powers of q")
     sp.add_argument("--budget", type=int, help="max subsets checked per search level")
     sp.add_argument("--w-max", dest="w_max", type=int, help="largest subset size to search")
     sp.add_argument("--workers", type=int, help="parallel workers (default: the CPUs this process may use)")
-    sp.add_argument("--allow-collapse", action="store_true",
+    sp.add_argument("--allow-collapse", action="store_true", default=None,
                     help="silence the repeated-monomial collapse warning")
     sp.add_argument("--config", help="JSON config file; flags override it")
     sp.add_argument("-o", "--output", help="write the JSON result here instead of stdout")
@@ -257,27 +257,12 @@ def _config_from_args(args) -> ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
-    def pick(name, flag_value, default=None):
+    values = dict(file_data)
+    for f in fields(ExperimentConfig):
+        flag_value = getattr(args, f.name)  # None when the flag is absent
         if flag_value is not None:
-            return flag_value
-        if name in file_data:
-            return file_data[name]
-        return default
-
-    return ExperimentConfig(
-        p=pick("p", args.p),
-        e=pick("e", args.e, 1),
-        t=pick("t", args.t),
-        n=pick("n", args.n, 2),
-        sigma=pick("sigma", args.sigma),
-        sigma_q=pick("sigma_q", args.sigma_q),
-        budget=pick("budget", args.budget),
-        w_max=pick("w_max", args.w_max),
-        workers=pick("workers", args.workers),
-        allow_collapse=bool(pick("allow_collapse",
-                                 args.allow_collapse or None, False)),
-        output=pick("output", args.output),
-    )
+            values[f.name] = flag_value
+    return ExperimentConfig(**values)
 
 
 def main(argv=None) -> int:

@@ -19,7 +19,7 @@ Column symmetries.  For M in GL(n, q^t) the embedding satisfies
 nu(Mv) = (M^{s_0} (x) ... (x) M^{s_{d-1}}) nu(v), so M permutes the
 columns of H up to nonzero scalars through an invertible linear map, and
 a column subset is dependent exactly when its image is.  Once per
-min_distance / verify_general_position call, three generators of
+min_distance call, three generators of
 GL(n, q^t) (diag(g, 1, ..., 1), the cyclic coordinate shift and I + E_01)
 are mapped to column permutations and each is kept only if H itself
 passes the checks of _is_column_symmetry; nothing rests on the identity
@@ -50,9 +50,10 @@ scan per prefix classifies every extension column as in-span or
 independent, so a level that nominally checks C(nu, w) subsets only does
 C(nu, w-1) eliminations.
 
-Everything is deterministic: subsets are visited in lexicographic order,
-parallel runs partition the tree by the column after the prefix and
-reduce by lexicographic minimum, and reported check counts are
+Everything is deterministic: a level is split into tasks on the column
+after the prefix, the tasks run and are read back in lexicographic order
+(the first in this process, the rest in order through a fork pool when
+the level is large and workers > 1), and reported check counts are
 closed-form, so a report is bit-identical for any worker count.
 
 An unstructured brute-force oracle (plain subset enumeration, scalar
@@ -65,7 +66,9 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field as dc_field, asdict
+from contextlib import closing
+from dataclasses import (asdict, dataclass, field as dc_field, fields,
+                         replace)
 from itertools import combinations
 from math import comb
 from multiprocessing import get_context
@@ -74,7 +77,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ff import Field
-from .linalg import IncrementalElim, Matrix, kernel_basis, rank
+from .linalg import (IncrementalElim, Matrix, is_independent,
+                     kernel_basis, rank)
 from .pg import is_collinear, subline_through
 from .veronese import Twist, VarietyMatrix
 
@@ -195,22 +199,18 @@ class CodeReport:
     stage_log: list = dc_field(default_factory=list)
     timings: dict = dc_field(default_factory=dict)
 
+    @property
+    def capped(self) -> bool:
+        """Whether a budget cap stopped a level before it was settled: the
+        one test for "budget exhausted".  Derived, so not in payload."""
+        return any(s.capped for s in self.stage_log)
+
     def payload(self) -> dict:
         """Canonical content: everything except timings and the hash."""
-        return {
-            "field": self.field, "n": self.n,
-            "sigma_exponents": self.sigma_exponents, "q_fixed": self.q_fixed,
-            "nu": self.nu, "kappa": self.kappa,
-            "expected_N": self.expected_N, "effective_N": self.effective_N,
-            "singleton_bound": self.singleton_bound,
-            "delta": self.delta, "delta_exact": self.delta_exact,
-            "delta_lower_bound": self.delta_lower_bound,
-            "status": self.status,
-            "witness": self.witness, "witness_points": self.witness_points,
-            "min_weight_support_count": self.min_weight_support_count,
-            "supports": self.supports, "violations": self.violations,
-            "stage_log": [s.payload() for s in self.stage_log],
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "timings"}
+        out["stage_log"] = [s.payload() for s in self.stage_log]
+        return out
 
     def canonical_hash(self) -> str:
         blob = json.dumps(self.payload(), sort_keys=True,
@@ -243,7 +243,8 @@ def _lex_rank(subset: Sequence[int], nu: int) -> int:
 def _scan_subtree(elim: IncrementalElim, head: tuple[int, ...], w: int,
                   early_exit: bool, cap: Optional[int]):
     """DFS below one head, the forced leading columns of every subset it
-    visits.  Returns (checked, hits, stopped_early).
+    visits.  Returns the dependent w-subsets found, only the first with
+    early exit; a cap stops the scan once it has checked that many.
 
     Visits independent prefixes in lexicographic order; at prefix size
     w-1 every remaining column is classified in one vectorized scan.
@@ -251,15 +252,13 @@ def _scan_subtree(elim: IncrementalElim, head: tuple[int, ...], w: int,
     """
     checked = 0
     hits: list[tuple[int, ...]] = []
-    limit = cap if cap is not None else None
-    capped = False
     prefix = list(head)
     ncols = elim.ncols
     push, pop, split, pairs = (elim.push, elim.pop, elim.split_extensions,
                                elim.pair_groups)
 
     def rec(remaining: int) -> bool:
-        nonlocal checked, capped
+        nonlocal checked
         if remaining == 1:
             deps, indeps = split()
             checked += int(deps.size) + int(indeps.size)
@@ -269,10 +268,7 @@ def _scan_subtree(elim: IncrementalElim, head: tuple[int, ...], w: int,
                     hits.append(base + (int(deps[0]),))
                     return True
                 hits.extend(base + (int(c),) for c in deps.tolist())
-            if limit is not None and checked >= limit:
-                capped = True
-                return True
-            return False
+            return cap is not None and checked >= cap
         if remaining == 2:
             dead, groups = pairs()
             if dead.size:
@@ -290,10 +286,7 @@ def _scan_subtree(elim: IncrementalElim, head: tuple[int, ...], w: int,
                     hits.extend(base + (gl[i], gl[j])
                                 for i in range(len(gl))
                                 for j in range(i + 1, len(gl)))
-            if limit is not None and checked >= limit:
-                capped = True
-                return True
-            return False
+            return cap is not None and checked >= cap
         deps, indeps = split()
         if deps.size:
             raise DependencyInvariantError(tuple(prefix) + (int(deps[0]),))
@@ -312,46 +305,12 @@ def _scan_subtree(elim: IncrementalElim, head: tuple[int, ...], w: int,
             if not push(c):
                 if i + 1 < w:
                     raise DependencyInvariantError(head[:i + 1])
-                return 1, [tuple(head)], False  # the head is the subset
-        if len(head) == w:
-            return 1, [], False
-        rec(w - len(head))
+                return [tuple(head)]  # the head is the subset
+        if len(head) < w:
+            rec(w - len(head))
     finally:
         elim.reset()
-    return checked, hits, capped
-
-
-def _scan_tasks(field: Field, h: np.ndarray, w: int,
-                tasks: list[tuple[tuple[int, ...], Optional[int]]],
-                early_exit: bool):
-    """Scan several head subtrees in order.  Early exit stops at the first
-    hit, which lex-dominates everything later in the task list."""
-    elim = IncrementalElim(field, h)
-    checked = 0
-    hits: list[tuple[int, ...]] = []
-    capped = False
-    for head, cap in tasks:
-        c, hh, cp = _scan_subtree(elim, head, w, early_exit, cap)
-        checked += c
-        hits.extend(hh)
-        capped = capped or cp
-        if early_exit and hh:
-            break
-    return checked, hits, capped
-
-
-_POOL_STATE: dict = {}
-
-
-def _pool_init(p: int, m: int, e: int, h: np.ndarray) -> None:
-    _POOL_STATE["field"] = Field(p, m, e=e)
-    _POOL_STATE["h"] = h
-
-
-def _pool_scan(args):
-    w, tasks, early_exit = args
-    return _scan_tasks(_POOL_STATE["field"], _POOL_STATE["h"], w,
-                       tasks, early_exit)
+    return hits
 
 
 def _level_tasks(nu: int, k: int, w: int, budget: int):
@@ -372,23 +331,55 @@ def _level_tasks(nu: int, k: int, w: int, budget: int):
     return tasks
 
 
-def _scan_columns(field: Field, h: np.ndarray, w: int,
+# The scan of the level a fork pool is running; its workers inherit it,
+# IncrementalElim included, through the fork.
+_forked_scan = None
+
+
+def _call_forked_scan(task):
+    return _forked_scan(task)
+
+
+def _task_results(scan, tasks, workers: int):
+    """scan(task) for each task, in task order: the first in this process,
+    the rest through map or, with workers > 1, a fork pool's ordered imap.
+    A pool is started only when the caller asks for the second result."""
+    global _forked_scan
+    yield scan(tasks[0])
+    rest = tasks[1:]
+    if workers == 1 or not rest:
+        yield from map(scan, rest)
+        return
+    _forked_scan = scan
+    try:
+        with get_context("fork").Pool(min(workers, len(rest))) as pool:
+            # subtrees shrink along the task list: a few ordered chunks
+            # per worker keep the workers evenly loaded
+            yield from pool.imap(_call_forked_scan, rest,
+                                 chunksize=-(-len(rest) // (4 * workers)))
+    finally:
+        _forked_scan = None
+
+
+def _scan_columns(elim: IncrementalElim, w: int,
                   tasks: list[tuple[tuple[int, ...], Optional[int]]],
                   early_exit: bool, workers: int):
-    """Scan the tasks' subtrees of h's columns, serially or split across
-    a fork pool.  Returns (sorted distinct hits, any task capped)."""
-    if workers > 1 and len(tasks) > 1:
-        chunks = [tasks[i::workers] for i in range(workers)]
-        chunks = [c for c in chunks if c]
-        ctx = get_context("fork")
-        with ctx.Pool(len(chunks), initializer=_pool_init,
-                      initargs=(field.p, field.m, field.e, h)) as pool:
-            parts = pool.map(_pool_scan,
-                             [(w, chunk, early_exit) for chunk in chunks])
-        return (sorted({hh for _, part_hits, _ in parts for hh in part_hits}),
-                any(cp for _, _, cp in parts))
-    _, hits, capped = _scan_tasks(field, h, w, tasks, early_exit)
-    return sorted(set(hits)), capped
+    """Scan the tasks' subtrees in lexicographic task order.  Early exit
+    stops at the first task with a hit, which lex-dominates every later
+    one: a level whose first task hits starts no pool, and a later hit
+    stops every worker.  Returns the hits, sorted."""
+
+    def scan(task):
+        head, cap = task
+        return _scan_subtree(elim, head, w, early_exit, cap)
+
+    hits: list[tuple[int, ...]] = []
+    with closing(_task_results(scan, tasks, workers)) as results:
+        for task_hits in results:
+            hits += task_hits
+            if early_exit and task_hits:
+                break
+    return sorted(hits)
 
 
 def _run_level(code: Code, w: int, plan: SearchPlan, *, early_exit: bool,
@@ -410,21 +401,17 @@ def _run_level(code: Code, w: int, plan: SearchPlan, *, early_exit: bool,
     total = comb(nu - k, w - k)
     workers = plan.workers if total >= PARALLEL_MIN_CHECKS else 1
     tasks = _level_tasks(nu, k, w, plan.budget)
-    hits, any_capped = _scan_columns(code.field, code.H.data, w, tasks,
-                                     early_exit, workers)
+    hits = _scan_columns(IncrementalElim(code.field, code.H.data), w, tasks,
+                         early_exit, workers)
 
+    # the budget truncated the tasks and no early-exit hit settled the level
+    capped = total > plan.budget and not (early_exit and hits)
     if early_exit and hits:
-        hits = hits[:1]
         # deterministic count: every subset scanned up to and including
         # the leaf that produced the lexicographically first hit
         checked = _lex_rank(hits[0][:-1] + (nu - 1,), nu) + 1
-        capped = False
-    elif total > plan.budget:
-        checked = plan.budget
-        capped = True
     else:
-        checked = total
-        capped = any_capped
+        checked = min(total, plan.budget)
 
     restriction = f"orbit:{k}" if k and not hits else "none"
     record = StageRecord(label=label, w=w, restriction=restriction,
@@ -432,17 +419,6 @@ def _run_level(code: Code, w: int, plan: SearchPlan, *, early_exit: bool,
                          early_exit=early_exit, capped=capped,
                          seconds=time.perf_counter() - start)
     return record, hits
-
-
-def _subset_dependent(elim: IncrementalElim, subset: Sequence[int]) -> bool:
-    elim.reset()
-    try:
-        for c in subset:
-            if not elim.push(c):
-                return True
-        return False
-    finally:
-        elim.reset()
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +549,8 @@ def min_distance(code: Code, plan: Optional[SearchPlan] = None) -> CodeReport:
     the module docstring), or a proven lower bound.
 
     The returned report carries the per-level log; delta_exact is False
-    only when a budget cap stopped the search first.
+    when a budget cap stopped the search first (report.capped), or when
+    no level up to plan.w_max holds a dependent set.
     """
     plan = plan or SearchPlan()
     n_eff = code.effective_N
@@ -611,7 +588,10 @@ def min_distance(code: Code, plan: Optional[SearchPlan] = None) -> CodeReport:
             report.witness = list(witness)
             report.witness_points = [list(code.variety.points[i])
                                      for i in witness]
-            _check_witness(code, witness)
+            problem = _minimality_problem(code, witness)
+            if problem:
+                raise AssertionError(f"witness {witness} is not a minimal "
+                                     f"dependent set: {problem}")
             break
         if record.capped:
             # level w not exhausted: only the bound from completed levels holds
@@ -624,18 +604,17 @@ def min_distance(code: Code, plan: Optional[SearchPlan] = None) -> CodeReport:
     return report
 
 
-def _check_witness(code: Code, witness: Sequence[int]) -> None:
-    """A found minimal dependent set must have every proper subset
-    independent and a one-dimensional kernel."""
-    elim = IncrementalElim(code.field, code.H.data)
-    for drop in range(len(witness)):
-        sub = [c for i, c in enumerate(witness) if i != drop]
-        if _subset_dependent(elim, sub):
-            raise DependencyInvariantError(tuple(sub))
-    kb = kernel_basis(code.H.submatrix_cols(list(witness)))
+def _minimality_problem(code: Code, subset: Sequence[int]) -> Optional[str]:
+    """None if the columns `subset` of H are a minimal dependent set, else
+    what is wrong.  Minimal means the kernel of H[:, subset] is
+    one-dimensional and its vector has no zero entry: a zero at i would
+    make the subset without i dependent."""
+    kb = kernel_basis(code.H.submatrix_cols(list(subset)))
     if len(kb) != 1:
-        raise AssertionError(
-            f"witness {tuple(witness)} has kernel dimension {len(kb)}, expected 1")
+        return f"kernel dimension {len(kb)}"
+    if not kb[0].all():
+        return "kernel vector not fully supported"
+    return None
 
 
 def mds_status(report: CodeReport) -> str:
@@ -685,13 +664,9 @@ def classify_min_words(code: Code, report: CodeReport,
     violations = []
     for subset in hits:
         pts = [code.variety.points[i] for i in subset]
-        kb = kernel_basis(code.H.submatrix_cols(list(subset)))
-        if len(kb) != 1:
-            violations.append({"columns": list(subset),
-                               "problem": f"kernel dimension {len(kb)}"})
-        elif any(int(x) == 0 for x in kb[0]):
-            violations.append({"columns": list(subset),
-                               "problem": "kernel vector not fully supported"})
+        problem = _minimality_problem(code, subset)
+        if problem:
+            violations.append({"columns": list(subset), "problem": problem})
         collinear = is_collinear(field, pts)
         # distinct collinear points: the first three frame the one
         # PG(1, q') subline that could hold them all
@@ -716,6 +691,17 @@ def classify_min_words(code: Code, report: CodeReport,
     report.violations = violations
     report.stage_log.append(record)
     report.timings["classify"] = round(record.seconds, 6)
+    return report
+
+
+def analyze(code: Code, plan: Optional[SearchPlan] = None) -> CodeReport:
+    """The whole pipeline: min_distance, then classify_min_words when the
+    distance is exactly d + 2 and the classification fits the budget."""
+    plan = plan or SearchPlan()
+    report = min_distance(code, plan)
+    if (report.delta_exact and report.delta == code.twist.d + 2
+            and classification_fits(code, plan)):
+        report = classify_min_words(code, report, plan)
     return report
 
 
@@ -785,44 +771,43 @@ class GeneralPositionResult:
     witness: Optional[tuple] = None
 
 
+def _settled(report: CodeReport) -> CodeReport:
+    """The report, unless a budget cap left a level unsettled."""
+    if report.capped:
+        level = next(s for s in report.stage_log if s.capped)
+        raise BudgetExceeded(
+            f"level w={level.w} needs more than the budget of "
+            f"{level.checked} checks; only delta >= "
+            f"{report.delta_lower_bound} is proven; raise the budget "
+            "explicitly to proceed")
+    return report
+
+
 def verify_general_position(code: Code, k: int,
                             plan: Optional[SearchPlan] = None) -> GeneralPositionResult:
-    """Exhaustively test every k-subset of columns for independence,
-    through the supersets of the same column prefix as min_distance.
+    """Test every k-subset of columns for independence: min_distance up
+    to w_max = k.
 
     Returns ok=True, or ok=False with the lexicographically first
-    dependent k-subset as witness.  Levels 2 .. k each stop at their
-    first dependent subset, so a level sees one smaller than itself only
-    through a bug, and the DependencyInvariantError propagates.
+    dependent k-subset as witness.  Raises BudgetExceeded when a level
+    was capped before it was settled.
     """
     plan = plan or SearchPlan()
     if not 2 <= k <= code.effective_N + 1:
         raise ValueError(f"k = {k} is outside [2, effective_N + 1]")
-    orbit_k = column_orbit_prefix(code)
-    # every level must run in full: a truncated one could leave a smaller
-    # dependent set for the next level to trip over
-    largest = max(comb(code.nu - orbit_k, w - orbit_k)
-                  for w in range(2, k + 1))
-    if largest > plan.budget:
-        raise BudgetExceeded(
-            f"{largest} subsets exceed the budget {plan.budget}; "
-            "raise it explicitly to proceed")
-    for w in range(2, k + 1):
-        record, hits = _run_level(code, w, plan, early_exit=True,
-                                  label="general-position", k=orbit_k)
-        if hits and w < k:  # level k never ran, so no k-subset was checked
-            return GeneralPositionResult(False, k, 0,
-                                         _lex_first_dependent(code, k))
-        if hits:
-            return GeneralPositionResult(False, k, record.checked, hits[0])
-    return GeneralPositionResult(True, k, record.checked)
+    report = _settled(min_distance(code, replace(plan, w_max=k)))
+    if report.delta is None:
+        return GeneralPositionResult(True, k, report.stage_log[-1].checked)
+    if report.delta < k:  # level k never ran, so no k-subset was checked
+        return GeneralPositionResult(False, k, 0, _lex_first_dependent(code, k))
+    return GeneralPositionResult(False, k, report.stage_log[-1].checked,
+                                 tuple(report.witness))
 
 
 def _lex_first_dependent(code: Code, k: int) -> tuple:
     """Direct lex scan; only called when a dependent k-subset must exist."""
-    elim = IncrementalElim(code.field, code.H.data)
     for subset in combinations(range(code.nu), k):
-        if _subset_dependent(elim, subset):
+        if not is_independent(code.H, subset):
             return subset
     raise AssertionError("no dependent subset found where one was implied")
 
@@ -830,8 +815,9 @@ def _lex_first_dependent(code: Code, k: int) -> tuple:
 def verify_oracle_equivalence(code: Code, plan: Optional[SearchPlan] = None,
                               max_checks: int = DEFAULT_ORACLE_CAP):
     """Search and brute-force oracle must agree exactly: on delta and on
-    the lexicographically first dependent set."""
-    report = min_distance(code, plan)
+    the lexicographically first dependent set.  A capped search raises
+    BudgetExceeded."""
+    report = _settled(min_distance(code, plan))
     oracle_delta, oracle_witness = oracle_min_distance(code,
                                                        max_checks=max_checks)
     ok = (report.delta_exact and report.delta == oracle_delta
@@ -840,8 +826,9 @@ def verify_oracle_equivalence(code: Code, plan: Optional[SearchPlan] = None,
 
 
 def verify_dep_classification(code: Code, plan: Optional[SearchPlan] = None):
-    """Run the search plus classification; pass iff no violations."""
-    report = min_distance(code, plan)
+    """Run the search plus classification; pass iff no violations.  A
+    capped search raises BudgetExceeded."""
+    report = _settled(min_distance(code, plan))
     if report.delta != code.twist.d + 2:
         return False, report, "minimum distance is not d + 2"
     report = classify_min_words(code, report, plan)

@@ -28,7 +28,6 @@ the reference the tests compare against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -77,15 +76,6 @@ def _trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def poly_add(a: list[int], b: list[int], p: int) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = a[:]
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return _trim(out)
 
 
 def poly_sub(a: list[int], b: list[int], p: int) -> list[int]:

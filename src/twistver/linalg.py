@@ -233,14 +233,6 @@ class IncrementalElim:
         self.ncols = base.shape[1]
         self._stack: list[tuple[int, np.ndarray]] = [(-1, base)]
 
-    @property
-    def depth(self) -> int:
-        return len(self._stack) - 1
-
-    @property
-    def last_col(self) -> int:
-        return self._stack[-1][0]
-
     def reset(self) -> None:
         del self._stack[1:]
 
@@ -307,7 +299,3 @@ class IncrementalElim:
                 groups.append(np.sort(order[a:b]) + (c + 1))
         groups.sort(key=lambda g: int(g[0]))
         return np.empty(0, dtype=np.int64), groups
-
-    def in_span(self, c: int) -> bool:
-        _, r = self._stack[-1]
-        return not r[:, c].any()

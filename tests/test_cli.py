@@ -108,6 +108,20 @@ def test_code_command_budget_exit(tmp_path, capsys):
     assert rep["delta_exact"] is False
 
 
+def test_code_command_w_max_is_not_a_budget_exit(tmp_path, capsys):
+    # levels 2-4 run in full and hold no dependent set: delta >= 5 is all
+    # that was asked for, and no level was capped
+    out = tmp_path / "report.json"
+    code = run_cli(["code", "--p", "3", "--t", "3", "--sigma", "0,0,2",
+                    "--w-max", "4", "--workers", "1", "-o", str(out)])
+    assert code == 0
+    rep = json.loads(out.read_text())
+    assert rep["delta"] is None and rep["delta_lower_bound"] == 5
+    err = capsys.readouterr().err
+    assert "no dependent set of at most 4 columns" in err
+    assert "budget exhausted" not in err
+
+
 def test_code_command_keeps_exact_result_when_classification_does_not_fit(
         tmp_path, capsys):
     # GF(16) plane, twist (0,2): delta = 4 = d + 2 is exact, but the
@@ -274,3 +288,21 @@ def test_verify_oracle_equivalence(tmp_path):
     assert code == 0
     res = json.loads(out.read_text())
     assert res["staged_delta"] == res["oracle_delta"] == 5
+
+
+def test_verify_dep_classification_budget_exit(capsys):
+    # level 3 needs C(15, 1) = 15 > 5 checks and holds no dependent set
+    code = run_cli(["verify", "dep-classification", "--p", "2", "--t", "4",
+                    "--sigma", "0,2", "--budget", "5", "--workers", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "budget" in captured.err
+
+
+def test_verify_oracle_equivalence_budget_exit(capsys):
+    # level 3 needs C(3, 1) = 3 > 1 checks and holds no dependent set
+    code = run_cli(["verify", "oracle-equivalence", "--p", "2", "--t", "2",
+                    "--sigma", "0,1", "--budget", "1", "--workers", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "budget" in captured.err

@@ -1,4 +1,6 @@
 import itertools
+import os
+from dataclasses import fields
 from math import comb
 from types import SimpleNamespace
 
@@ -7,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twistver.codes as codes_mod
-from twistver.codes import (BudgetExceeded, SearchPlan, _lex_rank, build_code,
+from twistver.codes import (BudgetExceeded, CodeReport,
+                            DependencyInvariantError, SearchPlan,
+                            _lex_rank, _minimality_problem, build_code,
                             classify_min_words, mds_status, min_distance,
                             oracle_min_distance, verify_dep_classification,
                             verify_general_position, verify_oracle_equivalence)
@@ -487,6 +491,64 @@ def test_worker_count_does_not_change_report(monkeypatch):
     assert payloads[0] == payloads[1] == payloads[2]
 
 
+def test_pool_worker_error_reaches_caller(monkeypatch):
+    # the first task of a level runs in this process, the rest in the
+    # pool's workers; only the workers raise
+    monkeypatch.setattr(codes_mod, "PARALLEL_MIN_CHECKS", 0)
+    scan, parent = codes_mod._scan_subtree, os.getpid()
+
+    def scan_or_fail(elim, head, w, early_exit, cap):
+        if os.getpid() != parent:
+            raise DependencyInvariantError(head)
+        return scan(elim, head, w, early_exit, cap)
+
+    monkeypatch.setattr(codes_mod, "_scan_subtree", scan_or_fail)
+    with pytest.raises(DependencyInvariantError) as err:
+        min_distance(get_code(3, 3, 2, (0, 0, 2)), SearchPlan(workers=2))
+    # level 4's tasks are the heads (0, 1, c); (0, 1, 3) is the first
+    # one a worker runs
+    assert err.value.subset == (0, 1, 3)
+
+
+def test_first_task_hit_starts_no_pool(monkeypatch):
+    # track-27's level 6 hits (0, 1, 2, 4, 8, 11) in its first task,
+    # the subtree below the head (0, 1, 2)
+    monkeypatch.setattr(codes_mod, "PARALLEL_MIN_CHECKS", 0)
+
+    def no_pool(method):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(codes_mod, "get_context", no_pool)
+    record, hits = codes_mod._run_level(
+        get_code(3, 3, 2, (0, 0, 2)), 6, SearchPlan(workers=2),
+        early_exit=True, label="lex-search", k=2)
+    assert hits == [(0, 1, 2, 4, 8, 11)]
+    assert record.checked == 358 and not record.capped
+
+
+def test_capped_is_derived_and_outside_payload():
+    c = get_code(3, 3, 2, (0, 0, 2))
+    capped = min_distance(c, SearchPlan(budget=100))
+    exact = min_distance(c)
+    assert capped.capped and not exact.capped
+    names = {f.name for f in fields(CodeReport)} - {"timings"}
+    assert set(capped.payload()) == set(exact.payload()) == names
+
+
+def test_minimality_problem():
+    c = get_code(3, 3, 2, (0, 0, 2))
+    witness = min_distance(c).witness
+    assert _minimality_problem(c, witness) is None
+    # the witness plus column 3, which raises the rank: the kernel is
+    # still one-dimensional, but zero at column 3
+    assert rank(c.H.submatrix_cols(sorted(witness + [3]))) == 6
+    assert (_minimality_problem(c, sorted(witness + [3]))
+            == "kernel vector not fully supported")
+    # five columns of rank 3
+    assert (_minimality_problem(get_code(5, 1, 2, (0, 0)), range(5))
+            == "kernel dimension 2")
+
+
 def test_report_hash_stable_and_excludes_timings():
     c = get_code(2, 4, 2, (0, 2))
     r1 = min_distance(c)
@@ -542,6 +604,15 @@ def test_general_position_budget_covers_every_level():
     with pytest.raises(BudgetExceeded):
         verify_general_position(get_code(2, 2, 2, (0, 1)), 5,
                                 SearchPlan(budget=2))
+
+
+def test_general_position_truncated_level_with_hit():
+    # conic-5, k = 4: level 4 scans C(4, 2) = 6 > 4 subsets, but it hits
+    # (0, 1, 2, 3) after 3 checks, so the answer is proven
+    res = verify_general_position(get_code(5, 1, 2, (0, 0)), 4,
+                                  SearchPlan(budget=4))
+    assert not res.ok
+    assert res.witness == (0, 1, 2, 3) and res.checked == 3
 
 
 def test_general_position_budget_error():
