@@ -19,13 +19,13 @@ Column symmetries.  For M in GL(n, q^t) the embedding satisfies
 nu(Mv) = (M^{s_0} (x) ... (x) M^{s_{d-1}}) nu(v), so M permutes the
 columns of H up to nonzero scalars through an invertible linear map, and
 a column subset is dependent exactly when its image is.  Once per
-min_distance call, three generators of
-GL(n, q^t) (diag(g, 1, ..., 1), the cyclic coordinate shift and I + E_01)
+min_distance call, the generators of GL(n, q^t) listed by _gl_generators
 are mapped to column permutations and each is kept only if H itself
 passes the checks of _is_column_symmetry; nothing rests on the identity
-above.  A breadth-first search over the kept permutations then gives k:
-2 if the orbit of the column pair {0, 1} is every pair, else 1 if the
-orbit of column 0 is every column, else 0.
+above.  Two breadth-first searches over the nu columns then give k: 2 if
+the kept permutations move column 0 onto every column and those that fix
+column 0 move column 1 onto every other one (so the group is
+2-transitive), else 1 if only the first holds, else 0.
 
 A level then scans only the C(nu-k, w-k) w-subsets that contain the
 columns 0 .. k-1 (McKay's "one representative per orbit", B. D. McKay,
@@ -153,6 +153,8 @@ class SearchPlan:
     workers: int = 1
 
     def __post_init__(self):
+        if self.w_max is not None and self.w_max < 2:
+            raise ValueError(f"w_max must be at least 2, got {self.w_max}")
         if self.budget < 1:
             raise ValueError(f"budget must be at least 1, got {self.budget}")
         if self.workers < 1:
@@ -273,7 +275,7 @@ def _scan_subtree(elim: IncrementalElim, head: tuple[int, ...], w: int,
             dead, groups = pairs()
             if dead.size:
                 raise DependencyInvariantError(tuple(prefix) + (int(dead[0]),))
-            width = ncols - 1 - prefix[-1]
+            width = ncols - 1 - (prefix[-1] if prefix else -1)
             checked += width * (width - 1) // 2
             if groups:
                 base = tuple(prefix)
@@ -319,8 +321,8 @@ def _level_tasks(nu: int, k: int, w: int, budget: int):
     plus the next column, or range(k) alone when one vectorized scan
     covers the level; cap None is the whole subtree."""
     prefix = tuple(range(k))
-    if w - k <= 1:
-        return [(prefix, None if nu - k <= budget else budget)]
+    if w - k <= 2:
+        return [(prefix, None if comb(nu - k, w - k) <= budget else budget)]
     tasks: list[tuple[tuple[int, ...], Optional[int]]] = []
     for c in range(k, nu - (w - k) + 1):
         if budget <= 0:
@@ -425,22 +427,21 @@ def _run_level(code: Code, w: int, plan: SearchPlan, *, early_exit: bool,
 # Column symmetries
 # ---------------------------------------------------------------------------
 
-# The pair orbit search holds two nu x nu boolean masks; above this many
-# entries (nu > 4096) only the point orbit is searched, so k <= 1.
-PAIR_ORBIT_MAX = 1 << 24
-
-
 def _gl_generators(field: Field, n: int) -> list[np.ndarray]:
-    """diag(g, 1, ..., 1), the cyclic coordinate shift and I + E_01: they
-    generate GL(n, q^t), whose projective image is 2-transitive on the
-    points of PG(n-1, q^t)."""
+    """diag(g, 1, ..., 1), the cyclic coordinate shift, I + E_01,
+    I + E_{n-1,0} and, for n >= 3, the cyclic shift of the first n-1
+    coordinates.  They generate GL(n, q^t), whose projective image is
+    2-transitive on the points of PG(n-1, q^t).  All but the full shift
+    and, for n = 2, I + E_01 fix e_{n-1}, the point of column 0, and those
+    generate a group transitive on the other points."""
     eye = np.eye(n, dtype=np.int64)
-    diag = eye.copy()
+    diag, transvection, into_last, head_shift = (eye.copy() for _ in range(4))
     diag[0, 0] = field.generator
-    shift = np.roll(eye, 1, axis=1)
-    transvection = eye.copy()
     transvection[0, 1] = 1
-    return [diag, shift, transvection]
+    into_last[n - 1, 0] = 1
+    head_shift[:n - 1, :n - 1] = np.roll(eye[:n - 1, :n - 1], 1, axis=1)
+    gens = [diag, np.roll(eye, 1, axis=1), transvection, into_last]
+    return gens + [head_shift] if n >= 3 else gens
 
 
 def _induced_permutation(code: Code, mat: np.ndarray):
@@ -472,8 +473,8 @@ def _is_column_symmetry(code: Code, perm: np.ndarray,
 
     * perm is a bijection of the columns;
     * images[j] is a nonzero multiple of column perm[j];
-    * rank([H^T | images]) == rank(images) == effective_N, which with
-      rank(H) == effective_N (build_code checks it) gives
+    * rank([H^T | images]) == effective_N.  By the first two checks
+      rank(images) == rank(H) == effective_N (build_code checks it), so
       images = H^T B for an invertible B.
     """
     nu, ops = code.nu, code.field.ops
@@ -488,22 +489,20 @@ def _is_column_symmetry(code: Code, perm: np.ndarray,
     scale = ops.div[num, den]
     if not np.array_equal(ops.mul[scale[:, None], target], images):
         return False
-    n_eff = code.effective_N
-    return (rank(Matrix(code.field, images)) == n_eff and
-            rank(Matrix(code.field, np.hstack([code.H.data.T, images])))
-            == n_eff)
+    return (rank(Matrix(code.field, np.hstack([code.H.data.T, images])))
+            == code.effective_N)
 
 
-def _orbit(size: int, start: int, images) -> np.ndarray:
-    """Mask of the orbit of `start` in range(size), by breadth-first
-    search; images(frontier) lists each generator's image of it."""
-    seen = np.zeros(size, dtype=bool)
+def _orbit(nu: int, start: int, perms: Sequence[np.ndarray]) -> np.ndarray:
+    """Mask of the orbit of column `start` under the group the perms
+    generate, by breadth-first search."""
+    seen = np.zeros(nu, dtype=bool)
     seen[start] = True
     frontier = np.array([start], dtype=np.int64)
     while frontier.size:
         step = np.zeros_like(seen)
-        for image in images(frontier):
-            step[image] = True
+        for p in perms:
+            step[p[frontier]] = True
         step &= ~seen
         seen |= step
         frontier = np.flatnonzero(step)
@@ -511,21 +510,15 @@ def _orbit(size: int, start: int, images) -> np.ndarray:
 
 
 def _orbit_prefix(nu: int, perms: Sequence[np.ndarray]) -> int:
-    """k = 2 if the orbit of the pair {0, 1} under the group the perms
-    generate is every pair, else k = 1 if the orbit of point 0 is every
-    point, else k = 0."""
-    if not perms or not _orbit(nu, 0, lambda f: [p[f] for p in perms]).all():
+    """k = 2 if the group G the perms generate is transitive and the
+    perms that fix column 0 move column 1 onto every other column: then
+    g in G moves any a onto 0 and a product h of those perms moves g(b)
+    onto 1, so hg maps (a, b) onto (0, 1).  Else k = 1 if G is
+    transitive, else k = 0."""
+    if not perms or not _orbit(nu, 0, perms).all():
         return 0
-    if nu * nu > PAIR_ORBIT_MAX:
-        return 1
-
-    def pair_images(frontier):  # the pair {a < b} is a * nu + b
-        a, b = np.divmod(frontier, nu)
-        return [np.minimum(p[a], p[b]) * nu + np.maximum(p[a], p[b])
-                for p in perms]
-
-    orbit = _orbit(nu * nu, 1, pair_images)
-    return 2 if np.count_nonzero(orbit) == comb(nu, 2) else 1
+    fixing_0 = [p for p in perms if p[0] == 0]
+    return 2 if np.count_nonzero(_orbit(nu, 1, fixing_0)) == nu - 1 else 1
 
 
 def column_orbit_prefix(code: Code) -> int:

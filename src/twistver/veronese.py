@@ -226,25 +226,27 @@ def build_variety(field: Field, n: int, twist: Twist) -> VarietyMatrix:
 
 
 def load_variety(path) -> VarietyMatrix:
+    """Read a table written by write_json.  Its points and coords must be
+    those build_variety makes from its field, n and twist; anything else,
+    a missing key or malformed value included, raises ValueError."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    f = obj["field"]
-    field = Field(f["p"], f["e"] * f["t"], e=f["e"])
-    if list(field.modulus) != list(f["modulus"]):
-        raise ValueError(
-            "file was written with a different defining modulus; "
-            "cross-field imports are not supported")
-    twist = Twist(field.p, field.m, tuple(obj["sigma_exponents"]))
-    basis = monomial_basis(obj["n"], twist)
-    if [list(m) for m in basis.monomials] != obj["basis"]:
-        raise ValueError("monomial basis in file does not match")
-    points = [tuple(p) for p in obj["points"]]
-    coords = np.array(obj["coords"], dtype=np.int64)
-    if coords.shape != (len(points), basis.effective_N):
-        raise ValueError("coordinate table shape mismatch")
-    r = rank(Matrix(field, coords))
-    return VarietyMatrix(field=field, n=obj["n"], twist=twist, basis=basis,
-                         points=points, coords=coords, rank_=r)
+    try:
+        f = obj["field"]
+        field = Field(f["p"], f["e"] * f["t"], e=f["e"])
+        if list(field.modulus) != list(f["modulus"]):
+            raise ValueError(
+                "file was written with a different defining modulus; "
+                "cross-field imports are not supported")
+        twist = Twist(field.p, field.m, tuple(obj["sigma_exponents"]))
+        variety = build_variety(field, obj["n"], twist)
+        same = (obj["points"] == [list(p) for p in variety.points]
+                and obj["coords"] == variety.coords.tolist())
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed point table: {exc!r}") from exc
+    if not same:
+        raise ValueError("point table is not the embedding of its points")
+    return variety
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,15 @@ def test_code_command_rejects_workers_below_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_code_command_rejects_w_max_below_two(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = run_cli(["code", "--p", "3", "--t", "2", "--sigma", "0,1",
+                    "--workers", "1", "--w-max", "-3", "-o", str(out)])
+    assert code == 1
+    assert "w_max must be at least 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_code_command_from_variety_file(tmp_path):
     vfile = tmp_path / "v.json"
     assert run_cli(["build", "--p", "2", "--e", "1", "--t", "4", "--n", "2",
@@ -164,6 +173,39 @@ def test_code_command_from_variety_file(tmp_path):
     rep = json.loads(out.read_text())
     assert (rep["nu"], rep["kappa"], rep["delta"]) == (17, 13, 4)
     assert rep["min_weight_support_count"] == 340
+
+
+def _tampered_variety(tmp_path, change):
+    vfile = tmp_path / "v.json"
+    assert run_cli(["build", "--p", "2", "--e", "1", "--t", "4", "--n", "2",
+                    "--sigma", "0,2", "-o", str(vfile)]) == 0
+    obj = json.loads(vfile.read_text())
+    change(obj)
+    vfile.write_text(json.dumps(obj))
+    return vfile
+
+
+def _swap_coords_rows(obj):
+    obj["coords"][3], obj["coords"][4] = obj["coords"][4], obj["coords"][3]
+
+
+def _point_out_of_range(obj):
+    obj["points"][5][1] = 16  # GF(16) has elements 0..15
+
+
+@pytest.mark.parametrize("change", [
+    _swap_coords_rows,
+    _point_out_of_range,
+    lambda obj: obj.pop("n"),
+], ids=["swapped-coords-rows", "point-out-of-range", "missing-n"])
+def test_code_command_rejects_tampered_variety_file(tmp_path, capsys,
+                                                    change):
+    vfile = _tampered_variety(tmp_path, change)
+    out = tmp_path / "report.json"
+    assert run_cli(["code", "--variety", str(vfile), "--workers", "1",
+                    "-o", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_code_command_sigma_q(tmp_path):

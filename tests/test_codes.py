@@ -15,7 +15,7 @@ from twistver.codes import (BudgetExceeded, CodeReport,
                             classify_min_words, mds_status, min_distance,
                             oracle_min_distance, verify_dep_classification,
                             verify_general_position, verify_oracle_equivalence)
-from twistver.linalg import rank
+from twistver.linalg import IncrementalElim, rank
 from twistver.pg import is_collinear
 
 from conftest import get_code, get_variety
@@ -205,9 +205,9 @@ def test_plane_over_gf9_with_fixed_subfield_gf3():
 
 
 def test_line_over_gf2048_above_pair_table_order():
-    # GF(2^11) computes with exp/log ops, and the pair orbit search covers
-    # C(2049, 2) pairs; the d+2 level is C(2047, 2) checks, C(2049, 4)
-    # unreduced
+    # GF(2^11) computes with exp/log ops, and k = 2 comes from two orbit
+    # searches over the 2049 columns; the d+2 level is C(2047, 2) checks,
+    # C(2049, 4) unreduced
     rep = min_distance(get_code(2, 11, 2, (0, 1)))
     assert (rep.nu, rep.kappa, rep.delta, rep.status) == (2049, 2045, 5,
                                                           "MDS")
@@ -215,6 +215,47 @@ def test_line_over_gf2048_above_pair_table_order():
     assert by_w[4].restriction == "orbit:2"
     assert by_w[4].checked == comb(2047, 2)
     assert rep.witness == [0, 1, 2, 3, 4]
+
+
+def test_line_over_gf4096_is_exact_at_the_default_budget():
+    # nu = 4097: the symmetry step searches orbits of single columns only,
+    # so k = 2 holds at any length and level 4 is C(4095, 2) checks
+    rep = min_distance(get_code(2, 12, 2, (0, 1)), SearchPlan(workers=1))
+    assert (rep.nu, rep.kappa, rep.delta, rep.delta_exact,
+            rep.status) == (4097, 4093, 5, True, "MDS")
+    by_w = {s.w: s for s in rep.stage_log}
+    assert by_w[4].restriction == "orbit:2"
+    assert by_w[4].checked == comb(4095, 2)
+    assert rep.witness == [0, 1, 2, 3, 4]
+
+
+def test_plane_over_gf64_is_exact_at_the_default_budget():
+    # n = 3 over GF(64), twist (0,1): q' = 2, so a subline holds only 3
+    # points and the first dependent sets have 5 columns
+    rep = min_distance(get_code(2, 6, 3, (0, 1)), SearchPlan(workers=1))
+    assert (rep.nu, rep.kappa, rep.delta, rep.delta_exact) == (4161, 4152,
+                                                               5, True)
+    by_w = {s.w: s for s in rep.stage_log}
+    assert by_w[4].restriction == "orbit:2"
+    assert by_w[4].checked == comb(4159, 2)
+
+
+def test_two_column_level_is_one_pair_groups_scan(monkeypatch):
+    # GF(32), n = 3: level 4 holds C(1055, 2) supersets of {0, 1}; one
+    # pair_groups call on the prefix settles it, with no per-column tasks
+    c = get_code(2, 5, 3, (0, 1))
+    calls = {"pair_groups": 0, "split_extensions": 0}
+    for name in calls:
+        def counted(self, _orig=getattr(IncrementalElim, name), _name=name):
+            calls[_name] += 1
+            return _orig(self)
+        monkeypatch.setattr(IncrementalElim, name, counted)
+    record, hits = codes_mod._run_level(c, 4, SearchPlan(), early_exit=True,
+                                        label="general-position", k=2)
+    assert calls == {"pair_groups": 1, "split_extensions": 0}
+    assert hits == [] and not record.capped
+    assert (record.restriction, record.checked) == ("orbit:2",
+                                                    comb(1055, 2))
 
 
 def test_plane_over_gf16_with_fixed_subfield_gf4():
@@ -403,14 +444,24 @@ def test_orbit_levels_match_unreduced_scan(cfg):
 
 
 def test_every_generator_is_a_verified_symmetry():
-    c = get_code(3, 3, 2, (0, 0, 2))
-    for mat in codes_mod._gl_generators(c.field, 2):
-        perm, images = codes_mod._induced_permutation(c, mat)
-        assert codes_mod._is_column_symmetry(c, perm, images)
-        # the defining property: dependence of every 3-subset is preserved
-        for sub in itertools.combinations(range(c.nu), 3):
-            assert (rank(c.H.submatrix_cols(list(sub)))
-                    == rank(c.H.submatrix_cols(perm[list(sub)].tolist())))
+    # (config, indices of the generators that fix e_{n-1}); the second is
+    # GF(4), n = 3 with nu = 21
+    for cfg, fixing_0 in [((3, 3, 2, (0, 0, 2)), [0, 3]),
+                          ((2, 2, 3, (0, 1)), [0, 2, 3, 4])]:
+        c = get_code(*cfg)
+        gens = codes_mod._gl_generators(c.field, c.variety.n)
+        assert len(gens) == (4 if c.variety.n == 2 else 5)
+        for i, mat in enumerate(gens):
+            perm, images = codes_mod._induced_permutation(c, mat)
+            assert codes_mod._is_column_symmetry(c, perm, images)
+            # a generator that fixes e_{n-1} fixes column 0
+            assert (perm[0] == 0) == (i in fixing_0)
+            # the defining property: dependence of every 3-subset is
+            # preserved
+            for sub in itertools.combinations(range(c.nu), 3):
+                assert (rank(c.H.submatrix_cols(list(sub))) ==
+                        rank(c.H.submatrix_cols(perm[list(sub)].tolist())))
+        assert codes_mod.column_orbit_prefix(c) == 2
 
 
 def test_symmetry_check_rejects_non_symmetries():
@@ -456,7 +507,12 @@ def test_orbit_prefix_of_intransitive_groups():
     assert codes_mod._orbit_prefix(6, [cycle]) == 1
     swap = ident.copy()
     swap[[0, 1]] = [1, 0]  # with the cycle, all of S_6
-    assert codes_mod._orbit_prefix(6, [cycle, swap]) == 2
+    # sound but incomplete: k = 2 is proved only from perms that fix 0
+    assert codes_mod._orbit_prefix(6, [cycle, swap]) == 1
+    fix_0 = np.array([0, 2, 3, 4, 5, 1])  # transitive on 1..5
+    assert codes_mod._orbit_prefix(6, [cycle, swap, fix_0]) == 2
+    # transitive on 1..5 while fixing 0, but not on all points
+    assert codes_mod._orbit_prefix(6, [fix_0]) == 0
 
 
 # -- budgets and determinism ---------------------------------------------------------
@@ -481,6 +537,9 @@ def test_plan_w_max_validation():
         min_distance(c, SearchPlan(w_max=c.effective_N + 2))
     rep = min_distance(c, SearchPlan(w_max=3))
     assert rep.delta is None and rep.delta_lower_bound == 4
+    for w_max in (1, 0, -3):  # no level below w = 2 exists
+        with pytest.raises(ValueError, match="w_max must be at least 2"):
+            SearchPlan(w_max=w_max)
 
 
 def test_worker_count_does_not_change_report(monkeypatch):
