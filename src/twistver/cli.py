@@ -4,11 +4,6 @@ Subcommands: field, build, code, verify.  Long-running commands print
 stage progress to stderr; the machine-readable result goes to the output
 file (or stdout when no -o is given), never mixed with progress text.
 
-Option precedence is flags > config file > defaults; the JSON config file
-uses the same keys as the long flags.  The search budget can also be set
-through the TWISTVER_BUDGET environment variable (lowest precedence among
-explicit settings).
-
 Exit codes: 0 success (an exact result, or no dependent set up to
 --w-max), 2 budget exhausted (a capped level: a lower bound only),
 1 invalid input or a verification failure.
@@ -21,34 +16,18 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
 from typing import Optional
 
 from .codes import (DEFAULT_BUDGET, BudgetExceeded, SearchPlan, analyze,
                     build_code, verify_dep_classification,
                     verify_general_position, verify_oracle_equivalence)
-from .ff import Field, build_field
-from .veronese import (ScrollFrame, Twist, build_variety, load_variety,
-                       monomial_basis, scroll_plucker_check)
+from .ff import Field
+from .veronese import (ScrollFrame, Twist, build_variety, monomial_basis,
+                       scroll_plucker_check)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_BUDGET = 2
-
-
-@dataclass
-class ExperimentConfig:
-    p: Optional[int] = None
-    e: int = 1
-    t: Optional[int] = None
-    n: int = 2
-    sigma: Optional[str] = None      # comma-separated powers of p
-    sigma_q: Optional[str] = None    # comma-separated powers of q
-    budget: Optional[int] = None
-    w_max: Optional[int] = None
-    workers: Optional[int] = None
-    allow_collapse: bool = False
-    output: Optional[str] = None
 
 
 def _progress(msg: str) -> None:
@@ -73,45 +52,30 @@ def _parse_exponents(raw: str) -> tuple[int, ...]:
                          "expected comma-separated integers")
 
 
-def _resolve_twist(cfg: ExperimentConfig, field: Field) -> Twist:
-    if (cfg.sigma is None) == (cfg.sigma_q is None):
+def _resolve_twist(args, field: Field) -> Twist:
+    if (args.sigma is None) == (args.sigma_q is None):
         raise ValueError("exactly one of --sigma (powers of p) or "
                          "--sigma-q (powers of q) is required")
-    if cfg.sigma is not None:
-        return Twist(field.p, field.m, _parse_exponents(cfg.sigma))
-    return Twist.from_q_powers(field, _parse_exponents(cfg.sigma_q))
+    if args.sigma is not None:
+        return Twist(field.p, field.m, _parse_exponents(args.sigma))
+    return Twist.from_q_powers(field, _parse_exponents(args.sigma_q))
 
 
-def _resolve_field(cfg: ExperimentConfig) -> Field:
-    if cfg.p is None or cfg.t is None:
-        raise ValueError("--p and --t are required")
-    return Field(cfg.p, cfg.e * cfg.t, e=cfg.e)
+def _resolve_plan(args) -> SearchPlan:
+    return SearchPlan(w_max=args.w_max, budget=args.budget,
+                      workers=args.workers)
 
 
-def _resolve_plan(cfg: ExperimentConfig) -> SearchPlan:
-    budget = cfg.budget
-    if budget is None:
-        env = os.environ.get("TWISTVER_BUDGET")
-        budget = int(env) if env else DEFAULT_BUDGET
-    workers = cfg.workers
-    if workers is None:
-        # the CPUs this process may run on, which a container can limit
-        # below the machine's count
-        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
-    return SearchPlan(w_max=cfg.w_max, budget=budget, workers=workers)
-
-
-def _build_with_warnings(cfg: ExperimentConfig):
-    field = _resolve_field(cfg)
-    twist = _resolve_twist(cfg, field)
-    basis = monomial_basis(cfg.n, twist)
-    if basis.collapsed and not cfg.allow_collapse:
+def _build_with_warnings(args):
+    field = Field(args.p, args.e * args.t, e=args.e)
+    twist = _resolve_twist(args, field)
+    basis = monomial_basis(args.n, twist)
+    if basis.collapsed and not args.allow_collapse:
         _progress(f"warning: collapse: {basis.effective_N} of "
                   f"{basis.expected_N} monomials distinct (repeated twisted "
                   "degrees merge coordinates); pass --allow-collapse to "
                   "silence this")
-    variety = build_variety(field, cfg.n, twist)
+    variety = build_variety(field, args.n, twist)
     return field, twist, variety
 
 
@@ -120,7 +84,7 @@ def _build_with_warnings(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 def cmd_field(args) -> int:
-    field = build_field(args.p, args.m)
+    field = Field(args.p, args.m)
     payload = {
         "p": field.p, "m": field.m, "order": field.order,
         "modulus": list(field.modulus),
@@ -138,11 +102,11 @@ def cmd_field(args) -> int:
     return EXIT_OK
 
 
-def cmd_build(args, cfg: ExperimentConfig) -> int:
-    field, twist, variety = _build_with_warnings(cfg)
+def cmd_build(args) -> int:
+    field, twist, variety = _build_with_warnings(args)
     _progress(f"built {variety.num_points} x {variety.basis.effective_N} "
               f"point table over GF({field.order}), rank {variety.rank_}")
-    _emit(variety.to_json(), cfg.output)
+    _emit(variety.to_json(), args.output)
     if args.csv:
         from .linalg import Matrix
         Matrix(field, variety.coords.T.copy()).write_csv(args.csv)
@@ -150,13 +114,9 @@ def cmd_build(args, cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_code(args, cfg: ExperimentConfig) -> int:
-    plan = _resolve_plan(cfg)
-    if args.variety:
-        variety = load_variety(args.variety)
-        _progress(f"loaded point table from {args.variety}")
-    else:
-        _, _, variety = _build_with_warnings(cfg)
+def cmd_code(args) -> int:
+    plan = _resolve_plan(args)
+    _, _, variety = _build_with_warnings(args)
     code = build_code(variety)
     _progress(f"code length {code.nu}, dimension {code.kappa}, "
               f"check rank {code.effective_N}; searching (budget {plan.budget}, "
@@ -173,7 +133,7 @@ def cmd_code(args, cfg: ExperimentConfig) -> int:
                   "min_weight_support_count is null")
     payload = report.to_json()
     payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    _emit(payload, cfg.output)
+    _emit(payload, args.output)
     if report.capped:
         _progress(f"budget exhausted: only delta >= "
                   f"{report.delta_lower_bound} proven")
@@ -187,9 +147,9 @@ def cmd_code(args, cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args, cfg: ExperimentConfig) -> int:
-    plan = _resolve_plan(cfg)
-    _, twist, variety = _build_with_warnings(cfg)
+def cmd_verify(args) -> int:
+    plan = _resolve_plan(args)
+    _, twist, variety = _build_with_warnings(args)
     prop = args.property
     result: dict = {"property": prop}
     ok = False
@@ -208,7 +168,7 @@ def cmd_verify(args, cfg: ExperimentConfig) -> int:
                       supports=report.min_weight_support_count,
                       violations=report.violations, reason=why)
     elif prop == "scroll-plucker":
-        frame = ScrollFrame(cfg.n, twist)
+        frame = ScrollFrame(args.n, twist)
         basis = variety.basis
         failures = [list(p) for p in variety.points
                     if not scroll_plucker_check(variety.field, p, frame, basis)]
@@ -223,50 +183,47 @@ def cmd_verify(args, cfg: ExperimentConfig) -> int:
 
     result["pass"] = ok
     _progress(f"verify {prop}: {'pass' if ok else 'FAIL'}")
-    _emit(result, cfg.output)
+    _emit(result, args.output)
     return EXIT_OK if ok else EXIT_INVALID
 
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_INVALID: argparse's own status, 2, is
+    EXIT_BUDGET here.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def _add_experiment_flags(sp) -> None:
-    sp.add_argument("--p", type=int, help="prime characteristic")
-    sp.add_argument("--e", type=int, help="base-field exponent, q = p^e "
-                    f"(default {ExperimentConfig.e})")
-    sp.add_argument("--t", type=int, help="extension degree over F_q")
-    sp.add_argument("--n", type=int, help="ambient variables, points of "
-                    f"PG(n-1) (default {ExperimentConfig.n})")
+    sp.add_argument("--p", type=int, required=True, help="prime characteristic")
+    sp.add_argument("--e", type=int, default=1,
+                    help="base-field exponent, q = p^e (default %(default)s)")
+    sp.add_argument("--t", type=int, required=True, help="extension degree over F_q")
+    sp.add_argument("--n", type=int, default=2, help="ambient variables, "
+                    "points of PG(n-1) (default %(default)s)")
     sp.add_argument("--sigma", help="comma-separated Frobenius exponents (powers of p), e.g. 0,0,2")
     sp.add_argument("--sigma-q", dest="sigma_q", help="comma-separated exponents as powers of q")
-    sp.add_argument("--budget", type=int, help="max subsets checked per search level")
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                    help="max subsets checked per search level (default %(default)s)")
     sp.add_argument("--w-max", dest="w_max", type=int, help="largest subset size to search")
-    sp.add_argument("--workers", type=int, help="parallel workers (default: the CPUs this process may use)")
-    sp.add_argument("--allow-collapse", action="store_true", default=None,
+    # the CPUs this process may run on, which a container can limit below
+    # the machine's count
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    sp.add_argument("--workers", type=int, default=cpus,
+                    help="parallel workers (default: the CPUs this process "
+                    "may use, here %(default)s)")
+    sp.add_argument("--allow-collapse", action="store_true",
                     help="silence the repeated-monomial collapse warning")
-    sp.add_argument("--config", help="JSON config file; flags override it")
     sp.add_argument("-o", "--output", help="write the JSON result here instead of stdout")
 
 
-def _config_from_args(args) -> ExperimentConfig:
-    """Flags override config-file values, which override defaults."""
-    file_data: dict = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            file_data = json.load(fh)
-        unknown = set(file_data) - {f.name for f in fields(ExperimentConfig)}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-
-    values = dict(file_data)
-    for f in fields(ExperimentConfig):
-        flag_value = getattr(args, f.name)  # None when the flag is absent
-        if flag_value is not None:
-            values[f.name] = flag_value
-    return ExperimentConfig(**values)
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twistver",
         description="Twisted Veronese point sets over finite fields and "
                     "the linear codes they define")
@@ -284,7 +241,6 @@ def main(argv=None) -> int:
 
     p_code = sub.add_parser("code", help="build the code and search the minimum distance")
     _add_experiment_flags(p_code)
-    p_code.add_argument("--variety", help="load a previously exported point table")
 
     p_verify = sub.add_parser("verify", help="run an exhaustive verification")
     p_verify.add_argument("property", choices=[
@@ -295,16 +251,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "field":
-            return cmd_field(args)
-        cfg = _config_from_args(args)
-        if args.command == "build":
-            return cmd_build(args, cfg)
-        if args.command == "code":
-            return cmd_code(args, cfg)
-        if args.command == "verify":
-            return cmd_verify(args, cfg)
-        raise AssertionError("unhandled command")
+        return {"field": cmd_field, "build": cmd_build, "code": cmd_code,
+                "verify": cmd_verify}[args.command](args)
     except BudgetExceeded as exc:
         _progress(f"error: {exc}")
         return EXIT_BUDGET

@@ -675,8 +675,6 @@ def classify_min_words(code: Code, report: CodeReport,
             "columns": list(subset),
             "points": [list(p) for p in pts],
             "collinear": collinear,
-            "q_fixed": qf,
-            "subline_frame": [list(p) for p in pts[:3]],
             "on_subline": on_sub,
         })
     report.min_weight_support_count = len(hits)

@@ -481,8 +481,3 @@ class Field:
 
     def __hash__(self) -> int:
         return hash((self.p, self.m, self.e))
-
-
-def build_field(p: int, m: int, **kwargs) -> Field:
-    """GF(p^m) with the deterministic lex-smallest modulus."""
-    return Field(p, m, **kwargs)

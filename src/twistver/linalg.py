@@ -17,7 +17,6 @@ performance-critical path; everything else favours clarity.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -64,42 +63,12 @@ class Matrix:
     def submatrix_cols(self, cols: Sequence[int]) -> "Matrix":
         return Matrix(self.field, self.data[:, list(cols)].copy())
 
-    # -- interchange ---------------------------------------------------------
-
-    def to_json(self) -> dict:
-        f = self.field
-        return {"p": f.p, "e": f.e, "t": f.t, "rows": self.rows,
-                "cols": self.cols, "data": self.data.tolist()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Matrix":
-        f = Field(obj["p"], obj["e"] * obj["t"], e=obj["e"])
-        data = np.array(obj["data"], dtype=np.int64)
-        if data.shape != (obj["rows"], obj["cols"]):
-            raise ValueError("matrix shape does not match declared rows/cols")
-        return cls(f, data)
-
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh)
-
-    @classmethod
-    def read_json(cls, path) -> "Matrix":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
-
     def write_csv(self, path) -> None:
         # entries are the canonical integer encodings sum(c_i * p^i)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             for row in self.data.tolist():
                 w.writerow(row)
-
-    @classmethod
-    def read_csv(cls, field: Field, path) -> "Matrix":
-        with open(path, newline="", encoding="utf-8") as fh:
-            data = [[int(x) for x in row] for row in csv.reader(fh) if row]
-        return cls(field, np.array(data, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

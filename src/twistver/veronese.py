@@ -19,7 +19,6 @@ reduction mod (x^{q^t} - x) is ever needed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
@@ -97,10 +96,6 @@ class Twist:
         for s in self.exponents:
             g = math.gcd(g, s)
         return self.p ** g
-
-    def describe(self) -> dict:
-        return {"exponents": list(self.exponents), "d": self.d,
-                "norm": self.norm, "q_fixed": self.q_fixed}
 
 
 @dataclass
@@ -195,13 +190,6 @@ class VarietyMatrix:
             "coords": self.coords.tolist(),
         }
 
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh)
-
-    def write_csv(self, path) -> None:
-        Matrix(self.field, self.coords).write_csv(path)
-
 
 def build_variety(field: Field, n: int, twist: Twist) -> VarietyMatrix:
     """Embed every point; verify injectivity and record the table rank."""
@@ -223,30 +211,6 @@ def build_variety(field: Field, n: int, twist: Twist) -> VarietyMatrix:
     r = rank(Matrix(field, coords))
     return VarietyMatrix(field=field, n=n, twist=twist, basis=basis,
                          points=pts, coords=coords, rank_=r)
-
-
-def load_variety(path) -> VarietyMatrix:
-    """Read a table written by write_json.  Its points and coords must be
-    those build_variety makes from its field, n and twist; anything else,
-    a missing key or malformed value included, raises ValueError."""
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    try:
-        f = obj["field"]
-        field = Field(f["p"], f["e"] * f["t"], e=f["e"])
-        if list(field.modulus) != list(f["modulus"]):
-            raise ValueError(
-                "file was written with a different defining modulus; "
-                "cross-field imports are not supported")
-        twist = Twist(field.p, field.m, tuple(obj["sigma_exponents"]))
-        variety = build_variety(field, obj["n"], twist)
-        same = (obj["points"] == [list(p) for p in variety.points]
-                and obj["coords"] == variety.coords.tolist())
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed point table: {exc!r}") from exc
-    if not same:
-        raise ValueError("point table is not the embedding of its points")
-    return variety
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from twistver import Field, Twist, build_variety
 from twistver.cli import main
 
 
@@ -40,6 +42,9 @@ def test_build_writes_variety(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert len(data["points"]) == 28
     assert data["effective_N"] == 6
+    v = build_variety(Field(3, 3), 2, Twist(3, 3, (0, 0, 2)))
+    assert data["points"] == [list(p) for p in v.points]
+    assert data["coords"] == v.coords.tolist()
 
 
 def test_build_collapse_warning(tmp_path, capsys):
@@ -72,6 +77,9 @@ def test_build_csv_export(tmp_path):
     rows = [r for r in csv_path.read_text().splitlines() if r]
     assert len(rows) == 3  # effective_N rows
     assert all(len(r.split(",")) == 6 for r in rows)
+    v = build_variety(Field(5, 1), 2, Twist(5, 1, (0, 0)))
+    entries = np.array([[int(x) for x in r.split(",")] for r in rows])
+    assert (entries == v.coords.T).all()
 
 
 # -- code -----------------------------------------------------------------------
@@ -163,51 +171,6 @@ def test_code_command_rejects_w_max_below_two(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_code_command_from_variety_file(tmp_path):
-    vfile = tmp_path / "v.json"
-    assert run_cli(["build", "--p", "2", "--e", "1", "--t", "4", "--n", "2",
-                    "--sigma", "0,2", "-o", str(vfile)]) == 0
-    out = tmp_path / "report.json"
-    assert run_cli(["code", "--variety", str(vfile), "--workers", "1",
-                    "-o", str(out)]) == 0
-    rep = json.loads(out.read_text())
-    assert (rep["nu"], rep["kappa"], rep["delta"]) == (17, 13, 4)
-    assert rep["min_weight_support_count"] == 340
-
-
-def _tampered_variety(tmp_path, change):
-    vfile = tmp_path / "v.json"
-    assert run_cli(["build", "--p", "2", "--e", "1", "--t", "4", "--n", "2",
-                    "--sigma", "0,2", "-o", str(vfile)]) == 0
-    obj = json.loads(vfile.read_text())
-    change(obj)
-    vfile.write_text(json.dumps(obj))
-    return vfile
-
-
-def _swap_coords_rows(obj):
-    obj["coords"][3], obj["coords"][4] = obj["coords"][4], obj["coords"][3]
-
-
-def _point_out_of_range(obj):
-    obj["points"][5][1] = 16  # GF(16) has elements 0..15
-
-
-@pytest.mark.parametrize("change", [
-    _swap_coords_rows,
-    _point_out_of_range,
-    lambda obj: obj.pop("n"),
-], ids=["swapped-coords-rows", "point-out-of-range", "missing-n"])
-def test_code_command_rejects_tampered_variety_file(tmp_path, capsys,
-                                                    change):
-    vfile = _tampered_variety(tmp_path, change)
-    out = tmp_path / "report.json"
-    assert run_cli(["code", "--variety", str(vfile), "--workers", "1",
-                    "-o", str(out)]) == 1
-    assert "error:" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_code_command_sigma_q(tmp_path):
     # q = 4, t = 2: power-of-q exponent 1 equals power-of-p exponent 2
     out = tmp_path / "report.json"
@@ -238,48 +201,20 @@ def test_sigma_flags_are_exclusive(capsys):
     assert "exactly one" in capsys.readouterr().err
 
 
-# -- config file -------------------------------------------------------------------
-
-def test_config_file_supplies_defaults(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(
-        {"p": 3, "t": 3, "sigma": "0,0,1", "workers": 1}))
-    out = tmp_path / "report.json"
-    assert run_cli(["code", "--config", str(cfg), "-o", str(out)]) == 0
-    rep = json.loads(out.read_text())
-    assert (rep["nu"], rep["kappa"], rep["delta"], rep["status"]) == \
-        (28, 22, 7, "MDS")
+CODE_ARGS = ["code", "--p", "3", "--t", "3", "--sigma", "0,0,2"]
 
 
-def test_flags_override_config_file(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(
-        {"p": 3, "t": 3, "sigma": "0,0,1", "workers": 1}))
-    out = tmp_path / "report.json"
-    assert run_cli(["code", "--config", str(cfg), "--sigma", "0,0,2",
-                    "-o", str(out)]) == 0
-    rep = json.loads(out.read_text())
-    assert rep["sigma_exponents"] == [0, 0, 2]
-    assert rep["delta"] == 6
-
-
-def test_config_file_rejects_unknown_keys(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"p": 3, "t": 3, "sigma": "0,0,1", "beta": 1}))
-    assert run_cli(["code", "--config", str(cfg)]) == 1
-    assert "unknown config keys" in capsys.readouterr().err
-
-
-def test_budget_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("TWISTVER_BUDGET", "1000")
-    out = tmp_path / "report.json"
-    code = run_cli(["code", "--p", "3", "--e", "1", "--t", "3", "--n", "2",
-                    "--sigma", "0,0,2", "--workers", "1", "-o", str(out)])
-    assert code == 2  # env budget too small for an exact answer
-    monkeypatch.setenv("TWISTVER_BUDGET", "1000000")
-    assert run_cli(["code", "--p", "3", "--e", "1", "--t", "3", "--n", "2",
-                    "--sigma", "0,0,2", "--workers", "1",
-                    "-o", str(out)]) == 0
+@pytest.mark.parametrize("argv", [
+    CODE_ARGS + ["--variety", "v.json"],
+    CODE_ARGS + ["--budget", "abc"],
+    ["verify", "no-such-property", "--p", "3", "--t", "3", "--sigma", "0,0,2"],
+], ids=["unknown-flag", "non-integer-budget", "unknown-verify-property"])
+def test_usage_errors_exit_invalid(capsys, argv):
+    # argparse's own status, 2, would read as "budget exhausted"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
 
 
 # -- verify --------------------------------------------------------------------------

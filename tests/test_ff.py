@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistver.ff import (Field, FieldTables, LogOps, build_field,
-                         is_irreducible, is_prime, lex_smallest_irreducible,
-                         poly_mul, prime_factors)
+from twistver.ff import (Field, FieldTables, LogOps, is_irreducible, is_prime,
+                         lex_smallest_irreducible, poly_mul, prime_factors)
 
 from conftest import get_field
 
@@ -14,7 +13,7 @@ from conftest import get_field
 # -- modulus selection -------------------------------------------------------
 
 def test_gf4_modulus_is_unique_irreducible_quadratic():
-    assert build_field(2, 2).modulus == (1, 1, 1)  # x^2 + x + 1
+    assert Field(2, 2).modulus == (1, 1, 1)  # x^2 + x + 1
 
 
 def _scan_irreducible_cubics_mod3():
@@ -39,23 +38,23 @@ def _scan_irreducible_cubics_mod3():
 def test_gf27_modulus_matches_exhaustive_scan():
     expected = _scan_irreducible_cubics_mod3()
     assert expected == [1, 2, 0, 1]  # x^3 + 2x + 1
-    assert list(build_field(3, 3).modulus) == expected
+    assert list(Field(3, 3).modulus) == expected
 
 
 def test_prime_field_modulus_is_x():
-    f = build_field(5, 1)
+    f = Field(5, 1)
     assert f.modulus == (0, 1)
     assert f.mul(3, 4) == 2
     assert f.add(3, 4) == 2
 
 
-def test_build_field_errors():
+def test_field_construction_errors():
     with pytest.raises(ValueError):
-        build_field(4, 2)
+        Field(4, 2)
     with pytest.raises(ValueError):
-        build_field(2, 0)
+        Field(2, 0)
     with pytest.raises(ValueError):
-        build_field(2, 30)  # beyond the default bound
+        Field(2, 30)  # beyond the default bound
     with pytest.raises(ValueError):
         Field(2, 4, e=3)  # e does not divide m
 

@@ -282,21 +282,6 @@ def test_det_multiplicative_above_pair_table_order(p, m_):
         assert det(Matrix.from_rows(f, ab)) == f.mul(det(a), det(b))
 
 
-# -- interchange -------------------------------------------------------------
-
-def test_csv_json_roundtrip(tmp_path, gf27):
-    rng = np.random.default_rng(23)
-    m = random_matrix(gf27, 4, 7, rng)
-    p_json = tmp_path / "m.json"
-    p_csv = tmp_path / "m.csv"
-    m.write_json(p_json)
-    m.write_csv(p_csv)
-    m2 = Matrix.read_json(p_json)
-    m3 = Matrix.read_csv(gf27, p_csv)
-    assert (m2.data == m.data).all() and m2.field == gf27
-    assert (m3.data == m.data).all()
-
-
 def test_matrix_entry_validation(gf27):
     with pytest.raises(ValueError):
         Matrix(gf27, np.array([[27]]))

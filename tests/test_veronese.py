@@ -6,8 +6,8 @@ import pytest
 
 from twistver.pg import enum_points
 from twistver.veronese import (MonomialBasis, ScrollFrame, Twist,
-                               build_variety, embed_point, load_variety,
-                               monomial_basis, scroll_plucker_check)
+                               build_variety, embed_point, monomial_basis,
+                               scroll_plucker_check)
 
 from conftest import get_field, get_variety
 
@@ -176,17 +176,6 @@ def test_variety_rows_pairwise_nonproportional():
         inv = f.inv(nz)
         canon.add(tuple(f.mul(inv, int(x)) for x in row))
     assert len(canon) == v.num_points
-
-
-def test_variety_json_roundtrip(tmp_path):
-    v = get_variety(2, 4, 2, (0, 2))
-    path = tmp_path / "v.json"
-    v.write_json(path)
-    v2 = load_variety(path)
-    assert v2.points == v.points
-    assert (v2.coords == v.coords).all()
-    assert v2.twist.exponents == v.twist.exponents
-    assert v2.rank_ == v.rank_
 
 
 def test_build_variety_wrong_field():
