@@ -16,8 +16,11 @@ import sys
 import time
 from pathlib import Path
 
-from twistver import Field, SearchPlan, Twist, build_code, build_variety
-from twistver.codes import DEFAULT_BUDGET, analyze
+# run from a plain checkout: import the package from its src directory
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from twistver import Field, SearchPlan, Twist, build_code, build_variety  # noqa: E402
+from twistver.codes import DEFAULT_BUDGET, analyze  # noqa: E402
 
 CASES = [
     # label, p, e, t, n, sigma exponents (powers of p)

@@ -19,7 +19,7 @@ import time
 from typing import Optional
 
 from .codes import (DEFAULT_BUDGET, BudgetExceeded, SearchPlan, analyze,
-                    build_code, verify_dep_classification,
+                    build_code, classification_scan, verify_dep_classification,
                     verify_general_position, verify_oracle_equivalence)
 from .ff import Field
 from .veronese import (ScrollFrame, Twist, build_variety, monomial_basis,
@@ -128,8 +128,9 @@ def cmd_code(args) -> int:
                   f"({s.seconds:.2f}s)")
     if (report.delta_exact and report.delta == code.twist.d + 2
             and report.min_weight_support_count is None):
-        _progress(f"  [classify] skipped: C({code.nu}, {report.delta}) "
-                  f"subsets exceed the budget {plan.budget}; "
+        k, cost = classification_scan(code)
+        _progress(f"  [classify] skipped: C({code.nu - k}, {report.delta - k})"
+                  f" = {cost} subsets exceed the budget {plan.budget}; "
                   "min_weight_support_count is null")
     payload = report.to_json()
     payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())

@@ -40,9 +40,11 @@ J. Algorithms 26, 1998).  This is exact for two reasons:
   (restriction "none").
 
 The subline structure is an output, not a shortcut: classify_min_words
-scans the d+2 level in full (k = 0, since it must list every support)
-and checks every support for collinear pre-images on a common PG(1, q')
-subline.
+lists the h supports through columns 0 and 1 (k = 2; all of them if
+k < 2), counts h C(nu, 2) / C(d+2, 2) by double counting, since every
+column pair lies in h, and checks each listed one for collinear
+pre-images on a common PG(1, q') subline.  The kept symmetries come from
+matrices, which map sublines to sublines, so the listed ones speak for all.
 
 Each level walks a depth-first tree of independent column
 prefixes, reusing the incremental elimination workspace; one vectorized
@@ -66,7 +68,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import (asdict, dataclass, field as dc_field, fields,
                          replace)
 from itertools import combinations
@@ -389,15 +391,13 @@ def _run_level(code: Code, w: int, plan: SearchPlan, *, early_exit: bool,
     """One level of w-subsets in lexicographic order: exhaustive, or with
     early exit at the first dependent subset.
 
-    With k > 0 (early exit only) the level scans only the subsets that
-    contain the columns 0 .. k-1, which are the lexicographically first
-    C(nu-k, w-k).  The caller must have proved, by column_orbit_prefix,
-    that every w-subset maps onto one of them under a symmetry of H, so
-    an empty scan proves the level empty (restriction "orbit:k"), and a
-    hit is the one the unrestricted scan would have stopped at
-    (restriction "none").
+    With k > 0 the level scans only the subsets that contain the columns
+    0 .. k-1, which are the lexicographically first C(nu-k, w-k).  The
+    caller must have proved, by column_orbit_prefix, that every w-subset
+    maps onto one of them under a symmetry of H, so the hits meet every
+    orbit of dependent sets (restriction "orbit:k"), and an early-exit
+    hit is the one the unrestricted scan stops at (restriction "none").
     """
-    assert early_exit or not k, "a reduced level lists only some hits"
     nu = code.nu
     start = time.perf_counter()
     total = comb(nu - k, w - k)
@@ -415,7 +415,7 @@ def _run_level(code: Code, w: int, plan: SearchPlan, *, early_exit: bool,
     else:
         checked = min(total, plan.budget)
 
-    restriction = f"orbit:{k}" if k and not hits else "none"
+    restriction = f"orbit:{k}" if k and not (early_exit and hits) else "none"
     record = StageRecord(label=label, w=w, restriction=restriction,
                          checked=checked, dependent_found=len(hits),
                          early_exit=early_exit, capped=capped,
@@ -626,35 +626,34 @@ def mds_status(report: CodeReport) -> str:
 # Minimum-weight support classification
 # ---------------------------------------------------------------------------
 
-def classification_fits(code: Code, plan: SearchPlan) -> bool:
-    """Whether classify_min_words' full scan of the C(nu, d+2) subsets of
-    the d+2 level fits the plan's budget."""
-    return comb(code.nu, code.twist.d + 2) <= plan.budget
+def classification_scan(code: Code) -> tuple[int, int]:
+    """(k, checks) of classify_min_words' scan: the C(nu-2, d) supersets
+    of {0, 1} if column_orbit_prefix proves k = 2, else C(nu, d+2)."""
+    k = 2 if column_orbit_prefix(code) == 2 else 0
+    return k, comb(code.nu - k, code.twist.d + 2 - k)
 
 
 def classify_min_words(code: Code, report: CodeReport,
                        plan: Optional[SearchPlan] = None) -> CodeReport:
-    """Enumerate every dependent (d+2)-subset exhaustively (no geometric
-    restriction) and verify each against the expected structure: collinear
-    pre-images lying on one fixed-subfield subline.  Violations are
-    recorded, never dropped."""
+    """Count the dependent (d+2)-subsets, list them (k = 0) or those
+    through columns 0 and 1 (k = 2; see the module docstring), and check
+    each listed one: minimal, collinear pre-images on one PG(1, q')
+    subline.  Records violations; over the budget, raises BudgetExceeded."""
     plan = plan or SearchPlan()
     d = code.twist.d
     if report.delta != d + 2 or not report.delta_exact:
         raise ValueError(
             "support classification applies only when the exact minimum "
             "distance equals d + 2")
-    if not classification_fits(code, plan):
+    k, cost = classification_scan(code)
+    if cost > plan.budget:
         raise BudgetExceeded(
-            f"classification needs {comb(code.nu, d + 2)} checks, "
-            f"budget is {plan.budget}")
+            f"classification needs {cost} checks, budget is {plan.budget}")
     record, hits = _run_level(code, d + 2, plan, early_exit=False,
-                              label="classify")
+                              label="classify", k=k)
 
-    field = code.field
-    qf = code.twist.q_fixed
-    supports = []
-    violations = []
+    field, qf = code.field, code.twist.q_fixed
+    supports, violations = [], []
     for subset in hits:
         pts = [code.variety.points[i] for i in subset]
         problem = _minimality_problem(code, subset)
@@ -665,19 +664,19 @@ def classify_min_words(code: Code, report: CodeReport,
         # PG(1, q') subline that could hold them all
         on_sub = (collinear and qf + 1 >= len(pts)
                   and set(pts) <= set(subline_through(field, *pts[:3], qf)))
-        if not collinear:
-            violations.append({"columns": list(subset),
-                               "problem": "pre-images not collinear"})
-        elif not on_sub:
-            violations.append({"columns": list(subset),
-                               "problem": "pre-images not on a common subline"})
-        supports.append({
-            "columns": list(subset),
-            "points": [list(p) for p in pts],
-            "collinear": collinear,
-            "on_subline": on_sub,
-        })
-    report.min_weight_support_count = len(hits)
+        if not on_sub:
+            violations.append({"columns": list(subset), "problem": (
+                "pre-images not on a common subline" if collinear
+                else "pre-images not collinear")})
+        supports.append({"columns": list(subset),
+                         "points": [list(p) for p in pts],
+                         "collinear": collinear, "on_subline": on_sub})
+    count = len(hits)
+    if k:  # C(nu, 2) pairs in h supports each, C(d+2, 2) pairs per support
+        count, rest = divmod(count * comb(code.nu, 2), comb(d + 2, 2))
+        if rest:  # an invariant, checked also under python -O
+            raise AssertionError("supports not spread evenly over pairs")
+    report.min_weight_support_count = count
     report.supports = supports
     report.violations = violations
     report.stage_log.append(record)
@@ -687,12 +686,12 @@ def classify_min_words(code: Code, report: CodeReport,
 
 def analyze(code: Code, plan: Optional[SearchPlan] = None) -> CodeReport:
     """The whole pipeline: min_distance, then classify_min_words when the
-    distance is exactly d + 2 and the classification fits the budget."""
+    distance is exactly d + 2 (over the budget, the count stays null)."""
     plan = plan or SearchPlan()
     report = min_distance(code, plan)
-    if (report.delta_exact and report.delta == code.twist.d + 2
-            and classification_fits(code, plan)):
-        report = classify_min_words(code, report, plan)
+    if report.delta_exact and report.delta == code.twist.d + 2:
+        with suppress(BudgetExceeded):
+            report = classify_min_words(code, report, plan)
     return report
 
 

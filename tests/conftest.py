@@ -2,7 +2,9 @@ from functools import lru_cache
 
 import pytest
 
-from twistver import Field, Twist, build_code, build_variety
+import twistver.codes as codes_mod
+from twistver import (Field, Twist, build_code, build_variety,
+                      classify_min_words, min_distance)
 
 
 @lru_cache(maxsize=None)
@@ -19,6 +21,17 @@ def get_variety(p, m, n, exps, e=1):
 
 def get_code(p, m, n, exps, e=1):
     return build_code(get_variety(p, m, n, exps, e))
+
+
+def classify_counted_and_full(code, monkeypatch, plan=None):
+    """classify_min_words on the counted path (k = 2: the supports through
+    columns 0 and 1) and on the full path (k = 0: every support), reached
+    by letting no generator pass as a column symmetry."""
+    counted = classify_min_words(code, min_distance(code, plan), plan)
+    with monkeypatch.context() as m:
+        m.setattr(codes_mod, "_is_column_symmetry", lambda *a: False)
+        full = classify_min_words(code, min_distance(code, plan), plan)
+    return counted, full
 
 
 @pytest.fixture

@@ -14,13 +14,15 @@ import pytest
 
 import twistver.codes as codes_mod
 from twistver import (Field, IncrementalElim, Matrix, ScrollFrame, SearchPlan,
-                      Twist, build_code, build_variety, classify_min_words,
-                      enum_points, kernel_basis, min_distance,
-                      monomial_basis, oracle_min_distance, rank,
+                      Twist, build_code, build_variety, enum_points,
+                      kernel_basis, min_distance, monomial_basis,
+                      oracle_min_distance, rank,
                       scroll_plucker_check, sublines_of_line,
                       verify_general_position)
 from twistver.linalg import mat_vec
 from twistver.pg import is_collinear
+
+from conftest import classify_counted_and_full
 
 
 def _passline(tag, detail):
@@ -110,12 +112,17 @@ def test_A4_p2_mds_over_gf32():
                     f"({elapsed:.2f}s)")
 
 
-def test_A5_min_weight_support_classification():
+def test_A5_min_weight_support_classification(monkeypatch):
     code = _fresh_code(2, 4, 2, (0, 2))
     assert code.twist.q_fixed == 4 and code.twist.d == 2
     report = min_distance(code, SearchPlan(workers=1))
     assert report.delta == 4
-    report = classify_min_words(code, report, SearchPlan(workers=1))
+    # counted from the supports through columns 0 and 1, and listed in
+    # full by the unreduced scan
+    counted, report = classify_counted_and_full(code, monkeypatch,
+                                                SearchPlan(workers=1))
+    assert counted.min_weight_support_count == 340
+    assert counted.violations == []
     assert report.min_weight_support_count == 340
     assert report.violations == []
     assert all(s["on_subline"] for s in report.supports)
@@ -136,19 +143,27 @@ def test_A5_min_weight_support_classification():
                     "PG(1,4) sublines (count reproduced by frame enumeration)")
 
 
-def test_A6_classical_veronese_cases():
+def test_A6_classical_veronese_cases(monkeypatch):
     code = _fresh_code(5, 1, 2, (0, 0))
     report = min_distance(code, SearchPlan(workers=1))
     assert (report.nu, report.kappa, report.delta) == (6, 3, 4)
     assert report.status == "MDS"
-    report = classify_min_words(code, report, SearchPlan(workers=1))
+    counted, report = classify_counted_and_full(code, monkeypatch,
+                                                SearchPlan(workers=1))
+    assert counted.violations == []
+    assert (counted.min_weight_support_count
+            == report.min_weight_support_count)
     assert report.violations == []
     assert all(s["collinear"] for s in report.supports)
 
     code2 = _fresh_code(2, 2, 3, (0, 0))
     report2 = min_distance(code2, SearchPlan(workers=1))
     assert (report2.nu, report2.kappa, report2.delta) == (21, 15, 4)
-    report2 = classify_min_words(code2, report2, SearchPlan(workers=1))
+    counted2, report2 = classify_counted_and_full(code2, monkeypatch,
+                                                  SearchPlan(workers=1))
+    assert counted2.violations == []
+    assert (counted2.min_weight_support_count
+            == report2.min_weight_support_count)
     assert report2.violations == []
     assert all(s["collinear"] for s in report2.supports)
     _passline("A6", "[6,3,4] over GF(5) and [21,15,4] over GF(4), all "

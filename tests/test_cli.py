@@ -132,16 +132,33 @@ def test_code_command_w_max_is_not_a_budget_exit(tmp_path, capsys):
 
 def test_code_command_keeps_exact_result_when_classification_does_not_fit(
         tmp_path, capsys):
-    # GF(16) plane, twist (0,2): delta = 4 = d + 2 is exact, but the
-    # classification would need C(273, 4) > DEFAULT_BUDGET checks
+    # GF(16) plane, twist (0,2): a budget of 1000 settles the search
+    # (levels of 1 and 271 checks, then a hit at the 6th subset), and
+    # delta = 4 = d + 2 is exact, but the counted classification would
+    # need C(271, 2) = 36585 checks
+    out = tmp_path / "report.json"
+    code = run_cli(["code", "--p", "2", "--t", "4", "--n", "3",
+                    "--sigma", "0,2", "--budget", "1000", "--workers", "1",
+                    "-o", str(out)])
+    assert code == 0
+    rep = json.loads(out.read_text())
+    assert (rep["delta"], rep["delta_exact"]) == (4, True)
+    assert rep["min_weight_support_count"] is None
+    err = capsys.readouterr().err
+    assert "[classify] skipped: C(271, 2) = 36585 subsets" in err
+
+
+def test_code_command_counts_supports_at_the_default_budget(tmp_path, capsys):
+    # the same code: C(273, 4) exceeds the default budget, the counted
+    # scan of C(271, 2) supersets of columns {0, 1} does not
     out = tmp_path / "report.json"
     code = run_cli(["code", "--p", "2", "--t", "4", "--n", "3",
                     "--sigma", "0,2", "--workers", "1", "-o", str(out)])
     assert code == 0
     rep = json.loads(out.read_text())
-    assert (rep["delta"], rep["delta_exact"]) == (4, True)
-    assert rep["min_weight_support_count"] is None
-    assert "[classify] skipped" in capsys.readouterr().err
+    assert rep["min_weight_support_count"] == 92_820
+    assert rep["violations"] == [] and len(rep["supports"]) == 15
+    assert "[classify] skipped" not in capsys.readouterr().err
 
 
 def test_code_command_rejects_budget_below_one(tmp_path, capsys):

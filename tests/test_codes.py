@@ -18,7 +18,7 @@ from twistver.codes import (BudgetExceeded, CodeReport,
 from twistver.linalg import IncrementalElim, rank
 from twistver.pg import is_collinear
 
-from conftest import get_code, get_variety
+from conftest import classify_counted_and_full, get_code, get_variety
 
 
 # -- construction -------------------------------------------------------------
@@ -113,11 +113,12 @@ def test_subline_restricted_level_gf16():
     by_w = {s.w: s for s in rep.stage_log}
     assert by_w[4].restriction == "none"
     # the 340 supports on the 68 PG(1, 4) sublines are counted by the
-    # classification, which scans the level in full
+    # classification from the 15 that contain columns 0 and 1
     rep = classify_min_words(c, rep)
     assert rep.min_weight_support_count == 68 * comb(5, 4) == 340
     classify = [s for s in rep.stage_log if s.label == "classify"]
-    assert classify[0].dependent_found == 340
+    assert classify[0].dependent_found == 15
+    assert classify[0].restriction == "orbit:2"
 
 
 def test_collinear_restricted_level_pg2():
@@ -273,9 +274,11 @@ def test_plane_over_gf16_with_fixed_subfield_gf4():
 
 # -- classification ---------------------------------------------------------------
 
-def test_classify_gf16_supports():
+def test_classify_gf16_supports(monkeypatch):
     c = get_code(2, 4, 2, (0, 2))
-    rep = classify_min_words(c, min_distance(c))
+    counted, rep = classify_counted_and_full(c, monkeypatch)
+    assert counted.min_weight_support_count == 340
+    assert counted.violations == []
     assert rep.min_weight_support_count == 340
     assert rep.violations == []
     assert all(s["collinear"] and s["on_subline"] for s in rep.supports)
@@ -296,7 +299,9 @@ def test_classify_tests_collinearity_once_per_support(monkeypatch):
     monkeypatch.setattr(codes_mod, "is_collinear", counting)
     c = get_code(2, 4, 2, (0, 2))
     rep = classify_min_words(c, min_distance(c))
-    assert len(calls) == rep.min_weight_support_count == 340
+    assert (len(calls) == len(rep.supports)
+            == rep.stage_log[-1].dependent_found == 15)
+    assert rep.min_weight_support_count == 340
     assert rep.violations == []
     assert all(s["collinear"] and s["on_subline"] for s in rep.supports)
 
@@ -308,10 +313,12 @@ def test_classify_classical_conic_all_quadruples():
     assert rep.violations == []
 
 
-def test_classify_veronese_surface_supports_collinear():
+def test_classify_veronese_surface_supports_collinear(monkeypatch):
     c = get_code(2, 2, 3, (0, 0))
-    rep = classify_min_words(c, min_distance(c))
-    assert rep.min_weight_support_count == 105
+    counted, rep = classify_counted_and_full(c, monkeypatch)
+    assert counted.min_weight_support_count == 105
+    assert counted.violations == []
+    assert rep.min_weight_support_count == len(rep.supports) == 105
     assert rep.violations == []
     assert all(s["collinear"] for s in rep.supports)
 
@@ -319,8 +326,9 @@ def test_classify_veronese_surface_supports_collinear():
 def test_classify_over_budget_raises_before_scanning(monkeypatch):
     c = get_code(5, 1, 2, (0, 0))
     rep = min_distance(c)
-    plan = SearchPlan(budget=comb(6, 4) - 1)
-    assert not codes_mod.classification_fits(c, plan)
+    # the counted scan: the C(4, 2) supersets of {0, 1}
+    assert codes_mod.classification_scan(c) == (2, comb(4, 2))
+    plan = SearchPlan(budget=comb(4, 2) - 1)
 
     def no_scan(*args, **kwargs):
         raise AssertionError("the level ran")
@@ -328,6 +336,21 @@ def test_classify_over_budget_raises_before_scanning(monkeypatch):
     monkeypatch.setattr(codes_mod, "_run_level", no_scan)
     with pytest.raises(BudgetExceeded):
         classify_min_words(c, rep, plan)
+
+
+def test_classify_records_violations(monkeypatch):
+    # the checks run on the listed supports: h = 6 for conic-5
+    c = get_code(5, 1, 2, (0, 0))
+    monkeypatch.setattr(codes_mod, "subline_through", lambda *a: [])
+    off = classify_min_words(c, min_distance(c))
+    assert [v["problem"] for v in off.violations] == [
+        "pre-images not on a common subline"] * 6
+    assert all(s["collinear"] and not s["on_subline"] for s in off.supports)
+    monkeypatch.setattr(codes_mod, "is_collinear", lambda *a: False)
+    skew = classify_min_words(c, min_distance(c))
+    assert [v["problem"] for v in skew.violations] == [
+        "pre-images not collinear"] * 6
+    assert skew.min_weight_support_count == 15
 
 
 def test_classify_requires_exact_d_plus_2():
@@ -401,6 +424,81 @@ def test_oracle_witness_is_dependent():
     delta, witness = oracle_min_distance(c)
     assert delta == 5
     assert rank(c.H.submatrix_cols(list(witness))) < 5
+
+
+# -- counted classification ---------------------------------------------------------
+
+CLASSIFY_CONFIGS = [
+    (5, 1, 2, (0, 0)),        # conic-5
+    (7, 1, 2, (0, 0)),        # conic over GF(7)
+    (3, 2, 2, (0, 1)),        # subline-9
+    (2, 4, 2, (0, 2)),        # subline-16
+    (2, 2, 3, (0, 0), 2),     # veronese-surface-4
+    (3, 2, 3, (0, 1)),        # plane-9
+]  # every tier-1 case with delta = d + 2 and C(nu, d+2) within the budget
+
+
+def _closed_form_count(code):
+    """lines(PG(n-1, Q)) |PGL(2, Q)| / |PGL(2, q')| C(q'+1, d+2): each line
+    holds |PGL(2, Q)| / |PGL(2, q')| PG(1, q') sublines, and each subline
+    C(q'+1, d+2) dependent (d+2)-sets.  A check only; the code does not
+    use it."""
+    big, n = code.field.order, code.variety.n
+    small, d = code.twist.q_fixed, code.twist.d
+    lines = ((big ** n - 1) * (big ** (n - 1) - 1)
+             // ((big ** 2 - 1) * (big - 1)))
+
+    def pgl2(q):
+        return q * (q * q - 1)
+
+    return lines * pgl2(big) // pgl2(small) * comb(small + 1, d + 2)
+
+
+@pytest.mark.parametrize("cfg", CLASSIFY_CONFIGS)
+def test_counted_classification_matches_full_scan(cfg, monkeypatch):
+    c = get_code(*cfg)
+    assert comb(c.nu, c.twist.d + 2) <= codes_mod.DEFAULT_BUDGET
+    counted, full = classify_counted_and_full(c, monkeypatch)
+    assert counted.delta == full.delta == c.twist.d + 2
+    assert counted.stage_log[-1].restriction == "orbit:2"
+    assert full.stage_log[-1].restriction == "none"
+    # every listed support of the counted path is one of the full list
+    listed = [s["columns"] for s in full.supports]
+    assert all(s["columns"] in listed for s in counted.supports)
+    assert len(full.supports) == full.min_weight_support_count
+    assert (counted.min_weight_support_count == full.min_weight_support_count
+            == _closed_form_count(c))
+    assert counted.violations == full.violations == []
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
+def test_closed_form_is_zero_exactly_when_delta_exceeds_d_plus_2(cfg):
+    c = get_code(*cfg)
+    rep = min_distance(c)
+    assert (rep.delta == c.twist.d + 2) == (_closed_form_count(c) > 0)
+    if rep.delta == c.twist.d + 2:
+        assert cfg in CLASSIFY_CONFIGS
+
+
+@pytest.mark.parametrize("cfg,count", [
+    ((2, 4, 3, (0, 2)), 92_820),           # plane-16
+    ((5, 2, 3, (0, 1)), 1_269_450),        # GF(25), n = 3
+    ((3, 2, 4, (0, 1)), 223_860),          # GF(9), n = 4
+    ((3, 7, 2, (0, 1)), 435_847_959),      # GF(3^7), n = 2
+])
+def test_counted_classification_at_the_default_budget(cfg, count):
+    # C(nu, d+2) exceeds DEFAULT_BUDGET in each case; the counted scan
+    # of C(nu-2, d) subsets does not
+    c = get_code(*cfg)
+    assert comb(c.nu, c.twist.d + 2) > codes_mod.DEFAULT_BUDGET
+    rep = codes_mod.analyze(c)
+    assert rep.delta == c.twist.d + 2 and rep.delta_exact
+    assert rep.min_weight_support_count == _closed_form_count(c) == count
+    assert rep.violations == []
+    h = rep.stage_log[-1].dependent_found
+    assert len(rep.supports) == h
+    assert h * comb(c.nu, 2) == count * comb(c.twist.d + 2, 2)
+    assert all(s["columns"][:2] == [0, 1] for s in rep.supports)
 
 
 # -- column symmetries ------------------------------------------------------------
