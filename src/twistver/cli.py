@@ -128,7 +128,7 @@ def cmd_code(args) -> int:
                   f"({s.seconds:.2f}s)")
     if (report.delta_exact and report.delta == code.twist.d + 2
             and report.min_weight_support_count is None):
-        k, cost = classification_scan(code)
+        k, cost = classification_scan(code, report)
         _progress(f"  [classify] skipped: C({code.nu - k}, {report.delta - k})"
                   f" = {cost} subsets exceed the budget {plan.budget}; "
                   "min_weight_support_count is null")

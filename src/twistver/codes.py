@@ -22,29 +22,34 @@ a column subset is dependent exactly when its image is.  Once per
 min_distance call, the generators of GL(n, q^t) listed by _gl_generators
 are mapped to column permutations and each is kept only if H itself
 passes the checks of _is_column_symmetry; nothing rests on the identity
-above.  Two breadth-first searches over the nu columns then give k: 2 if
-the kept permutations move column 0 onto every column and those that fix
-column 0 move column 1 onto every other one (so the group is
-2-transitive), else 1 if only the first holds, else 0.
+above.  A stabiliser chain over the nu columns then gives k, stored in
+the report as orbit_prefix: the largest k such that, for every i < k,
+the kept permutations that fix columns 0 .. i-1 move column i onto every
+column >= i, so any k distinct columns map onto (0, ..., k-1).  On a
+line (n = 2) PGL(2, q^t) is 3-transitive and k = 3 (more on the tiniest
+fields); for n >= 3 the generators that fix columns 0 and 1 fix column 2
+too, and the chain stops at 2.
 
-A level then scans only the C(nu-k, w-k) w-subsets that contain the
-columns 0 .. k-1 (McKay's "one representative per orbit", B. D. McKay,
-J. Algorithms 26, 1998).  This is exact for two reasons:
+A level then scans only the C(nu-k', w-k') w-subsets that contain the
+columns 0 .. k'-1, k' = min(k, w) (McKay's "one representative per
+orbit", B. D. McKay, J. Algorithms 26, 1998).  This is exact for two
+reasons:
 
 * every w-subset is mapped by a symmetry onto one containing them, so a
   level with no dependent superset of the prefix is empty (restriction
-  "orbit:k" in the stage log);
-* these supersets are the lexicographically first C(nu-k, w-k)
+  "orbit:k'" in the stage log);
+* these supersets are the lexicographically first C(nu-k', w-k')
   w-subsets, so the first hit among them is the global lex-first
   witness, found after the same number of checks as by the full scan
   (restriction "none").
 
 The subline structure is an output, not a shortcut: classify_min_words
-lists the h supports through columns 0 and 1 (k = 2; all of them if
-k < 2), counts h C(nu, 2) / C(d+2, 2) by double counting, since every
-column pair lies in h, and checks each listed one for collinear
-pre-images on a common PG(1, q') subline.  The kept symmetries come from
-matrices, which map sublines to sublines, so the listed ones speak for all.
+lists the h supports through the columns 0 .. k'-1, k' = min(k, d+2)
+(all of them if k = 0), counts h C(nu, k') / C(d+2, k') by double
+counting, since every k'-set of columns lies in h, and checks each listed
+one for collinear pre-images on a common PG(1, q') subline.  The kept
+symmetries come from matrices, which map sublines to sublines, so the
+listed ones speak for all.
 
 Each level walks a depth-first tree of independent column
 prefixes, reusing the incremental elimination workspace; one vectorized
@@ -191,6 +196,7 @@ class CodeReport:
     expected_N: int
     effective_N: int
     singleton_bound: int
+    orbit_prefix: int = 0
     delta: Optional[int] = None
     delta_exact: bool = False
     delta_lower_bound: int = 1
@@ -392,13 +398,14 @@ def _run_level(code: Code, w: int, plan: SearchPlan, *, early_exit: bool,
     early exit at the first dependent subset.
 
     With k > 0 the level scans only the subsets that contain the columns
-    0 .. k-1, which are the lexicographically first C(nu-k, w-k).  The
-    caller must have proved, by column_orbit_prefix, that every w-subset
-    maps onto one of them under a symmetry of H, so the hits meet every
-    orbit of dependent sets (restriction "orbit:k"), and an early-exit
-    hit is the one the unrestricted scan stops at (restriction "none").
+    0 .. k'-1, k' = min(k, w), which are the lexicographically first
+    C(nu-k', w-k').  The caller must have proved, by column_orbit_prefix,
+    that every w-subset maps onto one of them under a symmetry of H, so
+    the hits meet every orbit of dependent sets (restriction "orbit:k'"),
+    and an early-exit hit is the one the unrestricted scan stops at
+    (restriction "none").
     """
-    nu = code.nu
+    nu, k = code.nu, min(k, w)
     start = time.perf_counter()
     total = comb(nu - k, w - k)
     workers = plan.workers if total >= PARALLEL_MIN_CHECKS else 1
@@ -495,30 +502,38 @@ def _is_column_symmetry(code: Code, perm: np.ndarray,
 
 def _orbit(nu: int, start: int, perms: Sequence[np.ndarray]) -> np.ndarray:
     """Mask of the orbit of column `start` under the group the perms
-    generate, by breadth-first search."""
+    generate.  Each round adds to the whole mask its preimages under the
+    perms (their inverses generate the same group) and under the next
+    squared power p^(2^r) of each, so a long cycle is covered in log2
+    rounds; the powers lie in the group, and the search stops once the
+    perms themselves leave the mask unchanged."""
     seen = np.zeros(nu, dtype=bool)
     seen[start] = True
-    frontier = np.array([start], dtype=np.int64)
-    while frontier.size:
-        step = np.zeros_like(seen)
+    powers = perms
+    while True:
+        size = np.count_nonzero(seen)
         for p in perms:
-            step[p[frontier]] = True
-        step &= ~seen
-        seen |= step
-        frontier = np.flatnonzero(step)
-    return seen
+            seen |= seen[p]
+        if np.count_nonzero(seen) == size:
+            return seen
+        powers = [q[q] for q in powers]
+        for q in powers:
+            seen |= seen[q]
 
 
 def _orbit_prefix(nu: int, perms: Sequence[np.ndarray]) -> int:
-    """k = 2 if the group G the perms generate is transitive and the
-    perms that fix column 0 move column 1 onto every other column: then
-    g in G moves any a onto 0 and a product h of those perms moves g(b)
-    onto 1, so hg maps (a, b) onto (0, 1).  Else k = 1 if G is
-    transitive, else k = 0."""
-    if not perms or not _orbit(nu, 0, perms).all():
-        return 0
-    fixing_0 = [p for p in perms if p[0] == 0]
-    return 2 if np.count_nonzero(_orbit(nu, 1, fixing_0)) == nu - 1 else 1
+    """The largest k such that, for every i < k, the perms that fix the
+    columns 0 .. i-1 move column i onto all nu - i columns >= i: a
+    stabiliser chain, each step one orbit search over the perms of the
+    step before that fix column i-1.  Then any k distinct columns
+    (a_0, ..., a_{k-1}) map onto (0, ..., k-1): a product of the first
+    step's perms moves a_0 onto 0, one of the second step's moves the
+    image of a_1 onto 1 while 0 stays put, and so on."""
+    k = 0
+    while k < nu and np.count_nonzero(_orbit(nu, k, perms)) == nu - k:
+        perms = [p for p in perms if p[k] == k]
+        k += 1
+    return k
 
 
 def column_orbit_prefix(code: Code) -> int:
@@ -563,7 +578,7 @@ def min_distance(code: Code, plan: Optional[SearchPlan] = None) -> CodeReport:
         singleton_bound=code.nu - code.kappa + 1,
     )
     t0 = time.perf_counter()
-    k = column_orbit_prefix(code)
+    k = report.orbit_prefix = column_orbit_prefix(code)
     report.timings["symmetry"] = round(time.perf_counter() - t0, 6)
     d = code.twist.d
     for w in range(2, w_cap + 1):
@@ -626,26 +641,28 @@ def mds_status(report: CodeReport) -> str:
 # Minimum-weight support classification
 # ---------------------------------------------------------------------------
 
-def classification_scan(code: Code) -> tuple[int, int]:
-    """(k, checks) of classify_min_words' scan: the C(nu-2, d) supersets
-    of {0, 1} if column_orbit_prefix proves k = 2, else C(nu, d+2)."""
-    k = 2 if column_orbit_prefix(code) == 2 else 0
+def classification_scan(code: Code, report: CodeReport) -> tuple[int, int]:
+    """(k', checks) of classify_min_words' scan: the C(nu-k', d+2-k')
+    supersets of the columns 0 .. k'-1, k' = min(k, d+2) for the k that
+    min_distance proved and stored in the report."""
+    k = min(report.orbit_prefix, code.twist.d + 2)
     return k, comb(code.nu - k, code.twist.d + 2 - k)
 
 
 def classify_min_words(code: Code, report: CodeReport,
                        plan: Optional[SearchPlan] = None) -> CodeReport:
-    """Count the dependent (d+2)-subsets, list them (k = 0) or those
-    through columns 0 and 1 (k = 2; see the module docstring), and check
-    each listed one: minimal, collinear pre-images on one PG(1, q')
-    subline.  Records violations; over the budget, raises BudgetExceeded."""
+    """Count the dependent (d+2)-subsets, list them (k' = 0) or those
+    through the columns 0 .. k'-1 (see classification_scan and the module
+    docstring), and check each listed one: minimal, collinear pre-images
+    on one PG(1, q') subline.  Records violations; over the budget,
+    raises BudgetExceeded."""
     plan = plan or SearchPlan()
     d = code.twist.d
     if report.delta != d + 2 or not report.delta_exact:
         raise ValueError(
             "support classification applies only when the exact minimum "
             "distance equals d + 2")
-    k, cost = classification_scan(code)
+    k, cost = classification_scan(code, report)
     if cost > plan.budget:
         raise BudgetExceeded(
             f"classification needs {cost} checks, budget is {plan.budget}")
@@ -671,11 +688,10 @@ def classify_min_words(code: Code, report: CodeReport,
         supports.append({"columns": list(subset),
                          "points": [list(p) for p in pts],
                          "collinear": collinear, "on_subline": on_sub})
-    count = len(hits)
-    if k:  # C(nu, 2) pairs in h supports each, C(d+2, 2) pairs per support
-        count, rest = divmod(count * comb(code.nu, 2), comb(d + 2, 2))
-        if rest:  # an invariant, checked also under python -O
-            raise AssertionError("supports not spread evenly over pairs")
+    # C(nu, k) k-sets in h supports each, C(d+2, k) per support
+    count, rest = divmod(len(hits) * comb(code.nu, k), comb(d + 2, k))
+    if rest:  # an invariant, checked also under python -O
+        raise AssertionError("supports not spread evenly over k-sets")
     report.min_weight_support_count = count
     report.supports = supports
     report.violations = violations

@@ -44,13 +44,13 @@ def test_A1_track_over_gf27():
     assert report.status == "almost-MDS"
     assert report.delta_exact
     by_w = {s.w: s for s in report.stage_log}
-    assert by_w[4].checked == comb(26, 2) and by_w[4].dependent_found == 0
-    assert by_w[5].checked == comb(26, 3) and by_w[5].dependent_found == 0
-    assert by_w[4].restriction == by_w[5].restriction == "orbit:2"
+    assert by_w[4].checked == comb(25, 1) and by_w[4].dependent_found == 0
+    assert by_w[5].checked == comb(25, 2) and by_w[5].dependent_found == 0
+    assert by_w[4].restriction == by_w[5].restriction == "orbit:3"
     assert by_w[6].dependent_found == 1 and by_w[6].early_exit
     assert elapsed < 10.0
     _passline("A1", f"[28,22,6] almost-MDS, every 4- and 5-subset "
-                    f"independent (325+2600 orbit representatives), "
+                    f"independent (25+300 orbit representatives), "
                     f"dependent 6-set found ({elapsed:.2f}s)")
 
 
@@ -62,8 +62,8 @@ def test_A2_track_over_gf81():
     assert (report1.nu, report1.kappa, report1.delta) == (82, 76, 6)
     assert report1.status == "almost-MDS"
     by_w = {s.w: s for s in report1.stage_log}
-    assert by_w[5].checked == comb(80, 3) == 82160
-    assert by_w[5].restriction == "orbit:2"
+    assert by_w[5].checked == comb(79, 2) == 3081
+    assert by_w[5].restriction == "orbit:3"
     assert by_w[5].dependent_found == 0
     assert single < 900.0
 
@@ -73,7 +73,7 @@ def test_A2_track_over_gf81():
     assert parallel < 180.0
     assert report1.payload() == report8.payload()
     assert report1.canonical_hash() == report8.canonical_hash()
-    _passline("A2", f"[82,76,6] almost-MDS, {comb(80,3)} 5-subsets checked; "
+    _passline("A2", f"[82,76,6] almost-MDS, {comb(79,2)} 5-subsets checked; "
                     f"single {single:.1f}s, 8 workers {parallel:.1f}s, "
                     "identical reports")
 
@@ -104,11 +104,11 @@ def test_A4_p2_mds_over_gf32():
     assert (report.nu, report.kappa, report.delta) == (33, 29, 5)
     assert report.status == "MDS"
     by_w = {s.w: s for s in report.stage_log}
-    assert by_w[4].checked == comb(31, 2) == 465
-    assert by_w[4].restriction == "orbit:2"
+    assert by_w[4].checked == comb(30, 1) == 30
+    assert by_w[4].restriction == "orbit:3"
     assert by_w[4].dependent_found == 0
     assert elapsed < 5.0
-    _passline("A4", f"[33,29,5] MDS via 465 orbit-reduced 4-subset checks "
+    _passline("A4", f"[33,29,5] MDS via 30 orbit-reduced 4-subset checks "
                     f"({elapsed:.2f}s)")
 
 

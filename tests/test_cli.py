@@ -109,7 +109,7 @@ def test_code_command_stdout_is_pure_json(capsys):
 def test_code_command_budget_exit(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = run_cli(["code", "--p", "3", "--e", "1", "--t", "3", "--n", "2",
-                    "--sigma", "0,0,2", "--budget", "1000", "--workers", "1",
+                    "--sigma", "0,0,2", "--budget", "100", "--workers", "1",
                     "-o", str(out)])
     assert code == 2
     rep = json.loads(out.read_text())
@@ -146,6 +146,28 @@ def test_code_command_keeps_exact_result_when_classification_does_not_fit(
     assert rep["min_weight_support_count"] is None
     err = capsys.readouterr().err
     assert "[classify] skipped: C(271, 2) = 36585 subsets" in err
+
+
+def test_code_command_runs_the_symmetry_step_once(tmp_path, capsys,
+                                                 monkeypatch):
+    # the skip note reads the prefix that the search stored in the report
+    import twistver.codes as codes_mod
+    calls = []
+    real = codes_mod.column_orbit_prefix
+
+    def counted(code):
+        calls.append(code.nu)
+        return real(code)
+
+    monkeypatch.setattr(codes_mod, "column_orbit_prefix", counted)
+    out = tmp_path / "report.json"
+    code = run_cli(["code", "--p", "2", "--t", "4", "--n", "3",
+                    "--sigma", "0,2", "--budget", "1000", "--workers", "1",
+                    "-o", str(out)])
+    assert code == 0
+    assert "[classify] skipped" in capsys.readouterr().err
+    assert calls == [273]
+    assert json.loads(out.read_text())["orbit_prefix"] == 2
 
 
 def test_code_command_counts_supports_at_the_default_budget(tmp_path, capsys):
@@ -243,7 +265,7 @@ def test_verify_general_position(tmp_path, capsys):
                     "--sigma", "0,0,2", "--workers", "1", "-o", str(out)])
     assert code == 0
     res = json.loads(out.read_text())
-    assert res["pass"] is True and res["checked"] == 325  # C(26, 2)
+    assert res["pass"] is True and res["checked"] == 25  # C(25, 1)
 
 
 def test_verify_general_position_failure(capsys):
@@ -285,7 +307,8 @@ def test_verify_oracle_equivalence(tmp_path):
 
 
 def test_verify_dep_classification_budget_exit(capsys):
-    # level 3 needs C(15, 1) = 15 > 5 checks and holds no dependent set
+    # level 4 settles at its first hit, but the counted classification
+    # needs C(14, 1) = 14 > 5 checks
     code = run_cli(["verify", "dep-classification", "--p", "2", "--t", "4",
                     "--sigma", "0,2", "--budget", "5", "--workers", "1"])
     assert code == 2
@@ -294,7 +317,7 @@ def test_verify_dep_classification_budget_exit(capsys):
 
 
 def test_verify_oracle_equivalence_budget_exit(capsys):
-    # level 3 needs C(3, 1) = 3 > 1 checks and holds no dependent set
+    # level 4 needs C(2, 1) = 2 > 1 checks and holds no dependent set
     code = run_cli(["verify", "oracle-equivalence", "--p", "2", "--t", "2",
                     "--sigma", "0,1", "--budget", "1", "--workers", "1"])
     assert code == 2

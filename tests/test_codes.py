@@ -49,8 +49,9 @@ def test_min_distance_track_gf27():
     assert rep.status == "almost-MDS"
     assert rep.singleton_bound == 7
     by_w = {s.w: s for s in rep.stage_log}
-    assert by_w[4].checked == comb(26, 2) == 325
-    assert by_w[5].checked == comb(26, 3) == 2600
+    # PGL(2, 27) is 3-transitive: the supersets of columns {0, 1, 2}
+    assert by_w[4].checked == comb(25, 1) == 25
+    assert by_w[5].checked == comb(25, 2) == 300
     assert by_w[6].dependent_found == 1 and by_w[6].early_exit
 
 
@@ -113,12 +114,13 @@ def test_subline_restricted_level_gf16():
     by_w = {s.w: s for s in rep.stage_log}
     assert by_w[4].restriction == "none"
     # the 340 supports on the 68 PG(1, 4) sublines are counted by the
-    # classification from the 15 that contain columns 0 and 1
+    # classification from the 2 that contain columns 0, 1 and 2: those
+    # three points lie on one subline, whose other 2 points complete them
     rep = classify_min_words(c, rep)
     assert rep.min_weight_support_count == 68 * comb(5, 4) == 340
     classify = [s for s in rep.stage_log if s.label == "classify"]
-    assert classify[0].dependent_found == 15
-    assert classify[0].restriction == "orbit:2"
+    assert classify[0].dependent_found == 2
+    assert classify[0].restriction == "orbit:3"
 
 
 def test_collinear_restricted_level_pg2():
@@ -136,8 +138,8 @@ def test_full_level_counts_p2():
     rep = min_distance(get_code(2, 5, 2, (0, 2)))
     assert (rep.nu, rep.kappa, rep.delta, rep.status) == (33, 29, 5, "MDS")
     by_w = {s.w: s for s in rep.stage_log}
-    assert by_w[4].checked == comb(31, 2) == 465
-    assert by_w[4].restriction == "orbit:2"  # the supersets of {0, 1}
+    assert by_w[4].checked == comb(30, 1) == 30
+    assert by_w[4].restriction == "orbit:3"  # the supersets of {0, 1, 2}
 
 
 def test_plane_with_small_fixed_subfield():
@@ -206,28 +208,43 @@ def test_plane_over_gf9_with_fixed_subfield_gf3():
 
 
 def test_line_over_gf2048_above_pair_table_order():
-    # GF(2^11) computes with exp/log ops, and k = 2 comes from two orbit
-    # searches over the 2049 columns; the d+2 level is C(2047, 2) checks,
+    # GF(2^11) computes with exp/log ops, and k = 3 comes from three orbit
+    # searches over the 2049 columns; the d+2 level is C(2046, 1) checks,
     # C(2049, 4) unreduced
     rep = min_distance(get_code(2, 11, 2, (0, 1)))
     assert (rep.nu, rep.kappa, rep.delta, rep.status) == (2049, 2045, 5,
                                                           "MDS")
     by_w = {s.w: s for s in rep.stage_log}
-    assert by_w[4].restriction == "orbit:2"
-    assert by_w[4].checked == comb(2047, 2)
+    assert by_w[4].restriction == "orbit:3"
+    assert by_w[4].checked == comb(2046, 1)
     assert rep.witness == [0, 1, 2, 3, 4]
 
 
 def test_line_over_gf4096_is_exact_at_the_default_budget():
     # nu = 4097: the symmetry step searches orbits of single columns only,
-    # so k = 2 holds at any length and level 4 is C(4095, 2) checks
+    # so k = 3 holds at any length and level 4 is C(4094, 1) checks
     rep = min_distance(get_code(2, 12, 2, (0, 1)), SearchPlan(workers=1))
     assert (rep.nu, rep.kappa, rep.delta, rep.delta_exact,
             rep.status) == (4097, 4093, 5, True, "MDS")
     by_w = {s.w: s for s in rep.stage_log}
-    assert by_w[4].restriction == "orbit:2"
-    assert by_w[4].checked == comb(4095, 2)
+    assert by_w[4].restriction == "orbit:3"
+    assert by_w[4].checked == comb(4094, 1)
     assert rep.witness == [0, 1, 2, 3, 4]
+
+
+def test_line_over_gf243_is_exact_at_the_default_budget():
+    # the nrc-27 family over GF(3^5): level 6 holds C(242, 4) > budget
+    # supersets of {0, 1}, but k = 3 leaves the C(241, 3) of {0, 1, 2}
+    rep = min_distance(get_code(3, 5, 2, (0, 0, 1)), SearchPlan(workers=1))
+    assert (rep.nu, rep.kappa, rep.delta, rep.delta_exact,
+            rep.status) == (244, 238, 7, True, "MDS")
+    assert rep.orbit_prefix == 3
+    assert comb(242, 4) > codes_mod.DEFAULT_BUDGET
+    by_w = {s.w: s for s in rep.stage_log}
+    assert by_w[6].restriction == "orbit:3"
+    assert by_w[6].checked == comb(241, 3)
+    assert by_w[6].dependent_found == 0 and not by_w[6].capped
+    assert rep.witness == list(range(7))
 
 
 def test_plane_over_gf64_is_exact_at_the_default_budget():
@@ -300,7 +317,7 @@ def test_classify_tests_collinearity_once_per_support(monkeypatch):
     c = get_code(2, 4, 2, (0, 2))
     rep = classify_min_words(c, min_distance(c))
     assert (len(calls) == len(rep.supports)
-            == rep.stage_log[-1].dependent_found == 15)
+            == rep.stage_log[-1].dependent_found == 2)
     assert rep.min_weight_support_count == 340
     assert rep.violations == []
     assert all(s["collinear"] and s["on_subline"] for s in rep.supports)
@@ -326,9 +343,9 @@ def test_classify_veronese_surface_supports_collinear(monkeypatch):
 def test_classify_over_budget_raises_before_scanning(monkeypatch):
     c = get_code(5, 1, 2, (0, 0))
     rep = min_distance(c)
-    # the counted scan: the C(4, 2) supersets of {0, 1}
-    assert codes_mod.classification_scan(c) == (2, comb(4, 2))
-    plan = SearchPlan(budget=comb(4, 2) - 1)
+    # the counted scan: the C(3, 1) supersets of {0, 1, 2}
+    assert codes_mod.classification_scan(c, rep) == (3, comb(3, 1))
+    plan = SearchPlan(budget=comb(3, 1) - 1)
 
     def no_scan(*args, **kwargs):
         raise AssertionError("the level ran")
@@ -339,17 +356,17 @@ def test_classify_over_budget_raises_before_scanning(monkeypatch):
 
 
 def test_classify_records_violations(monkeypatch):
-    # the checks run on the listed supports: h = 6 for conic-5
+    # the checks run on the listed supports: h = 3 for conic-5
     c = get_code(5, 1, 2, (0, 0))
     monkeypatch.setattr(codes_mod, "subline_through", lambda *a: [])
     off = classify_min_words(c, min_distance(c))
     assert [v["problem"] for v in off.violations] == [
-        "pre-images not on a common subline"] * 6
+        "pre-images not on a common subline"] * 3
     assert all(s["collinear"] and not s["on_subline"] for s in off.supports)
     monkeypatch.setattr(codes_mod, "is_collinear", lambda *a: False)
     skew = classify_min_words(c, min_distance(c))
     assert [v["problem"] for v in skew.violations] == [
-        "pre-images not collinear"] * 6
+        "pre-images not collinear"] * 3
     assert skew.min_weight_support_count == 15
 
 
@@ -380,7 +397,9 @@ def test_mds_status_values():
 
 
 def test_mds_status_requires_exact():
-    rep = min_distance(get_code(5, 1, 2, (0, 0)), SearchPlan(budget=2))
+    # GF(8), twist (0,1): the empty level 4 scans C(6, 1) = 6 supersets
+    # of {0, 1, 2}, over the budget
+    rep = min_distance(get_code(2, 3, 2, (0, 1)), SearchPlan(budget=5))
     assert not rep.delta_exact
     with pytest.raises(ValueError):
         mds_status(rep)
@@ -460,7 +479,9 @@ def test_counted_classification_matches_full_scan(cfg, monkeypatch):
     assert comb(c.nu, c.twist.d + 2) <= codes_mod.DEFAULT_BUDGET
     counted, full = classify_counted_and_full(c, monkeypatch)
     assert counted.delta == full.delta == c.twist.d + 2
-    assert counted.stage_log[-1].restriction == "orbit:2"
+    # PGL(2, q^t) is 3-transitive on the points of a line
+    k = 3 if c.variety.n == 2 else 2
+    assert counted.stage_log[-1].restriction == f"orbit:{k}"
     assert full.stage_log[-1].restriction == "none"
     # every listed support of the counted path is one of the full list
     listed = [s["columns"] for s in full.supports]
@@ -488,17 +509,19 @@ def test_closed_form_is_zero_exactly_when_delta_exceeds_d_plus_2(cfg):
 ])
 def test_counted_classification_at_the_default_budget(cfg, count):
     # C(nu, d+2) exceeds DEFAULT_BUDGET in each case; the counted scan
-    # of C(nu-2, d) subsets does not
+    # of C(nu-k, d+2-k) subsets does not (k = 3 for n = 2, else 2)
     c = get_code(*cfg)
     assert comb(c.nu, c.twist.d + 2) > codes_mod.DEFAULT_BUDGET
     rep = codes_mod.analyze(c)
     assert rep.delta == c.twist.d + 2 and rep.delta_exact
     assert rep.min_weight_support_count == _closed_form_count(c) == count
     assert rep.violations == []
+    k = 3 if c.variety.n == 2 else 2
+    assert rep.orbit_prefix == k
     h = rep.stage_log[-1].dependent_found
     assert len(rep.supports) == h
-    assert h * comb(c.nu, 2) == count * comb(c.twist.d + 2, 2)
-    assert all(s["columns"][:2] == [0, 1] for s in rep.supports)
+    assert h * comb(c.nu, k) == count * comb(c.twist.d + 2, k)
+    assert all(s["columns"][:k] == list(range(k)) for s in rep.supports)
 
 
 # -- column symmetries ------------------------------------------------------------
@@ -530,9 +553,11 @@ CROSS_CHECK_CONFIGS = ORACLE_CONFIGS + [
 
 @pytest.mark.parametrize("cfg", CROSS_CHECK_CONFIGS)
 def test_orbit_levels_match_unreduced_scan(cfg):
+    # the proved prefix against none: k = 3 on a line, where PGL(2, q^t)
+    # is 3-transitive, and 2 on a plane
     c = get_code(*cfg)
     k = codes_mod.column_orbit_prefix(c)
-    assert k == 2
+    assert k == (3 if c.variety.n == 2 else 2)
     reduced = _scan_levels(c, k)
     assert reduced[0] is not None
     assert reduced == _scan_levels(c, 0)
@@ -542,10 +567,10 @@ def test_orbit_levels_match_unreduced_scan(cfg):
 
 
 def test_every_generator_is_a_verified_symmetry():
-    # (config, indices of the generators that fix e_{n-1}); the second is
-    # GF(4), n = 3 with nu = 21
-    for cfg, fixing_0 in [((3, 3, 2, (0, 0, 2)), [0, 3]),
-                          ((2, 2, 3, (0, 1)), [0, 2, 3, 4])]:
+    # (config, indices of the generators that fix e_{n-1}, k); the second
+    # is GF(4), n = 3 with nu = 21
+    for cfg, fixing_0, k in [((3, 3, 2, (0, 0, 2)), [0, 3], 3),
+                             ((2, 2, 3, (0, 1)), [0, 2, 3, 4], 2)]:
         c = get_code(*cfg)
         gens = codes_mod._gl_generators(c.field, c.variety.n)
         assert len(gens) == (4 if c.variety.n == 2 else 5)
@@ -559,7 +584,7 @@ def test_every_generator_is_a_verified_symmetry():
             for sub in itertools.combinations(range(c.nu), 3):
                 assert (rank(c.H.submatrix_cols(list(sub))) ==
                         rank(c.H.submatrix_cols(perm[list(sub)].tolist())))
-        assert codes_mod.column_orbit_prefix(c) == 2
+        assert codes_mod.column_orbit_prefix(c) == k
 
 
 def test_symmetry_check_rejects_non_symmetries():
@@ -597,6 +622,21 @@ def test_no_verified_generator_means_unreduced_levels(monkeypatch):
                                                         comb(28, 5)]
 
 
+def test_symmetry_step_runs_once_per_code(monkeypatch):
+    # min_distance stores k in the report, and classification reads it
+    calls = []
+    real = codes_mod.column_orbit_prefix
+
+    def counted(code):
+        calls.append(code.nu)
+        return real(code)
+
+    monkeypatch.setattr(codes_mod, "column_orbit_prefix", counted)
+    rep = codes_mod.analyze(get_code(2, 4, 2, (0, 2)))
+    assert rep.min_weight_support_count == 340 and rep.orbit_prefix == 3
+    assert calls == [17]
+
+
 def test_orbit_prefix_of_intransitive_groups():
     ident = np.arange(6)
     cycle = np.roll(ident, 1)  # one 6-cycle: transitive on points only
@@ -613,19 +653,58 @@ def test_orbit_prefix_of_intransitive_groups():
     assert codes_mod._orbit_prefix(6, [fix_0]) == 0
 
 
+def test_orbit_prefix_is_a_stabiliser_chain():
+    ident = np.arange(7)
+    cycle = np.roll(ident, 1)
+    fix_0 = np.array([0, 2, 3, 4, 5, 6, 1])     # a 6-cycle on 1..6
+    fix_01 = np.array([0, 1, 3, 4, 5, 6, 2])    # a 5-cycle on 2..6
+    split_01 = np.array([0, 1, 3, 2, 5, 6, 4])  # two orbits on 2..6
+    assert codes_mod._orbit_prefix(7, [cycle, fix_0, fix_01]) == 3
+    # the chain stops at 2 when the perms that fix 0 and 1 are not
+    # transitive on the rest, or fix nothing but 0 and 1
+    assert codes_mod._orbit_prefix(7, [cycle, fix_0, split_01]) == 2
+    assert codes_mod._orbit_prefix(7, [cycle, fix_0]) == 2
+    # fix_01 fixes 1 as well: the perms that fix 0 do not move 1 anywhere
+    assert codes_mod._orbit_prefix(7, [cycle, fix_01]) == 1
+    # S_3 from a 3-cycle and a transposition fixing 0: k = nu
+    assert codes_mod._orbit_prefix(3, [np.array([1, 2, 0]),
+                                       np.array([0, 2, 1])]) == 3
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_orbit_matches_naive_closure(data):
+    # the squared powers only speed the search up: the mask is the set of
+    # columns reached by words in the perms
+    nu = data.draw(st.integers(1, 30))
+    perms = [np.array(p) for p in data.draw(st.lists(
+        st.permutations(range(nu)), max_size=4))]
+    start = data.draw(st.integers(0, nu - 1))
+    seen, todo = {start}, [start]
+    while todo:
+        x = todo.pop()
+        for p in perms:
+            if int(p[x]) not in seen:
+                seen.add(int(p[x]))
+                todo.append(int(p[x]))
+    assert np.flatnonzero(codes_mod._orbit(nu, start, perms)).tolist() == (
+        sorted(seen))
+
+
 # -- budgets and determinism ---------------------------------------------------------
 
 def test_budget_cap_gives_sound_lower_bound():
-    # level 4 scans the C(26, 2) = 325 supersets of {0, 1}: over the budget
+    # level 4 scans the C(25, 1) = 25 supersets of {0, 1, 2}: over the
+    # budget
     c = get_code(3, 3, 2, (0, 0, 2))
-    rep = min_distance(c, SearchPlan(budget=100))
+    rep = min_distance(c, SearchPlan(budget=20))
     assert not rep.delta_exact
     assert rep.delta is None
     assert rep.status == "unresolved"
     assert rep.delta_lower_bound == 4  # w=4 was capped, so only w<=3 proven
     capped = [s for s in rep.stage_log if s.capped]
     assert capped and capped[0].w == 4
-    rep2 = min_distance(c, SearchPlan(budget=100))
+    rep2 = min_distance(c, SearchPlan(budget=20))
     assert rep.canonical_hash() == rep2.canonical_hash()
 
 
@@ -662,9 +741,9 @@ def test_pool_worker_error_reaches_caller(monkeypatch):
     monkeypatch.setattr(codes_mod, "_scan_subtree", scan_or_fail)
     with pytest.raises(DependencyInvariantError) as err:
         min_distance(get_code(3, 3, 2, (0, 0, 2)), SearchPlan(workers=2))
-    # level 4's tasks are the heads (0, 1, c); (0, 1, 3) is the first
-    # one a worker runs
-    assert err.value.subset == (0, 1, 3)
+    # levels 4 and 5 are one task each; level 6's tasks are the heads
+    # (0, 1, 2, c), and (0, 1, 2, 4) is the first one a worker runs
+    assert err.value.subset == (0, 1, 2, 4)
 
 
 def test_first_task_hit_starts_no_pool(monkeypatch):
@@ -721,7 +800,7 @@ def test_report_hash_stable_and_excludes_timings():
 
 def test_general_position_track():
     res = verify_general_position(get_code(3, 3, 2, (0, 0, 2)), 4)
-    assert res.ok and res.checked == comb(26, 2)
+    assert res.ok and res.checked == comb(25, 1)
 
 
 def test_general_position_pairs_always_hold():
@@ -755,19 +834,19 @@ def test_general_position_k_range():
 
 
 def test_general_position_budget_covers_every_level():
-    # GF(4), twist (0,1): nu = 5.  Level 5 scans the C(3, 3) = 1
-    # superset of {0, 1}, which fits the budget, but levels 3 and 4
-    # need C(3, 1) = C(3, 2) = 3
+    # GF(4), twist (0,1): nu = 5.  Levels 3 and 5 scan the one superset
+    # of {0, 1, 2} of their size, which fits the budget, but level 4
+    # needs C(2, 1) = 2
     with pytest.raises(BudgetExceeded):
         verify_general_position(get_code(2, 2, 2, (0, 1)), 5,
-                                SearchPlan(budget=2))
+                                SearchPlan(budget=1))
 
 
 def test_general_position_truncated_level_with_hit():
-    # conic-5, k = 4: level 4 scans C(4, 2) = 6 > 4 subsets, but it hits
+    # conic-5, k = 4: level 4 scans C(3, 1) = 3 > 2 subsets, but it hits
     # (0, 1, 2, 3) after 3 checks, so the answer is proven
     res = verify_general_position(get_code(5, 1, 2, (0, 0)), 4,
-                                  SearchPlan(budget=4))
+                                  SearchPlan(budget=2))
     assert not res.ok
     assert res.witness == (0, 1, 2, 3) and res.checked == 3
 
@@ -775,7 +854,7 @@ def test_general_position_truncated_level_with_hit():
 def test_general_position_budget_error():
     with pytest.raises(BudgetExceeded):
         verify_general_position(get_code(3, 3, 2, (0, 0, 2)), 4,
-                                SearchPlan(budget=100))
+                                SearchPlan(budget=20))
 
 
 # -- lex rank helper -------------------------------------------------------------------
