@@ -1,7 +1,7 @@
 """Twisted Veronese point sets over finite fields and their linear codes."""
 
 from .ff import Field
-from .linalg import IncrementalElim, Matrix, det, is_independent, kernel_basis, rank
+from .linalg import IncrementalElim, det, is_independent, kernel_basis, rank
 from .pg import (canonicalize, enum_points, is_collinear, line_through,
                  on_common_subline, point_count, subline_through,
                  sublines_of_line)

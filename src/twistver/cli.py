@@ -12,6 +12,7 @@ Exit codes: 0 success (an exact result, or no dependent set up to
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -22,8 +23,7 @@ from .codes import (DEFAULT_BUDGET, BudgetExceeded, SearchPlan, analyze,
                     build_code, classification_scan, verify_dep_classification,
                     verify_general_position, verify_oracle_equivalence)
 from .ff import Field
-from .veronese import (ScrollFrame, Twist, build_variety, monomial_basis,
-                       scroll_plucker_check)
+from .veronese import ScrollFrame, Twist, build_variety, scroll_plucker_check
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -69,13 +69,13 @@ def _resolve_plan(args) -> SearchPlan:
 def _build_with_warnings(args):
     field = Field(args.p, args.e * args.t, e=args.e)
     twist = _resolve_twist(args, field)
-    basis = monomial_basis(args.n, twist)
+    variety = build_variety(field, args.n, twist)
+    basis = variety.basis
     if basis.collapsed and not args.allow_collapse:
         _progress(f"warning: collapse: {basis.effective_N} of "
                   f"{basis.expected_N} monomials distinct (repeated twisted "
                   "degrees merge coordinates); pass --allow-collapse to "
                   "silence this")
-    variety = build_variety(field, args.n, twist)
     return field, twist, variety
 
 
@@ -108,8 +108,10 @@ def cmd_build(args) -> int:
               f"point table over GF({field.order}), rank {variety.rank_}")
     _emit(variety.to_json(), args.output)
     if args.csv:
-        from .linalg import Matrix
-        Matrix(field, variety.coords.T.copy()).write_csv(args.csv)
+        # the check matrix H, one row per coordinate, entries the
+        # canonical integer encodings sum(c_i * p^i)
+        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(variety.coords.T.tolist())
         _progress(f"wrote {args.csv}")
     return EXIT_OK
 

@@ -19,16 +19,18 @@ Column symmetries.  For M in GL(n, q^t) the embedding satisfies
 nu(Mv) = (M^{s_0} (x) ... (x) M^{s_{d-1}}) nu(v), so M permutes the
 columns of H up to nonzero scalars through an invertible linear map, and
 a column subset is dependent exactly when its image is.  Once per
-min_distance call, the generators of GL(n, q^t) listed by _gl_generators
-are mapped to column permutations and each is kept only if H itself
-passes the checks of _is_column_symmetry; nothing rests on the identity
-above.  A stabiliser chain over the nu columns then gives k, stored in
-the report as orbit_prefix: the largest k such that, for every i < k,
-the kept permutations that fix columns 0 .. i-1 move column i onto every
-column >= i, so any k distinct columns map onto (0, ..., k-1).  On a
-line (n = 2) PGL(2, q^t) is 3-transitive and k = 3 (more on the tiniest
-fields); for n >= 3 the generators that fix columns 0 and 1 fix column 2
-too, and the chain stops at 2.
+min_distance call, each generator of GL(n, q^t) listed by _gl_generators
+is read off the point list as a candidate: a column permutation and, per
+column, the scale lead^norm with which the embedding of M . v meets the
+column of its point (every basis monomial has degree norm).  A candidate
+is kept only if H itself passes the rank test of _is_column_symmetry;
+nothing rests on the identity above.  A stabiliser chain over the nu
+columns then gives k, stored in the report as orbit_prefix: the largest
+k such that, for every i < k, the kept permutations that fix columns
+0 .. i-1 move column i onto every column >= i, so any k distinct columns
+map onto (0, ..., k-1).  On a line (n = 2) PGL(2, q^t) is 3-transitive
+and k = 3 (more on the tiniest fields); for n >= 3 the generators that
+fix columns 0 and 1 fix column 2 too, and the chain stops at 2.
 
 A level then scans only the C(nu-k', w-k') w-subsets that contain the
 columns 0 .. k'-1, k' = min(k, w) (McKay's "one representative per
@@ -84,8 +86,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ff import Field
-from .linalg import (IncrementalElim, Matrix, is_independent,
-                     kernel_basis, rank)
+from .linalg import IncrementalElim, is_independent, kernel_basis, rank
 from .pg import is_collinear, subline_through
 from .veronese import Twist, VarietyMatrix
 
@@ -118,7 +119,7 @@ class Code:
     """A linear code handled entirely through its parity-check matrix."""
 
     variety: VarietyMatrix
-    H: Matrix          # effective_N x nu, columns = embedded points
+    H: np.ndarray      # effective_N x nu, columns = embedded points
     nu: int
     kappa: int
 
@@ -141,9 +142,9 @@ def build_code(variety: VarietyMatrix) -> Code:
         raise ValueError(
             f"point table has rank {variety.rank_}, expected {n_eff}; "
             "the check matrix would be rank deficient")
-    h = Matrix(variety.field, variety.coords.T.copy())
     nu = variety.num_points
-    return Code(variety=variety, H=h, nu=nu, kappa=nu - n_eff)
+    return Code(variety=variety, H=variety.coords.T.copy(), nu=nu,
+                kappa=nu - n_eff)
 
 
 @dataclass(frozen=True)
@@ -410,7 +411,7 @@ def _run_level(code: Code, w: int, plan: SearchPlan, *, early_exit: bool,
     total = comb(nu - k, w - k)
     workers = plan.workers if total >= PARALLEL_MIN_CHECKS else 1
     tasks = _level_tasks(nu, k, w, plan.budget)
-    hits = _scan_columns(IncrementalElim(code.field, code.H.data), w, tasks,
+    hits = _scan_columns(IncrementalElim(code.field, code.H), w, tasks,
                          early_exit, workers)
 
     # the budget truncated the tasks and no early-exit hit settled the level
@@ -452,9 +453,11 @@ def _gl_generators(field: Field, n: int) -> list[np.ndarray]:
 
 
 def _induced_permutation(code: Code, mat: np.ndarray):
-    """(perm, images) for a matrix M: images[j] embeds M . points[j], and
-    perm[j] is the index of its projective point, or -1 where M . points[j]
-    is zero or not a listed point."""
+    """(perm, scale) for a matrix M with M . points[j] = lead_j .
+    points[perm[j]]: perm[j] is -1 where M . points[j] is zero or not a
+    listed point, and scale[j] = lead_j ** norm.  Every basis monomial has
+    total degree norm, so the embedding of M . points[j] is scale[j] times
+    column perm[j] of H, and the basis need not be evaluated again."""
     field, ops = code.field, code.field.ops
     pts = np.asarray(code.variety.points, dtype=np.int64)
     terms = ops.mul[pts[:, None, :], mat[None, :, :]]
@@ -468,36 +471,34 @@ def _induced_permutation(code: Code, mat: np.ndarray):
     keys, want = pts @ place, canon @ place  # keys ascend with the points
     perm = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
     perm[(keys[perm] != want) | (lead == 0)] = -1
-    images = field.eval_monomials(img, code.variety.basis.monomials)
-    return perm, images
+    # lead ** norm, the one monomial x^norm evaluated at each lead (0 -> 0)
+    scale = field.eval_monomials(lead[:, None], [[code.twist.norm]])[:, 0]
+    return perm, scale
 
 
 def _is_column_symmetry(code: Code, perm: np.ndarray,
-                        images: np.ndarray) -> bool:
-    """True iff an invertible linear map sends every column j of H to a
-    nonzero multiple of column perm[j], which preserves the linear
-    dependence of every column subset.  Checked on H itself:
+                        scale: np.ndarray) -> bool:
+    """True iff an invertible linear map sends every column j of H to
+    scale[j] times column perm[j], which preserves the linear dependence
+    of every column subset.  Checked on H itself:
 
-    * perm is a bijection of the columns;
-    * images[j] is a nonzero multiple of column perm[j];
-    * rank([H^T | images]) == effective_N.  By the first two checks
-      rank(images) == rank(H) == effective_N (build_code checks it), so
-      images = H^T B for an invertible B.
+    * perm is a bijection of the columns and no scale is zero, so the
+      images scale[j] . H^T[perm[j]] have rank(H) == effective_N
+      (build_code checks it);
+    * rank([H^T | images]) == effective_N, so the images lie in the
+      column space of H^T: images = H^T B, and B is invertible by the
+      rank of the images.
+
+    The rank test alone carries the proof: perm and scale are only a
+    candidate, from _induced_permutation, and nothing here relies on the
+    embedding identity that produced them.
     """
-    nu, ops = code.nu, code.field.ops
-    if not np.array_equal(np.sort(perm), np.arange(nu)):
+    if not (np.array_equal(np.sort(perm), np.arange(code.nu))
+            and scale.all()):
         return False
-    target = code.H.data.T[perm]
-    rows = np.arange(nu)
-    lead = (images != 0).argmax(axis=1)
-    num, den = images[rows, lead], target[rows, lead]
-    if not (num.all() and den.all()):
-        return False
-    scale = ops.div[num, den]
-    if not np.array_equal(ops.mul[scale[:, None], target], images):
-        return False
-    return (rank(Matrix(code.field, np.hstack([code.H.data.T, images])))
-            == code.effective_N)
+    h_t = code.H.T
+    images = code.field.ops.mul[scale[:, None], h_t[perm]]
+    return rank(code.field, np.hstack([h_t, images])) == code.effective_N
 
 
 def _orbit(nu: int, start: int, perms: Sequence[np.ndarray]) -> np.ndarray:
@@ -542,8 +543,8 @@ def column_orbit_prefix(code: Code) -> int:
     A generator that fails _is_column_symmetry is dropped."""
     perms = []
     for mat in _gl_generators(code.field, code.variety.n):
-        perm, images = _induced_permutation(code, mat)
-        if _is_column_symmetry(code, perm, images):
+        perm, scale = _induced_permutation(code, mat)
+        if _is_column_symmetry(code, perm, scale):
             perms.append(perm)
     return _orbit_prefix(code.nu, perms)
 
@@ -617,7 +618,7 @@ def _minimality_problem(code: Code, subset: Sequence[int]) -> Optional[str]:
     what is wrong.  Minimal means the kernel of H[:, subset] is
     one-dimensional and its vector has no zero entry: a zero at i would
     make the subset without i dependent."""
-    kb = kernel_basis(code.H.submatrix_cols(list(subset)))
+    kb = kernel_basis(code.field, code.H[:, list(subset)])
     if len(kb) != 1:
         return f"kernel dimension {len(kb)}"
     if not kb[0].all():
@@ -756,7 +757,7 @@ def oracle_min_distance(code: Code, w_max: Optional[int] = None,
         raise BudgetExceeded(
             f"oracle would enumerate {total} subsets, cap is {max_checks}")
     field = code.field
-    hdata = code.H.data.tolist()
+    hdata = code.H.tolist()
     for w in range(2, w_cap + 1):
         for subset in combinations(range(code.nu), w):
             sub = [[row[c] for c in subset] for row in hdata]
@@ -813,7 +814,7 @@ def verify_general_position(code: Code, k: int,
 def _lex_first_dependent(code: Code, k: int) -> tuple:
     """Direct lex scan; only called when a dependent k-subset must exist."""
     for subset in combinations(range(code.nu), k):
-        if not is_independent(code.H, subset):
+        if not is_independent(code.field, code.H, subset):
             return subset
     raise AssertionError("no dependent subset found where one was implied")
 

@@ -29,7 +29,6 @@ the reference the tests compare against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -283,10 +282,8 @@ class Field:
         self._subfields: dict[int, list[int]] = {}
         log_ops = LogOps(self)
         # pairwise tables would need order^2 entries above PAIR_TABLE_MAX
-        self.tables: Optional[FieldTables] = (
-            log_ops.tabulate() if order <= PAIR_TABLE_MAX else None)
         self.ops: FieldTables | LogOps = (
-            log_ops if self.tables is None else self.tables)
+            log_ops.tabulate() if order <= PAIR_TABLE_MAX else log_ops)
 
     # -- encoding ----------------------------------------------------------
 

@@ -1,11 +1,14 @@
 """Exact dense linear algebra over a Field.
 
-Matrices are small (a few hundred rows/columns at most) and dense; entries
-are integer element encodings stored in a numpy array.  Elimination uses a
-first-nonzero pivot scan, which is fully general over an exact field, and
-all results are deterministic.  Every entry operation goes through the
-field's array ops (`Field.ops`), a whole row or block at a time, so all
-fields up to ff.DEFAULT_MAX_ORDER run the same code.
+A matrix is a bare 2-D numpy array (or anything np.array turns into one)
+of integer element encodings, passed with its field: rank(field, a),
+kernel_basis(field, a), det(field, a).  Entries are trusted to be
+encodings of that field; the callers build them from its own tables.
+Elimination works on a copy and uses a first-nonzero pivot scan, which is
+fully general over an exact field, and all results are deterministic.
+Every entry operation goes through the field's array ops (`Field.ops`),
+a whole row or block at a time, so all fields up to ff.DEFAULT_MAX_ORDER
+run the same code.
 
 The subset-independence workhorse is IncrementalElim: a stack of
 column-reduced copies of a fixed matrix that lets a subset-enumeration
@@ -16,59 +19,11 @@ performance-critical path; everything else favours clarity.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .ff import Field
-
-
-@dataclass
-class Matrix:
-    field: Field
-    data: np.ndarray  # 2D, integer element encodings
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.int64)
-        if self.data.ndim != 2:
-            raise ValueError("matrix data must be 2-dimensional")
-        if self.data.size and (self.data.min() < 0 or self.data.max() >= self.field.order):
-            raise ValueError("matrix entries out of range for the field")
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    @classmethod
-    def from_rows(cls, field: Field, rows: Iterable[Sequence[int]]) -> "Matrix":
-        return cls(field, np.array([list(r) for r in rows], dtype=np.int64))
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.data.T.copy())
-
-    def submatrix_cols(self, cols: Sequence[int]) -> "Matrix":
-        return Matrix(self.field, self.data[:, list(cols)].copy())
-
-    def write_csv(self, path) -> None:
-        # entries are the canonical integer encodings sum(c_i * p^i)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            for row in self.data.tolist():
-                w.writerow(row)
 
 
 # ---------------------------------------------------------------------------
@@ -106,62 +61,60 @@ def _row_echelon(field: Field, a: np.ndarray) -> list[tuple[int, int]]:
     return pivots
 
 
-def rank(m: Matrix) -> int:
-    a = m.data.copy()
-    return len(_row_echelon(m.field, a))
+def rank(field: Field, a) -> int:
+    return len(_row_echelon(field, np.array(a, dtype=np.int64)))
 
 
-def kernel_basis(m: Matrix) -> list[np.ndarray]:
-    """Basis of {v : M v = 0}, in reduced echelon form.
+def kernel_basis(field: Field, a) -> list[np.ndarray]:
+    """Basis of {v : A v = 0}, in reduced echelon form.
 
     One basis vector per free column, free columns ascending; vector k has
     entry 1 at its free column and the negated reduced coefficients at the
     pivot columns.
     """
-    f = m.field
-    a = m.data.copy()
-    pivots = _row_echelon(f, a)
+    a = np.array(a, dtype=np.int64)
+    pivots = _row_echelon(field, a)
     pivot_rows = [r for r, _ in pivots]
     pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(m.cols) if c not in pivot_cols]
+    free_cols = [c for c in range(a.shape[1]) if c not in pivot_cols]
     basis = []
     for fc in free_cols:
-        v = np.zeros(m.cols, dtype=np.int64)
+        v = np.zeros(a.shape[1], dtype=np.int64)
         v[fc] = 1
-        v[pivot_cols] = f.ops.neg[a[pivot_rows, fc]]
+        v[pivot_cols] = field.ops.neg[a[pivot_rows, fc]]
         basis.append(v)
     return basis
 
 
-def mat_vec(m: Matrix, v: Sequence[int]) -> list[int]:
-    ops = m.field.ops
-    terms = ops.mul[m.data, np.asarray(v, dtype=np.int64)]
-    acc = np.zeros(m.rows, dtype=np.int64)
-    for j in range(m.cols):
+def mat_vec(field: Field, a: np.ndarray, v: Sequence[int]) -> list[int]:
+    ops = field.ops
+    terms = ops.mul[a, np.asarray(v, dtype=np.int64)]
+    acc = np.zeros(a.shape[0], dtype=np.int64)
+    for j in range(a.shape[1]):
         acc = ops.add[acc, terms[:, j]]
     return acc.tolist()
 
 
-def is_independent(m: Matrix, column_subset: Sequence[int]) -> bool:
+def is_independent(field: Field, a: np.ndarray,
+                   column_subset: Sequence[int]) -> bool:
     """True iff the selected columns have rank equal to the subset size."""
     cols = list(column_subset)
     if len(set(cols)) != len(cols):
         raise ValueError("duplicate column indices")
     for c in cols:
-        if not 0 <= c < m.cols:
+        if not 0 <= c < a.shape[1]:
             raise ValueError(f"column index {c} out of range")
-    elim = IncrementalElim(m.field, m.data)
+    elim = IncrementalElim(field, a)
     return all(elim.push(c) for c in sorted(cols))
 
 
-def det(m: Matrix) -> int:
+def det(field: Field, a) -> int:
     """Determinant of a square matrix by fraction-free-style elimination."""
-    f = m.field
-    if m.rows != m.cols:
+    a = np.array(a, dtype=np.int64)
+    if a.shape[0] != a.shape[1]:
         raise ValueError("determinant of a non-square matrix")
-    ops = f.ops
-    a = m.data.copy()
-    n = m.rows
+    ops = field.ops
+    n = a.shape[0]
     sign_flips = 0
     acc = 1
     for c in range(n):
@@ -173,12 +126,12 @@ def det(m: Matrix) -> int:
             a[[c, pr]] = a[[pr, c]]
             sign_flips += 1
         piv = int(a[c, c])
-        acc = f.mul(acc, piv)
+        acc = field.mul(acc, piv)
         below = a[c + 1:]  # a view: only rows below the pivot are eliminated
         factors = ops.div[below[:, c], piv]
         below[:] = ops.sub[below, ops.mul[factors[:, None], a[c]]]
-    if sign_flips % 2 and f.p != 2:
-        acc = f.neg(acc)
+    if sign_flips % 2 and field.p != 2:
+        acc = field.neg(acc)
     return acc
 
 

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .ff import Field
-from .linalg import Matrix, rank
+from .linalg import rank
 
 ProjPoint = tuple[int, ...]
 
@@ -52,14 +52,16 @@ def enum_points(field: Field, n: int) -> list[ProjPoint]:
         for tail in product(field.elements(), repeat=free):
             pts.append((0,) * lead + (1,) + tail)
     pts.sort()
-    assert len(pts) == point_count(field, n)
+    if len(pts) != point_count(field, n):  # checked also under python -O
+        raise AssertionError(f"{len(pts)} points enumerated, expected "
+                             f"{point_count(field, n)}")
     return pts
 
 
 def is_collinear(field: Field, points: Sequence[ProjPoint]) -> bool:
     if len(points) < 2:
         raise ValueError("collinearity needs at least 2 points")
-    return rank(Matrix.from_rows(field, points)) <= 2
+    return rank(field, points) <= 2
 
 
 def line_through(field: Field, p0: ProjPoint, p1: ProjPoint) -> tuple[ProjPoint, ...]:
@@ -70,7 +72,8 @@ def line_through(field: Field, p0: ProjPoint, p1: ProjPoint) -> tuple[ProjPoint,
     for lam in field.elements():
         v = [field.add(a, field.mul(lam, b)) for a, b in zip(p0, p1)]
         pts.add(canonicalize(field, v))
-    assert len(pts) == field.order + 1
+    if len(pts) != field.order + 1:
+        raise AssertionError(f"line through {p0}, {p1} has {len(pts)} points")
     return tuple(sorted(pts))
 
 
@@ -133,7 +136,9 @@ def subline_through(field: Field, p0: ProjPoint, p1: ProjPoint, p2: ProjPoint,
     for theta in field.subfield_elements(q_sub):
         v = [field.add(field.mul(theta, a), b) for a, b in zip(q0, q1)]
         pts.add(canonicalize(field, v))
-    assert len(pts) == q_sub + 1
+    if len(pts) != q_sub + 1:
+        raise AssertionError(f"subline through {p0}, {p1}, {p2} has "
+                             f"{len(pts)} points, expected {q_sub + 1}")
     return tuple(sorted(pts))
 
 

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ff import Field
-from .linalg import Matrix, det, rank
+from .linalg import det, rank
 from .pg import ProjPoint, enum_points, point_count
 
 MAX_POINTS = 1 << 16  # largest point set build_variety embeds
@@ -208,7 +208,7 @@ def build_variety(field: Field, n: int, twist: Twist) -> VarietyMatrix:
     if len(set(map(tuple, canon.tolist()))) != len(pts):
         raise AssertionError("embedding failed injectivity check")
 
-    r = rank(Matrix(field, coords))
+    r = rank(field, coords)
     return VarietyMatrix(field=field, n=n, twist=twist, basis=basis,
                          points=pts, coords=coords, rank_=r)
 
@@ -263,9 +263,7 @@ def scroll_plucker_check(field: Field, point: ProjPoint, frame: ScrollFrame,
     blocks = frame.twist.blocks
 
     for subset in combinations(range(n * d), d):
-        mat = Matrix.from_rows(field, [[vecs[r][c] for c in subset]
-                                       for r in range(d)])
-        coord = det(mat)
+        coord = det(field, [[vecs[r][c] for c in subset] for r in range(d)])
         owners = [c // n for c in subset]
         if owners != list(range(d)):
             if coord != 0:

@@ -74,6 +74,9 @@ def test_build_csv_export(tmp_path):
     assert run_cli(["build", "--p", "5", "--e", "1", "--t", "1", "--n", "2",
                     "--sigma", "0,0", "-o", str(out),
                     "--csv", str(csv_path)]) == 0
+    raw = csv_path.read_bytes()
+    # every row ends in \r\n, the csv module's line terminator
+    assert raw.count(b"\r\n") == raw.count(b"\n") == 3
     rows = [r for r in csv_path.read_text().splitlines() if r]
     assert len(rows) == 3  # effective_N rows
     assert all(len(r.split(",")) == 6 for r in rows)

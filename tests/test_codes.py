@@ -15,7 +15,7 @@ from twistver.codes import (BudgetExceeded, CodeReport,
                             classify_min_words, mds_status, min_distance,
                             oracle_min_distance, verify_dep_classification,
                             verify_general_position, verify_oracle_equivalence)
-from twistver.linalg import IncrementalElim, rank
+from twistver.linalg import IncrementalElim, mat_vec, rank
 from twistver.pg import is_collinear
 
 from conftest import classify_counted_and_full, get_code, get_variety
@@ -31,14 +31,14 @@ from conftest import classify_counted_and_full, get_code, get_variety
 def test_build_code_parameters(p, m, n, exps, nu, kappa):
     c = get_code(p, m, n, exps)
     assert (c.nu, c.kappa) == (nu, kappa)
-    assert c.H.rows == c.effective_N
-    assert rank(c.H) == c.effective_N
+    assert c.H.shape == (c.effective_N, c.nu)
+    assert rank(c.field, c.H) == c.effective_N
 
 
 def test_build_code_columns_are_points():
     c = get_code(3, 3, 2, (0, 0, 2))
     v = c.variety
-    assert (c.H.data.T == v.coords).all()
+    assert (c.H.T == v.coords).all()
 
 
 # -- staged minimum distance ----------------------------------------------------
@@ -71,10 +71,10 @@ def test_witness_is_minimal_dependent():
     c = get_code(3, 3, 2, (0, 0, 2))
     rep = min_distance(c)
     w = rep.witness
-    assert rank(c.H.submatrix_cols(w)) == len(w) - 1
+    assert rank(c.field, c.H[:, w]) == len(w) - 1
     for drop in range(len(w)):
         sub = [x for i, x in enumerate(w) if i != drop]
-        assert rank(c.H.submatrix_cols(sub)) == len(sub)
+        assert rank(c.field, c.H[:, sub]) == len(sub)
 
 
 def test_witness_preimages_collinear():
@@ -94,7 +94,7 @@ def test_min_distance_lex_first_witness():
     for sub in itertools.combinations(range(c.nu), 6):
         if sub >= witness:
             break
-        assert rank(c.H.submatrix_cols(sub)) == 6
+        assert rank(c.field, c.H[:, sub]) == 6
 
 
 def test_degree_one_twist_code():
@@ -156,7 +156,7 @@ def test_plane_with_small_fixed_subfield():
     # cubic curve spanning only a 4-dimensional space
     from twistver.pg import all_lines
     line = all_lines(c.field, c.variety.points)[0]
-    assert rank(c.H.submatrix_cols(list(line[:5]))) == 4
+    assert rank(c.field, c.H[:, list(line[:5])]) == 4
 
 
 def test_collinear_level_agrees_with_unrestricted_scan():
@@ -442,7 +442,7 @@ def test_oracle_witness_is_dependent():
     c = get_code(2, 2, 2, (0, 1))
     delta, witness = oracle_min_distance(c)
     assert delta == 5
-    assert rank(c.H.submatrix_cols(list(witness))) < 5
+    assert rank(c.field, c.H[:, list(witness)]) < 5
 
 
 # -- counted classification ---------------------------------------------------------
@@ -575,38 +575,59 @@ def test_every_generator_is_a_verified_symmetry():
         gens = codes_mod._gl_generators(c.field, c.variety.n)
         assert len(gens) == (4 if c.variety.n == 2 else 5)
         for i, mat in enumerate(gens):
-            perm, images = codes_mod._induced_permutation(c, mat)
-            assert codes_mod._is_column_symmetry(c, perm, images)
+            perm, scale = codes_mod._induced_permutation(c, mat)
+            assert codes_mod._is_column_symmetry(c, perm, scale)
+            # the scales are those of the embedding: M . points[j] embeds
+            # to scale[j] times column perm[j]
+            img = c.field.eval_monomials(
+                [mat_vec(c.field, mat, pt) for pt in c.variety.points],
+                c.variety.basis.monomials)
+            assert (img == c.field.ops.mul[scale[:, None],
+                                           c.H.T[perm]]).all()
             # a generator that fixes e_{n-1} fixes column 0
             assert (perm[0] == 0) == (i in fixing_0)
             # the defining property: dependence of every 3-subset is
             # preserved
             for sub in itertools.combinations(range(c.nu), 3):
-                assert (rank(c.H.submatrix_cols(list(sub))) ==
-                        rank(c.H.submatrix_cols(perm[list(sub)].tolist())))
+                assert (rank(c.field, c.H[:, list(sub)]) ==
+                        rank(c.field, c.H[:, perm[list(sub)].tolist()]))
         assert codes_mod.column_orbit_prefix(c) == k
 
 
 def test_symmetry_check_rejects_non_symmetries():
     c = get_code(3, 3, 2, (0, 0, 2))
-    perm, images = codes_mod._induced_permutation(
+    perm, scale = codes_mod._induced_permutation(
         c, codes_mod._gl_generators(c.field, 2)[2])
-    assert codes_mod._is_column_symmetry(c, perm, images)
-    # swapping two columns, with images equal to the swapped columns:
-    # only the rank test can reject it
+    assert codes_mod._is_column_symmetry(c, perm, scale)
+    ones = np.ones(c.nu, dtype=np.int64)
+    # swapping two columns, with unit scales: a bijection with no zero
+    # scale, so only the rank test can reject it
     swap = np.arange(c.nu)
     swap[[0, 1]] = [1, 0]
-    assert not codes_mod._is_column_symmetry(c, swap, c.H.data.T[swap])
+    assert not codes_mod._is_column_symmetry(c, swap, ones)
     # not a bijection
     twice = perm.copy()
     twice[0] = twice[1]
-    assert not codes_mod._is_column_symmetry(c, twice, images)
-    # images that are not multiples of the permuted columns
-    assert not codes_mod._is_column_symmetry(c, np.roll(perm, 1), images)
-    # a singular matrix sends the point (0, 1) to zero
-    singular, _ = codes_mod._induced_permutation(
+    assert not codes_mod._is_column_symmetry(c, twice, scale)
+    # a bijection with nonzero scales that is not the induced one
+    assert not codes_mod._is_column_symmetry(c, np.roll(perm, 1), scale)
+    # a zero scale; zero images pass the rank test, so with all scales
+    # zero only the scale check rejects them
+    zero = scale.copy()
+    zero[3] = 0
+    assert not codes_mod._is_column_symmetry(c, perm, zero)
+    assert not codes_mod._is_column_symmetry(c, perm, 0 * scale)
+    # the right permutation with nonzero but wrong scales: the rank test
+    # must reject it
+    assert not (scale == 1).all()
+    assert not codes_mod._is_column_symmetry(c, perm, ones)
+    # a singular matrix sends the point (0, 1) to zero: no column, and a
+    # zero scale
+    singular, singular_scale = codes_mod._induced_permutation(
         c, np.array([[1, 0], [0, 0]]))
     assert -1 in singular.tolist()
+    assert not singular_scale.all()
+    assert not codes_mod._is_column_symmetry(c, singular, singular_scale)
 
 
 def test_no_verified_generator_means_unreduced_levels(monkeypatch):
@@ -777,7 +798,7 @@ def test_minimality_problem():
     assert _minimality_problem(c, witness) is None
     # the witness plus column 3, which raises the rank: the kernel is
     # still one-dimensional, but zero at column 3
-    assert rank(c.H.submatrix_cols(sorted(witness + [3]))) == 6
+    assert rank(c.field, c.H[:, sorted(witness + [3])]) == 6
     assert (_minimality_problem(c, sorted(witness + [3]))
             == "kernel vector not fully supported")
     # five columns of rank 3
