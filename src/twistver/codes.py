@@ -48,8 +48,10 @@ reasons:
 The subline structure is an output, not a shortcut: classify_min_words
 lists the h supports through the columns 0 .. k'-1, k' = min(k, d+2)
 (all of them if k = 0), counts h C(nu, k') / C(d+2, k') by double
-counting, since every k'-set of columns lies in h, and checks each listed
-one for collinear pre-images on a common PG(1, q') subline.  The kept
+counting, since every k'-set of columns lies in h, and checks all listed
+ones for collinear pre-images on a common PG(1, q') subline in one array
+pass, pg.on_common_subline; the scalar pg geometry (is_collinear,
+subline_through) serves only as its reference in the tests.  The kept
 symmetries come from matrices, which map sublines to sublines, so the
 listed ones speak for all.
 
@@ -87,7 +89,7 @@ import numpy as np
 
 from .ff import Field
 from .linalg import IncrementalElim, is_independent, kernel_basis, rank
-from .pg import is_collinear, subline_through
+from .pg import on_common_subline
 from .veronese import Twist, VarietyMatrix
 
 PARALLEL_MIN_CHECKS = 200_000  # below this a pool costs more than it saves
@@ -654,9 +656,17 @@ def classify_min_words(code: Code, report: CodeReport,
                        plan: Optional[SearchPlan] = None) -> CodeReport:
     """Count the dependent (d+2)-subsets, list them (k' = 0) or those
     through the columns 0 .. k'-1 (see classification_scan and the module
-    docstring), and check each listed one: minimal, collinear pre-images
-    on one PG(1, q') subline.  Records violations; over the budget,
-    raises BudgetExceeded."""
+    docstring), and check all listed ones in one on_common_subline pass:
+    collinear pre-images on one PG(1, q') subline.  Records violations;
+    over the budget, raises BudgetExceeded.
+
+    Each listed support is a minimal dependent set without a check of its
+    own.  The guard requires an exact delta = d+2, so every (d+1)-set of
+    columns was proved independent; the scan proved each hit dependent
+    past an independent (d+1)-prefix, so a hit has rank d+1 and a
+    one-dimensional kernel, whose vector has no zero entry, since a zero
+    would leave a dependent (d+1)-set."""
+    start = time.perf_counter()
     plan = plan or SearchPlan()
     d = code.twist.d
     if report.delta != d + 2 or not report.delta_exact:
@@ -670,25 +680,19 @@ def classify_min_words(code: Code, report: CodeReport,
     record, hits = _run_level(code, d + 2, plan, early_exit=False,
                               label="classify", k=k)
 
-    field, qf = code.field, code.twist.q_fixed
+    cols = np.array(hits, dtype=np.int64).reshape(-1, d + 2)
+    pts = np.asarray(code.variety.points, dtype=np.int64)[cols]
+    collinear, on_sub = on_common_subline(code.field, pts,
+                                          code.twist.q_fixed)
     supports, violations = [], []
-    for subset in hits:
-        pts = [code.variety.points[i] for i in subset]
-        problem = _minimality_problem(code, subset)
-        if problem:
-            violations.append({"columns": list(subset), "problem": problem})
-        collinear = is_collinear(field, pts)
-        # distinct collinear points: the first three frame the one
-        # PG(1, q') subline that could hold them all
-        on_sub = (collinear and qf + 1 >= len(pts)
-                  and set(pts) <= set(subline_through(field, *pts[:3], qf)))
-        if not on_sub:
-            violations.append({"columns": list(subset), "problem": (
-                "pre-images not on a common subline" if collinear
+    for subset, row, line, sub in zip(cols.tolist(), pts.tolist(),
+                                      collinear.tolist(), on_sub.tolist()):
+        if not sub:
+            violations.append({"columns": subset, "problem": (
+                "pre-images not on a common subline" if line
                 else "pre-images not collinear")})
-        supports.append({"columns": list(subset),
-                         "points": [list(p) for p in pts],
-                         "collinear": collinear, "on_subline": on_sub})
+        supports.append({"columns": subset, "points": row,
+                         "collinear": line, "on_subline": sub})
     # C(nu, k) k-sets in h supports each, C(d+2, k) per support
     count, rest = divmod(len(hits) * comb(code.nu, k), comb(d + 2, k))
     if rest:  # an invariant, checked also under python -O
@@ -697,7 +701,7 @@ def classify_min_words(code: Code, report: CodeReport,
     report.supports = supports
     report.violations = violations
     report.stage_log.append(record)
-    report.timings["classify"] = round(record.seconds, 6)
+    report.timings["classify"] = round(time.perf_counter() - start, 6)
     return report
 
 

@@ -86,15 +86,6 @@ def kernel_basis(field: Field, a) -> list[np.ndarray]:
     return basis
 
 
-def mat_vec(field: Field, a: np.ndarray, v: Sequence[int]) -> list[int]:
-    ops = field.ops
-    terms = ops.mul[a, np.asarray(v, dtype=np.int64)]
-    acc = np.zeros(a.shape[0], dtype=np.int64)
-    for j in range(a.shape[1]):
-        acc = ops.add[acc, terms[:, j]]
-    return acc.tolist()
-
-
 def is_independent(field: Field, a: np.ndarray,
                    column_subset: Sequence[int]) -> bool:
     """True iff the selected columns have rank equal to the subset size."""

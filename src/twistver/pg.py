@@ -7,21 +7,22 @@ enum_points is sorted ascending by coordinate tuple; this fixed order
 defines the column order of every matrix built from it, making all
 downstream outputs byte-reproducible.
 
-A subline is constructed explicitly through its first three frame points
-(parameters infinity, 0, 1 under the unique projectivity) rather than via
-cross-ratio arithmetic; any three distinct collinear points determine
-exactly one PG(1, q') subline.
+The program tests collinearity and a common PG(1, q') subline with
+on_common_subline, one array pass over a stack of point tuples.  The
+scalar is_collinear and subline_through are its references in the
+tests; subline_through constructs the unique PG(1, q') subline through
+three frame points, which get the parameters infinity, 0 and 1.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .ff import Field
-from .linalg import rank
+from .linalg import kernel_basis, rank
 
 ProjPoint = tuple[int, ...]
 
@@ -93,31 +94,6 @@ def all_lines(field: Field, points: Sequence[ProjPoint]) -> list[tuple[int, ...]
     return sorted(lines)
 
 
-def _frame_coefficients(field: Field, p0: ProjPoint, p1: ProjPoint,
-                        p2: ProjPoint) -> tuple[int, int]:
-    """(alpha, beta) with p2 = alpha*p0 + beta*p1, both nonzero."""
-    n = len(p0)
-    # 2-unknown system over n equations; solve from two independent rows
-    for i in range(n):
-        for j in range(n):
-            d = field.sub(field.mul(p0[i], p1[j]), field.mul(p0[j], p1[i]))
-            if d:
-                dinv = field.inv(d)
-                alpha = field.mul(dinv, field.sub(field.mul(p2[i], p1[j]),
-                                                  field.mul(p2[j], p1[i])))
-                beta = field.mul(dinv, field.sub(field.mul(p0[i], p2[j]),
-                                                 field.mul(p0[j], p2[i])))
-                # consistency on the remaining coordinates
-                for k in range(n):
-                    lhs = field.add(field.mul(alpha, p0[k]), field.mul(beta, p1[k]))
-                    if lhs != p2[k]:
-                        raise ValueError("frame points are not collinear")
-                if alpha == 0 or beta == 0:
-                    raise ValueError("frame points are not pairwise distinct")
-                return alpha, beta
-    raise ValueError("first two frame points coincide")
-
-
 def subline_through(field: Field, p0: ProjPoint, p1: ProjPoint, p2: ProjPoint,
                     q_sub: int) -> tuple[ProjPoint, ...]:
     """The q'+1 points of the unique PG(1, q') subline through the frame.
@@ -129,7 +105,12 @@ def subline_through(field: Field, p0: ProjPoint, p1: ProjPoint, p2: ProjPoint,
         raise ValueError("subline frame must consist of 3 distinct points")
     if q_sub not in field.subfield_orders():
         raise ValueError(f"{q_sub} is not a subfield order of GF({field.order})")
-    alpha, beta = _frame_coefficients(field, p0, p1, p2)
+    # k0 p0 + k1 p1 + k2 p2 = 0, all nonzero: p2 = alpha p0 + beta p1
+    kernel = kernel_basis(field, np.array([p0, p1, p2]).T)
+    if len(kernel) != 1 or not kernel[0].all():
+        raise ValueError("frame points are not collinear")
+    k0, k1, k2 = kernel[0].tolist()
+    alpha, beta = field.div(field.neg(k0), k2), field.div(field.neg(k1), k2)
     q0 = [field.mul(alpha, x) for x in p0]
     q1 = [field.mul(beta, x) for x in p1]
     pts = {canonicalize(field, q0)}
@@ -142,19 +123,41 @@ def subline_through(field: Field, p0: ProjPoint, p1: ProjPoint, p2: ProjPoint,
     return tuple(sorted(pts))
 
 
-def on_common_subline(field: Field, points: Sequence[ProjPoint], q_sub: int) -> bool:
-    """True iff the points are collinear and lie on one PG(1, q') subline."""
-    pts = list(points)
-    distinct: list[ProjPoint] = []
-    for p in pts:
-        if p not in distinct:
-            distinct.append(p)
-    if len(distinct) < 3:
-        raise ValueError("subline membership needs at least 3 distinct points")
-    if not is_collinear(field, pts):
-        return False
-    sub = set(subline_through(field, *distinct[:3], q_sub))
-    return all(p in sub for p in pts)
+def on_common_subline(field: Field, points, q_sub: int):
+    """(collinear, on_subline), boolean arrays over the rows of an
+    h x m x n stack of points, m >= 3 pairwise distinct points per row:
+    whether the row's points lie on one line, and on one PG(1, q') subline.
+
+    With P, R the first two points of a row and D the first nonzero 2 x 2
+    minor of (P, R), Cramer's rule solves X = alpha P + beta R for every
+    point X of the row; the row is collinear iff that holds on every
+    coordinate.  Every later X then has alpha, beta != 0.  The first three
+    points frame the one subline that could hold the row, and X is on it
+    iff beta/alpha lies in the coset of GF(q')^* that it lies in for the
+    third point: iff (beta/alpha)^(q'-1) agrees, as log(beta/alpha) does
+    mod (Q-1)/(q'-1)."""
+    if q_sub not in field.subfield_orders():
+        raise ValueError(f"{q_sub} is not a subfield order of GF({field.order})")
+    pts = np.asarray(points, dtype=np.int64)
+    if pts.shape[1] < 3:
+        raise ValueError("subline membership needs rows of at least 3 points")
+    ops, rows = field.ops, np.arange(len(pts))
+    p, r = pts[:, 0], pts[:, 1]
+    i, j = np.triu_indices(pts.shape[2], 1)
+    minors = ops.sub[ops.mul[p[:, i], r[:, j]], ops.mul[p[:, j], r[:, i]]]
+    first = (minors != 0).argmax(axis=1)
+    det, i, j = minors[rows, first][:, None], i[first], j[first]
+    x_i, x_j = pts[rows, :, i], pts[rows, :, j]
+    p_i, p_j, r_i, r_j = (a[rows, c][:, None] for a in (p, r) for c in (i, j))
+    alpha = ops.div[ops.sub[ops.mul[x_i, r_j], ops.mul[x_j, r_i]], det]
+    beta = ops.div[ops.sub[ops.mul[p_i, x_j], ops.mul[p_j, x_i]], det]
+    span = ops.add[ops.mul[alpha[:, :, None], p[:, None]],
+                   ops.mul[beta[:, :, None], r[:, None]]]
+    collinear = (span == pts).all(axis=(1, 2))
+    ratio = ops.div[beta[:, 2:], alpha[:, 2:]]
+    coset = field.eval_monomials(ratio.reshape(-1, 1), [[q_sub - 1]])
+    coset = coset.reshape(ratio.shape)
+    return collinear, collinear & (coset == coset[:, :1]).all(axis=1)
 
 
 def sublines_of_line(field: Field, line_points: Sequence[ProjPoint],

@@ -1,5 +1,6 @@
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 import twistver.codes as codes_mod
@@ -21,6 +22,16 @@ def get_variety(p, m, n, exps, e=1):
 
 def get_code(p, m, n, exps, e=1):
     return build_code(get_variety(p, m, n, exps, e))
+
+
+def mat_vec(field, a, v):
+    """The product of the matrix a and the vector v over field, a list."""
+    ops = field.ops
+    terms = ops.mul[np.asarray(a), np.asarray(v, dtype=np.int64)]
+    acc = np.zeros(terms.shape[0], dtype=np.int64)
+    for j in range(terms.shape[1]):
+        acc = ops.add[acc, terms[:, j]]
+    return acc.tolist()
 
 
 def classify_counted_and_full(code, monkeypatch, plan=None):

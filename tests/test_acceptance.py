@@ -19,10 +19,9 @@ from twistver import (Field, IncrementalElim, ScrollFrame, SearchPlan,
                       oracle_min_distance, rank,
                       scroll_plucker_check, sublines_of_line,
                       verify_general_position)
-from twistver.linalg import mat_vec
 from twistver.pg import is_collinear
 
-from conftest import classify_counted_and_full
+from conftest import classify_counted_and_full, mat_vec
 
 
 def _passline(tag, detail):

@@ -15,10 +15,11 @@ from twistver.codes import (BudgetExceeded, CodeReport,
                             classify_min_words, mds_status, min_distance,
                             oracle_min_distance, verify_dep_classification,
                             verify_general_position, verify_oracle_equivalence)
-from twistver.linalg import IncrementalElim, mat_vec, rank
+from twistver.linalg import IncrementalElim, rank
 from twistver.pg import is_collinear
 
-from conftest import classify_counted_and_full, get_code, get_variety
+from conftest import (classify_counted_and_full, get_code, get_variety,
+                      mat_vec)
 
 
 # -- construction -------------------------------------------------------------
@@ -303,21 +304,27 @@ def test_classify_gf16_supports(monkeypatch):
     assert len(cols) == 340
 
 
-def test_classify_tests_collinearity_once_per_support(monkeypatch):
+def test_classify_checks_all_supports_in_one_array_call(monkeypatch):
     import twistver.pg as pg_mod
     calls = []
-    real = pg_mod.is_collinear
+    real = pg_mod.on_common_subline
 
-    def counting(field, points):
+    def counting(field, points, q_sub):
         calls.append(len(points))
-        return real(field, points)
+        return real(field, points, q_sub)
 
-    monkeypatch.setattr(pg_mod, "is_collinear", counting)
-    monkeypatch.setattr(codes_mod, "is_collinear", counting)
+    def scalar(*args):
+        raise AssertionError("a scalar check ran")
+
     c = get_code(2, 4, 2, (0, 2))
-    rep = classify_min_words(c, min_distance(c))
-    assert (len(calls) == len(rep.supports)
-            == rep.stage_log[-1].dependent_found == 2)
+    rep = min_distance(c)  # its witness check is the one kernel_basis call
+    monkeypatch.setattr(codes_mod, "on_common_subline", counting)
+    for mod, name in [(pg_mod, "subline_through"), (pg_mod, "is_collinear"),
+                      (codes_mod, "kernel_basis")]:
+        monkeypatch.setattr(mod, name, scalar)
+    rep = classify_min_words(c, rep)
+    assert calls == [len(rep.supports)]
+    assert (len(rep.supports) == rep.stage_log[-1].dependent_found == 2)
     assert rep.min_weight_support_count == 340
     assert rep.violations == []
     assert all(s["collinear"] and s["on_subline"] for s in rep.supports)
@@ -358,12 +365,19 @@ def test_classify_over_budget_raises_before_scanning(monkeypatch):
 def test_classify_records_violations(monkeypatch):
     # the checks run on the listed supports: h = 3 for conic-5
     c = get_code(5, 1, 2, (0, 0))
-    monkeypatch.setattr(codes_mod, "subline_through", lambda *a: [])
+
+    def verdict(collinear, on_subline):
+        def check(field, points, q_sub):
+            rows = np.ones(len(points), dtype=bool)
+            return rows & collinear, rows & on_subline
+        return check
+
+    monkeypatch.setattr(codes_mod, "on_common_subline", verdict(True, False))
     off = classify_min_words(c, min_distance(c))
     assert [v["problem"] for v in off.violations] == [
         "pre-images not on a common subline"] * 3
     assert all(s["collinear"] and not s["on_subline"] for s in off.supports)
-    monkeypatch.setattr(codes_mod, "is_collinear", lambda *a: False)
+    monkeypatch.setattr(codes_mod, "on_common_subline", verdict(False, False))
     skew = classify_min_words(c, min_distance(c))
     assert [v["problem"] for v in skew.violations] == [
         "pre-images not collinear"] * 3
@@ -490,6 +504,22 @@ def test_counted_classification_matches_full_scan(cfg, monkeypatch):
     assert (counted.min_weight_support_count == full.min_weight_support_count
             == _closed_form_count(c))
     assert counted.violations == full.violations == []
+    # classify_min_words proves minimality instead of checking it
+    for rep in (counted, full):
+        assert all(_minimality_problem(c, s["columns"]) is None
+                   for s in rep.supports)
+
+
+def test_classify_gf64_line_every_5_set():
+    # sigma = (0, 0, 0) over GF(64): q' = 64, so every 5-set of the 65
+    # points of the line is a support
+    c = get_code(2, 6, 2, (0, 0, 0))
+    rep = codes_mod.analyze(c)
+    assert rep.delta == 5 and rep.orbit_prefix == 3
+    assert rep.min_weight_support_count == comb(65, 5) == 8_259_888
+    assert len(rep.supports) == comb(62, 2)
+    assert rep.violations == []
+    assert rep.timings["classify"] >= rep.stage_log[-1].seconds
 
 
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS)

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from twistver.ff import LogOps
 from twistver.linalg import (IncrementalElim, det, is_independent,
-                             kernel_basis, mat_vec, rank)
+                             kernel_basis, rank)
 
-from conftest import get_code, get_field
+from conftest import get_code, get_field, mat_vec
 
 
 def random_matrix(field, rows, cols, rng):

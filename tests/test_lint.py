@@ -1,7 +1,11 @@
-"""Source lint: the package states its invariants with explicit raises.
+"""Source lint for the package.
 
-A bare `assert` vanishes under `python -O`, so an invariant written that
-way stops being checked exactly when nobody is watching.
+* Invariants are stated with explicit raises.  A bare `assert` vanishes
+  under `python -O`, so an invariant written that way stops being
+  checked exactly when nobody is watching.
+* Every module-level import is used: an unused one keeps a dependency
+  alive that nothing needs.  The package `__init__` re-exports, so it is
+  left out.
 """
 
 import ast
@@ -18,3 +22,26 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in src/twistver: {found}"
+
+
+def test_no_unused_module_level_imports():
+    files = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert files
+    found = []
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}"
+                  for name, line in imported.items() if name not in used]
+    assert not found, f"unused imports in src/twistver: {found}"

@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -133,20 +134,79 @@ def test_subline_errors(gf16):
 
 def test_three_collinear_points_always_on_common_subline(gf16):
     pts = enum_points(gf16, 2)
-    for frame in itertools.combinations(pts[:8], 3):
-        assert on_common_subline(gf16, list(frame), 4)
+    frames = list(itertools.combinations(pts[:8], 3))
+    collinear, on_sub = on_common_subline(gf16, frames, 4)
+    assert collinear.all() and on_sub.all()
 
 
 def test_on_common_subline_counterexample(gf16):
     g = gf16.generator
     assert g not in gf16.subfield_elements(4)
-    assert not on_common_subline(
-        gf16, [(1, 0), (0, 1), (1, 1), (1, g)], 4)
+    collinear, on_sub = on_common_subline(
+        gf16, [[(1, 0), (0, 1), (1, 1), (1, g)]], 4)
+    assert collinear.tolist() == [True] and on_sub.tolist() == [False]
 
 
 def test_on_common_subline_needs_three_distinct(gf16):
     with pytest.raises(ValueError):
-        on_common_subline(gf16, [(1, 0), (0, 1)], 4)
+        on_common_subline(gf16, [[(1, 0), (0, 1)]], 4)
+    with pytest.raises(ValueError):
+        on_common_subline(gf16, [[(1, 0), (0, 1), (1, 1)]], 8)
+
+
+def _random_rows(field, n, q_sub, m, rng, count):
+    """count rows of m distinct points each, in random order: in turn on
+    a random PG(1, q') subline (when it has m points), on a random line,
+    and anywhere."""
+    def point():
+        while True:
+            v = [rng.randrange(field.order) for _ in range(n)]
+            if any(v):
+                return canonicalize(field, v)
+
+    rows = []
+    while len(rows) < count:
+        p0, p1 = point(), point()
+        if p0 == p1:
+            continue
+        kind = len(rows) % 3
+        if kind == 0 and m <= q_sub + 1:
+            a, b = rng.randrange(1, field.order), rng.randrange(1, field.order)
+            p2 = canonicalize(field, [field.add(field.mul(a, x), field.mul(b, y))
+                                      for x, y in zip(p0, p1)])
+            rows.append(rng.sample(subline_through(field, p0, p1, p2, q_sub), m))
+        elif kind < 2:
+            rows.append(rng.sample(line_through(field, p0, p1), m))
+        else:
+            row = {p0, p1}
+            while len(row) < m:
+                row.add(point())
+            rows.append(rng.sample(sorted(row), m))
+    return rows
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("p,m", [(2, 4), (3, 4)])
+def test_on_common_subline_matches_scalar_references(p, m, n):
+    """The array pass against is_collinear and membership in the
+    subline_through the first three points, for q' = p, a proper
+    subfield and Q, on rows of 3 to 5 points."""
+    field = get_field(p, m)
+    rng = random.Random(1000 * p + n)
+    positives = negatives = 0
+    for q_sub in field.subfield_orders():
+        for size in (3, 4, 5):
+            rows = _random_rows(field, n, q_sub, size, rng, 9)
+            collinear, on_sub = on_common_subline(field, rows, q_sub)
+            for row, line, sub in zip(rows, collinear.tolist(),
+                                      on_sub.tolist()):
+                want_line = is_collinear(field, row)
+                want_sub = want_line and set(row) <= set(
+                    subline_through(field, *row[:3], q_sub))
+                assert (line, sub) == (want_line, want_sub), (q_sub, row)
+                positives += sub
+                negatives += want_line and not sub
+    assert positives and negatives
 
 
 def test_subline_count_of_pg1_16():
