@@ -19,18 +19,18 @@ Column symmetries.  For M in GL(n, q^t) the embedding satisfies
 nu(Mv) = (M^{s_0} (x) ... (x) M^{s_{d-1}}) nu(v), so M permutes the
 columns of H up to nonzero scalars through an invertible linear map, and
 a column subset is dependent exactly when its image is.  Once per
-min_distance call, each generator of GL(n, q^t) listed by _gl_generators
-is read off the point list as a candidate: a column permutation and, per
-column, the scale lead^norm with which the embedding of M . v meets the
-column of its point (every basis monomial has degree norm).  A candidate
-is kept only if H itself passes the rank test of _is_column_symmetry;
-nothing rests on the identity above.  A stabiliser chain over the nu
-columns then gives k, stored in the report as orbit_prefix: the largest
-k such that, for every i < k, the kept permutations that fix columns
-0 .. i-1 move column i onto every column >= i, so any k distinct columns
-map onto (0, ..., k-1).  On a line (n = 2) PGL(2, q^t) is 3-transitive
-and k = 3 (more on the tiniest fields); for n >= 3 the generators that
-fix columns 0 and 1 fix column 2 too, and the chain stops at 2.
+min_distance call, one array pass reads each generator M listed by
+_gl_generators off the point list as a column permutation and per-column
+scales lead^norm (every basis monomial has degree norm), and one rank
+test of H against all their images, _is_column_symmetry, proves the set;
+nothing rests on the identity above.  If the test fails, k = 0 and no
+level is reduced.  Otherwise a stabiliser chain over the nu columns
+gives k, stored in the report as orbit_prefix: the largest k such that,
+for every i < k, the permutations that fix columns 0 .. i-1 move column
+i onto every column >= i, so any k distinct columns map onto
+(0, ..., k-1).  On a line (n = 2) PGL(2, q^t) is 3-transitive and
+k = 3 (more on the tiniest fields); for n >= 3 the generators that fix
+columns 0 and 1 fix column 2 too, and the chain stops at 2.
 
 A level then scans only the C(nu-k', w-k') w-subsets that contain the
 columns 0 .. k'-1, k' = min(k, w) (McKay's "one representative per
@@ -51,7 +51,7 @@ lists the h supports through the columns 0 .. k'-1, k' = min(k, d+2)
 counting, since every k'-set of columns lies in h, and checks all listed
 ones for collinear pre-images on a common PG(1, q') subline in one array
 pass, pg.on_common_subline; the scalar pg geometry (is_collinear,
-subline_through) serves only as its reference in the tests.  The kept
+subline_through) serves only as its reference in the tests.  The proved
 symmetries come from matrices, which map sublines to sublines, so the
 listed ones speak for all.
 
@@ -256,14 +256,15 @@ def _lex_rank(subset: Sequence[int], nu: int) -> int:
 def _scan_subtree(elim: IncrementalElim, head: tuple[int, ...], w: int,
                   early_exit: bool, cap: Optional[int]):
     """DFS below one head, the forced leading columns of every subset it
-    visits.  Returns the dependent w-subsets found, only the first with
-    early exit; a cap stops the scan once it has checked that many.
+    visits.  Returns the dependent w-subsets found (only the first with
+    early exit) and the number of w-subsets covered.  A cap stops the scan
+    once that many are checked; a vectorized leaf is checked whole.
 
     Visits independent prefixes in lexicographic order; at prefix size
     w-1 every remaining column is classified in one vectorized scan.
     A dependent subset smaller than w raises DependencyInvariantError.
     """
-    checked = 0
+    checked = int(len(head) == w)  # a whole head is one subset
     hits: list[tuple[int, ...]] = []
     prefix = list(head)
     ncols = elim.ncols
@@ -318,22 +319,22 @@ def _scan_subtree(elim: IncrementalElim, head: tuple[int, ...], w: int,
             if not push(c):
                 if i + 1 < w:
                     raise DependencyInvariantError(head[:i + 1])
-                return [tuple(head)]  # the head is the subset
+                return [tuple(head)], 1  # the head is the subset
         if len(head) < w:
             rec(w - len(head))
     finally:
         elim.reset()
-    return hits
+    return hits, checked
 
 
 def _level_tasks(nu: int, k: int, w: int, budget: int):
-    """(head, cap) tasks covering the lexicographically first `budget`
-    w-subsets of range(nu) that contain range(k).  A head is range(k)
-    plus the next column, or range(k) alone when one vectorized scan
-    covers the level; cap None is the whole subtree."""
+    """(head, cap) tasks covering at least the lexicographically first
+    `budget` w-subsets of range(nu) that contain range(k).  A head is
+    range(k) plus the next column, or range(k) alone when one vectorized
+    scan covers the whole level; cap None is the whole subtree."""
     prefix = tuple(range(k))
     if w - k <= 2:
-        return [(prefix, None if comb(nu - k, w - k) <= budget else budget)]
+        return [(prefix, None)]
     tasks: list[tuple[tuple[int, ...], Optional[int]]] = []
     for c in range(k, nu - (w - k) + 1):
         if budget <= 0:
@@ -380,19 +381,21 @@ def _scan_columns(elim: IncrementalElim, w: int,
     """Scan the tasks' subtrees in lexicographic task order.  Early exit
     stops at the first task with a hit, which lex-dominates every later
     one: a level whose first task hits starts no pool, and a later hit
-    stops every worker.  Returns the hits, sorted."""
+    stops every worker.  Returns the sorted hits and the number of
+    w-subsets covered."""
 
     def scan(task):
         head, cap = task
         return _scan_subtree(elim, head, w, early_exit, cap)
 
-    hits: list[tuple[int, ...]] = []
+    hits, covered = [], 0
     with closing(_task_results(scan, tasks, workers)) as results:
-        for task_hits in results:
+        for task_hits, checked in results:
             hits += task_hits
+            covered += checked
             if early_exit and task_hits:
                 break
-    return sorted(hits)
+    return sorted(hits), covered
 
 
 def _run_level(code: Code, w: int, plan: SearchPlan, *, early_exit: bool,
@@ -413,17 +416,15 @@ def _run_level(code: Code, w: int, plan: SearchPlan, *, early_exit: bool,
     total = comb(nu - k, w - k)
     workers = plan.workers if total >= PARALLEL_MIN_CHECKS else 1
     tasks = _level_tasks(nu, k, w, plan.budget)
-    hits = _scan_columns(IncrementalElim(code.field, code.H), w, tasks,
-                         early_exit, workers)
+    hits, checked = _scan_columns(IncrementalElim(code.field, code.H), w,
+                                  tasks, early_exit, workers)
 
-    # the budget truncated the tasks and no early-exit hit settled the level
-    capped = total > plan.budget and not (early_exit and hits)
+    # the budget truncated the scan and no early-exit hit settled the level
+    capped = checked < total and not (early_exit and hits)
     if early_exit and hits:
         # deterministic count: every subset scanned up to and including
         # the leaf that produced the lexicographically first hit
         checked = _lex_rank(hits[0][:-1] + (nu - 1,), nu) + 1
-    else:
-        checked = min(total, plan.budget)
 
     restriction = f"orbit:{k}" if k and not (early_exit and hits) else "none"
     record = StageRecord(label=label, w=w, restriction=restriction,
@@ -454,53 +455,52 @@ def _gl_generators(field: Field, n: int) -> list[np.ndarray]:
     return gens + [head_shift] if n >= 3 else gens
 
 
-def _induced_permutation(code: Code, mat: np.ndarray):
-    """(perm, scale) for a matrix M with M . points[j] = lead_j .
-    points[perm[j]]: perm[j] is -1 where M . points[j] is zero or not a
-    listed point, and scale[j] = lead_j ** norm.  Every basis monomial has
-    total degree norm, so the embedding of M . points[j] is scale[j] times
-    column perm[j] of H, and the basis need not be evaluated again."""
+def _induced_permutation(code: Code, mats: np.ndarray):
+    """(perms, scales), g x nu each, for a g x n x n stack of matrices M_i
+    with M_i . points[j] = lead_ij . points[perms[i, j]]: perms[i, j] is
+    -1 where M_i . points[j] is zero or not a listed point, and
+    scales[i, j] = lead_ij ** norm.  Every basis monomial has total degree
+    norm, so the embedding of M_i . points[j] is scales[i, j] times column
+    perms[i, j] of H, and the basis need not be evaluated again."""
     field, ops = code.field, code.field.ops
     pts = np.asarray(code.variety.points, dtype=np.int64)
-    terms = ops.mul[pts[:, None, :], mat[None, :, :]]
-    img = terms[:, :, 0]
-    for s in range(1, mat.shape[1]):
-        img = ops.add[img, terms[:, :, s]]
-    lead = img[np.arange(len(img)), (img != 0).argmax(axis=1)]
-    canon = ops.div[img, lead[:, None]]
+    terms = ops.mul[pts[None, :, None, :], mats[:, None, :, :]]
+    img = terms[..., 0]
+    for s in range(1, mats.shape[2]):
+        img = ops.add[img, terms[..., s]]
+    lead = np.take_along_axis(img, (img != 0).argmax(axis=2)[..., None],
+                              axis=2)[..., 0]
+    canon = ops.div[img, lead[..., None]]
     place = field.order ** np.arange(pts.shape[1] - 1, -1, -1,
                                      dtype=np.int64)
     keys, want = pts @ place, canon @ place  # keys ascend with the points
-    perm = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-    perm[(keys[perm] != want) | (lead == 0)] = -1
+    perms = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    perms[(keys[perms] != want) | (lead == 0)] = -1
     # lead ** norm, the one monomial x^norm evaluated at each lead (0 -> 0)
-    scale = field.eval_monomials(lead[:, None], [[code.twist.norm]])[:, 0]
-    return perm, scale
+    scales = field.eval_monomials(lead.reshape(-1, 1), [[code.twist.norm]])
+    return perms, scales.reshape(lead.shape)
 
 
-def _is_column_symmetry(code: Code, perm: np.ndarray,
-                        scale: np.ndarray) -> bool:
-    """True iff an invertible linear map sends every column j of H to
-    scale[j] times column perm[j], which preserves the linear dependence
-    of every column subset.  Checked on H itself:
+def _is_column_symmetry(code: Code, perms: np.ndarray,
+                        scales: np.ndarray) -> bool:
+    """True iff, for every candidate i, an invertible linear map sends
+    column j of H to scales[i, j] times column perms[i, j], so that every
+    column subset keeps its dependence.  One proof on H covers all:
 
-    * perm is a bijection of the columns and no scale is zero, so the
-      images scale[j] . H^T[perm[j]] have rank(H) == effective_N
-      (build_code checks it);
-    * rank([H^T | images]) == effective_N, so the images lie in the
-      column space of H^T: images = H^T B, and B is invertible by the
-      rank of the images.
+    * each perms[i] is a bijection and no scale is zero, so each block
+      images_i = D_i P_i H^T has rank(H) = effective_N (see build_code);
+    * rank([H^T | images_0 | ... | images_{g-1}]) = effective_N puts
+      every block in the column space of H^T: images_i = H^T B_i;
+    * rank(images_i) = effective_N makes B_i invertible.
 
-    The rank test alone carries the proof: perm and scale are only a
-    candidate, from _induced_permutation, and nothing here relies on the
-    embedding identity that produced them.
-    """
-    if not (np.array_equal(np.sort(perm), np.arange(code.nu))
-            and scale.all()):
+    The candidates come from _induced_permutation; nothing here relies
+    on the embedding identity that produced them."""
+    if not ((np.sort(perms, axis=1) == np.arange(code.nu)).all()
+            and scales.all()):
         return False
     h_t = code.H.T
-    images = code.field.ops.mul[scale[:, None], h_t[perm]]
-    return rank(code.field, np.hstack([h_t, images])) == code.effective_N
+    images = code.field.ops.mul[scales[..., None], h_t[perms]]
+    return rank(code.field, np.hstack([h_t, *images])) == code.effective_N
 
 
 def _orbit(nu: int, start: int, perms: Sequence[np.ndarray]) -> np.ndarray:
@@ -542,13 +542,13 @@ def _orbit_prefix(nu: int, perms: Sequence[np.ndarray]) -> int:
 def column_orbit_prefix(code: Code) -> int:
     """Length k of the column prefix (0, ..., k-1) that every subset of
     k or more columns can be mapped onto by a verified symmetry of H.
-    A generator that fails _is_column_symmetry is dropped."""
-    perms = []
-    for mat in _gl_generators(code.field, code.variety.n):
-        perm, scale = _induced_permutation(code, mat)
-        if _is_column_symmetry(code, perm, scale):
-            perms.append(perm)
-    return _orbit_prefix(code.nu, perms)
+    The generators are proved as one set, and used all or not at all:
+    if _is_column_symmetry fails, k = 0 and the levels scan everything."""
+    mats = np.stack(_gl_generators(code.field, code.variety.n))
+    perms, scales = _induced_permutation(code, mats)
+    if not _is_column_symmetry(code, perms, scales):
+        return 0
+    return _orbit_prefix(code.nu, list(perms))
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +787,7 @@ def _settled(report: CodeReport) -> CodeReport:
     if report.capped:
         level = next(s for s in report.stage_log if s.capped)
         raise BudgetExceeded(
-            f"level w={level.w} needs more than the budget of "
+            f"level w={level.w} was cut off by the budget after "
             f"{level.checked} checks; only delta >= "
             f"{report.delta_lower_bound} is proven; raise the budget "
             "explicitly to proceed")

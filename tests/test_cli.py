@@ -320,9 +320,11 @@ def test_verify_dep_classification_budget_exit(capsys):
 
 
 def test_verify_oracle_equivalence_budget_exit(capsys):
-    # level 4 needs C(2, 1) = 2 > 1 checks and holds no dependent set
-    code = run_cli(["verify", "oracle-equivalence", "--p", "2", "--t", "2",
-                    "--sigma", "0,1", "--budget", "1", "--workers", "1"])
+    # GF(7), the normal rational curve of degree 6: level 6 needs
+    # C(5, 3) = 10 > 6 checks and holds no dependent set
+    code = run_cli(["verify", "oracle-equivalence", "--p", "7", "--t", "1",
+                    "--sigma", "0,0,0,0,0,0", "--budget", "6",
+                    "--workers", "1"])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "budget" in captured.err

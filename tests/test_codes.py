@@ -411,9 +411,10 @@ def test_mds_status_values():
 
 
 def test_mds_status_requires_exact():
-    # GF(8), twist (0,1): the empty level 4 scans C(6, 1) = 6 supersets
-    # of {0, 1, 2}, over the budget
-    rep = min_distance(get_code(2, 3, 2, (0, 1)), SearchPlan(budget=5))
+    # GF(7), the normal rational curve of degree 6: the empty level 6
+    # would scan C(5, 3) = 10 supersets of {0, 1, 2}; the budget stops it
+    # after those of {0, 1, 2, 3}
+    rep = min_distance(get_code(7, 1, 2, (0,) * 6), SearchPlan(budget=6))
     assert not rep.delta_exact
     with pytest.raises(ValueError):
         mds_status(rep)
@@ -604,9 +605,17 @@ def test_every_generator_is_a_verified_symmetry():
         c = get_code(*cfg)
         gens = codes_mod._gl_generators(c.field, c.variety.n)
         assert len(gens) == (4 if c.variety.n == 2 else 5)
+        perms, scales = codes_mod._induced_permutation(c, np.stack(gens))
+        assert perms.shape == scales.shape == (len(gens), c.nu)
+        assert codes_mod._is_column_symmetry(c, perms, scales)
         for i, mat in enumerate(gens):
-            perm, scale = codes_mod._induced_permutation(c, mat)
+            # a stack of one candidate gives the same row and is proved
+            # on its own
+            perm, scale = codes_mod._induced_permutation(c, mat[None])
+            assert np.array_equal(perm[0], perms[i])
+            assert np.array_equal(scale[0], scales[i])
             assert codes_mod._is_column_symmetry(c, perm, scale)
+            perm, scale = perm[0], scale[0]
             # the scales are those of the embedding: M . points[j] embeds
             # to scale[j] times column perm[j]
             img = c.field.eval_monomials(
@@ -626,46 +635,84 @@ def test_every_generator_is_a_verified_symmetry():
 
 def test_symmetry_check_rejects_non_symmetries():
     c = get_code(3, 3, 2, (0, 0, 2))
-    perm, scale = codes_mod._induced_permutation(
-        c, codes_mod._gl_generators(c.field, 2)[2])
-    assert codes_mod._is_column_symmetry(c, perm, scale)
+
+    def proved(perm, scale):  # a stack of one candidate
+        return codes_mod._is_column_symmetry(c, perm[None], scale[None])
+
+    perms, scales = codes_mod._induced_permutation(
+        c, np.stack(codes_mod._gl_generators(c.field, 2)[2:3]))
+    perm, scale = perms[0], scales[0]
+    assert proved(perm, scale)
     ones = np.ones(c.nu, dtype=np.int64)
     # swapping two columns, with unit scales: a bijection with no zero
     # scale, so only the rank test can reject it
     swap = np.arange(c.nu)
     swap[[0, 1]] = [1, 0]
-    assert not codes_mod._is_column_symmetry(c, swap, ones)
+    assert not proved(swap, ones)
     # not a bijection
     twice = perm.copy()
     twice[0] = twice[1]
-    assert not codes_mod._is_column_symmetry(c, twice, scale)
+    assert not proved(twice, scale)
     # a bijection with nonzero scales that is not the induced one
-    assert not codes_mod._is_column_symmetry(c, np.roll(perm, 1), scale)
+    assert not proved(np.roll(perm, 1), scale)
     # a zero scale; zero images pass the rank test, so with all scales
     # zero only the scale check rejects them
     zero = scale.copy()
     zero[3] = 0
-    assert not codes_mod._is_column_symmetry(c, perm, zero)
-    assert not codes_mod._is_column_symmetry(c, perm, 0 * scale)
+    assert not proved(perm, zero)
+    assert not proved(perm, 0 * scale)
     # the right permutation with nonzero but wrong scales: the rank test
     # must reject it
     assert not (scale == 1).all()
-    assert not codes_mod._is_column_symmetry(c, perm, ones)
+    assert not proved(perm, ones)
     # a singular matrix sends the point (0, 1) to zero: no column, and a
     # zero scale
     singular, singular_scale = codes_mod._induced_permutation(
-        c, np.array([[1, 0], [0, 0]]))
-    assert -1 in singular.tolist()
+        c, np.array([[[1, 0], [0, 0]]]))
+    assert -1 in singular[0].tolist()
     assert not singular_scale.all()
     assert not codes_mod._is_column_symmetry(c, singular, singular_scale)
+    # one bad candidate among the generators rejects the whole stack
+    perms, scales = codes_mod._induced_permutation(
+        c, np.stack(codes_mod._gl_generators(c.field, 2)))
+    assert codes_mod._is_column_symmetry(c, perms, scales)
+    for i in range(len(perms)):
+        # a bijection with nonzero scales: only the joint rank test sees it
+        bad_perms, bad_scales = perms.copy(), scales.copy()
+        bad_perms[i], bad_scales[i] = swap, ones
+        assert not codes_mod._is_column_symmetry(c, bad_perms, bad_scales)
+        bad_perms[i], bad_scales[i] = np.roll(perms[i], 1), scales[i]
+        assert not codes_mod._is_column_symmetry(c, bad_perms, bad_scales)
+
+
+@pytest.mark.parametrize("cfg", [(3, 3, 2, (0, 0, 2)), (2, 2, 3, (0, 1))])
+def test_symmetry_step_is_one_pass_and_one_rank(monkeypatch, cfg):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(codes_mod, name, wrapper)
+
+    counted("_induced_permutation", codes_mod._induced_permutation)
+    counted("rank", codes_mod.rank)
+    assert codes_mod.column_orbit_prefix(get_code(*cfg)) > 0
+    assert calls == ["_induced_permutation", "rank"]
 
 
 def test_no_verified_generator_means_unreduced_levels(monkeypatch):
+    # one singular matrix among the generators fails the proof of the
+    # whole set: none is used, not even the good ones
     c = get_code(3, 3, 2, (0, 0, 2))
     reduced = min_distance(c)
-    monkeypatch.setattr(codes_mod, "_is_column_symmetry", lambda *a: False)
+    assert reduced.orbit_prefix == 3
+    real = codes_mod._gl_generators
+    monkeypatch.setattr(codes_mod, "_gl_generators", lambda field, n: (
+        real(field, n) + [np.diag([1] + [0] * (n - 1))]))
     assert codes_mod.column_orbit_prefix(c) == 0
     full = min_distance(c)
+    assert full.orbit_prefix == 0
     assert {s.restriction for s in full.stage_log} == {"none"}
     assert (full.delta, full.delta_exact, full.witness, full.status) == (
         reduced.delta, reduced.delta_exact, reduced.witness, reduced.status)
@@ -686,6 +733,31 @@ def test_symmetry_step_runs_once_per_code(monkeypatch):
     rep = codes_mod.analyze(get_code(2, 4, 2, (0, 2)))
     assert rep.min_weight_support_count == 340 and rep.orbit_prefix == 3
     assert calls == [17]
+
+
+def _small_configs():
+    """(p, m, n, sigma) for p in {2, 3, 5, 7} with p^m <= 16, n in {2, 3}
+    and every sorted sigma = (0, s_1, ..., s_{d-1}), d <= 3, of norm
+    below p^m."""
+    for p in (2, 3, 5, 7):
+        for m in itertools.takewhile(lambda m: p ** m <= 16,
+                                     itertools.count(1)):
+            for n, d in itertools.product((2, 3), (1, 2, 3)):
+                for rest in itertools.combinations_with_replacement(
+                        range(m), d - 1):
+                    if sum(p ** s for s in (0,) + rest) < p ** m:
+                        yield p, m, n, (0,) + rest
+
+
+def test_orbit_prefix_on_every_small_config():
+    # PGL(2, q^t) is 3-transitive on a line (and S_4 on the 4 points of
+    # PG(1, 3)); on a plane the chain stops at 2
+    configs = list(_small_configs())
+    assert len(configs) == 84
+    for p, m, n, exps in configs:
+        want = 2 if n == 3 else 4 if p ** m == 3 else 3
+        assert codes_mod.column_orbit_prefix(
+            get_code(p, m, n, exps)) == want, (p, m, n, exps)
 
 
 def test_orbit_prefix_of_intransitive_groups():
@@ -745,18 +817,33 @@ def test_orbit_matches_naive_closure(data):
 # -- budgets and determinism ---------------------------------------------------------
 
 def test_budget_cap_gives_sound_lower_bound():
-    # level 4 scans the C(25, 1) = 25 supersets of {0, 1, 2}: over the
-    # budget
+    # level 6 would scan the C(25, 3) = 2,300 supersets of {0, 1, 2}: over
+    # the budget (levels 4 and 5 are one vectorized scan each, and whole)
     c = get_code(3, 3, 2, (0, 0, 2))
     rep = min_distance(c, SearchPlan(budget=20))
     assert not rep.delta_exact
     assert rep.delta is None
     assert rep.status == "unresolved"
-    assert rep.delta_lower_bound == 4  # w=4 was capped, so only w<=3 proven
+    assert rep.delta_lower_bound == 6  # w=6 was capped, so only w<=5 proven
     capped = [s for s in rep.stage_log if s.capped]
-    assert capped and capped[0].w == 4
+    assert capped and capped[0].w == 6
     rep2 = min_distance(c, SearchPlan(budget=20))
     assert rep.canonical_hash() == rep2.canonical_hash()
+
+
+def test_whole_vectorized_level_is_not_capped():
+    # track-27, k = 3: level 5 is one pair scan over the C(25, 2) = 300
+    # supersets of {0, 1, 2}, all covered although over the budget; level
+    # 6's first task, the C(24, 2) = 276 supersets of {0, 1, 2, 3}, is
+    # one pair scan too, and it uses up the budget before the other 2,024
+    rep = min_distance(get_code(3, 3, 2, (0, 0, 2)), SearchPlan(budget=100))
+    level = {s.w: s for s in rep.stage_log}
+    assert (level[5].capped, level[5].checked) == (False, 300)
+    assert (level[6].capped, level[6].checked) == (True, 276)
+    assert rep.delta_lower_bound == 6 and not rep.delta_exact
+    with pytest.raises(BudgetExceeded, match="w=6 .* after 276 checks"):
+        verify_general_position(get_code(3, 3, 2, (0, 0, 2)), 6,
+                                SearchPlan(budget=100))
 
 
 def test_plan_w_max_validation():
@@ -885,12 +972,12 @@ def test_general_position_k_range():
 
 
 def test_general_position_budget_covers_every_level():
-    # GF(4), twist (0,1): nu = 5.  Levels 3 and 5 scan the one superset
-    # of {0, 1, 2} of their size, which fits the budget, but level 4
-    # needs C(2, 1) = 2
+    # GF(7), the normal rational curve of degree 6: nu = 8.  Levels 7 and
+    # 8 scan C(5, 4) = 5 and C(5, 5) = 1 supersets of {0, 1, 2}, which
+    # fit the budget, but level 6 needs C(5, 3) = 10
     with pytest.raises(BudgetExceeded):
-        verify_general_position(get_code(2, 2, 2, (0, 1)), 5,
-                                SearchPlan(budget=1))
+        verify_general_position(get_code(7, 1, 2, (0,) * 6), 8,
+                                SearchPlan(budget=6))
 
 
 def test_general_position_truncated_level_with_hit():
@@ -904,7 +991,7 @@ def test_general_position_truncated_level_with_hit():
 
 def test_general_position_budget_error():
     with pytest.raises(BudgetExceeded):
-        verify_general_position(get_code(3, 3, 2, (0, 0, 2)), 4,
+        verify_general_position(get_code(3, 3, 2, (0, 0, 2)), 6,
                                 SearchPlan(budget=20))
 
 

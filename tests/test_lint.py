@@ -6,12 +6,18 @@
 * Every module-level import is used: an unused one keeps a dependency
   alive that nothing needs.  The package `__init__` re-exports, so it is
   left out.
+* Every name the benchmark's tracer wraps (`perfbench/spans.py`
+  `TARGETS`) exists: a missing one makes `perfbench/run.py --trace 1`
+  fail inside `Tracer.installed()`.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "twistver"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "twistver"
 
 
 def test_no_assert_statements_in_the_package():
@@ -45,3 +51,19 @@ def test_no_unused_module_level_imports():
         found += [f"{path.name}:{line} {name}"
                   for name, line in imported.items() if name not in used]
     assert not found, f"unused imports in src/twistver: {found}"
+
+
+def test_benchmark_trace_targets_resolve():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    missing = []
+    for module, attribute, _ in spans.TARGETS:
+        obj = importlib.import_module(module)
+        for part in attribute.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{module}.{attribute}")
+    assert not missing, f"perfbench traces names twistver lacks: {missing}"
