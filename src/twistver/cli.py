@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from contextlib import suppress
 from typing import Optional
 
 from .codes import (DEFAULT_BUDGET, BudgetExceeded, SearchPlan, analyze,
@@ -34,12 +35,23 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
+def _write(path: str, write) -> None:
+    """write(fh) to a file beside path, then replace path with it whole."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+    _progress(f"wrote {path}")
+
+
 def _emit(payload: dict, output: Optional[str]) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        _progress(f"wrote {output}")
+        _write(output, lambda fh: fh.write(text + "\n"))
     else:
         print(text)
 
@@ -110,9 +122,8 @@ def cmd_build(args) -> int:
     if args.csv:
         # the check matrix H, one row per coordinate, entries the
         # canonical integer encodings sum(c_i * p^i)
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(variety.coords.T.tolist())
-        _progress(f"wrote {args.csv}")
+        _write(args.csv, lambda fh: csv.writer(fh).writerows(
+            variety.coords.T.tolist()))
     return EXIT_OK
 
 

@@ -56,10 +56,12 @@ symmetries come from matrices, which map sublines to sublines, so the
 listed ones speak for all.
 
 Each level walks a depth-first tree of independent column
-prefixes, reusing the incremental elimination workspace; one vectorized
-scan per prefix classifies every extension column as in-span or
-independent, so a level that nominally checks C(nu, w) subsets only does
-C(nu, w-1) eliminations.
+prefixes in one incremental elimination per min_distance call, whose
+frame holds the columns 0 .. k'-1: each is pushed once, and its push
+settles the level w = k' <= k; every later level and task starts from
+it.  One vectorized scan per prefix classifies every extension column as
+in-span or independent, so a level that nominally checks C(nu, w)
+subsets only does C(nu, w-1) eliminations.
 
 Everything is deterministic: a level is split into tasks on the column
 after the prefix, the tasks run and are read back in lexicographic order
@@ -314,9 +316,9 @@ def _scan_subtree(elim: IncrementalElim, head: tuple[int, ...], w: int,
                 return True
         return False
 
-    try:
-        for i, c in enumerate(head):
-            if not push(c):
+    try:  # the frame holds head[:elim.frame] already
+        for i in range(elim.frame, len(head)):
+            if not push(head[i]):
                 if i + 1 < w:
                     raise DependencyInvariantError(head[:i + 1])
                 return [tuple(head)], 1  # the head is the subset
@@ -346,7 +348,7 @@ def _level_tasks(nu: int, k: int, w: int, budget: int):
 
 
 # The scan of the level a fork pool is running; its workers inherit it,
-# IncrementalElim included, through the fork.
+# IncrementalElim and its frame included, through the fork.
 _forked_scan = None
 
 
@@ -398,8 +400,8 @@ def _scan_columns(elim: IncrementalElim, w: int,
     return sorted(hits), covered
 
 
-def _run_level(code: Code, w: int, plan: SearchPlan, *, early_exit: bool,
-               label: str, k: int = 0):
+def _run_level(elim: IncrementalElim, w: int, plan: SearchPlan, *,
+               early_exit: bool, label: str, k: int = 0):
     """One level of w-subsets in lexicographic order: exhaustive, or with
     early exit at the first dependent subset.
 
@@ -409,15 +411,18 @@ def _run_level(code: Code, w: int, plan: SearchPlan, *, early_exit: bool,
     that every w-subset maps onto one of them under a symmetry of H, so
     the hits meet every orbit of dependent sets (restriction "orbit:k'"),
     and an early-exit hit is the one the unrestricted scan stops at
-    (restriction "none").
+    (restriction "none").  The frame of elim, a prefix of 0 .. k'-1,
+    grows to all of them here (a column in the span of those before it
+    stays out, and the first task reports it); every task starts from it.
     """
-    nu, k = code.nu, min(k, w)
+    nu, k = elim.ncols, min(k, w)
     start = time.perf_counter()
+    while elim.frame < k and elim.push(elim.frame):
+        elim.freeze()
     total = comb(nu - k, w - k)
     workers = plan.workers if total >= PARALLEL_MIN_CHECKS else 1
     tasks = _level_tasks(nu, k, w, plan.budget)
-    hits, checked = _scan_columns(IncrementalElim(code.field, code.H), w,
-                                  tasks, early_exit, workers)
+    hits, checked = _scan_columns(elim, w, tasks, early_exit, workers)
 
     # the budget truncated the scan and no early-exit hit settled the level
     capped = checked < total and not (early_exit and hits)
@@ -584,10 +589,11 @@ def min_distance(code: Code, plan: Optional[SearchPlan] = None) -> CodeReport:
     k = report.orbit_prefix = column_orbit_prefix(code)
     report.timings["symmetry"] = round(time.perf_counter() - t0, 6)
     d = code.twist.d
+    elim = IncrementalElim(code.field, code.H)  # every level grows its frame
     for w in range(2, w_cap + 1):
         label = ("general-position" if w <= d + 1 else
                  "minimal-dependent" if w == d + 2 else "lex-search")
-        record, hits = _run_level(code, w, plan, early_exit=True,
+        record, hits = _run_level(elim, w, plan, early_exit=True,
                                   label=label, k=k)
         report.stage_log.append(record)
         report.timings[f"w{w}"] = round(record.seconds, 6)
@@ -677,8 +683,9 @@ def classify_min_words(code: Code, report: CodeReport,
     if cost > plan.budget:
         raise BudgetExceeded(
             f"classification needs {cost} checks, budget is {plan.budget}")
-    record, hits = _run_level(code, d + 2, plan, early_exit=False,
-                              label="classify", k=k)
+    record, hits = _run_level(IncrementalElim(code.field, code.H), d + 2,
+                              plan, early_exit=False, label="classify", k=k)
+    checks = time.perf_counter()
 
     cols = np.array(hits, dtype=np.int64).reshape(-1, d + 2)
     pts = np.asarray(code.variety.points, dtype=np.int64)[cols]
@@ -701,7 +708,9 @@ def classify_min_words(code: Code, report: CodeReport,
     report.supports = supports
     report.violations = violations
     report.stage_log.append(record)
-    report.timings["classify"] = round(time.perf_counter() - start, 6)
+    report.timings.update(classify_scan=round(record.seconds, 6),
+                          classify_check=round(time.perf_counter() - checks, 6),
+                          classify=round(time.perf_counter() - start, 6))
     return report
 
 

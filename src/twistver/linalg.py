@@ -13,8 +13,10 @@ run the same code.
 The subset-independence workhorse is IncrementalElim: a stack of
 column-reduced copies of a fixed matrix that lets a subset-enumeration
 loop push/pop one column at a time and test span membership of every
-remaining column with a single vectorized scan.  This is the
-performance-critical path; everything else favours clarity.
+remaining column with a single vectorized scan.  Its frame is a bottom of
+the stack that reset() returns to and pop() never removes, so a search
+pushes the columns every subset shares once (codes.min_distance).  This
+is the performance-critical path; everything else favours clarity.
 """
 
 from __future__ import annotations
@@ -134,7 +136,9 @@ class IncrementalElim:
     pop() backtracks, and split_extensions() classifies every column to
     the right of the last push as in-span / independent in one vectorized
     scan.  Each stack level keeps its own reduced copy, so pop is O(1) and
-    a worker owns its state exclusively.
+    a worker owns its state exclusively.  freeze() makes the columns
+    pushed so far the frame: reset() returns to it and pop() below it
+    raises IndexError.
     """
 
     def __init__(self, field: Field, columns: np.ndarray):
@@ -145,9 +149,14 @@ class IncrementalElim:
         base = np.ascontiguousarray(columns, dtype=ops.dtype)
         self.ncols = base.shape[1]
         self._stack: list[tuple[int, np.ndarray]] = [(-1, base)]
+        self.frame = 0  # the number of columns in the frame
+
+    def freeze(self) -> None:
+        """Make every column pushed so far part of the frame."""
+        self.frame = len(self._stack) - 1
 
     def reset(self) -> None:
-        del self._stack[1:]
+        del self._stack[self.frame + 1:]
 
     def push(self, c: int) -> bool:
         """Add column c; False (state unchanged) if it is in the span."""
@@ -167,8 +176,8 @@ class IncrementalElim:
         return True
 
     def pop(self) -> None:
-        if len(self._stack) == 1:
-            raise IndexError("pop from empty elimination stack")
+        if len(self._stack) == self.frame + 1:
+            raise IndexError("no pushed column above the frame to pop")
         self._stack.pop()
 
     def split_extensions(self) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -83,6 +84,29 @@ def test_build_csv_export(tmp_path):
     v = build_variety(Field(5, 1), 2, Twist(5, 1, (0, 0)))
     entries = np.array([[int(x) for x in r.split(",")] for r in rows])
     assert (entries == v.coords.T).all()
+
+
+@pytest.mark.parametrize("command,flag,name", [
+    (["code", "--workers", "1"], "-o", "report.json"),
+    (["build"], "--csv", "h.csv"),
+])
+def test_failed_write_keeps_the_old_file(tmp_path, capsys, monkeypatch,
+                                         command, flag, name):
+    # a write goes to a temporary file that replaces the target whole; if
+    # the replace fails, the old file stays and no temporary file is left
+    target = tmp_path / name
+    target.write_text("old\n")
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    code = run_cli(command + ["--p", "5", "--e", "1", "--t", "1", "--n", "2",
+                              "--sigma", "0,0", flag, str(target)])
+    assert code == 1
+    assert "replace failed" in capsys.readouterr().err
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 # -- code -----------------------------------------------------------------------

@@ -170,7 +170,8 @@ def test_collinear_level_agrees_with_unrestricted_scan():
     assert by_w[4].restriction == "orbit:2"
     assert by_w[4].checked == comb(71, 2)
     assert by_w[4].dependent_found == 0
-    full, hits = codes_mod._run_level(c, 4, SearchPlan(), early_exit=False,
+    full, hits = codes_mod._run_level(IncrementalElim(c.field, c.H), 4,
+                                      SearchPlan(), early_exit=False,
                                       label="minimal-dependent")
     assert (full.restriction, full.checked, hits) == ("none", comb(73, 4), [])
     assert (rep.delta, rep.delta_exact, rep.witness) == (5, True,
@@ -269,7 +270,8 @@ def test_two_column_level_is_one_pair_groups_scan(monkeypatch):
             calls[_name] += 1
             return _orig(self)
         monkeypatch.setattr(IncrementalElim, name, counted)
-    record, hits = codes_mod._run_level(c, 4, SearchPlan(), early_exit=True,
+    record, hits = codes_mod._run_level(IncrementalElim(c.field, c.H), 4,
+                                        SearchPlan(), early_exit=True,
                                         label="general-position", k=2)
     assert calls == {"pair_groups": 1, "split_extensions": 0}
     assert hits == [] and not record.capped
@@ -560,9 +562,9 @@ def test_counted_classification_at_the_default_budget(cfg, count):
 def _scan_levels(code, k):
     """min_distance's levels run directly with a forced prefix of k
     columns: (delta, witness, status, dependent_found per level)."""
-    found = []
+    found, elim = [], IncrementalElim(code.field, code.H)
     for w in range(2, code.effective_N + 2):
-        record, hits = codes_mod._run_level(code, w, SearchPlan(),
+        record, hits = codes_mod._run_level(elim, w, SearchPlan(),
                                             early_exit=True, label="x", k=k)
         found.append(record.dependent_found)
         if hits:
@@ -858,11 +860,121 @@ def test_plan_w_max_validation():
 
 
 def test_worker_count_does_not_change_report(monkeypatch):
+    # nrc-27's level 6 runs 23 tasks from the frame (0, 1, 2): the first
+    # in this process, the rest through a pool for workers 2 and 3
     monkeypatch.setattr(codes_mod, "PARALLEL_MIN_CHECKS", 0)
-    c = get_code(3, 2, 2, (0, 1))
-    reports = [min_distance(c, SearchPlan(workers=k)) for k in (1, 2, 3)]
-    payloads = [r.payload() for r in reports]
+    pools = []
+
+    def spy(method, _orig=codes_mod.get_context):
+        pools.append(method)
+        return _orig(method)
+
+    monkeypatch.setattr(codes_mod, "get_context", spy)
+    c = get_code(3, 3, 2, (0, 0, 1))
+    payloads = []
+    for k in (1, 2, 3):
+        del pools[:]
+        payloads.append(min_distance(c, SearchPlan(workers=k)).payload())
+        assert bool(pools) == (k > 1)
     assert payloads[0] == payloads[1] == payloads[2]
+    assert payloads[0]["delta"] == 7
+
+
+def _pushes_per_column(monkeypatch):
+    pushed = {}
+
+    def counted(self, c, _orig=IncrementalElim.push):
+        pushed[c] = pushed.get(c, 0) + 1
+        return _orig(self, c)
+
+    monkeypatch.setattr(IncrementalElim, "push", counted)
+    return pushed
+
+
+@pytest.mark.parametrize("cfg,most", [
+    ((3, 4, 2, (0, 0, 3)), 5),     # track-81
+    ((3, 3, 2, (0, 0, 1)), 28),    # nrc-27
+])
+def test_frame_is_pushed_once_per_search(monkeypatch, cfg, most):
+    # columns 0, 1, 2 are pushed once, and each push settles a level
+    # w <= 3; every later level and task starts from them
+    c = get_code(*cfg)
+    pushed = _pushes_per_column(monkeypatch)
+    min_distance(c)
+    assert pushed[0] == pushed[1] == pushed[2] == 1
+    assert sum(pushed.values()) <= most
+
+
+@pytest.mark.parametrize("cfg", [
+    (2, 4, 2, (0, 2)),             # subline-16: k' = 3
+    (3, 2, 3, (0, 1)),             # plane-9: k' = 2
+])
+def test_classification_pushes_its_frame_once(monkeypatch, cfg):
+    c = get_code(*cfg)
+    rep = min_distance(c)
+    pushed = _pushes_per_column(monkeypatch)
+    classify_min_words(c, rep)
+    assert pushed[0] == 1
+    assert max(pushed.values()) == 1
+
+
+# Reports pinned bit for bit, since how the search pushes columns must
+# never change what it reports: (canonical_hash, stage_log payload as
+# (label, w, restriction, checked, dependent_found) rows; every level is
+# early-exit and uncapped).
+GP, MD, LS = "general-position", "minimal-dependent", "lex-search"
+PINNED_REPORTS = {
+    (3, 3, 2, (0, 0, 1)): (  # nrc-27
+        "1c90350be5c54407f33124f36cea16df10c61cde2a14428271fe6b7804504644",
+        [(GP, 2, "orbit:2", 1, 0), (GP, 3, "orbit:3", 1, 0),
+         (GP, 4, "orbit:3", 25, 0), (MD, 5, "orbit:3", 300, 0),
+         (LS, 6, "orbit:3", 2300, 0), (LS, 7, "none", 22, 1)]),
+    (3, 4, 2, (0, 0, 3)): (  # track-81
+        "fe169606ec890b68d9f5a606e2930e1b6de487059f1dfca49fdcbcc8a0b9525b",
+        [(GP, 2, "orbit:2", 1, 0), (GP, 3, "orbit:3", 1, 0),
+         (GP, 4, "orbit:3", 79, 0), (MD, 5, "orbit:3", 3081, 0),
+         (LS, 6, "none", 3079, 1)]),
+    (3, 2, 3, (0, 1)): (  # plane-9
+        "9f841206ca69b6c77a6397c89acf4d21e507e2f174a96a1532ca84b779be568b",
+        [(GP, 2, "orbit:2", 1, 0), (GP, 3, "orbit:2", 89, 0),
+         (MD, 4, "none", 88, 1)]),
+}
+
+
+def _stage_payloads(rows, early_exit=True):
+    keys = ("label", "w", "restriction", "checked", "dependent_found")
+    return [{**dict(zip(keys, r)), "early_exit": early_exit, "capped": False}
+            for r in rows]
+
+
+@pytest.mark.parametrize("cfg", list(PINNED_REPORTS))
+def test_min_distance_report_is_pinned(cfg):
+    digest, rows = PINNED_REPORTS[cfg]
+    rep = min_distance(get_code(*cfg))
+    assert [s.payload() for s in rep.stage_log] == _stage_payloads(rows)
+    assert rep.canonical_hash() == digest
+
+
+def test_classification_report_is_pinned():
+    # subline-16: 2 supports through columns 0, 1, 2 give 340 in all
+    c = get_code(2, 4, 2, (0, 2))
+    rep = classify_min_words(c, min_distance(c))
+    assert [s.payload() for s in rep.stage_log] == _stage_payloads(
+        [(GP, 2, "orbit:2", 1, 0), (GP, 3, "orbit:3", 1, 0),
+         (MD, 4, "none", 14, 1)]) + _stage_payloads(
+        [("classify", 4, "orbit:3", 14, 2)], early_exit=False)
+    assert (rep.min_weight_support_count, len(rep.supports)) == (340, 2)
+    digest = rep.canonical_hash()
+    assert digest == (
+        "e2cbb7621161cbc0364cce1b3fd7c0c9b48353680229084ffb6bece37d0791f1")
+    # the classification's timings: the whole call, its scan (the stage
+    # record's seconds) and its checks, all outside the hash
+    t = rep.timings
+    assert t["classify_scan"] == round(rep.stage_log[-1].seconds, 6)
+    assert t["classify"] >= t["classify_scan"] + t["classify_check"] - 2e-6
+    assert min(t["classify_scan"], t["classify_check"]) >= 0
+    rep.timings = {}
+    assert rep.canonical_hash() == digest
 
 
 def test_pool_worker_error_reaches_caller(monkeypatch):
@@ -893,8 +1005,9 @@ def test_first_task_hit_starts_no_pool(monkeypatch):
         raise AssertionError("a pool was started")
 
     monkeypatch.setattr(codes_mod, "get_context", no_pool)
+    c = get_code(3, 3, 2, (0, 0, 2))
     record, hits = codes_mod._run_level(
-        get_code(3, 3, 2, (0, 0, 2)), 6, SearchPlan(workers=2),
+        IncrementalElim(c.field, c.H), 6, SearchPlan(workers=2),
         early_exit=True, label="lex-search", k=2)
     assert hits == [(0, 1, 2, 4, 8, 11)]
     assert record.checked == 358 and not record.capped

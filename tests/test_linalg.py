@@ -156,6 +156,46 @@ def test_incremental_elim_matches_rank(gf27):
     elim.reset()
 
 
+def test_incremental_elim_frame(gf27):
+    m = random_matrix(gf27, 5, 9, np.random.default_rng(23))
+    plain = IncrementalElim(gf27, m)
+    assert plain.push(0) and plain.push(1)
+    want = [a.tolist() for a in plain.split_extensions()]
+
+    elim = IncrementalElim(gf27, m)
+    assert elim.push(0) and elim.push(1)
+    elim.freeze()
+    assert elim.frame == 2
+    for sub in itertools.combinations(range(2, 9), 2):
+        elim.reset()  # back to the frame: columns 0 and 1 stay pushed
+        assert [a.tolist() for a in elim.split_extensions()] == want
+        ok = all(elim.push(c) for c in sub)
+        assert ok == (rank(gf27, m[:, [0, 1, *sub]]) == 4)
+    elim.reset()
+    assert elim.push(4)
+    elim.pop()
+    with pytest.raises(IndexError):
+        elim.pop()  # below the frame
+    assert [a.tolist() for a in elim.split_extensions()] == want
+
+
+def test_incremental_elim_without_frame(gf27):
+    # no freeze(): reset() empties the stack and pop() on it raises
+    m = random_matrix(gf27, 4, 7, np.random.default_rng(29))
+    elim = IncrementalElim(gf27, m)
+    assert elim.frame == 0
+    with pytest.raises(IndexError):
+        elim.pop()
+    for c in range(3):
+        elim.push(c)
+    elim.reset()
+    dead, alive = elim.split_extensions()
+    assert sorted(dead.tolist() + alive.tolist()) == list(range(7))
+    assert alive.tolist() == [c for c in range(7) if m[:, c].any()]
+    with pytest.raises(IndexError):
+        elim.pop()
+
+
 def test_incremental_split_extensions(gf27):
     rng = np.random.default_rng(3)
     m = random_matrix(gf27, 4, 8, rng)
