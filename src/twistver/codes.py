@@ -61,13 +61,19 @@ frame holds the columns 0 .. k'-1: each is pushed once, and its push
 settles the level w = k' <= k; every later level and task starts from
 it.  One vectorized scan per prefix classifies every extension column as
 in-span or independent, so a level that nominally checks C(nu, w)
-subsets only does C(nu, w-1) eliminations.
+subsets only does C(nu, w-1) eliminations.  A prefix with three columns
+left pushes none of its children: one pair_groups call classifies the
+2-extensions of a whole run of them, and the runs double in length
+(1, 2, 4, ...), so an early hit costs about as much as the scan before
+it while an empty level makes a few calls per prefix.
 
 Everything is deterministic: a level is split into tasks on the column
-after the prefix, the tasks run and are read back in lexicographic order
-(the first in this process, the rest in order through a fork pool when
-the level is large and workers > 1), and reported check counts are
-closed-form, so a report is bit-identical for any worker count.
+after the prefix, or, with three columns left, on runs of such columns
+of doubling length; the tasks run and are read back in lexicographic
+order (the first in this process, the rest in order through a fork pool
+of at most one worker per usable CPU when the level is large and
+workers > 1), and reported check counts are closed-form, so a report is
+bit-identical for any worker count.
 
 An unstructured brute-force oracle (plain subset enumeration, scalar
 arithmetic, no staging, no symmetry) cross-validates the search on small
@@ -78,7 +84,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
+from bisect import bisect_left
 from contextlib import closing, suppress
 from dataclasses import (asdict, dataclass, field as dc_field, fields,
                          replace)
@@ -95,6 +103,8 @@ from .pg import on_common_subline
 from .veronese import Twist, VarietyMatrix
 
 PARALLEL_MIN_CHECKS = 200_000  # below this a pool costs more than it saves
+LEAF_ENTRIES = 1 << 18  # reduced entries per batched pair_groups call
+SUPPORTS_LISTED = 1_000  # lex-first supports a report lists; all are checked
 DEFAULT_BUDGET = 100_000_000
 DEFAULT_ORACLE_CAP = 2_000_000
 
@@ -257,21 +267,62 @@ def _lex_rank(subset: Sequence[int], nu: int) -> int:
 
 def _scan_subtree(elim: IncrementalElim, head: tuple[int, ...], w: int,
                   early_exit: bool, cap: Optional[int]):
-    """DFS below one head, the forced leading columns of every subset it
-    visits.  Returns the dependent w-subsets found (only the first with
+    """Scan one task of a level (see _level_tasks): the w-subsets through
+    head.  Returns the dependent w-subsets found (only the first with
     early exit) and the number of w-subsets covered.  A cap stops the scan
-    once that many are checked; a vectorized leaf is checked whole.
+    once that many are checked; a vectorized leaf is checked whole.  With
+    two columns left after head, a cap carries the scan on through the
+    later siblings of head[-1], in lexicographic order.
 
-    Visits independent prefixes in lexicographic order; at prefix size
-    w-1 every remaining column is classified in one vectorized scan.
-    A dependent subset smaller than w raises DependencyInvariantError.
+    Visits independent prefixes in lexicographic order.  At prefix size
+    w-1 one vectorized scan classifies every remaining column; at prefix
+    size w-3 pair_groups classifies the 2-extensions of a run of children
+    in one call, the runs doubling in length (1, 2, 4, ...) so that an
+    early hit costs about as much as the scan before it.  A dependent
+    subset smaller than w raises DependencyInvariantError.
     """
     checked = int(len(head) == w)  # a whole head is one subset
     hits: list[tuple[int, ...]] = []
-    prefix = list(head)
     ncols = elim.ncols
+    sibling_run = cap is not None and w - len(head) == 2
+    run = ncols if sibling_run else 1  # children per pair_groups call
+    prefix = list(head[:-1] if sibling_run else head)
     push, pop, split, pairs = (elim.push, elim.pop, elim.split_extensions,
                                elim.pair_groups)
+    area = max(1, LEAF_ENTRIES // elim.rows)  # children x width per call
+
+    def leaves(lo: int, hi: int) -> bool:
+        """The 2-extensions of prefix + (c,) for the children c in
+        range(lo, hi), each outside the span of prefix; True once the cap
+        is reached."""
+        nonlocal checked, run
+
+        def through(a, b):  # the subsets through the children a .. b-1
+            return comb(ncols - a, 3) - comb(ncols - b, 3)
+
+        if cap is not None:  # the child whose subsets reach the cap is last
+            hi = min(hi, lo + 1 + bisect_left(
+                range(lo, hi), cap - checked, key=lambda c: through(lo, c + 1)))
+        base = tuple(prefix)
+        while lo < hi:
+            stop = min(hi, lo + max(1, min(run, area // max(1, ncols - lo))))
+            dead, groups = pairs(range(lo, stop), early_exit)
+            bad = np.flatnonzero(dead >= 0)
+            first = int(bad[0]) if bad.size else stop - lo
+            if early_exit and groups and groups[0][0] < first:
+                i, g = groups[0]
+                checked += through(lo, lo + i + 1)
+                hits.append(base + (lo + i, g[0], g[1]))
+                return True
+            if bad.size:
+                raise DependencyInvariantError(
+                    base + (lo + first, int(dead[first])))
+            checked += through(lo, stop)
+            for i, g in groups:
+                hits.extend(base + (lo + i,) + pair
+                            for pair in combinations(g, 2))
+            lo, run = stop, 2 * run
+        return cap is not None and checked >= cap
 
     def rec(remaining: int) -> bool:
         nonlocal checked
@@ -294,18 +345,16 @@ def _scan_subtree(elim: IncrementalElim, head: tuple[int, ...], w: int,
             if groups:
                 base = tuple(prefix)
                 if early_exit:
-                    g = groups[0]
-                    hits.append(base + (int(g[0]), int(g[1])))
+                    hits.append(base + tuple(groups[0][:2]))
                     return True
                 for g in groups:
-                    gl = g.tolist()
-                    hits.extend(base + (gl[i], gl[j])
-                                for i in range(len(gl))
-                                for j in range(i + 1, len(gl)))
+                    hits.extend(base + pair for pair in combinations(g, 2))
             return cap is not None and checked >= cap
         deps, indeps = split()
         if deps.size:
             raise DependencyInvariantError(tuple(prefix) + (int(deps[0]),))
+        if remaining == 3:
+            return leaves(prefix[-1] + 1 if prefix else 0, ncols)
         for c in indeps.tolist():
             push(c)
             prefix.append(c)
@@ -317,12 +366,20 @@ def _scan_subtree(elim: IncrementalElim, head: tuple[int, ...], w: int,
         return False
 
     try:  # the frame holds head[:elim.frame] already
-        for i in range(elim.frame, len(head)):
+        for i in range(elim.frame, len(prefix)):
             if not push(head[i]):
                 if i + 1 < w:
                     raise DependencyInvariantError(head[:i + 1])
                 return [tuple(head)], 1  # the head is the subset
-        if len(head) < w:
+        if sibling_run:
+            # head[-1] and its later siblings are children of prefix; those
+            # before the first one in its span are scanned first
+            deps, _ = split()
+            bad = deps[deps >= head[-1]] if deps.size else deps
+            end = int(bad[0]) if bad.size else ncols
+            if not leaves(head[-1], end) and bad.size:
+                raise DependencyInvariantError(tuple(prefix) + (end,))
+        elif len(head) < w:
             rec(w - len(head))
     finally:
         elim.reset()
@@ -330,20 +387,27 @@ def _scan_subtree(elim: IncrementalElim, head: tuple[int, ...], w: int,
 
 
 def _level_tasks(nu: int, k: int, w: int, budget: int):
-    """(head, cap) tasks covering at least the lexicographically first
-    `budget` w-subsets of range(nu) that contain range(k).  A head is
-    range(k) plus the next column, or range(k) alone when one vectorized
-    scan covers the whole level; cap None is the whole subtree."""
-    prefix = tuple(range(k))
-    if w - k <= 2:
+    """(head, cap) tasks, in lexicographic order, covering at least the
+    lexicographically first `budget` w-subsets of range(nu) that contain
+    range(k); cap None is a head's whole subtree.  With at most two
+    columns left to choose, the one task (range(k), None) is one
+    vectorized scan of the level.  Otherwise a head is range(k) plus a
+    next column a.  With three left, a task is a run of next columns from
+    a, 1, 2, 4, ... long, which one pair_groups call settles, and its cap
+    is the subsets through the run; with more, the task is a's subtree.
+    The last task is cut at the budget."""
+    prefix, left = tuple(range(k)), w - k
+    if left <= 2:
         return [(prefix, None)]
     tasks: list[tuple[tuple[int, ...], Optional[int]]] = []
-    for c in range(k, nu - (w - k) + 1):
-        if budget <= 0:
-            break
-        size = comb(nu - 1 - c, w - k - 1)
-        tasks.append((prefix + (c,), None if size <= budget else budget))
-        budget -= size
+    a, length, end = k, 1, nu - left + 1
+    while a < end and budget > 0:
+        b = min(a + length, end) if left == 3 else a + 1
+        count = comb(nu - a, left) - comb(nu - b, left)
+        tasks.append((prefix + (a,), min(count, budget)
+                      if left == 3 or count > budget else None))
+        budget -= count
+        a, length = b, 2 * length
     return tasks
 
 
@@ -368,11 +432,12 @@ def _task_results(scan, tasks, workers: int):
         return
     _forked_scan = scan
     try:
-        with get_context("fork").Pool(min(workers, len(rest))) as pool:
+        size = min(workers, len(rest), len(os.sched_getaffinity(0)))
+        with get_context("fork").Pool(size) as pool:
             # subtrees shrink along the task list: a few ordered chunks
             # per worker keep the workers evenly loaded
             yield from pool.imap(_call_forked_scan, rest,
-                                 chunksize=-(-len(rest) // (4 * workers)))
+                                 chunksize=-(-len(rest) // (4 * size)))
     finally:
         _forked_scan = None
 
@@ -660,11 +725,13 @@ def classification_scan(code: Code, report: CodeReport) -> tuple[int, int]:
 
 def classify_min_words(code: Code, report: CodeReport,
                        plan: Optional[SearchPlan] = None) -> CodeReport:
-    """Count the dependent (d+2)-subsets, list them (k' = 0) or those
+    """Count the dependent (d+2)-subsets, find them (k' = 0) or the h
     through the columns 0 .. k'-1 (see classification_scan and the module
-    docstring), and check all listed ones in one on_common_subline pass:
-    collinear pre-images on one PG(1, q') subline.  Records violations;
-    over the budget, raises BudgetExceeded.
+    docstring), and check all h in one on_common_subline pass: collinear
+    pre-images on one PG(1, q') subline.  Records every violation, but
+    lists only the lexicographically first SUPPORTS_LISTED supports; h is
+    the classify record's dependent_found.  Over the budget, raises
+    BudgetExceeded.
 
     Each listed support is a minimal dependent set without a check of its
     own.  The guard requires an exact delta = d+2, so every (d+1)-set of
@@ -691,15 +758,16 @@ def classify_min_words(code: Code, report: CodeReport,
     pts = np.asarray(code.variety.points, dtype=np.int64)[cols]
     collinear, on_sub = on_common_subline(code.field, pts,
                                           code.twist.q_fixed)
-    supports, violations = [], []
-    for subset, row, line, sub in zip(cols.tolist(), pts.tolist(),
-                                      collinear.tolist(), on_sub.tolist()):
-        if not sub:
-            violations.append({"columns": subset, "problem": (
-                "pre-images not on a common subline" if line
-                else "pre-images not collinear")})
-        supports.append({"columns": subset, "points": row,
-                         "collinear": line, "on_subline": sub})
+    violations = [{"columns": cols[i].tolist(), "problem": (
+        "pre-images not on a common subline" if collinear[i]
+        else "pre-images not collinear")}
+        for i in np.flatnonzero(~on_sub).tolist()]
+    listed = slice(SUPPORTS_LISTED)  # the true h is the record's dependent_found
+    supports = [{"columns": subset, "points": row, "collinear": line,
+                 "on_subline": sub}
+                for subset, row, line, sub in zip(
+                    cols[listed].tolist(), pts[listed].tolist(),
+                    collinear[listed].tolist(), on_sub[listed].tolist())]
     # C(nu, k) k-sets in h supports each, C(d+2, k) per support
     count, rest = divmod(len(hits) * comb(code.nu, k), comb(d + 2, k))
     if rest:  # an invariant, checked also under python -O

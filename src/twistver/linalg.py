@@ -13,14 +13,19 @@ run the same code.
 The subset-independence workhorse is IncrementalElim: a stack of
 column-reduced copies of a fixed matrix that lets a subset-enumeration
 loop push/pop one column at a time and test span membership of every
-remaining column with a single vectorized scan.  Its frame is a bottom of
-the stack that reset() returns to and pop() never removes, so a search
-pushes the columns every subset shares once (codes.min_distance).  This
-is the performance-critical path; everything else favours clarity.
+remaining column with a single vectorized scan.  pair_groups classifies
+every 2-extension at once by grouping proportional reduced columns, and
+does so for a whole run of children of the top without pushing them: one
+children x width x N array and one sort of exact integer keys.  Its
+frame is a bottom of the stack that reset() returns to and pop() never
+removes, so a search pushes the columns every subset shares once
+(codes.min_distance).  This is the performance-critical path; everything
+else favours clarity.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -128,6 +133,20 @@ def det(field: Field, a) -> int:
     return acc
 
 
+@lru_cache(maxsize=None)
+def _key_packing(order: int, rows: int) -> np.ndarray:
+    """rows x K matrix P: for columns of entries below `order`, c @ P is
+    K exact int64 keys, each holding `per` consecutive entries of `bits`
+    bits, so equal keys mean equal columns."""
+    bits = (order - 1).bit_length()
+    per = 63 // bits
+    i = np.arange(rows)
+    pack = np.zeros((rows, -(-rows // per)), dtype=np.int64)
+    pack[i, i // per] = 1 << bits * (i % per)
+    pack.setflags(write=False)
+    return pack
+
+
 class IncrementalElim:
     """Incremental column elimination against a fixed matrix.
 
@@ -147,7 +166,8 @@ class IncrementalElim:
         self._div = ops.div
         self._mul = ops.mul
         base = np.ascontiguousarray(columns, dtype=ops.dtype)
-        self.ncols = base.shape[1]
+        self.rows, self.ncols = base.shape
+        self._pack = _key_packing(field.order, self.rows)
         self._stack: list[tuple[int, np.ndarray]] = [(-1, base)]
         self.frame = 0  # the number of columns in the frame
 
@@ -188,36 +208,96 @@ class IncrementalElim:
         idx = np.arange(c + 1, self.ncols)
         return idx[~alive], idx[alive]
 
-    def pair_groups(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Classify all 2-extensions of the current independent set at once.
+    def pair_groups(self, children: range | None = None,
+                    lex_first: bool = False):
+        """Classify 2-extensions of the current independent set at once.
 
-        {pushed} + {c, c'} is dependent exactly when the reduced columns
-        c and c' are proportional, i.e. when their canonical forms (scaled
-        so the first nonzero entry is 1) coincide.  Returns
-        (in_span_columns, groups): columns right of the last push that are
-        already in the span, and the maximal groups (>= 2, ascending) of
-        mutually proportional remaining columns.
+        {pushed} + {a, b} is dependent exactly when the reduced columns a
+        and b are proportional, i.e. when their canonical forms (scaled
+        so the first nonzero entry is 1) coincide.  Without children,
+        returns (in_span, groups): the columns right of the last push that
+        are already in the span, or else the maximal groups (>= 2,
+        ascending, by first column) of mutually proportional columns.
+
+        children, a range of consecutive columns right of the last push,
+        each outside the span, asks the same of {pushed} + {child} for
+        every child at once, without pushing: one children x width x N
+        array of reduced columns and one sort.  Returns (dead, groups):
+        dead[i] is the first column right of children[i] in the span of
+        {pushed} + {children[i]}, or -1, and groups lists (i, group) for
+        the children with dead[i] = -1, ordered by (i, group[0]), so that
+        groups[0] gives the lexicographically first dependent
+        (children[i], group[0], group[1]).  lex_first, for a scan that
+        stops at its first hit, lists only that first group, cut to the
+        two columns it needs.  Groups are ascending lists of columns.
         """
         c, r = self._stack[-1]
-        tail = r[:, c + 1:]
-        width = tail.shape[1]
-        if width < 2:
-            dead = ~tail.any(axis=0)
-            return np.nonzero(dead)[0] + (c + 1), []
-        nz = tail != 0
-        dead = ~nz.any(axis=0)
-        if dead.any():
-            return np.nonzero(dead)[0] + (c + 1), []
-        lead = tail[nz.argmax(axis=0), np.arange(width)]
-        canon = np.ascontiguousarray(self._div[tail, lead[None, :]].T)
-        order = np.lexsort(canon.T[::-1])
-        srt = canon[order]
-        change = np.nonzero(np.any(srt[1:] != srt[:-1], axis=1))[0]
-        starts = np.concatenate(([0], change + 1, [width]))
-        groups = []
-        for i in range(starts.size - 1):
-            a, b = starts[i], starts[i + 1]
-            if b - a >= 2:
-                groups.append(np.sort(order[a:b]) + (c + 1))
-        groups.sort(key=lambda g: int(g[0]))
-        return np.empty(0, dtype=np.int64), groups
+        if children is None:
+            tail = r[:, c + 1:]
+            dead, groups = self._groups(tail.T[None], c + 1, True, lex_first)
+            if dead[0] >= 0:
+                return np.flatnonzero(~tail.any(axis=0)) + (c + 1), []
+            return np.empty(0, dtype=np.int64), [g for _, g in groups]
+        lo, hi = children.start, children.stop
+        tail = r[:, lo + 1:]
+        cols = r[:, lo:hi]
+        prow = (cols != 0).argmax(axis=0)
+        coef = self._div[tail[prow], cols[prow, np.arange(hi - lo)][:, None]]
+        tails = self._sub[tail.T[None], self._mul[coef[:, :, None],
+                                                  cols.T[:, None, :]]]
+        return self._groups(tails, lo + 1, hi - lo == 1, lex_first)
+
+    def _groups(self, tails: np.ndarray, first: int, single: bool,
+                lex_first: bool):
+        """(dead, groups) of pair_groups for a B x W x N stack of reduced
+        columns whose position 0 is column `first`, one child per column
+        from first - 1 on: child i counts only the positions right of
+        i - 1, its own.  single: B = 1, and every position counts."""
+        size, width, n = tails.shape
+        dead = np.full(size, -1, dtype=np.int64)
+        if width == 0:
+            return dead, []
+        alive = tails.any(axis=2)
+        keep = True if single else np.arange(width) >= np.arange(size)[:, None]
+        if not alive.all():
+            lost = keep & ~alive
+            if lost.any():
+                has = lost.any(axis=1)
+                dead[has] = lost[has].argmax(axis=1) + first
+                if single:
+                    return dead, []
+                keep = keep & ~has[:, None]
+        # canonical columns: scaled so that the first nonzero entry is 1
+        flat = tails.reshape(-1, n)
+        lead = flat[np.arange(flat.shape[0]), (flat != 0).argmax(axis=1)]
+        keys = self._div[flat, lead[:, None]] @ self._pack
+        # a stable sort keeps equal keys in (child, column) order, so the
+        # proportional columns of a child end up adjacent and ascending
+        order = np.lexsort(keys.T)
+        srt = keys[order]
+        at = np.flatnonzero((srt[1:] == srt[:-1]).all(axis=1))
+        if at.size == 0:
+            return dead, []
+        a, b = order[at], order[at + 1]
+        if not single:  # neighbours of one child, both counted
+            kept = keep.ravel()
+            ok = (a // width == b // width) & kept[a] & kept[b]
+            at, a, b = at[ok], a[ok], b[ok]
+            if at.size == 0:
+                return dead, []
+        if lex_first:  # the smallest member starts the first group
+            i = int(a.argmin())
+            x, y = int(a[i]), int(b[i])
+            return dead, [(x // width, [x % width + first, y % width + first])]
+        # chain equal neighbours into maximal groups
+        runs: list[list[int]] = []
+        prev = -2
+        for i, x, y in zip(at.tolist(), a.tolist(), b.tolist()):
+            if i == prev + 1:
+                runs[-1].append(y)
+            else:
+                runs.append([x, y])
+            prev = i
+        runs.sort()  # by child, then by first column
+        return dead, [(g[0] // width, [x % width + first for x in g])
+                      for g in runs]

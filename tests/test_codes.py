@@ -12,7 +12,8 @@ import twistver.codes as codes_mod
 from twistver.codes import (BudgetExceeded, CodeReport,
                             DependencyInvariantError, SearchPlan,
                             _lex_rank, _minimality_problem, build_code,
-                            classify_min_words, mds_status, min_distance,
+                            classify_min_words, column_orbit_prefix,
+                            mds_status, min_distance,
                             oracle_min_distance, verify_dep_classification,
                             verify_general_position, verify_oracle_equivalence)
 from twistver.linalg import IncrementalElim, rank
@@ -503,7 +504,10 @@ def test_counted_classification_matches_full_scan(cfg, monkeypatch):
     # every listed support of the counted path is one of the full list
     listed = [s["columns"] for s in full.supports]
     assert all(s["columns"] in listed for s in counted.supports)
-    assert len(full.supports) == full.min_weight_support_count
+    # the full path finds every support and lists the lex-first ones
+    assert full.stage_log[-1].dependent_found == full.min_weight_support_count
+    assert len(full.supports) == min(full.min_weight_support_count,
+                                     codes_mod.SUPPORTS_LISTED)
     assert (counted.min_weight_support_count == full.min_weight_support_count
             == _closed_form_count(c))
     assert counted.violations == full.violations == []
@@ -520,7 +524,12 @@ def test_classify_gf64_line_every_5_set():
     rep = codes_mod.analyze(c)
     assert rep.delta == 5 and rep.orbit_prefix == 3
     assert rep.min_weight_support_count == comb(65, 5) == 8_259_888
-    assert len(rep.supports) == comb(62, 2)
+    # h = C(62, 2) supports through {0, 1, 2}, all checked; the report
+    # lists the lexicographically first SUPPORTS_LISTED of them
+    assert rep.stage_log[-1].dependent_found == comb(62, 2)
+    listed = [s["columns"] for s in rep.supports]
+    assert listed == [[0, 1, 2, *pair] for pair in itertools.islice(
+        itertools.combinations(range(3, 65), 2), codes_mod.SUPPORTS_LISTED)]
     assert rep.violations == []
     assert rep.timings["classify"] >= rep.stage_log[-1].seconds
 
@@ -1045,6 +1054,273 @@ def test_report_hash_stable_and_excludes_timings():
     assert r1.timings != {} and "timings" not in r1.payload()
     j = r1.to_json()
     assert j["canonical_hash"] == r1.canonical_hash()
+
+
+# -- batched leaves: one pair_groups call per run of children -------------------------
+
+def _per_child_calls(elim, children):
+    """(dead, groups) of each child of the current top, one push and one
+    no-argument pair_groups call each: the reference for the batch."""
+    out = []
+    for ch in children:
+        assert elim.push(ch)
+        dead, groups = elim.pair_groups()
+        elim.pop()
+        out.append((int(dead[0]) if dead.size else -1,
+                    [list(map(int, g)) for g in groups]))
+    return out
+
+
+def _independent_runs(elim):
+    """Maximal runs of consecutive columns right of the top outside its
+    span: the children a batched call may take."""
+    _, indeps = elim.split_extensions()
+    cuts = np.flatnonzero(np.diff(indeps) != 1) + 1
+    return [range(int(run[0]), int(run[-1]) + 1)
+            for run in np.split(indeps, cuts) if run.size]
+
+
+def _check_batches(elim, children):
+    want = _per_child_calls(elim, children)
+    for size in (1, 2, len(children)):
+        for lo in range(children.start, children.stop, size):
+            run = range(lo, min(lo + size, children.stop))
+            dead, groups = elim.pair_groups(run)
+            ref = want[lo - children.start:run.stop - children.start]
+            assert dead.tolist() == [d for d, _ in ref]
+            assert groups == [(i, g) for i, (d, gs) in enumerate(ref)
+                              if d < 0 for g in gs]
+            _, first = elim.pair_groups(run, lex_first=True)
+            assert first == [(i, g[:2]) for i, g in groups[:1]]
+
+
+PLANES_AND_TRACK = [
+    (2, 2, 3, (0, 1)),     # GF(4) plane, k = 2
+    (2, 3, 3, (0, 1)),     # GF(8) plane
+    (3, 2, 3, (0, 1)),     # GF(9) plane
+    (3, 3, 2, (0, 0, 2)),  # track-27, k = 3
+]
+
+
+@pytest.mark.parametrize("cfg", PLANES_AND_TRACK)
+def test_batched_pair_groups_match_per_child_calls(cfg):
+    # every node of the levels w = k + 3 and k + 4: the frame and the
+    # frame plus one column; every run of children, of every size
+    c = get_code(*cfg)
+    k = column_orbit_prefix(c)
+    elim = IncrementalElim(c.field, c.H)
+    for col in range(k):
+        assert elim.push(col)
+    elim.freeze()
+    nodes = 0
+    for head in [()] + [(a,) for a in range(k, c.nu)]:
+        elim.reset()
+        if not all(elim.push(col) for col in head):
+            continue
+        for children in _independent_runs(elim):
+            _check_batches(elim, children)
+            nodes += 1
+    assert nodes >= c.nu - k
+
+
+def _per_child_level(elim, w, k, early_exit):
+    """A level with w - k in (3, 4) scanned the old way, one task per next
+    column and one push and no-argument pair_groups call per child of a
+    three-left node; (sorted hits, covered) or DependencyInvariantError."""
+    prefix = tuple(range(k))
+    hits, covered = [], 0
+    for a in range(k, elim.ncols - (w - k) + 1):
+        elim.reset()
+        heads = [prefix + (a,)]
+        if w - k == 4:
+            if not elim.push(a):
+                raise DependencyInvariantError(prefix + (a,))
+            deps, _ = elim.split_extensions()
+            if deps.size:
+                raise DependencyInvariantError(prefix + (a, int(deps[0])))
+            heads = [prefix + (a, ch) for ch in range(a + 1, elim.ncols)]
+        for head in heads:
+            if not elim.push(head[-1]):
+                raise DependencyInvariantError(head)
+            dead, groups = elim.pair_groups()
+            elim.pop()
+            if dead.size:
+                raise DependencyInvariantError(head + (int(dead[0]),))
+            covered += comb(elim.ncols - 1 - head[-1], 2)
+            found = sorted(head + pair for g in groups
+                           for pair in itertools.combinations(g, 2))
+            if early_exit and found:
+                return found[:1], covered
+            hits += found
+    return sorted(hits), covered
+
+
+def _level_outcome(scan, *args):
+    try:
+        return scan(*args)
+    except DependencyInvariantError as err:
+        return "dependent", err.subset
+
+
+def _batched_level(elim, w, k, early_exit):
+    elim.reset()
+    tasks = codes_mod._level_tasks(elim.ncols, k, w, codes_mod.DEFAULT_BUDGET)
+    return codes_mod._scan_columns(elim, w, tasks, early_exit, 1)
+
+
+@pytest.mark.parametrize("cfg", PLANES_AND_TRACK)
+def test_batched_levels_match_per_child_levels(cfg):
+    # exhaustive hits, the early-exit witness and the covered count, or
+    # the same DependencyInvariantError subset, on the supersets of
+    # range(k) for k = 0, 1 and the proved k
+    c = get_code(*cfg)
+    outcomes = set()
+    for k in sorted({0, 1, column_orbit_prefix(c)}):
+        elim = IncrementalElim(c.field, c.H)
+        for col in range(k):
+            assert elim.push(col)
+        elim.freeze()
+        for w in (k + 3, k + 4):
+            for early_exit in (True, False):
+                want = _level_outcome(_per_child_level, elim, w, k,
+                                      early_exit)
+                got = _level_outcome(_batched_level, elim, w, k, early_exit)
+                assert got == want
+                outcomes.add("dependent" if want[0] == "dependent"
+                             else "hits" if want[0] else "empty")
+    assert {"dependent", "hits"} <= outcomes
+
+
+@pytest.mark.parametrize("col,like", [(10, 7), (5, 1), (12, 3), (4, 3),
+                                      (27, 26), (9, 2), (21, 20)])
+def test_proportional_column_raises_the_same_subset(monkeypatch, col, like):
+    # track-27 with column col replaced by twice column like: a dependent
+    # pair, so a scan past level 2 meets a dependent set smaller than its
+    # level; the batched scan reports the subset the per-child scan does
+    c = get_code(3, 3, 2, (0, 0, 2))
+    h = c.H.copy()
+    h[:, col] = c.field.ops.mul[2, h[:, like]]
+    monkeypatch.setattr(c, "H", h)
+    elim = IncrementalElim(c.field, c.H)
+    for k in range(3):
+        assert elim.push(k)
+    elim.freeze()
+    raised = 0
+    for w in (6, 7):
+        for early_exit in (True, False):
+            want = _level_outcome(_per_child_level, elim, w, 3, early_exit)
+            assert _level_outcome(_batched_level, elim, w, 3,
+                                  early_exit) == want
+            raised += want[0] == "dependent"
+    assert raised
+
+
+@pytest.mark.parametrize("cfg,budget,digest,rows", [
+    ((3, 3, 2, (0, 0, 2)), 20,  # track-27: level 6 cut after 276 of 2,300
+     "e9032fb8c35b2b7d2c549dff6b5f8f3a34abe62a4ecabfc6de30ed247e1d1d2d",
+     [(2, 1, False), (3, 1, False), (4, 25, False), (5, 300, False),
+      (6, 276, True)]),
+    ((7, 1, 2, (0,) * 6), 6,  # GF(7) degree-6 curve: level 6 cut at 6 of 10
+     "7b667646fedc8bb53d5160c9b109cd24009b92be3f2472613d0dbebc677a0258",
+     [(2, 1, False), (3, 1, False), (4, 5, False), (5, 10, False),
+      (6, 6, True)]),
+    ((3, 3, 2, (0, 0, 1)), 1000,  # nrc-27: a run cut inside, 1,160
+     "b4132f86882bbef6210e6088df7ef79206f872c58e76c1a402a7ccbf5810ee40",
+     [(2, 1, False), (3, 1, False), (4, 25, False), (5, 300, False),
+      (6, 1160, True)]),
+])
+def test_capped_stage_logs_are_pinned(cfg, budget, digest, rows):
+    # taken from the per-child scan: cutting a run at the child whose
+    # pairs reach the cap covers the same subsets
+    rep = min_distance(get_code(*cfg), SearchPlan(budget=budget))
+    assert [(s.w, s.checked, s.capped) for s in rep.stage_log] == rows
+    assert rep.canonical_hash() == digest
+
+
+def test_three_left_nodes_make_one_call_per_run(monkeypatch):
+    # nrc-27's level 6 has 23 next columns after the frame (0, 1, 2): the
+    # per-child scan pushed each and called pair_groups 23 times; the runs
+    # of 1, 2, 4, 8 and 8 children take five calls and no push of a child
+    c = get_code(3, 3, 2, (0, 0, 1))
+    elim = IncrementalElim(c.field, c.H)
+    for col in range(3):
+        assert elim.push(col)
+    elim.freeze()
+    calls = {"pair_groups": [], "push": []}
+    for name in calls:
+        def counted(self, *args, _orig=getattr(IncrementalElim, name),
+                    _name=name):
+            calls[_name].append(args)
+            return _orig(self, *args)
+        monkeypatch.setattr(IncrementalElim, name, counted)
+    record, hits = codes_mod._run_level(elim, 6, SearchPlan(),
+                                        early_exit=True, label="lex-search",
+                                        k=3)
+    assert (record.checked, hits, calls["push"]) == (comb(25, 3), [], [])
+    assert [len(args[0]) for args in calls["pair_groups"]] == [1, 2, 4, 8, 8]
+    # level 7, exhaustive: the tasks are the 22 nodes (0, 1, 2, a), with
+    # m = 27 - a children each, in runs of 1, 2, 4, ...: m.bit_length()
+    # calls a node instead of m
+    calls["pair_groups"].clear()
+    codes_mod._run_level(elim, 7, SearchPlan(), early_exit=False,
+                         label="lex-search", k=3)
+    sizes = [len(args[0]) for args in calls["pair_groups"]]
+    assert sizes[:5] == [1, 2, 4, 8, 9] and sum(sizes) == sum(range(3, 25))
+    assert len(sizes) == sum(m.bit_length() for m in range(3, 25)) == 91
+    calls["pair_groups"].clear()
+    min_distance(c)
+    assert len(calls["pair_groups"]) <= 8
+
+
+def test_pool_is_bounded_by_the_cpus(monkeypatch):
+    # --workers 64 on a host with two usable CPUs starts two workers; a
+    # stand-in pool runs imap as map, so no process is started
+    sizes = []
+
+    class Pool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks, chunksize):
+            assert chunksize >= 1
+            return map(fn, tasks)
+
+    monkeypatch.setattr(codes_mod, "PARALLEL_MIN_CHECKS", 0)
+    monkeypatch.setattr(codes_mod, "get_context",
+                        lambda method: SimpleNamespace(Pool=Pool))
+    c = get_code(3, 3, 2, (0, 0, 1))
+    serial = min_distance(c, SearchPlan(workers=1)).payload()
+    assert sizes == []
+    for cpus, workers, want in [(2, 64, 2), (1, 64, 1), (8, 3, 3)]:
+        monkeypatch.setattr(codes_mod.os, "sched_getaffinity",
+                            lambda pid, n=cpus: set(range(n)))
+        del sizes[:]
+        assert min_distance(c, SearchPlan(workers=workers)).payload() == serial
+        assert sizes and set(sizes) == {want}
+
+
+def test_listed_supports_are_capped_but_all_are_checked(monkeypatch):
+    # conic-5 has h = 3 supports through {0, 1, 2}; with a cap of 1 the
+    # report lists the first, records every violation and keeps h
+    c = get_code(5, 1, 2, (0, 0))
+    full = classify_min_words(c, min_distance(c))
+    monkeypatch.setattr(codes_mod, "SUPPORTS_LISTED", 1)
+    monkeypatch.setattr(codes_mod, "on_common_subline",
+                        lambda field, points, q_sub: (
+                            np.ones(len(points), dtype=bool),
+                            np.arange(len(points)) != 1))
+    rep = classify_min_words(c, min_distance(c))
+    assert rep.supports == full.supports[:1]
+    assert rep.stage_log[-1].dependent_found == 3
+    assert rep.min_weight_support_count == full.min_weight_support_count
+    assert rep.violations == [{"columns": full.supports[1]["columns"],
+                               "problem": "pre-images not on a common subline"}]
 
 
 # -- general position -----------------------------------------------------------------

@@ -224,6 +224,67 @@ def test_incremental_pair_groups(gf27):
             assert ((c1, c2) in pairs) == expected
 
 
+def _planted_columns(f, rows, cols, rng):
+    """Random columns where column j often equals a * column i + b *
+    column 0, so that mod column 0 many pairs are proportional and some
+    columns are in the span of column 0; column 7 is column 4 plus
+    column 0."""
+    m = random_matrix(f, rows, cols, rng)
+    for j in range(2, cols):
+        if rng.random() < 0.6:
+            i = int(rng.integers(0, j))
+            a, b = (int(x) for x in rng.integers(0, f.order, size=2))
+            m[:, j] = [f.add(f.mul(a, x), f.mul(b, y))
+                       for x, y in zip(m[:, i].tolist(), m[:, 0].tolist())]
+    m[:, 7] = [f.add(x, y) for x, y in zip(m[:, 4].tolist(),
+                                           m[:, 0].tolist())]
+    return m
+
+
+@pytest.mark.parametrize("p,m,rows", [(3, 1, 3), (2, 2, 4), (3, 3, 4),
+                                      (2, 11, 4)])
+def test_pair_groups_of_children_match_rank(p, m, rows):
+    # pair_groups(children) against rank, field by field, LogOps included:
+    # dead[i] is the first column x with {pushed, child, x} dependent, and
+    # the groups hold exactly the pairs {a, b} with {pushed, child, a, b}
+    # dependent; lex_first gives the first of those triples
+    f = get_field(p, m)
+    rng = np.random.default_rng(p * 100 + m)
+    seen = set()
+    for _ in range(4):
+        a = _planted_columns(f, rows, 12, rng)
+        elim = IncrementalElim(f, a)
+        if not elim.push(0):
+            continue
+        _, indeps = elim.split_extensions()
+        runs = [indeps[i:i + 4] for i in range(0, indeps.size, 4)]
+        for run in runs:
+            if run.size == 0 or run[-1] - run[0] != run.size - 1:
+                continue
+            lo = int(run[0])
+            dead, groups = elim.pair_groups(range(lo, lo + run.size))
+            _, first = elim.pair_groups(range(lo, lo + run.size), True)
+            triples = []
+            for i, ch in enumerate(run.tolist()):
+                bad = [x for x in range(ch + 1, 12)
+                       if rank(f, a[:, [0, ch, x]]) < 3]
+                assert dead[i] == (bad[0] if bad else -1)
+                if bad:
+                    seen.add("dead")
+                    continue
+                pairs = {(x, y) for x, y in itertools.combinations(
+                    range(ch + 1, 12), 2) if rank(f, a[:, [0, ch, x, y]]) < 4}
+                got = {(g[x], g[y]) for j, g in groups if j == i
+                       for x, y in itertools.combinations(range(len(g)), 2)}
+                assert got == pairs
+                triples += sorted((ch,) + pr for pr in pairs)
+                seen.add("pairs" if pairs else "none")
+            if triples and (dead < 0).all():
+                i, g = first[0]
+                assert (lo + i, *g) == triples[0]
+    assert {"pairs", "dead"} <= seen
+
+
 def test_incremental_elim_above_pair_table_order():
     # GF(2^11) has no pairwise tables, so elimination runs on the exp/log
     # ops; push, split_extensions and pair_groups must still agree with rank
