@@ -21,13 +21,13 @@ columns of H up to nonzero scalars through an invertible linear map, and
 a column subset is dependent exactly when its image is.  Once per
 min_distance call, one array pass reads each generator M listed by
 _gl_generators off the point list as a column permutation and per-column
-scales lead^norm (every basis monomial has degree norm), and one rank
-test of H against all their images, _is_column_symmetry, proves the set;
-nothing rests on the identity above.  If the test fails, k = 0 and no
-level is reduced.  Otherwise a stabiliser chain over the nu columns
-gives k, stored in the report as orbit_prefix: the largest k such that,
-for every i < k, the permutations that fix columns 0 .. i-1 move column
-i onto every column >= i, so any k distinct columns map onto
+scales lead^norm (every basis monomial has degree norm), and one test
+that all their images lie in the column space of H^T, _is_column_symmetry,
+proves the set; nothing rests on the identity above.  If the test fails,
+k = 0 and no level is reduced.  Otherwise a stabiliser chain over the nu
+columns gives k, stored in the report as orbit_prefix: the largest k
+such that, for every i < k, the permutations that fix columns 0 .. i-1
+move column i onto every column >= i, so any k distinct columns map onto
 (0, ..., k-1).  On a line (n = 2) PGL(2, q^t) is 3-transitive and
 k = 3 (more on the tiniest fields); for n >= 3 the generators that fix
 columns 0 and 1 fix column 2 too, and the chain stops at 2.
@@ -50,10 +50,10 @@ lists the h supports through the columns 0 .. k'-1, k' = min(k, d+2)
 (all of them if k = 0), counts h C(nu, k') / C(d+2, k') by double
 counting, since every k'-set of columns lies in h, and checks all listed
 ones for collinear pre-images on a common PG(1, q') subline in one array
-pass, pg.on_common_subline; the scalar pg geometry (is_collinear,
-subline_through) serves only as its reference in the tests.  The proved
-symmetries come from matrices, which map sublines to sublines, so the
-listed ones speak for all.
+pass per CHECK_BLOCK supports, pg.on_common_subline; the scalar pg
+geometry (is_collinear, subline_through) serves only as its reference in
+the tests.  The proved symmetries come from matrices, which map sublines
+to sublines, so the listed ones speak for all.
 
 Each level walks a depth-first tree of independent column
 prefixes in one incremental elimination per min_distance call, whose
@@ -98,13 +98,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ff import Field
-from .linalg import IncrementalElim, is_independent, kernel_basis, rank
+from .linalg import IncrementalElim, in_span, is_independent, kernel_basis
 from .pg import on_common_subline
 from .veronese import Twist, VarietyMatrix
 
 PARALLEL_MIN_CHECKS = 200_000  # below this a pool costs more than it saves
 LEAF_ENTRIES = 1 << 18  # reduced entries per batched pair_groups call
 SUPPORTS_LISTED = 1_000  # lex-first supports a report lists; all are checked
+CHECK_BLOCK = 1 << 12  # supports per on_common_subline call
 DEFAULT_BUDGET = 100_000_000
 DEFAULT_ORACLE_CAP = 2_000_000
 
@@ -508,21 +509,22 @@ def _run_level(elim: IncrementalElim, w: int, plan: SearchPlan, *,
 # Column symmetries
 # ---------------------------------------------------------------------------
 
-def _gl_generators(field: Field, n: int) -> list[np.ndarray]:
-    """diag(g, 1, ..., 1), the cyclic coordinate shift, I + E_01,
-    I + E_{n-1,0} and, for n >= 3, the cyclic shift of the first n-1
-    coordinates.  They generate GL(n, q^t), whose projective image is
-    2-transitive on the points of PG(n-1, q^t).  All but the full shift
-    and, for n = 2, I + E_01 fix e_{n-1}, the point of column 0, and those
-    generate a group transitive on the other points."""
-    eye = np.eye(n, dtype=np.int64)
-    diag, transvection, into_last, head_shift = (eye.copy() for _ in range(4))
-    diag[0, 0] = field.generator
-    transvection[0, 1] = 1
-    into_last[n - 1, 0] = 1
-    head_shift[:n - 1, :n - 1] = np.roll(eye[:n - 1, :n - 1], 1, axis=1)
-    gens = [diag, np.roll(eye, 1, axis=1), transvection, into_last]
-    return gens + [head_shift] if n >= 3 else gens
+def _gl_generators(field: Field, n: int) -> np.ndarray:
+    """The g x n x n stack of diag(g, 1, ..., 1), the cyclic coordinate
+    shift, I + E_01, I + E_{n-1,0} and, for n >= 3, the cyclic shift of
+    the first n-1 coordinates.  They generate GL(n, q^t), whose
+    projective image is 2-transitive on the points of PG(n-1, q^t).  All
+    but the full shift and, for n = 2, I + E_01 fix e_{n-1}, the point of
+    column 0, and those generate a group transitive on the other points."""
+    mats = np.zeros((5 if n >= 3 else 4, n, n), dtype=np.int64)
+    i = np.arange(n)
+    mats[:, i, i] = 1
+    mats[0, 0, 0] = field.generator
+    mats[1] = mats[1, (i + 1) % n]  # row i of a shift is e_{i+1}
+    mats[2, 0, 1] = mats[3, n - 1, 0] = 1
+    if n >= 3:
+        mats[4, :-1] = mats[4, (i[:-1] + 1) % (n - 1)]
+    return mats
 
 
 def _induced_permutation(code: Code, mats: np.ndarray):
@@ -546,9 +548,7 @@ def _induced_permutation(code: Code, mats: np.ndarray):
     keys, want = pts @ place, canon @ place  # keys ascend with the points
     perms = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
     perms[(keys[perms] != want) | (lead == 0)] = -1
-    # lead ** norm, the one monomial x^norm evaluated at each lead (0 -> 0)
-    scales = field.eval_monomials(lead.reshape(-1, 1), [[code.twist.norm]])
-    return perms, scales.reshape(lead.shape)
+    return perms, field.pow(lead, code.twist.norm)  # 0 where lead is 0
 
 
 def _is_column_symmetry(code: Code, perms: np.ndarray,
@@ -559,8 +559,8 @@ def _is_column_symmetry(code: Code, perms: np.ndarray,
 
     * each perms[i] is a bijection and no scale is zero, so each block
       images_i = D_i P_i H^T has rank(H) = effective_N (see build_code);
-    * rank([H^T | images_0 | ... | images_{g-1}]) = effective_N puts
-      every block in the column space of H^T: images_i = H^T B_i;
+    * in_span puts every block in the column space of H^T:
+      images_i = H^T B_i;
     * rank(images_i) = effective_N makes B_i invertible.
 
     The candidates come from _induced_permutation; nothing here relies
@@ -570,7 +570,7 @@ def _is_column_symmetry(code: Code, perms: np.ndarray,
         return False
     h_t = code.H.T
     images = code.field.ops.mul[scales[..., None], h_t[perms]]
-    return rank(code.field, np.hstack([h_t, *images])) == code.effective_N
+    return in_span(code.field, h_t, np.hstack(images))
 
 
 def _orbit(nu: int, start: int, perms: Sequence[np.ndarray]) -> np.ndarray:
@@ -614,8 +614,8 @@ def column_orbit_prefix(code: Code) -> int:
     k or more columns can be mapped onto by a verified symmetry of H.
     The generators are proved as one set, and used all or not at all:
     if _is_column_symmetry fails, k = 0 and the levels scan everything."""
-    mats = np.stack(_gl_generators(code.field, code.variety.n))
-    perms, scales = _induced_permutation(code, mats)
+    perms, scales = _induced_permutation(
+        code, _gl_generators(code.field, code.variety.n))
     if not _is_column_symmetry(code, perms, scales):
         return 0
     return _orbit_prefix(code.nu, list(perms))
@@ -727,11 +727,11 @@ def classify_min_words(code: Code, report: CodeReport,
                        plan: Optional[SearchPlan] = None) -> CodeReport:
     """Count the dependent (d+2)-subsets, find them (k' = 0) or the h
     through the columns 0 .. k'-1 (see classification_scan and the module
-    docstring), and check all h in one on_common_subline pass: collinear
-    pre-images on one PG(1, q') subline.  Records every violation, but
-    lists only the lexicographically first SUPPORTS_LISTED supports; h is
-    the classify record's dependent_found.  Over the budget, raises
-    BudgetExceeded.
+    docstring), and check all h, CHECK_BLOCK at a time, with
+    on_common_subline: collinear pre-images on one PG(1, q') subline.
+    Records every violation, but lists only the lexicographically first
+    SUPPORTS_LISTED supports; h is the classify record's dependent_found.
+    Over the budget, raises BudgetExceeded.
 
     Each listed support is a minimal dependent set without a check of its
     own.  The guard requires an exact delta = d+2, so every (d+1)-set of
@@ -755,9 +755,11 @@ def classify_min_words(code: Code, report: CodeReport,
     checks = time.perf_counter()
 
     cols = np.array(hits, dtype=np.int64).reshape(-1, d + 2)
-    pts = np.asarray(code.variety.points, dtype=np.int64)[cols]
-    collinear, on_sub = on_common_subline(code.field, pts,
-                                          code.twist.q_fixed)
+    points = np.asarray(code.variety.points, dtype=np.int64)
+    collinear, on_sub = map(np.concatenate, zip(*(
+        on_common_subline(code.field, points[cols[i:i + CHECK_BLOCK]],
+                          code.twist.q_fixed)
+        for i in range(0, len(cols), CHECK_BLOCK))))
     violations = [{"columns": cols[i].tolist(), "problem": (
         "pre-images not on a common subline" if collinear[i]
         else "pre-images not collinear")}
@@ -766,7 +768,7 @@ def classify_min_words(code: Code, report: CodeReport,
     supports = [{"columns": subset, "points": row, "collinear": line,
                  "on_subline": sub}
                 for subset, row, line, sub in zip(
-                    cols[listed].tolist(), pts[listed].tolist(),
+                    cols[listed].tolist(), points[cols[listed]].tolist(),
                     collinear[listed].tolist(), on_sub[listed].tolist())]
     # C(nu, k) k-sets in h supports each, C(d+2, k) per support
     count, rest = divmod(len(hits) * comb(code.nu, k), comb(d + 2, k))

@@ -365,7 +365,11 @@ class Field:
             raise ZeroDivisionError("division by zero")
         return self.mul(a, self.inv(b))
 
-    def pow(self, a: int, k: int) -> int:
+    def pow(self, a, k: int):
+        """a ** k (0 ** 0 = 1); one log/exp gather for an array a, k >= 0."""
+        if isinstance(a, np.ndarray):
+            logs = self._log[a].astype(np.int64) * k % (self.order - 1)
+            return np.where(a == 0, int(k == 0), self._exp[logs])
         if k < 0:
             return self.pow(self.inv(a), -k)
         if a == 0:

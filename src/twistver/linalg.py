@@ -37,17 +37,19 @@ from .ff import Field
 # Elimination
 # ---------------------------------------------------------------------------
 
-def _row_echelon(field: Field, a: np.ndarray) -> list[tuple[int, int]]:
+def _row_echelon(field: Field, a: np.ndarray,
+                 pivot_cols: int | None = None) -> list[tuple[int, int]]:
     """In-place reduced row echelon; returns [(pivot_row, pivot_col), ...].
 
-    Deterministic: columns scanned left to right, pivot is the first row
-    with a nonzero entry at or below the current one.
+    Deterministic: columns scanned left to right (the first pivot_cols
+    only, if given), pivot is the first row with a nonzero entry at or
+    below the current one; row operations act on every column.
     """
     ops = field.ops
     rows, cols = a.shape
     pivots: list[tuple[int, int]] = []
     r = 0
-    for c in range(cols):
+    for c in range(cols if pivot_cols is None else pivot_cols):
         if r == rows:
             break
         nz = np.nonzero(a[r:, c])[0]
@@ -70,6 +72,15 @@ def _row_echelon(field: Field, a: np.ndarray) -> list[tuple[int, int]]:
 
 def rank(field: Field, a) -> int:
     return len(_row_echelon(field, np.array(a, dtype=np.int64)))
+
+
+def in_span(field: Field, base, extra) -> bool:
+    """True iff every column of extra lies in the column space of base:
+    once base's columns of [base | extra] are eliminated, every row below
+    the last pivot is zero."""
+    a = np.hstack([base, extra]).astype(np.int64)
+    below = len(_row_echelon(field, a, np.shape(base)[1]))
+    return not a[below:].any()
 
 
 def kernel_basis(field: Field, a) -> list[np.ndarray]:

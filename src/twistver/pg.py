@@ -155,8 +155,7 @@ def on_common_subline(field: Field, points, q_sub: int):
                    ops.mul[beta[:, :, None], r[:, None]]]
     collinear = (span == pts).all(axis=(1, 2))
     ratio = ops.div[beta[:, 2:], alpha[:, 2:]]
-    coset = field.eval_monomials(ratio.reshape(-1, 1), [[q_sub - 1]])
-    coset = coset.reshape(ratio.shape)
+    coset = field.pow(ratio, q_sub - 1)
     return collinear, collinear & (coset == coset[:, :1]).all(axis=1)
 
 

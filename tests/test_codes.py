@@ -1,7 +1,9 @@
 import itertools
 import os
+import runpy
 from dataclasses import fields
 from math import comb
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -333,6 +335,34 @@ def test_classify_checks_all_supports_in_one_array_call(monkeypatch):
     assert all(s["collinear"] and s["on_subline"] for s in rep.supports)
 
 
+def test_classify_checks_supports_in_blocks(monkeypatch):
+    # the k = 0 path lists all 340 supports of subline-16; blocks of 7
+    # give the same counts, violations and listed supports as one block
+    import twistver.pg as pg_mod
+    calls = []
+
+    def judged(field, points, q_sub):
+        # the real check, plus a violation wherever the first point's last
+        # coordinate is odd
+        calls.append(len(points))
+        collinear, on_sub = pg_mod.on_common_subline(field, points, q_sub)
+        return collinear, on_sub & (points[:, 0, -1] % 2 == 0)
+
+    c = get_code(2, 4, 2, (0, 2))
+    monkeypatch.setattr(codes_mod, "on_common_subline", judged)
+    monkeypatch.setattr(codes_mod, "_is_column_symmetry", lambda *a: False)
+    one = classify_min_words(c, min_distance(c))
+    assert calls == [340]
+    monkeypatch.setattr(codes_mod, "CHECK_BLOCK", 7)
+    calls.clear()
+    blocks = classify_min_words(c, min_distance(c))
+    assert calls == [7] * 48 + [4]
+    assert 0 < len(one.violations) < 340
+    assert (blocks.min_weight_support_count, blocks.violations,
+            blocks.supports) == (one.min_weight_support_count,
+                                 one.violations, one.supports)
+
+
 def test_classify_classical_conic_all_quadruples():
     c = get_code(5, 1, 2, (0, 0))
     rep = classify_min_words(c, min_distance(c))
@@ -616,7 +646,7 @@ def test_every_generator_is_a_verified_symmetry():
         c = get_code(*cfg)
         gens = codes_mod._gl_generators(c.field, c.variety.n)
         assert len(gens) == (4 if c.variety.n == 2 else 5)
-        perms, scales = codes_mod._induced_permutation(c, np.stack(gens))
+        perms, scales = codes_mod._induced_permutation(c, gens)
         assert perms.shape == scales.shape == (len(gens), c.nu)
         assert codes_mod._is_column_symmetry(c, perms, scales)
         for i, mat in enumerate(gens):
@@ -644,19 +674,56 @@ def test_every_generator_is_a_verified_symmetry():
         assert codes_mod.column_orbit_prefix(c) == k
 
 
+def _rank_proof(code, perms, scales):
+    """The symmetry proof in its rank form, by the oracle's scalar
+    elimination (no linalg code): bijections, no zero scale, and
+    rank([H^T | images_0 | ... | images_(g-1)]) = effective_N."""
+    if not ((np.sort(perms, axis=1) == np.arange(code.nu)).all()
+            and scales.all()):
+        return False
+    f, h_t = code.field, code.H.T.tolist()
+    rows = [list(row) for row in h_t]
+    for perm, scale in zip(perms.tolist(), scales.tolist()):
+        for j, (pj, sj) in enumerate(zip(perm, scale)):
+            rows[j] += [f.mul(sj, x) for x in h_t[pj]]
+    return codes_mod._scalar_rank(f, rows) == code.effective_N
+
+
+def _proved(code, perms, scales):
+    """_is_column_symmetry, asserted equal to its rank form."""
+    verdict = codes_mod._is_column_symmetry(code, perms, scales)
+    assert verdict == _rank_proof(code, perms, scales)
+    return verdict
+
+
+# {label: get_code arguments} of the cases the benchmark pins
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+BENCHMARK_CASES = {c.label: (c.p, c.e * c.t, c.n, c.sigma, c.e)
+                   for c in runpy.run_path(str(WORKLOADS))["CASES"].values()}
+
+
+@pytest.mark.parametrize("cfg", BENCHMARK_CASES.values(),
+                         ids=BENCHMARK_CASES.keys())
+def test_symmetry_proof_matches_rank_form_on_benchmark_cases(cfg):
+    c = get_code(*cfg)
+    perms, scales = codes_mod._induced_permutation(
+        c, codes_mod._gl_generators(c.field, c.variety.n))
+    assert _proved(c, perms, scales)
+
+
 def test_symmetry_check_rejects_non_symmetries():
     c = get_code(3, 3, 2, (0, 0, 2))
 
     def proved(perm, scale):  # a stack of one candidate
-        return codes_mod._is_column_symmetry(c, perm[None], scale[None])
+        return _proved(c, perm[None], scale[None])
 
     perms, scales = codes_mod._induced_permutation(
-        c, np.stack(codes_mod._gl_generators(c.field, 2)[2:3]))
+        c, codes_mod._gl_generators(c.field, 2)[2:3])
     perm, scale = perms[0], scales[0]
     assert proved(perm, scale)
     ones = np.ones(c.nu, dtype=np.int64)
     # swapping two columns, with unit scales: a bijection with no zero
-    # scale, so only the rank test can reject it
+    # scale, so only the span test can reject it
     swap = np.arange(c.nu)
     swap[[0, 1]] = [1, 0]
     assert not proved(swap, ones)
@@ -666,13 +733,13 @@ def test_symmetry_check_rejects_non_symmetries():
     assert not proved(twice, scale)
     # a bijection with nonzero scales that is not the induced one
     assert not proved(np.roll(perm, 1), scale)
-    # a zero scale; zero images pass the rank test, so with all scales
+    # a zero scale; zero images pass the span test, so with all scales
     # zero only the scale check rejects them
     zero = scale.copy()
     zero[3] = 0
     assert not proved(perm, zero)
     assert not proved(perm, 0 * scale)
-    # the right permutation with nonzero but wrong scales: the rank test
+    # the right permutation with nonzero but wrong scales: the span test
     # must reject it
     assert not (scale == 1).all()
     assert not proved(perm, ones)
@@ -682,22 +749,22 @@ def test_symmetry_check_rejects_non_symmetries():
         c, np.array([[[1, 0], [0, 0]]]))
     assert -1 in singular[0].tolist()
     assert not singular_scale.all()
-    assert not codes_mod._is_column_symmetry(c, singular, singular_scale)
+    assert not _proved(c, singular, singular_scale)
     # one bad candidate among the generators rejects the whole stack
     perms, scales = codes_mod._induced_permutation(
-        c, np.stack(codes_mod._gl_generators(c.field, 2)))
-    assert codes_mod._is_column_symmetry(c, perms, scales)
+        c, codes_mod._gl_generators(c.field, 2))
+    assert _proved(c, perms, scales)
     for i in range(len(perms)):
-        # a bijection with nonzero scales: only the joint rank test sees it
+        # a bijection with nonzero scales: only the joint span test sees it
         bad_perms, bad_scales = perms.copy(), scales.copy()
         bad_perms[i], bad_scales[i] = swap, ones
-        assert not codes_mod._is_column_symmetry(c, bad_perms, bad_scales)
+        assert not _proved(c, bad_perms, bad_scales)
         bad_perms[i], bad_scales[i] = np.roll(perms[i], 1), scales[i]
-        assert not codes_mod._is_column_symmetry(c, bad_perms, bad_scales)
+        assert not _proved(c, bad_perms, bad_scales)
 
 
 @pytest.mark.parametrize("cfg", [(3, 3, 2, (0, 0, 2)), (2, 2, 3, (0, 1))])
-def test_symmetry_step_is_one_pass_and_one_rank(monkeypatch, cfg):
+def test_symmetry_step_is_one_pass_and_one_in_span(monkeypatch, cfg):
     calls = []
 
     def counted(name, fn):
@@ -707,9 +774,9 @@ def test_symmetry_step_is_one_pass_and_one_rank(monkeypatch, cfg):
         monkeypatch.setattr(codes_mod, name, wrapper)
 
     counted("_induced_permutation", codes_mod._induced_permutation)
-    counted("rank", codes_mod.rank)
+    counted("in_span", codes_mod.in_span)
     assert codes_mod.column_orbit_prefix(get_code(*cfg)) > 0
-    assert calls == ["_induced_permutation", "rank"]
+    assert calls == ["_induced_permutation", "in_span"]
 
 
 def test_no_verified_generator_means_unreduced_levels(monkeypatch):
@@ -720,7 +787,8 @@ def test_no_verified_generator_means_unreduced_levels(monkeypatch):
     assert reduced.orbit_prefix == 3
     real = codes_mod._gl_generators
     monkeypatch.setattr(codes_mod, "_gl_generators", lambda field, n: (
-        real(field, n) + [np.diag([1] + [0] * (n - 1))]))
+        np.concatenate([real(field, n), [np.diag([1] + [0] * (n - 1))]])))
+    assert len(codes_mod._gl_generators(c.field, 2)) == 5  # 4 and the singular
     assert codes_mod.column_orbit_prefix(c) == 0
     full = min_distance(c)
     assert full.orbit_prefix == 0

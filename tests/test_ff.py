@@ -275,3 +275,23 @@ def test_eval_monomials_matches_scalar_pow(p, m):
             for x, e in zip(pt, ex):
                 acc = f.mul(acc, f.pow(x, e))
             assert table[i, k] == acc, (pt, ex)
+
+
+@pytest.mark.parametrize("p,m", [(2, 4), (3, 2), (7, 1), (2, 11)])
+def test_array_pow_matches_repeated_multiplication(p, m):
+    # the reference multiplies out a ** k in polynomial mode, without the
+    # exp/log tables the array form reads
+    f = get_field(p, m)
+    rng = np.random.default_rng(p * 100 + m)
+    a = rng.integers(0, f.order, size=(3, 12))
+    a[0, :2] = 0
+    for k in (0, 1, 2, f.order - 1, f.order, 3 * f.order + 5):
+        got = f.pow(a, k)
+        assert got.shape == a.shape
+        for x, y in zip(a.ravel().tolist(), got.ravel().tolist()):
+            want = int(k == 0)  # 0 ** 0 = 1 and 0 ** k = 0
+            if x:
+                want = 1
+                for _ in range(k % (f.order - 1)):  # x ** (Q-1) = 1
+                    want = f.mul_poly(want, x)
+            assert y == want, (x, k)
