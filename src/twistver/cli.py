@@ -21,8 +21,9 @@ from contextlib import suppress
 from typing import Optional
 
 from .codes import (DEFAULT_BUDGET, BudgetExceeded, SearchPlan, analyze,
-                    build_code, classification_scan, verify_dep_classification,
-                    verify_general_position, verify_oracle_equivalence)
+                    build_code, classification_scan, usable_cpus,
+                    verify_dep_classification, verify_general_position,
+                    verify_oracle_equivalence)
 from .ff import Field
 from .veronese import ScrollFrame, Twist, build_variety, scroll_plucker_check
 
@@ -224,11 +225,7 @@ def _add_experiment_flags(sp) -> None:
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                     help="max subsets checked per search level (default %(default)s)")
     sp.add_argument("--w-max", dest="w_max", type=int, help="largest subset size to search")
-    # the CPUs this process may run on, which a container can limit below
-    # the machine's count
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    sp.add_argument("--workers", type=int, default=cpus,
+    sp.add_argument("--workers", type=int, default=usable_cpus(),
                     help="parallel workers (default: the CPUs this process "
                     "may use, here %(default)s)")
     sp.add_argument("--allow-collapse", action="store_true",

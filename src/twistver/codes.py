@@ -55,17 +55,20 @@ geometry (is_collinear, subline_through) serves only as its reference in
 the tests.  The proved symmetries come from matrices, which map sublines
 to sublines, so the listed ones speak for all.
 
-Each level walks a depth-first tree of independent column
-prefixes in one incremental elimination per min_distance call, whose
-frame holds the columns 0 .. k'-1: each is pushed once, and its push
-settles the level w = k' <= k; every later level and task starts from
-it.  One vectorized scan per prefix classifies every extension column as
-in-span or independent, so a level that nominally checks C(nu, w)
-subsets only does C(nu, w-1) eliminations.  A prefix with three columns
-left pushes none of its children: one pair_groups call classifies the
-2-extensions of a whole run of them, and the runs double in length
-(1, 2, 4, ...), so an early hit costs about as much as the scan before
-it while an empty level makes a few calls per prefix.
+Each level walks a depth-first tree of independent column prefixes in
+one incremental elimination per min_distance call, whose frame holds the
+columns 0 .. k'-1: each is pushed once, and its push settles the level
+w = k' <= k; every later level and task starts from it.  A level with
+one or two columns left after the frame is one call on it:
+split_extensions classifies every remaining column as in-span or
+independent, and pair_groups every pair of them as dependent or not.
+Deeper levels push one column at a time down to a prefix with three
+columns left, and push none of its children: one pair_groups call
+classifies the 2-extensions of a whole run of them, and the runs double
+in length (1, 2, 4, ...), so an early hit costs about as much as the
+scan before it while an empty level makes a few calls per prefix.  A
+level of C(nu, w) subsets thus pushes only its prefixes of w-3 columns or
+fewer.
 
 Everything is deterministic: a level is split into tasks on the column
 after the prefix, or, with three columns left, on runs of such columns
@@ -275,17 +278,19 @@ def _scan_subtree(elim: IncrementalElim, head: tuple[int, ...], w: int,
     two columns left after head, a cap carries the scan on through the
     later siblings of head[-1], in lexicographic order.
 
-    Visits independent prefixes in lexicographic order.  At prefix size
-    w-1 one vectorized scan classifies every remaining column; at prefix
-    size w-3 pair_groups classifies the 2-extensions of a run of children
-    in one call, the runs doubling in length (1, 2, 4, ...) so that an
-    early hit costs about as much as the scan before it.  A dependent
-    subset smaller than w raises DependencyInvariantError.
+    A head with one column left is one split_extensions scan and with two
+    one pair_groups call.  With three or more, rec visits independent
+    prefixes in lexicographic order, and at prefix size w-3 pair_groups
+    classifies the 2-extensions of a run of children in one call, the
+    runs doubling in length (1, 2, 4, ...) so that an early hit costs
+    about as much as the scan before it.  A dependent subset smaller than
+    w raises DependencyInvariantError.
     """
     checked = int(len(head) == w)  # a whole head is one subset
     hits: list[tuple[int, ...]] = []
     ncols = elim.ncols
-    sibling_run = cap is not None and w - len(head) == 2
+    left = w - len(head)
+    sibling_run = cap is not None and left == 2
     run = ncols if sibling_run else 1  # children per pair_groups call
     prefix = list(head[:-1] if sibling_run else head)
     push, pop, split, pairs = (elim.push, elim.pop, elim.split_extensions,
@@ -325,32 +330,7 @@ def _scan_subtree(elim: IncrementalElim, head: tuple[int, ...], w: int,
             lo, run = stop, 2 * run
         return cap is not None and checked >= cap
 
-    def rec(remaining: int) -> bool:
-        nonlocal checked
-        if remaining == 1:
-            deps, indeps = split()
-            checked += int(deps.size) + int(indeps.size)
-            if deps.size:
-                base = tuple(prefix)
-                if early_exit:
-                    hits.append(base + (int(deps[0]),))
-                    return True
-                hits.extend(base + (int(c),) for c in deps.tolist())
-            return cap is not None and checked >= cap
-        if remaining == 2:
-            dead, groups = pairs()
-            if dead.size:
-                raise DependencyInvariantError(tuple(prefix) + (int(dead[0]),))
-            width = ncols - 1 - (prefix[-1] if prefix else -1)
-            checked += width * (width - 1) // 2
-            if groups:
-                base = tuple(prefix)
-                if early_exit:
-                    hits.append(base + tuple(groups[0][:2]))
-                    return True
-                for g in groups:
-                    hits.extend(base + pair for pair in combinations(g, 2))
-            return cap is not None and checked >= cap
+    def rec(remaining: int) -> bool:  # three or more columns left
         deps, indeps = split()
         if deps.size:
             raise DependencyInvariantError(tuple(prefix) + (int(deps[0]),))
@@ -380,8 +360,24 @@ def _scan_subtree(elim: IncrementalElim, head: tuple[int, ...], w: int,
             end = int(bad[0]) if bad.size else ncols
             if not leaves(head[-1], end) and bad.size:
                 raise DependencyInvariantError(tuple(prefix) + (end,))
-        elif len(head) < w:
-            rec(w - len(head))
+        elif left == 1:
+            deps, indeps = split()
+            checked = deps.size + indeps.size
+            if early_exit:
+                deps = deps[:1]
+            hits = [head + (c,) for c in deps.tolist()]
+        elif left == 2:
+            (dead,), groups = pairs()
+            if dead >= 0:
+                raise DependencyInvariantError(head + (int(dead),))
+            checked = comb(ncols - 1 - (head[-1] if head else -1), 2)
+            if early_exit:
+                hits = [head + (g[0], g[1]) for _, g in groups[:1]]
+            else:
+                hits = [head + pair for _, g in groups
+                        for pair in combinations(g, 2)]
+        elif left:
+            rec(left)
     finally:
         elim.reset()
     return hits, checked
@@ -412,6 +408,15 @@ def _level_tasks(nu: int, k: int, w: int, budget: int):
     return tasks
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on, which a container can limit
+    below the machine's count; the machine's count where the OS has no
+    affinity call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 # The scan of the level a fork pool is running; its workers inherit it,
 # IncrementalElim and its frame included, through the fork.
 _forked_scan = None
@@ -433,7 +438,7 @@ def _task_results(scan, tasks, workers: int):
         return
     _forked_scan = scan
     try:
-        size = min(workers, len(rest), len(os.sched_getaffinity(0)))
+        size = min(workers, len(rest), usable_cpus())
         with get_context("fork").Pool(size) as pool:
             # subtrees shrink along the task list: a few ordered chunks
             # per worker keep the workers evenly loaded
@@ -825,16 +830,14 @@ def _scalar_rank(field: Field, rows: list[list[int]]) -> int:
     return rk
 
 
-def oracle_min_distance(code: Code, w_max: Optional[int] = None,
-                        max_checks: int = DEFAULT_ORACLE_CAP):
+def oracle_min_distance(code: Code, max_checks: int = DEFAULT_ORACLE_CAP):
     """Smallest dependent column-subset size by plain enumeration.
 
     No geometric restriction, no staging, no shared elimination state:
     every subset is rank-checked from scratch.  Returns (delta, witness);
-    delta is None if no dependent subset exists up to w_max.
+    delta is None if no dependent subset exists.
     """
-    n_eff = code.effective_N
-    w_cap = min(w_max or n_eff + 1, n_eff + 1, code.nu)
+    w_cap = min(code.effective_N + 1, code.nu)
     total = sum(comb(code.nu, w) for w in range(2, w_cap + 1))
     if total > max_checks:
         raise BudgetExceeded(
@@ -902,14 +905,12 @@ def _lex_first_dependent(code: Code, k: int) -> tuple:
     raise AssertionError("no dependent subset found where one was implied")
 
 
-def verify_oracle_equivalence(code: Code, plan: Optional[SearchPlan] = None,
-                              max_checks: int = DEFAULT_ORACLE_CAP):
+def verify_oracle_equivalence(code: Code, plan: Optional[SearchPlan] = None):
     """Search and brute-force oracle must agree exactly: on delta and on
     the lexicographically first dependent set.  A capped search raises
     BudgetExceeded."""
     report = _settled(min_distance(code, plan))
-    oracle_delta, oracle_witness = oracle_min_distance(code,
-                                                       max_checks=max_checks)
+    oracle_delta, oracle_witness = oracle_min_distance(code)
     ok = (report.delta_exact and report.delta == oracle_delta
           and report.witness == list(oracle_witness))
     return ok, report.delta, oracle_delta

@@ -14,12 +14,12 @@ The subset-independence workhorse is IncrementalElim: a stack of
 column-reduced copies of a fixed matrix that lets a subset-enumeration
 loop push/pop one column at a time and test span membership of every
 remaining column with a single vectorized scan.  pair_groups classifies
-every 2-extension at once by grouping proportional reduced columns, and
-does so for a whole run of children of the top without pushing them: one
-children x width x N array and one sort of exact integer keys.  Its
-frame is a bottom of the stack that reset() returns to and pop() never
-removes, so a search pushes the columns every subset shares once
-(codes.min_distance).  This is the performance-critical path; everything
+every 2-extension at once by grouping proportional reduced columns, for
+a whole run of children of the top without pushing them, or for the top
+alone as its one child: one children x width x N array, one sort of
+exact integer keys and one result shape.  Its frame is a bottom of the
+stack that reset() returns to and pop() never removes, so a search
+pushes the columns every subset shares once (codes.min_distance).  This is the performance-critical path; everything
 else favours clarity.
 """
 
@@ -221,34 +221,30 @@ class IncrementalElim:
 
     def pair_groups(self, children: range | None = None,
                     lex_first: bool = False):
-        """Classify 2-extensions of the current independent set at once.
+        """Classify the 2-extensions of a run of children at once.
 
         {pushed} + {a, b} is dependent exactly when the reduced columns a
         and b are proportional, i.e. when their canonical forms (scaled
-        so the first nonzero entry is 1) coincide.  Without children,
-        returns (in_span, groups): the columns right of the last push that
-        are already in the span, or else the maximal groups (>= 2,
-        ascending, by first column) of mutually proportional columns.
+        so the first nonzero entry is 1) coincide.  children, a range of
+        consecutive columns right of the last push, each outside the
+        span, asks this of S_i = {pushed} + {children[i]} for every child
+        at once, without pushing: one children x width x N array of
+        reduced columns and one sort.  Without children there is one
+        child, S_0 = {pushed}, and children[0] stands for the last push.
 
-        children, a range of consecutive columns right of the last push,
-        each outside the span, asks the same of {pushed} + {child} for
-        every child at once, without pushing: one children x width x N
-        array of reduced columns and one sort.  Returns (dead, groups):
-        dead[i] is the first column right of children[i] in the span of
-        {pushed} + {children[i]}, or -1, and groups lists (i, group) for
-        the children with dead[i] = -1, ordered by (i, group[0]), so that
-        groups[0] gives the lexicographically first dependent
-        (children[i], group[0], group[1]).  lex_first, for a scan that
-        stops at its first hit, lists only that first group, cut to the
-        two columns it needs.  Groups are ascending lists of columns.
+        Returns (dead, groups), one entry of dead per child: dead[i] is
+        the first column right of children[i] in the span of S_i, or -1.
+        groups lists (i, group) for the children with dead[i] = -1,
+        ordered by (i, group[0]), where a group is a maximal ascending
+        list (>= 2) of columns right of children[i] with S_i + {a, b}
+        dependent for every pair in it.  So groups[0] gives the
+        lexicographically first dependent (children[i], group[0],
+        group[1]).  lex_first, for a scan that stops at its first hit,
+        lists only that first group, cut to the two columns it needs.
         """
         c, r = self._stack[-1]
         if children is None:
-            tail = r[:, c + 1:]
-            dead, groups = self._groups(tail.T[None], c + 1, True, lex_first)
-            if dead[0] >= 0:
-                return np.flatnonzero(~tail.any(axis=0)) + (c + 1), []
-            return np.empty(0, dtype=np.int64), [g for _, g in groups]
+            return self._groups(r[:, c + 1:].T[None], c + 1, lex_first)
         lo, hi = children.start, children.stop
         tail = r[:, lo + 1:]
         cols = r[:, lo:hi]
@@ -256,28 +252,25 @@ class IncrementalElim:
         coef = self._div[tail[prow], cols[prow, np.arange(hi - lo)][:, None]]
         tails = self._sub[tail.T[None], self._mul[coef[:, :, None],
                                                   cols.T[:, None, :]]]
-        return self._groups(tails, lo + 1, hi - lo == 1, lex_first)
+        return self._groups(tails, lo + 1, lex_first)
 
-    def _groups(self, tails: np.ndarray, first: int, single: bool,
-                lex_first: bool):
+    def _groups(self, tails: np.ndarray, first: int, lex_first: bool):
         """(dead, groups) of pair_groups for a B x W x N stack of reduced
         columns whose position 0 is column `first`, one child per column
         from first - 1 on: child i counts only the positions right of
-        i - 1, its own.  single: B = 1, and every position counts."""
+        i - 1, its own."""
         size, width, n = tails.shape
         dead = np.full(size, -1, dtype=np.int64)
         if width == 0:
             return dead, []
-        alive = tails.any(axis=2)
-        keep = True if single else np.arange(width) >= np.arange(size)[:, None]
-        if not alive.all():
-            lost = keep & ~alive
-            if lost.any():
-                has = lost.any(axis=1)
-                dead[has] = lost[has].argmax(axis=1) + first
-                if single:
-                    return dead, []
-                keep = keep & ~has[:, None]
+        keep = np.arange(width) >= np.arange(size)[:, None]
+        lost = keep & ~tails.any(axis=2)
+        has = lost.any(axis=1)
+        if has.any():
+            dead[has] = lost[has].argmax(axis=1) + first
+            if has.all():
+                return dead, []
+            keep &= ~has[:, None]
         # canonical columns: scaled so that the first nonzero entry is 1
         flat = tails.reshape(-1, n)
         lead = flat[np.arange(flat.shape[0]), (flat != 0).argmax(axis=1)]
@@ -287,15 +280,12 @@ class IncrementalElim:
         order = np.lexsort(keys.T)
         srt = keys[order]
         at = np.flatnonzero((srt[1:] == srt[:-1]).all(axis=1))
+        a, b = order[at], order[at + 1]
+        kept = keep.ravel()  # neighbours of one child, both counted
+        ok = (a // width == b // width) & kept[a] & kept[b]
+        at, a, b = at[ok], a[ok], b[ok]
         if at.size == 0:
             return dead, []
-        a, b = order[at], order[at + 1]
-        if not single:  # neighbours of one child, both counted
-            kept = keep.ravel()
-            ok = (a // width == b // width) & kept[a] & kept[b]
-            at, a, b = at[ok], a[ok], b[ok]
-            if at.size == 0:
-                return dead, []
         if lex_first:  # the smallest member starts the first group
             i = int(a.argmin())
             x, y = int(a[i]), int(b[i])

@@ -1,6 +1,7 @@
 import itertools
 import os
 import runpy
+from contextlib import contextmanager
 from dataclasses import fields
 from math import comb
 from pathlib import Path
@@ -476,7 +477,7 @@ def test_oracle_equivalence_requires_equal_witness(monkeypatch):
     delta, _ = oracle_min_distance(c)
     other = tuple(reversed(range(c.nu)))[:delta]  # dependent, not lex-first
     monkeypatch.setattr(codes_mod, "oracle_min_distance",
-                        lambda code, max_checks: (delta, other))
+                        lambda code: (delta, other))
     ok, staged, oracle = verify_oracle_equivalence(c)
     assert not ok and staged == oracle == delta
 
@@ -1132,10 +1133,9 @@ def _per_child_calls(elim, children):
     out = []
     for ch in children:
         assert elim.push(ch)
-        dead, groups = elim.pair_groups()
+        (dead,), groups = elim.pair_groups()
         elim.pop()
-        out.append((int(dead[0]) if dead.size else -1,
-                    [list(map(int, g)) for g in groups]))
+        out.append((int(dead), [g for _, g in groups]))
     return out
 
 
@@ -1210,12 +1210,12 @@ def _per_child_level(elim, w, k, early_exit):
         for head in heads:
             if not elim.push(head[-1]):
                 raise DependencyInvariantError(head)
-            dead, groups = elim.pair_groups()
+            (dead,), groups = elim.pair_groups()
             elim.pop()
-            if dead.size:
-                raise DependencyInvariantError(head + (int(dead[0]),))
+            if dead >= 0:
+                raise DependencyInvariantError(head + (int(dead),))
             covered += comb(elim.ncols - 1 - head[-1], 2)
-            found = sorted(head + pair for g in groups
+            found = sorted(head + pair for _, g in groups
                            for pair in itertools.combinations(g, 2))
             if early_exit and found:
                 return found[:1], covered
@@ -1371,6 +1371,27 @@ def test_pool_is_bounded_by_the_cpus(monkeypatch):
         del sizes[:]
         assert min_distance(c, SearchPlan(workers=workers)).payload() == serial
         assert sizes and set(sizes) == {want}
+
+
+def test_pool_falls_back_to_the_cpu_count(monkeypatch):
+    # an OS without an affinity call (macOS) sizes the pool by
+    # os.cpu_count(); a stand-in pool runs imap as map
+    sizes = []
+
+    @contextmanager
+    def pool(size):
+        sizes.append(size)
+        yield SimpleNamespace(imap=lambda fn, tasks, chunksize: map(fn, tasks))
+
+    monkeypatch.setattr(codes_mod, "PARALLEL_MIN_CHECKS", 0)
+    monkeypatch.setattr(codes_mod, "get_context",
+                        lambda method: SimpleNamespace(Pool=pool))
+    monkeypatch.delattr(codes_mod.os, "sched_getaffinity")
+    monkeypatch.setattr(codes_mod.os, "cpu_count", lambda: 3)
+    c = get_code(3, 3, 2, (0, 0, 1))
+    serial = min_distance(c, SearchPlan(workers=1)).payload()
+    assert min_distance(c, SearchPlan(workers=64)).payload() == serial
+    assert sizes and set(sizes) == {3}
 
 
 def test_listed_supports_are_capped_but_all_are_checked(monkeypatch):

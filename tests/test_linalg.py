@@ -264,11 +264,12 @@ def test_incremental_pair_groups(gf27):
     m = random_matrix(gf27, 4, 9, rng)
     elim = IncrementalElim(gf27, m)
     assert elim.push(0)
-    dead, groups = elim.pair_groups()
+    (dead,), groups = elim.pair_groups()
+    assert all(i == 0 for i, _ in groups)  # the top is the one child
     pairs = {(int(g[i]), int(g[j]))
-             for g in groups
+             for _, g in groups
              for i in range(len(g)) for j in range(i + 1, len(g))}
-    if dead.size == 0:
+    if dead < 0:
         for c1, c2 in itertools.combinations(range(1, 9), 2):
             expected = rank(gf27, m[:, [0, c1, c2]]) < 3
             assert ((c1, c2) in pairs) == expected
@@ -367,10 +368,10 @@ def test_incremental_elim_above_pair_table_order():
 
     elim.reset()
     assert elim.push(0)
-    dead, groups = elim.pair_groups()
-    assert dead.size == 0
+    (dead,), groups = elim.pair_groups()
+    assert dead == -1
     pairs = {(int(gr[i]), int(gr[j]))
-             for gr in groups
+             for _, gr in groups
              for i in range(len(gr)) for j in range(i + 1, len(gr))}
     assert {(1, 2), (3, 4)} <= pairs
     for c1, c2 in itertools.combinations(range(1, 7), 2):
