@@ -121,7 +121,7 @@ def cmd_build(args) -> int:
               f"point table over GF({field.order}), rank {variety.rank_}")
     _emit(variety.to_json(), args.output)
     if args.csv:
-        # the check matrix H, one row per coordinate, entries the
+        # the point table transposed, H before its reduction, entries the
         # canonical integer encodings sum(c_i * p^i)
         _write(args.csv, lambda fh: csv.writer(fh).writerows(
             variety.coords.T.tolist()))

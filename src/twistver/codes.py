@@ -2,7 +2,10 @@
 search, and minimum-weight support classification.
 
 The parity-check matrix H has one column per embedded point, in the fixed
-point-enumeration order.  The minimum distance equals the size of the
+point-enumeration order: the table of embedded points, row-reduced once
+by build_variety to systematic form, H[:, P] = I for its pivot columns
+P.  It has the kernel of the table, so the same code and the same
+dependent column sets.  The minimum distance equals the size of the
 smallest linearly dependent column subset.  min_distance runs one search
 routine for every size w = 2, 3, ...: a scan of w-subsets in
 lexicographic order that stops at the first dependent one, so the first
@@ -21,13 +24,15 @@ columns of H up to nonzero scalars through an invertible linear map, and
 a column subset is dependent exactly when its image is.  Once per
 min_distance call, one array pass reads each generator M listed by
 _gl_generators off the point list as a column permutation and per-column
-scales lead^norm (every basis monomial has degree norm), and one test
-that all their images lie in the column space of H^T, _is_column_symmetry,
-proves the set; nothing rests on the identity above.  If the test fails,
-k = 0 and no level is reduced.  Otherwise a stabiliser chain over the nu
-columns gives k, stored in the report as orbit_prefix: the largest k
-such that, for every i < k, the permutations that fix columns 0 .. i-1
-move column i onto every column >= i, so any k distinct columns map onto
+scales lead^norm (every basis monomial has degree norm), and one
+certificate product, _is_column_symmetry, proves the set: the permuted
+and scaled H, X_i, equals A_i H with A_i = X_i[:, P], so the invertible
+A_i moves the columns as claimed; nothing rests on the identity above
+and H is not eliminated again.  If the test fails, k = 0 and no level
+is reduced.  Otherwise a stabiliser chain over the nu columns gives k,
+stored in the report as orbit_prefix: the largest k such that, for
+every i < k, the permutations that fix columns 0 .. i-1 move column i
+onto every column >= i, so any k distinct columns map onto
 (0, ..., k-1).  On a line (n = 2) PGL(2, q^t) is 3-transitive and
 k = 3 (more on the tiniest fields); for n >= 3 the generators that fix
 columns 0 and 1 fix column 2 too, and the chain stops at 2.
@@ -101,7 +106,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ff import Field
-from .linalg import IncrementalElim, in_span, is_independent, kernel_basis
+from .linalg import IncrementalElim, is_independent, kernel_basis
 from .pg import on_common_subline
 from .veronese import Twist, VarietyMatrix
 
@@ -137,7 +142,8 @@ class Code:
     """A linear code handled entirely through its parity-check matrix."""
 
     variety: VarietyMatrix
-    H: np.ndarray      # effective_N x nu, columns = embedded points
+    H: np.ndarray      # effective_N x nu, the point table in systematic form
+    pivots: np.ndarray  # the columns P with H[:, P] = I
     nu: int
     kappa: int
 
@@ -155,14 +161,16 @@ class Code:
 
 
 def build_code(variety: VarietyMatrix) -> Code:
+    """The code whose parity-check matrix H is the variety's point table
+    in systematic form (VarietyMatrix.reduced)."""
     n_eff = variety.basis.effective_N
     if variety.rank_ != n_eff:
         raise ValueError(
             f"point table has rank {variety.rank_}, expected {n_eff}; "
             "the check matrix would be rank deficient")
     nu = variety.num_points
-    return Code(variety=variety, H=variety.coords.T.copy(), nu=nu,
-                kappa=nu - n_eff)
+    return Code(variety=variety, H=variety.reduced, pivots=variety.pivots,
+                nu=nu, kappa=nu - n_eff)
 
 
 @dataclass(frozen=True)
@@ -540,7 +548,7 @@ def _induced_permutation(code: Code, mats: np.ndarray):
     norm, so the embedding of M_i . points[j] is scales[i, j] times column
     perms[i, j] of H, and the basis need not be evaluated again."""
     field, ops = code.field, code.field.ops
-    pts = np.asarray(code.variety.points, dtype=np.int64)
+    pts = code.variety.point_array
     terms = ops.mul[pts[None, :, None, :], mats[:, None, :, :]]
     img = terms[..., 0]
     for s in range(1, mats.shape[2]):
@@ -560,22 +568,29 @@ def _is_column_symmetry(code: Code, perms: np.ndarray,
                         scales: np.ndarray) -> bool:
     """True iff, for every candidate i, an invertible linear map sends
     column j of H to scales[i, j] times column perms[i, j], so that every
-    column subset keeps its dependence.  One proof on H covers all:
+    column subset keeps its dependence.  One certificate covers all:
 
-    * each perms[i] is a bijection and no scale is zero, so each block
-      images_i = D_i P_i H^T has rank(H) = effective_N (see build_code);
-    * in_span puts every block in the column space of H^T:
-      images_i = H^T B_i;
-    * rank(images_i) = effective_N makes B_i invertible.
+    * each perms[i] is a bijection and no scale is zero, so each
+      X_i = H[:, perms[i]] diag(scales[i]) has rank(H) = effective_N
+      (see build_code);
+    * one product checks X_i = A_i H for A_i = X_i[:, P], so A_i sends
+      column j to scales[i, j] times column perms[i, j];
+    * rank(X_i) = effective_N makes the N x N matrix A_i invertible.
 
-    The candidates come from _induced_permutation; nothing here relies
-    on the embedding identity that produced them."""
+    That is sound for any H and P, and complete because H[:, P] = I: a
+    row x lies in the row space of H exactly when x = x[P] H.  The
+    candidates come from _induced_permutation; nothing here relies on
+    the embedding identity that produced them."""
     if not ((np.sort(perms, axis=1) == np.arange(code.nu)).all()
             and scales.all()):
         return False
-    h_t = code.H.T
-    images = code.field.ops.mul[scales[..., None], h_t[perms]]
-    return in_span(code.field, h_t, np.hstack(images))
+    ops, h = code.field.ops, code.H
+    images = ops.mul[scales[:, None], h[:, perms].swapaxes(0, 1)]
+    coef = images[:, :, code.pivots]  # A_i, g x N x N
+    prod = ops.mul[coef[:, :, :1], h[0]]
+    for k in range(1, len(h)):
+        prod = ops.add[prod, ops.mul[coef[:, :, k:k + 1], h[k]]]
+    return bool((prod == images).all())
 
 
 def _orbit(nu: int, start: int, perms: Sequence[np.ndarray]) -> np.ndarray:
@@ -760,7 +775,7 @@ def classify_min_words(code: Code, report: CodeReport,
     checks = time.perf_counter()
 
     cols = np.array(hits, dtype=np.int64).reshape(-1, d + 2)
-    points = np.asarray(code.variety.points, dtype=np.int64)
+    points = code.variety.point_array
     collinear, on_sub = map(np.concatenate, zip(*(
         on_common_subline(code.field, points[cols[i:i + CHECK_BLOCK]],
                           code.twist.q_fixed)
@@ -834,8 +849,9 @@ def oracle_min_distance(code: Code, max_checks: int = DEFAULT_ORACLE_CAP):
     """Smallest dependent column-subset size by plain enumeration.
 
     No geometric restriction, no staging, no shared elimination state:
-    every subset is rank-checked from scratch.  Returns (delta, witness);
-    delta is None if no dependent subset exists.
+    every subset is rank-checked from scratch, on the raw point table, not
+    H.  Returns (delta, witness); delta is None if no dependent subset
+    exists.
     """
     w_cap = min(code.effective_N + 1, code.nu)
     total = sum(comb(code.nu, w) for w in range(2, w_cap + 1))
@@ -843,7 +859,7 @@ def oracle_min_distance(code: Code, max_checks: int = DEFAULT_ORACLE_CAP):
         raise BudgetExceeded(
             f"oracle would enumerate {total} subsets, cap is {max_checks}")
     field = code.field
-    hdata = code.H.tolist()
+    hdata = code.variety.coords.T.tolist()
     for w in range(2, w_cap + 1):
         for subset in combinations(range(code.nu), w):
             sub = [[row[c] for c in subset] for row in hdata]

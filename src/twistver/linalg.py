@@ -2,8 +2,9 @@
 
 A matrix is a bare 2-D numpy array (or anything np.array turns into one)
 of integer element encodings, passed with its field: rank(field, a),
-kernel_basis(field, a), det(field, a).  Entries are trusted to be
-encodings of that field; the callers build them from its own tables.
+kernel_basis(field, a), det(field, a), systematic_form(field, a).
+Entries are trusted to be encodings of that field; the callers build
+them from its own tables.
 Elimination works on a copy and uses a first-nonzero pivot scan, which is
 fully general over an exact field, and all results are deterministic.
 Every entry operation goes through the field's array ops (`Field.ops`),
@@ -37,19 +38,18 @@ from .ff import Field
 # Elimination
 # ---------------------------------------------------------------------------
 
-def _row_echelon(field: Field, a: np.ndarray,
-                 pivot_cols: int | None = None) -> list[tuple[int, int]]:
+def _row_echelon(field: Field, a: np.ndarray) -> list[tuple[int, int]]:
     """In-place reduced row echelon; returns [(pivot_row, pivot_col), ...].
 
-    Deterministic: columns scanned left to right (the first pivot_cols
-    only, if given), pivot is the first row with a nonzero entry at or
-    below the current one; row operations act on every column.
+    Deterministic: columns scanned left to right, pivot is the first row
+    with a nonzero entry at or below the current one; row operations act
+    on every column.
     """
     ops = field.ops
     rows, cols = a.shape
     pivots: list[tuple[int, int]] = []
     r = 0
-    for c in range(cols if pivot_cols is None else pivot_cols):
+    for c in range(cols):
         if r == rows:
             break
         nz = np.nonzero(a[r:, c])[0]
@@ -57,7 +57,7 @@ def _row_echelon(field: Field, a: np.ndarray,
             continue
         pr = r + int(nz[0])
         if pr != r:
-            a[[r, pr]] = a[[pr, r]]
+            a[r], a[pr] = a[pr], a[r].copy()
         piv = int(a[r, c])
         if piv != 1:
             a[r] = ops.div[a[r], piv]
@@ -74,13 +74,26 @@ def rank(field: Field, a) -> int:
     return len(_row_echelon(field, np.array(a, dtype=np.int64)))
 
 
-def in_span(field: Field, base, extra) -> bool:
-    """True iff every column of extra lies in the column space of base:
-    once base's columns of [base | extra] are eliminated, every row below
-    the last pivot is zero."""
-    a = np.hstack([base, extra]).astype(np.int64)
-    below = len(_row_echelon(field, a, np.shape(base)[1]))
-    return not a[below:].any()
+def systematic_form(field: Field, a) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, pivots): a basis of the row space of a with rows[:, pivots]
+    the identity, so len(pivots) = rank(a).  Row r's pivot is its first
+    nonzero column once the rows before it are eliminated; a row that is
+    zero by then is dropped."""
+    a = np.array(a, dtype=np.int64)
+    ops = field.ops
+    kept, pivots = [], []
+    for r, row in enumerate(a):
+        nz = np.flatnonzero(row)
+        if nz.size:
+            c = int(nz[0])
+            if row[c] != 1:
+                row[:] = ops.div[row, row[c]]
+            factors = a[:, c].copy()
+            factors[r] = 0
+            a[:] = ops.sub[a, ops.mul[factors[:, None], row]]
+            kept.append(r)
+            pivots.append(c)
+    return a[kept], np.array(pivots, dtype=np.int64)
 
 
 def kernel_basis(field: Field, a) -> list[np.ndarray]:
@@ -132,7 +145,7 @@ def det(field: Field, a) -> int:
             return 0
         pr = c + int(nz[0])
         if pr != c:
-            a[[c, pr]] = a[[pr, c]]
+            a[c], a[pr] = a[pr], a[c].copy()
             sign_flips += 1
         piv = int(a[c, c])
         acc = field.mul(acc, piv)

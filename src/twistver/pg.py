@@ -143,7 +143,7 @@ def on_common_subline(field: Field, points, q_sub: int):
         raise ValueError("subline membership needs rows of at least 3 points")
     ops, rows = field.ops, np.arange(len(pts))
     p, r = pts[:, 0], pts[:, 1]
-    i, j = np.triu_indices(pts.shape[2], 1)
+    i, j = np.array(list(combinations(range(pts.shape[2]), 2))).T
     minors = ops.sub[ops.mul[p[:, i], r[:, j]], ops.mul[p[:, j], r[:, i]]]
     first = (minors != 0).argmax(axis=1)
     det, i, j = minors[rows, first][:, None], i[first], j[first]

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ff import Field
-from .linalg import det, rank
+from .linalg import det, systematic_form
 from .pg import ProjPoint, enum_points, point_count
 
 MAX_POINTS = 1 << 16  # largest point set build_variety embeds
@@ -163,19 +163,27 @@ def embed_point(field: Field, point: ProjPoint, basis: MonomialBasis) -> np.ndar
 
 @dataclass
 class VarietyMatrix:
-    """Embedded image of every point of PG(n-1, q^t), one row per point."""
+    """Embedded image of every point of PG(n-1, q^t), one row per point,
+    and coords.T in systematic form: the same row space, so the same
+    kernel and the same dependent column sets."""
 
     field: Field
     n: int
     twist: Twist
     basis: MonomialBasis
     points: list[ProjPoint]
+    point_array: np.ndarray  # (num_points, n) int64, the points as rows
     coords: np.ndarray  # (num_points, effective_N)
-    rank_: int
+    reduced: np.ndarray  # (rank_, num_points), reduced[:, pivots] = I
+    pivots: np.ndarray
 
     @property
     def num_points(self) -> int:
         return len(self.points)
+
+    @property
+    def rank_(self) -> int:
+        return len(self.pivots)
 
     def to_json(self) -> dict:
         return {
@@ -192,15 +200,16 @@ class VarietyMatrix:
 
 
 def build_variety(field: Field, n: int, twist: Twist) -> VarietyMatrix:
-    """Embed every point; verify injectivity and record the table rank."""
+    """Embed every point, verify injectivity, reduce the table once."""
     if twist.p != field.p or twist.m != field.m:
         raise ValueError("twist was built for a different field")
     num = point_count(field, n)
     if num > MAX_POINTS:
         raise ValueError(f"{num} points exceed the supported bound {MAX_POINTS}")
     pts = enum_points(field, n)
+    point_array = np.array(pts, dtype=np.int64)
     basis = monomial_basis(n, twist)
-    coords = field.eval_monomials(pts, basis.monomials)
+    coords = field.eval_monomials(point_array, basis.monomials)
 
     # injectivity: canonical projective representatives of rows are distinct
     lead = coords[np.arange(len(pts)), (coords != 0).argmax(axis=1)]
@@ -208,9 +217,10 @@ def build_variety(field: Field, n: int, twist: Twist) -> VarietyMatrix:
     if len(set(map(tuple, canon.tolist()))) != len(pts):
         raise AssertionError("embedding failed injectivity check")
 
-    r = rank(field, coords)
+    reduced, pivots = systematic_form(field, coords.T)
     return VarietyMatrix(field=field, n=n, twist=twist, basis=basis,
-                         points=pts, coords=coords, rank_=r)
+                         points=pts, point_array=point_array, coords=coords,
+                         reduced=reduced, pivots=pivots)
 
 
 # ---------------------------------------------------------------------------

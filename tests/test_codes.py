@@ -41,9 +41,12 @@ def test_build_code_parameters(p, m, n, exps, nu, kappa):
 
 
 def test_build_code_columns_are_points():
+    # H is the point table in systematic form: the same row space
     c = get_code(3, 3, 2, (0, 0, 2))
     v = c.variety
-    assert (c.H.T == v.coords).all()
+    assert c.H.shape == (c.effective_N, c.nu)
+    assert (c.H[:, c.pivots] == np.eye(c.effective_N, dtype=np.int64)).all()
+    assert rank(c.field, np.vstack([c.H, v.coords.T])) == c.effective_N
 
 
 # -- staged minimum distance ----------------------------------------------------
@@ -482,6 +485,20 @@ def test_oracle_equivalence_requires_equal_witness(monkeypatch):
     assert not ok and staged == oracle == delta
 
 
+def test_oracle_does_not_read_h(monkeypatch):
+    # conic-5 with one wrong entry of H: a non-pivot column with a zero in
+    # the last row lies in the span of two pivot columns, so the search
+    # finds delta = 3 on H, while the oracle reads the raw point table
+    c = get_code(5, 1, 2, (0, 0))
+    assert verify_oracle_equivalence(c) == (True, 4, 4)
+    h = c.H.copy()
+    col = min(set(range(c.nu)) - set(c.pivots.tolist()))
+    assert h[-1, col] != 0
+    h[-1, col] = 0
+    monkeypatch.setattr(c, "H", h)
+    assert verify_oracle_equivalence(c) == (False, 3, 4)
+
+
 def test_oracle_cap():
     with pytest.raises(BudgetExceeded):
         oracle_min_distance(get_code(3, 3, 2, (0, 0, 2)), max_checks=100)
@@ -646,6 +663,8 @@ def test_every_generator_is_a_verified_symmetry():
                              ((2, 2, 3, (0, 1)), [0, 2, 3, 4], 2)]:
         c = get_code(*cfg)
         gens = codes_mod._gl_generators(c.field, c.variety.n)
+        ranks = {sub: rank(c.field, c.H[:, list(sub)])
+                 for sub in itertools.combinations(range(c.nu), 3)}
         assert len(gens) == (4 if c.variety.n == 2 else 5)
         perms, scales = codes_mod._induced_permutation(c, gens)
         assert perms.shape == scales.shape == (len(gens), c.nu)
@@ -664,14 +683,13 @@ def test_every_generator_is_a_verified_symmetry():
                 [mat_vec(c.field, mat, pt) for pt in c.variety.points],
                 c.variety.basis.monomials)
             assert (img == c.field.ops.mul[scale[:, None],
-                                           c.H.T[perm]]).all()
+                                           c.variety.coords[perm]]).all()
             # a generator that fixes e_{n-1} fixes column 0
             assert (perm[0] == 0) == (i in fixing_0)
             # the defining property: dependence of every 3-subset is
             # preserved
-            for sub in itertools.combinations(range(c.nu), 3):
-                assert (rank(c.field, c.H[:, list(sub)]) ==
-                        rank(c.field, c.H[:, perm[list(sub)].tolist()]))
+            for sub, r in ranks.items():
+                assert r == ranks[tuple(sorted(perm[list(sub)].tolist()))]
         assert codes_mod.column_orbit_prefix(c) == k
 
 
@@ -765,7 +783,7 @@ def test_symmetry_check_rejects_non_symmetries():
 
 
 @pytest.mark.parametrize("cfg", [(3, 3, 2, (0, 0, 2)), (2, 2, 3, (0, 1))])
-def test_symmetry_step_is_one_pass_and_one_in_span(monkeypatch, cfg):
+def test_symmetry_step_is_one_pass_and_one_proof(monkeypatch, cfg):
     calls = []
 
     def counted(name, fn):
@@ -775,9 +793,9 @@ def test_symmetry_step_is_one_pass_and_one_in_span(monkeypatch, cfg):
         monkeypatch.setattr(codes_mod, name, wrapper)
 
     counted("_induced_permutation", codes_mod._induced_permutation)
-    counted("in_span", codes_mod.in_span)
+    counted("_is_column_symmetry", codes_mod._is_column_symmetry)
     assert codes_mod.column_orbit_prefix(get_code(*cfg)) > 0
-    assert calls == ["_induced_permutation", "in_span"]
+    assert calls == ["_induced_permutation", "_is_column_symmetry"]
 
 
 def test_no_verified_generator_means_unreduced_levels(monkeypatch):

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from twistver.codes import _scalar_rank
 from twistver.ff import LogOps
-from twistver.linalg import (IncrementalElim, det, in_span, is_independent,
-                             kernel_basis, rank)
+from twistver.linalg import (IncrementalElim, det, is_independent,
+                             kernel_basis, rank, systematic_form)
 
 from conftest import get_code, get_field, mat_vec
 
@@ -52,7 +52,7 @@ def test_rank_does_not_mutate(gf27):
     assert (m == before).all()
 
 
-# -- in_span ---------------------------------------------------------------
+# -- systematic form ------------------------------------------------------
 
 def combination(f, a, coeffs) -> list[int]:
     """sum_i coeffs[i] * column i of a, with scalar field ops."""
@@ -62,43 +62,30 @@ def combination(f, a, coeffs) -> list[int]:
     return out
 
 
-def oracle_in_span(f, base, extra) -> bool:
-    """rank([base | extra]) == rank(base), by the brute-force oracle's
-    scalar elimination, which shares no code with linalg."""
-    return (_scalar_rank(f, np.hstack([base, extra]).tolist())
-            == _scalar_rank(f, base.tolist()))
-
-
 @pytest.mark.parametrize("p,m", [(2, 4), (3, 3), (5, 1)])
-def test_in_span_agrees_with_scalar_rank(p, m):
+def test_systematic_form_agrees_with_scalar_rank(p, m):
+    # checked by the brute-force oracle's scalar elimination, which shares
+    # no code with linalg: rank(a) rows with the identity at the pivots,
+    # spanning the row space of a
     f = get_field(p, m)
     rng = np.random.default_rng(p ** m)
-    for rows, cols in [(6, 3), (5, 5), (4, 6), (7, 2)]:
+    for rows, cols in [(6, 3), (5, 5), (4, 6), (7, 2), (3, 9)]:
         full = random_matrix(f, rows, cols, rng)
         r = min(rows, cols) - 1  # the columns from r on combine the first r
         deficient = full.copy()
         for j in range(r, cols):
             deficient[:, j] = combination(f, full[:, :r],
                                           rng.integers(0, f.order, r))
+        for a in (full, deficient, deficient.T,
+                  np.zeros((rows, cols), dtype=np.int64)):
+            kept = a.copy()
+            red, pivots = systematic_form(f, a)
+            want = _scalar_rank(f, a.tolist())
+            assert red.shape == (want, a.shape[1]) and len(pivots) == want
+            assert (red[:, pivots] == np.eye(want, dtype=np.int64)).all()
+            assert _scalar_rank(f, np.vstack([a, red]).tolist()) == want
+            assert (a == kept).all()
         assert _scalar_rank(f, deficient.tolist()) <= r
-        for base in (full, deficient):
-            inside = np.array([combination(f, base, rng.integers(
-                0, f.order, cols)) for _ in range(3)]).T
-            expected = [(np.zeros((rows, 2), dtype=np.int64), True),
-                        (base, True), (inside, True),
-                        (random_matrix(f, rows, 4, rng), None)]
-            if _scalar_rank(f, base.tolist()) < rows:
-                # one column outside the span among two inside it
-                out = next(e for e in np.eye(rows, dtype=np.int64)
-                           if not oracle_in_span(f, base, e[:, None]))
-                expected.append((np.column_stack(
-                    [inside[:, 0], out, inside[:, 1]]), False))
-            for extra, want in expected:
-                kept = base.copy(), extra.copy()
-                got = in_span(f, base, extra)
-                assert got == oracle_in_span(f, base, extra)
-                assert want is None or got == want
-                assert (base == kept[0]).all() and (extra == kept[1]).all()
 
 
 @given(st.sampled_from([(2, 2), (3, 1), (5, 1), (3, 2)]), st.data())
