@@ -3,9 +3,11 @@
 
 Runs the five frontier rows of ROADMAP item 1 with one worker, each at
 its own w_max (the last row runs the whole analyze pipeline), and prints
-one line per level: the subsets checked, the seconds (the level's
-stage_log record, the same timing the reports carry) and the checks per
-second.  Each row stresses one layer of the search:
+the set-up seconds (Field through build_code, the one reduction of the
+point table among them), then one line per level: the subsets checked,
+the seconds (the level's stage_log record, the same timing the reports
+carry) and the checks per second.  Each row stresses one layer of the
+search:
 
   gf27-n3     GF(27), n=3, sigma=(0,0,1), w_max 5: a wide-tail level
   gf8-n3      GF(8), n=3, sigma=(0,1,2), w_max 6: narrow tails, N = 27
@@ -40,8 +42,10 @@ ROWS = [
 
 
 def run_row(label, p, m, n, exps, w_max):
+    t0 = time.perf_counter()
     field = Field(p, m)
     code = build_code(build_variety(field, n, Twist(p, m, exps)))
+    setup = time.perf_counter() - t0
     t0 = time.perf_counter()
     if w_max is None:
         report = analyze(code, SearchPlan(workers=1))
@@ -49,7 +53,7 @@ def run_row(label, p, m, n, exps, w_max):
         report = min_distance(code, SearchPlan(w_max=w_max, workers=1))
     total = time.perf_counter() - t0
     print(f"{label}: nu={report.nu} N={report.effective_N} "
-          f"k={report.orbit_prefix} symmetry "
+          f"k={report.orbit_prefix} set-up {setup:.4f} s, symmetry "
           f"{report.timings['symmetry']:.3f} s, total {total:.3f} s")
     for s in report.stage_log:
         rate = f"{s.checked / s.seconds:.3g}" if s.seconds > 0 else "-"

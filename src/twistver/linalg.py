@@ -5,8 +5,10 @@ of integer element encodings, passed with its field: rank(field, a),
 kernel_basis(field, a), det(field, a), systematic_form(field, a).
 Entries are trusted to be encodings of that field; the callers build
 them from its own tables.
-Elimination works on a copy and uses a first-nonzero pivot scan, which is
-fully general over an exact field, and all results are deterministic.
+These and is_independent rest on one elimination of a copy, the row
+rule: rows are taken top to bottom, and each row's pivot is its first
+nonzero column once the rows before it are eliminated.  It is fully
+general over an exact field, and all results are deterministic.
 Every entry operation goes through the field's array ops (`Field.ops`),
 a whole row or block at a time, so all fields up to ff.DEFAULT_MAX_ORDER
 run the same code.
@@ -20,13 +22,14 @@ a whole run of children of the top without pushing them, or for the top
 alone as its one child: one children x width x N array, one sort of
 exact integer keys and one result shape.  Its frame is a bottom of the
 stack that reset() returns to and pop() never removes, so a search
-pushes the columns every subset shares once (codes.min_distance).  This is the performance-critical path; everything
-else favours clarity.
+pushes the columns every subset shares once (codes.min_distance).
+This is the performance-critical path; everything else favours clarity.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -38,81 +41,56 @@ from .ff import Field
 # Elimination
 # ---------------------------------------------------------------------------
 
-def _row_echelon(field: Field, a: np.ndarray) -> list[tuple[int, int]]:
-    """In-place reduced row echelon; returns [(pivot_row, pivot_col), ...].
-
-    Deterministic: columns scanned left to right, pivot is the first row
-    with a nonzero entry at or below the current one; row operations act
-    on every column.
-    """
-    ops = field.ops
-    rows, cols = a.shape
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[r], a[pr] = a[pr], a[r].copy()
-        piv = int(a[r, c])
-        if piv != 1:
-            a[r] = ops.div[a[r], piv]
-        # rows with factor 0, the pivot row among them, are left unchanged
-        factors = a[:, c].copy()
-        factors[r] = 0
-        a[:] = ops.sub[a, ops.mul[factors[:, None], a[r]]]
-        pivots.append((r, c))
-        r += 1
-    return pivots
-
-
-def rank(field: Field, a) -> int:
-    return len(_row_echelon(field, np.array(a, dtype=np.int64)))
-
-
-def systematic_form(field: Field, a) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, pivots): a basis of the row space of a with rows[:, pivots]
-    the identity, so len(pivots) = rank(a).  Row r's pivot is its first
-    nonzero column once the rows before it are eliminated; a row that is
-    zero by then is dropped."""
+def _reduce(field: Field, a) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """(rows, pivots, leads) of the row rule: kept row i is divided by
+    leads[i], its pivot entry, and its pivot column pivots[i] is cleared
+    from every other row; a row that is zero by then is dropped.  Once
+    every column has a pivot the rest are zero, so the loop stops."""
     a = np.array(a, dtype=np.int64)
     ops = field.ops
-    kept, pivots = [], []
+    kept, pivots, leads = [], [], []
     for r, row in enumerate(a):
+        if len(pivots) == a.shape[1]:
+            break
         nz = np.flatnonzero(row)
         if nz.size:
             c = int(nz[0])
-            if row[c] != 1:
-                row[:] = ops.div[row, row[c]]
+            lead = int(row[c])
+            if lead != 1:
+                row[:] = ops.div[row, lead]
             factors = a[:, c].copy()
             factors[r] = 0
             a[:] = ops.sub[a, ops.mul[factors[:, None], row]]
             kept.append(r)
             pivots.append(c)
-    return a[kept], np.array(pivots, dtype=np.int64)
+            leads.append(lead)
+    return a[kept], np.array(pivots, dtype=np.int64), leads
+
+
+def rank(field: Field, a) -> int:
+    return len(_reduce(field, a)[1])
+
+
+def systematic_form(field: Field, a) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, pivots): a basis of the row space of a with rows[:, pivots]
+    the identity, so len(pivots) = rank(a)."""
+    rows, pivots, _ = _reduce(field, a)
+    return rows, pivots
 
 
 def kernel_basis(field: Field, a) -> list[np.ndarray]:
-    """Basis of {v : A v = 0}, in reduced echelon form.
-
-    One basis vector per free column, free columns ascending; vector k has
-    entry 1 at its free column and the negated reduced coefficients at the
-    pivot columns.
-    """
-    a = np.array(a, dtype=np.int64)
-    pivots = _row_echelon(field, a)
-    pivot_rows = [r for r, _ in pivots]
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(a.shape[1]) if c not in pivot_cols]
+    """Basis of {v : A v = 0}: one vector per free column, a column not
+    among systematic_form's pivots, free columns ascending.  Free column
+    f's vector has 1 at f, 0 at the other free columns and the negated
+    reduced column f at the pivots."""
+    rows, pivots, _ = _reduce(field, a)
+    ncols = rows.shape[1]
+    bound = set(pivots.tolist())
     basis = []
-    for fc in free_cols:
-        v = np.zeros(a.shape[1], dtype=np.int64)
+    for fc in (c for c in range(ncols) if c not in bound):
+        v = np.zeros(ncols, dtype=np.int64)
         v[fc] = 1
-        v[pivot_cols] = field.ops.neg[a[pivot_rows, fc]]
+        v[pivots] = field.ops.neg[rows[:, fc]]
         basis.append(v)
     return basis
 
@@ -126,35 +104,27 @@ def is_independent(field: Field, a: np.ndarray,
     for c in cols:
         if not 0 <= c < a.shape[1]:
             raise ValueError(f"column index {c} out of range")
-    elim = IncrementalElim(field, a)
-    return all(elim.push(c) for c in sorted(cols))
+    return rank(field, a[:, cols]) == len(cols)
 
 
 def det(field: Field, a) -> int:
-    """Determinant of a square matrix by fraction-free-style elimination."""
-    a = np.array(a, dtype=np.int64)
+    """Determinant of a square matrix.  Row divisions by the leads and
+    determinant-1 row operations turn a full-rank a into the permutation
+    matrix with 1 at (i, pivots[i]), so det(a) is the product of the
+    leads times that permutation's sign."""
+    a = np.asarray(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError("determinant of a non-square matrix")
+    _, pivots, leads = _reduce(field, a)
+    if len(pivots) < a.shape[0]:
+        return 0
     ops = field.ops
-    n = a.shape[0]
-    sign_flips = 0
     acc = 1
-    for c in range(n):
-        nz = np.nonzero(a[c:, c])[0]
-        if nz.size == 0:
-            return 0
-        pr = c + int(nz[0])
-        if pr != c:
-            a[c], a[pr] = a[pr], a[c].copy()
-            sign_flips += 1
-        piv = int(a[c, c])
-        acc = field.mul(acc, piv)
-        below = a[c + 1:]  # a view: only rows below the pivot are eliminated
-        factors = ops.div[below[:, c], piv]
-        below[:] = ops.sub[below, ops.mul[factors[:, None], a[c]]]
-    if sign_flips % 2 and field.p != 2:
-        acc = field.neg(acc)
-    return acc
+    for lead in leads:
+        acc = ops.mul[acc, lead]
+    if sum(x > y for x, y in combinations(pivots.tolist(), 2)) % 2:
+        acc = ops.neg[acc]
+    return int(acc)
 
 
 @lru_cache(maxsize=None)

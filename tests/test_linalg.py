@@ -140,6 +140,28 @@ def test_rank_nullity_and_kernel_exactness(pm, data):
         assert all(x == 0 for x in mat_vec(f, m, v.tolist()))
 
 
+@given(st.sampled_from([(2, 2), (3, 2), (5, 1), (2, 11)]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_kernel_basis_is_one_vector_per_free_column(pm, data):
+    # the free columns are the columns outside systematic_form's pivots,
+    # ascending, and vector i is 1 at free column i and 0 at the others,
+    # so no two vectors coincide and the basis is independent
+    f = get_field(*pm)
+    rows = data.draw(st.integers(1, 4))
+    cols = data.draw(st.integers(1, 6))
+    entries = data.draw(st.lists(st.integers(0, f.order - 1),
+                                 min_size=rows * cols, max_size=rows * cols))
+    m = np.array(entries).reshape(rows, cols)
+    if data.draw(st.booleans()):
+        m[:, -1] = m[:, 0]  # a repeated column forces a kernel vector
+    _, pivots = systematic_form(f, m)
+    free = [c for c in range(cols) if c not in pivots.tolist()]
+    basis = kernel_basis(f, m)
+    assert len(basis) == len(free)
+    for i, v in enumerate(basis):
+        assert v[free].tolist() == [int(j == i) for j in range(len(free))]
+
+
 def test_kernel_of_dependent_six_subset_is_one_dimensional():
     # the first dependent 6-subset of the 28-point configuration over GF(27)
     code = get_code(3, 3, 2, (0, 0, 2))
@@ -178,7 +200,7 @@ def test_is_independent_agrees_with_rank_exhaustively(p, m_):
     m = random_matrix(f, 4, 6, rng)
     for size in range(1, 5):
         for sub in itertools.combinations(range(6), size):
-            expected = rank(f, m[:, sub]) == size
+            expected = _scalar_rank(f, m[:, sub].tolist()) == size
             assert is_independent(f, m, sub) == expected
 
 
@@ -386,6 +408,50 @@ def test_elimination_above_pair_table_order():
 
 
 # -- determinant -------------------------------------------------------------
+
+def leibniz_det(f, m: np.ndarray) -> int:
+    """The Leibniz expansion, sum of sign(perm) * prod_i m[i, perm[i]],
+    in the field's polynomial-mode arithmetic; the sign is (-1)^(n -
+    number of cycles)."""
+    n = m.shape[0]
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        term, cycles, seen = 1, 0, set()
+        for i in range(n):
+            term = f.mul_poly(term, int(m[i, perm[i]]))
+            if i not in seen:
+                cycles += 1
+                j = i
+                while j not in seen:
+                    seen.add(j)
+                    j = perm[j]
+        odd = (n - cycles) % 2
+        total = (f.sub_poly if odd else f.add_poly)(total, term)
+    return total
+
+
+@pytest.mark.parametrize("p,m_", [(7, 1), (3, 2), (2, 3), (2, 11)])
+def test_det_equals_leibniz_expansion(p, m_):
+    # value and sign, not only the zero set: random, singular and scaled
+    # permutation matrices, whose sign elimination must track
+    f = get_field(p, m_)
+    rng = np.random.default_rng(p * 100 + m_)
+    minus_one = f.sub_poly(0, 1)
+    for n in (2, 3, 4):
+        for _ in range(6):
+            a = random_matrix(f, n, n, rng)
+            assert det(f, a) == leibniz_det(f, a)
+            a[-1] = a[0]
+            assert det(f, a) == leibniz_det(f, a) == 0
+        for perm in itertools.permutations(range(n)):
+            a = np.eye(n, dtype=np.int64)[list(perm)]
+            assert det(f, a) == leibniz_det(f, a)
+            scaled = a * rng.integers(1, f.order, size=(n, 1))
+            assert det(f, scaled) == leibniz_det(f, scaled)
+        odd = np.eye(n, dtype=np.int64)[[1, 0, *range(2, n)]]
+        assert det(f, odd) == minus_one  # -1, which is 1 when p = 2
+        assert (minus_one == 1) == (p == 2)
+
 
 def test_det_matches_rank_and_products(gf27):
     assert det(gf27, np.eye(3, dtype=np.int64)) == 1
