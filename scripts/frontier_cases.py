@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Time the frontier cases level by level.
 
-Runs the five frontier rows of ROADMAP item 1 with one worker, each at
-its own w_max (the last row runs the whole analyze pipeline), and prints
-the set-up seconds (Field through build_code, the one reduction of the
-point table among them), then one line per level: the subsets checked,
-the seconds (the level's stage_log record, the same timing the reports
-carry) and the checks per second.  Each row stresses one layer of the
-search:
+Runs the five frontier rows of ROADMAP item 1 with --workers workers
+(default 1), each at its own w_max (the last row runs the whole analyze
+pipeline), and prints the set-up seconds (Field through build_code, the
+one reduction of the point table among them) and the report's
+canonical_hash, then one line per level: the subsets checked, the
+seconds (the level's stage_log record, the same timing the reports
+carry) and the checks per second.  The hash must not depend on the
+worker count.  Each row stresses one layer of the search:
 
   gf27-n3     GF(27), n=3, sigma=(0,0,1), w_max 5: a wide-tail level
   gf8-n3      GF(8), n=3, sigma=(0,1,2), w_max 6: narrow tails, N = 27
@@ -17,7 +18,7 @@ search:
   gf128-line  GF(2^7), n=2, sigma=(0,0,0), analyze: the classification
 
 Usage:
-    python scripts/frontier_cases.py [--only LABEL ...]
+    python scripts/frontier_cases.py [--only LABEL ...] [--workers N]
 """
 
 import argparse
@@ -41,20 +42,19 @@ ROWS = [
 ]
 
 
-def run_row(label, p, m, n, exps, w_max):
+def run_row(label, p, m, n, exps, w_max, workers):
     t0 = time.perf_counter()
     field = Field(p, m)
     code = build_code(build_variety(field, n, Twist(p, m, exps)))
     setup = time.perf_counter() - t0
     t0 = time.perf_counter()
-    if w_max is None:
-        report = analyze(code, SearchPlan(workers=1))
-    else:
-        report = min_distance(code, SearchPlan(w_max=w_max, workers=1))
+    plan = SearchPlan(w_max=w_max, workers=workers)
+    report = (analyze if w_max is None else min_distance)(code, plan)
     total = time.perf_counter() - t0
     print(f"{label}: nu={report.nu} N={report.effective_N} "
           f"k={report.orbit_prefix} set-up {setup:.4f} s, symmetry "
-          f"{report.timings['symmetry']:.3f} s, total {total:.3f} s")
+          f"{report.timings['symmetry']:.3f} s, total {total:.3f} s, "
+          f"hash {report.canonical_hash()}")
     for s in report.stage_log:
         rate = f"{s.checked / s.seconds:.3g}" if s.seconds > 0 else "-"
         print(f"  w={s.w:<2} {s.label:<17} {s.restriction:<8} "
@@ -70,10 +70,13 @@ def main():
     ap.add_argument("--only", nargs="+", metavar="LABEL",
                     choices=[r[0] for r in ROWS],
                     help="run only these rows")
+    ap.add_argument("--workers", type=int, default=1, metavar="N",
+                    help="search workers (default 1); the hashes must not "
+                         "depend on it")
     args = ap.parse_args()
     for row in ROWS:
         if args.only is None or row[0] in args.only:
-            run_row(*row)
+            run_row(*row, args.workers)
 
 
 if __name__ == "__main__":

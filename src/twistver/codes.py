@@ -62,26 +62,27 @@ to sublines, so the listed ones speak for all.
 
 Each level walks a depth-first tree of independent column prefixes in
 one incremental elimination per min_distance call, whose frame holds the
-columns 0 .. k'-1: each is pushed once, and its push settles the level
-w = k' <= k; every later level and task starts from it.  A level with
-one or two columns left after the frame is one call on it:
-split_extensions classifies every remaining column as in-span or
-independent, and pair_groups every pair of them as dependent or not.
-Deeper levels push one column at a time down to a prefix with three
-columns left, and push none of its children: one pair_groups call
-classifies the 2-extensions of a whole run of them, and the runs double
-in length (1, 2, 4, ...), so an early hit costs about as much as the
-scan before it while an empty level makes a few calls per prefix.  A
-level of C(nu, w) subsets thus pushes only its prefixes of w-3 columns or
-fewer.
+columns 0 .. k'-1: each is pushed once, a level w = k' <= k is the
+frame's one subset, and every later level and task starts from it.  A
+task is a run of the frame's children c in range(lo, hi), covering the
+w-subsets through the frame and c.  With one or two columns left after
+the frame, the level is one task and one call: split_extensions
+classifies every remaining column as in-span or independent, and
+pair_groups every pair of them as dependent or not.  With three, a task
+is a run of 1, 2, 4, ... children, whose 2-extensions pair_groups
+classifies at once without pushing them, so an early hit costs about as
+much as the scan before it.  With more, a task is one child, and one
+walk pushes it and the columns below it down to the nodes with three
+columns left, whose children pair_groups settles in runs that double in
+length from 1 along the task.  A level of C(nu, w) subsets thus pushes
+only prefixes of w-3 columns or fewer.
 
-Everything is deterministic: a level is split into tasks on the column
-after the prefix, or, with three columns left, on runs of such columns
-of doubling length; the tasks run and are read back in lexicographic
-order (the first in this process, the rest in order through a fork pool
-of at most one worker per usable CPU when the level is large and
-workers > 1), and reported check counts are closed-form, so a report is
-bit-identical for any worker count.
+Everything is deterministic: the tasks run and are read back in
+lexicographic order (the first in this process, the rest in order
+through a fork pool of at most one worker per usable CPU when the level
+is large and workers > 1), only the last, cut at the budget, has a cap,
+and reported check counts are closed-form, so a report is bit-identical
+for any worker count.
 
 An unstructured brute-force oracle (plain subset enumeration, scalar
 arithmetic, no staging, no symmetry) cross-validates the search on small
@@ -243,7 +244,8 @@ class CodeReport:
         return any(s.capped for s in self.stage_log)
 
     def payload(self) -> dict:
-        """Canonical content: everything except timings and the hash."""
+        """Canonical content: everything except the timings (the timings
+        dict and each stage's seconds) and the hash."""
         out = {f.name: getattr(self, f.name) for f in fields(self)
                if f.name != "timings"}
         out["stage_log"] = [s.payload() for s in self.stage_log]
@@ -256,6 +258,8 @@ class CodeReport:
 
     def to_json(self) -> dict:
         out = self.payload()
+        out["stage_log"] = [{**s.payload(), "seconds": round(s.seconds, 6)}
+                            for s in self.stage_log]
         out["timings"] = self.timings
         out["canonical_hash"] = self.canonical_hash()
         return out
@@ -265,42 +269,39 @@ class CodeReport:
 # Level scan: all w-subsets via independent (w-1)-prefixes
 # ---------------------------------------------------------------------------
 
+def _through(nu: int, r: int, a: int, b: int) -> int:
+    """Number of r-subsets of range(nu) whose least column lies in
+    range(a, b): the subsets through the children a .. b-1."""
+    return comb(nu - a, r) - comb(nu - b, r)
+
+
 def _lex_rank(subset: Sequence[int], nu: int) -> int:
-    """Number of |subset|-subsets of range(nu) strictly lex-before subset."""
-    w = len(subset)
-    r = 0
-    prev = -1
-    for i, s in enumerate(subset):
-        for c in range(prev + 1, s):
-            r += comb(nu - c - 1, w - i - 1)
-        prev = s
-    return r
+    """Number of |subset|-subsets of range(nu) strictly lex-before subset:
+    at each position i, those that agree before i and hold a smaller
+    column at i."""
+    return sum(_through(nu, len(subset) - i, prev + 1, s) for i, (prev, s)
+               in enumerate(zip((-1, *subset), subset)))
 
 
-def _scan_subtree(elim: IncrementalElim, head: tuple[int, ...], w: int,
-                  early_exit: bool, cap: Optional[int]):
-    """Scan one task of a level (see _level_tasks): the w-subsets through
-    head.  Returns the dependent w-subsets found (only the first with
-    early exit) and the number of w-subsets covered.  A cap stops the scan
-    once that many are checked; a vectorized leaf is checked whole.  With
-    two columns left after head, a cap carries the scan on through the
-    later siblings of head[-1], in lexicographic order.
-
-    A head with one column left is one split_extensions scan and with two
-    one pair_groups call.  With three or more, rec visits independent
-    prefixes in lexicographic order, and at prefix size w-3 pair_groups
-    classifies the 2-extensions of a run of children in one call, the
-    runs doubling in length (1, 2, 4, ...) so that an early hit costs
-    about as much as the scan before it.  A dependent subset smaller than
-    w raises DependencyInvariantError.
+def _scan_subtree(elim: IncrementalElim, w: int,
+                  task: tuple[int, int, Optional[int]], early_exit: bool):
+    """Scan one task (lo, hi, cap) of a level (see _level_tasks) from the
+    frame.  Returns the dependent w-subsets found (only the first with
+    early exit) and the number of w-subsets covered; a cap stops the scan
+    once that many are covered, and a vectorized leaf is covered whole.
+    With one or two columns left after the frame, the task is one
+    split_extensions or pair_groups call; with three, leaves settles the
+    children before the first one in the frame's span as one run; with
+    more, walk pushes each child and recurses down to the nodes with
+    three left, whose children leaves settles in runs that double in
+    length from 1 along the whole task.
+    A dependent subset smaller than w raises DependencyInvariantError.
     """
-    checked = int(len(head) == w)  # a whole head is one subset
+    lo, hi, cap = task
+    ncols, left = elim.ncols, w - elim.frame
+    prefix = list(range(elim.frame))
     hits: list[tuple[int, ...]] = []
-    ncols = elim.ncols
-    left = w - len(head)
-    sibling_run = cap is not None and left == 2
-    run = ncols if sibling_run else 1  # children per pair_groups call
-    prefix = list(head[:-1] if sibling_run else head)
+    checked, run = 0, 1  # run: children per pair_groups call
     push, pop, split, pairs = (elim.push, elim.pop, elim.split_extensions,
                                elim.pair_groups)
     area = max(1, LEAF_ENTRIES // elim.rows)  # children x width per call
@@ -310,13 +311,10 @@ def _scan_subtree(elim: IncrementalElim, head: tuple[int, ...], w: int,
         range(lo, hi), each outside the span of prefix; True once the cap
         is reached."""
         nonlocal checked, run
-
-        def through(a, b):  # the subsets through the children a .. b-1
-            return comb(ncols - a, 3) - comb(ncols - b, 3)
-
         if cap is not None:  # the child whose subsets reach the cap is last
             hi = min(hi, lo + 1 + bisect_left(
-                range(lo, hi), cap - checked, key=lambda c: through(lo, c + 1)))
+                range(lo, hi), cap - checked,
+                key=lambda c: _through(ncols, 3, lo, c + 1)))
         base = tuple(prefix)
         while lo < hi:
             stop = min(hi, lo + max(1, min(run, area // max(1, ncols - lo))))
@@ -325,94 +323,88 @@ def _scan_subtree(elim: IncrementalElim, head: tuple[int, ...], w: int,
             first = int(bad[0]) if bad.size else stop - lo
             if early_exit and groups and groups[0][0] < first:
                 i, g = groups[0]
-                checked += through(lo, lo + i + 1)
+                checked += _through(ncols, 3, lo, lo + i + 1)
                 hits.append(base + (lo + i, g[0], g[1]))
                 return True
             if bad.size:
                 raise DependencyInvariantError(
                     base + (lo + first, int(dead[first])))
-            checked += through(lo, stop)
+            checked += _through(ncols, 3, lo, stop)
             for i, g in groups:
                 hits.extend(base + (lo + i,) + pair
                             for pair in combinations(g, 2))
             lo, run = stop, 2 * run
         return cap is not None and checked >= cap
 
-    def rec(remaining: int) -> bool:  # three or more columns left
-        deps, indeps = split()
-        if deps.size:
-            raise DependencyInvariantError(tuple(prefix) + (int(deps[0]),))
-        if remaining == 3:
-            return leaves(prefix[-1] + 1 if prefix else 0, ncols)
-        for c in indeps.tolist():
-            push(c)
+    def walk(children, left: int) -> bool:
+        """Push each child in turn, left >= 4 columns to choose with it,
+        and scan below it; True once the scan stops."""
+        for c in children:
+            if not push(c):
+                raise DependencyInvariantError((*prefix, c))
             prefix.append(c)
-            stop = rec(remaining - 1)
+            deps, indeps = split()
+            if deps.size:
+                raise DependencyInvariantError((*prefix, int(deps[0])))
+            stop = (leaves(c + 1, ncols) if left == 4
+                    else walk(indeps.tolist(), left - 1))
             prefix.pop()
             pop()
             if stop:
                 return True
         return False
 
-    try:  # the frame holds head[:elim.frame] already
-        for i in range(elim.frame, len(prefix)):
-            if not push(head[i]):
-                if i + 1 < w:
-                    raise DependencyInvariantError(head[:i + 1])
-                return [tuple(head)], 1  # the head is the subset
-        if sibling_run:
-            # head[-1] and its later siblings are children of prefix; those
-            # before the first one in its span are scanned first
-            deps, _ = split()
-            bad = deps[deps >= head[-1]] if deps.size else deps
-            end = int(bad[0]) if bad.size else ncols
-            if not leaves(head[-1], end) and bad.size:
-                raise DependencyInvariantError(tuple(prefix) + (end,))
-        elif left == 1:
+    try:
+        if left == 1:
             deps, indeps = split()
             checked = deps.size + indeps.size
             if early_exit:
                 deps = deps[:1]
-            hits = [head + (c,) for c in deps.tolist()]
+            hits = [(*prefix, c) for c in deps.tolist()]
         elif left == 2:
             (dead,), groups = pairs()
             if dead >= 0:
-                raise DependencyInvariantError(head + (int(dead),))
-            checked = comb(ncols - 1 - (head[-1] if head else -1), 2)
+                raise DependencyInvariantError((*prefix, int(dead)))
+            checked = comb(ncols - lo, 2)
             if early_exit:
-                hits = [head + (g[0], g[1]) for _, g in groups[:1]]
-            else:
-                hits = [head + pair for _, g in groups
-                        for pair in combinations(g, 2)]
-        elif left:
-            rec(left)
+                groups = [(i, g[:2]) for i, g in groups[:1]]
+            hits = [(*prefix, *pair) for _, g in groups
+                    for pair in combinations(g, 2)]
+        elif left == 3:
+            deps, _ = split()
+            deps = deps[(deps >= lo) & (deps < hi)]  # children in the span
+            run = ncols  # the task is one run
+            if not leaves(lo, int(deps[0]) if deps.size else hi) and deps.size:
+                raise DependencyInvariantError((*prefix, int(deps[0])))
+        else:
+            walk(range(lo, hi), left)
     finally:
         elim.reset()
     return hits, checked
 
 
 def _level_tasks(nu: int, k: int, w: int, budget: int):
-    """(head, cap) tasks, in lexicographic order, covering at least the
-    lexicographically first `budget` w-subsets of range(nu) that contain
-    range(k); cap None is a head's whole subtree.  With at most two
-    columns left to choose, the one task (range(k), None) is one
-    vectorized scan of the level.  Otherwise a head is range(k) plus a
-    next column a.  With three left, a task is a run of next columns from
-    a, 1, 2, 4, ... long, which one pair_groups call settles, and its cap
-    is the subsets through the run; with more, the task is a's subtree.
-    The last task is cut at the budget."""
-    prefix, left = tuple(range(k)), w - k
+    """(lo, hi, cap) tasks, in lexicographic order: the w-subsets of
+    range(nu) through range(k) + (c,) for c in range(lo, hi).  The tasks
+    tile range(k, nu - left + 1), left = w - k, and cover at least the
+    lexicographically first `budget` of the C(nu - k, left) supersets of
+    range(k).  With at most two columns left, one task is the level,
+    one vectorized scan whatever the budget.  With three, a task is a
+    run of 1, 2, 4, ... next columns, which pair_groups settles at once;
+    with more, it is one next column, so that the pool gets many
+    subtrees to balance.  Only the last task, cut at the budget, has a
+    cap: the budget left for it."""
+    left, end = w - k, nu - (w - k) + 1
     if left <= 2:
-        return [(prefix, None)]
-    tasks: list[tuple[tuple[int, ...], Optional[int]]] = []
-    a, length, end = k, 1, nu - left + 1
-    while a < end and budget > 0:
-        b = min(a + length, end) if left == 3 else a + 1
-        count = comb(nu - a, left) - comb(nu - b, left)
-        tasks.append((prefix + (a,), min(count, budget)
-                      if left == 3 or count > budget else None))
+        return [(k, end, None)]
+    tasks: list[tuple[int, int, Optional[int]]] = []
+    lo, length = k, 1
+    while lo < end and budget > 0:
+        hi = min(lo + length, end) if left == 3 else lo + 1
+        count = _through(nu, left, lo, hi)
+        tasks.append((lo, hi, budget if count > budget else None))
         budget -= count
-        a, length = b, 2 * length
+        lo, length = hi, 2 * length
     return tasks
 
 
@@ -457,7 +449,7 @@ def _task_results(scan, tasks, workers: int):
 
 
 def _scan_columns(elim: IncrementalElim, w: int,
-                  tasks: list[tuple[tuple[int, ...], Optional[int]]],
+                  tasks: list[tuple[int, int, Optional[int]]],
                   early_exit: bool, workers: int):
     """Scan the tasks' subtrees in lexicographic task order.  Early exit
     stops at the first task with a hit, which lex-dominates every later
@@ -466,8 +458,7 @@ def _scan_columns(elim: IncrementalElim, w: int,
     w-subsets covered."""
 
     def scan(task):
-        head, cap = task
-        return _scan_subtree(elim, head, w, early_exit, cap)
+        return _scan_subtree(elim, w, task, early_exit)
 
     hits, covered = [], 0
     with closing(_task_results(scan, tasks, workers)) as results:
@@ -491,17 +482,24 @@ def _run_level(elim: IncrementalElim, w: int, plan: SearchPlan, *,
     the hits meet every orbit of dependent sets (restriction "orbit:k'"),
     and an early-exit hit is the one the unrestricted scan stops at
     (restriction "none").  The frame of elim, a prefix of 0 .. k'-1,
-    grows to all of them here (a column in the span of those before it
-    stays out, and the first task reports it); every task starts from it.
+    grows to all of them here, and every task starts from it.  A level
+    w = k' is the frame's one subset.  A frame column f in the span of
+    those before it stays out: range(f + 1) is then the hit at
+    w = f + 1, and larger levels raise DependencyInvariantError.
     """
     nu, k = elim.ncols, min(k, w)
     start = time.perf_counter()
     while elim.frame < k and elim.push(elim.frame):
         elim.freeze()
+    if elim.frame < k and elim.frame + 1 < w:
+        raise DependencyInvariantError(range(elim.frame + 1))
     total = comb(nu - k, w - k)
-    workers = plan.workers if total >= PARALLEL_MIN_CHECKS else 1
-    tasks = _level_tasks(nu, k, w, plan.budget)
-    hits, checked = _scan_columns(elim, w, tasks, early_exit, workers)
+    if k == w:
+        hits, checked = [tuple(range(w))] if elim.frame < w else [], 1
+    else:
+        workers = plan.workers if total >= PARALLEL_MIN_CHECKS else 1
+        tasks = _level_tasks(nu, k, w, plan.budget)
+        hits, checked = _scan_columns(elim, w, tasks, early_exit, workers)
 
     # the budget truncated the scan and no early-exit hit settled the level
     capped = checked < total and not (early_exit and hits)
@@ -681,7 +679,6 @@ def min_distance(code: Code, plan: Optional[SearchPlan] = None) -> CodeReport:
         record, hits = _run_level(elim, w, plan, early_exit=True,
                                   label=label, k=k)
         report.stage_log.append(record)
-        report.timings[f"w{w}"] = round(record.seconds, 6)
         if hits:
             report.delta = w
             report.delta_exact = True
@@ -723,10 +720,9 @@ def mds_status(report: CodeReport) -> str:
     """MDS / almost-MDS / other, from an exactly resolved distance."""
     if not report.delta_exact or report.delta is None:
         raise ValueError("status requires an exactly resolved minimum distance")
-    singleton = report.nu - report.kappa + 1
-    if report.delta == singleton:
+    if report.delta == report.singleton_bound:
         return "MDS"
-    if report.delta == singleton - 1:
+    if report.delta == report.singleton_bound - 1:
         return "almost-MDS"
     return "other"
 
@@ -798,9 +794,9 @@ def classify_min_words(code: Code, report: CodeReport,
     report.supports = supports
     report.violations = violations
     report.stage_log.append(record)
-    report.timings.update(classify_scan=round(record.seconds, 6),
-                          classify_check=round(time.perf_counter() - checks, 6),
-                          classify=round(time.perf_counter() - start, 6))
+    report.timings.update(
+        classify_check=round(time.perf_counter() - checks, 6),
+        classify=round(time.perf_counter() - start, 6))
     return report
 
 

@@ -22,8 +22,9 @@ above, LogOps computes the same entries by exp/log gathers and digit-wise
 base-p addition (XOR when p = 2).  `Field.eval_monomials` evaluates a
 table of monomials at a table of points in the log domain.  Scalar
 methods read the same tables.
-Polynomial mode (add_poly, sub_poly, mul_poly) builds the tables and is
-the reference the tests compare against.
+Polynomial mode computes on coefficient vectors: mul_poly builds the
+tables (through _find_generator and _exp_table), and add_poly, sub_poly
+and mul_poly are the references the tests compare against.
 """
 
 from __future__ import annotations
@@ -309,7 +310,7 @@ class Field:
             raise ValueError(f"{a} is not an element encoding of GF({self.order})")
         return a
 
-    # -- polynomial mode: builds the tables, reference for the tests ---------
+    # -- polynomial mode: mul_poly builds the tables; all are test references
 
     def add_poly(self, a: int, b: int) -> int:
         p = self.p

@@ -626,7 +626,8 @@ def _scan_levels(code, k):
         found.append(record.dependent_found)
         if hits:
             status = mds_status(SimpleNamespace(
-                delta_exact=True, delta=w, nu=code.nu, kappa=code.kappa))
+                delta_exact=True, delta=w,
+                singleton_bound=code.nu - code.kappa + 1))
             return w, hits[0], status, found
     return None, None, None, found
 
@@ -1064,11 +1065,12 @@ def test_classification_report_is_pinned():
     assert digest == (
         "e2cbb7621161cbc0364cce1b3fd7c0c9b48353680229084ffb6bece37d0791f1")
     # the classification's timings: the whole call, its scan (the stage
-    # record's seconds) and its checks, all outside the hash
-    t = rep.timings
-    assert t["classify_scan"] == round(rep.stage_log[-1].seconds, 6)
-    assert t["classify"] >= t["classify_scan"] + t["classify_check"] - 2e-6
-    assert min(t["classify_scan"], t["classify_check"]) >= 0
+    # record's seconds, in its JSON stage entry) and its checks, all
+    # outside the hash
+    t, scan = rep.timings, rep.to_json()["stage_log"][-1]["seconds"]
+    assert scan == round(rep.stage_log[-1].seconds, 6)
+    assert t["classify"] >= scan + t["classify_check"] - 2e-6
+    assert min(scan, t["classify_check"]) >= 0
     rep.timings = {}
     assert rep.canonical_hash() == digest
 
@@ -1079,16 +1081,17 @@ def test_pool_worker_error_reaches_caller(monkeypatch):
     monkeypatch.setattr(codes_mod, "PARALLEL_MIN_CHECKS", 0)
     scan, parent = codes_mod._scan_subtree, os.getpid()
 
-    def scan_or_fail(elim, head, w, early_exit, cap):
+    def scan_or_fail(elim, w, task, early_exit):
         if os.getpid() != parent:
-            raise DependencyInvariantError(head)
-        return scan(elim, head, w, early_exit, cap)
+            raise DependencyInvariantError((*range(elim.frame), task[0]))
+        return scan(elim, w, task, early_exit)
 
     monkeypatch.setattr(codes_mod, "_scan_subtree", scan_or_fail)
     with pytest.raises(DependencyInvariantError) as err:
         min_distance(get_code(3, 3, 2, (0, 0, 2)), SearchPlan(workers=2))
-    # levels 4 and 5 are one task each; level 6's tasks are the heads
-    # (0, 1, 2, c), and (0, 1, 2, 4) is the first one a worker runs
+    # levels 4 and 5 are one task each; level 6's tasks are runs of the
+    # children c of the frame (0, 1, 2), and the run from c = 4 is the
+    # first one a worker runs
     assert err.value.subset == (0, 1, 2, 4)
 
 
@@ -1301,6 +1304,50 @@ def test_proportional_column_raises_the_same_subset(monkeypatch, col, like):
     assert raised
 
 
+@pytest.mark.parametrize("early_exit", [True, False])
+def test_first_child_in_the_span_of_the_frame_raises(early_exit):
+    # track-27 with column 3 replaced by twice column 1: the first child
+    # of the frame (0, 1, 2) is in its span.  With three columns left the
+    # first task's split_extensions finds it, with four the walk's push
+    c = get_code(3, 3, 2, (0, 0, 2))
+    h = c.H.copy()
+    h[:, 3] = c.field.ops.mul[2, h[:, 1]]
+    elim = IncrementalElim(c.field, h)
+    for w in (6, 7):
+        with pytest.raises(DependencyInvariantError) as err:
+            codes_mod._run_level(elim, w, SearchPlan(), early_exit=early_exit,
+                                 label="x", k=3)
+        assert err.value.subset == (0, 1, 2, 3)
+
+
+def test_frame_that_stops_growing_settles_its_levels(monkeypatch):
+    # track-27 with column 2 replaced by twice column 1, k' = 3: the frame
+    # stops at (0, 1), level 3 is its one subset (0, 1, 2), dependent, and
+    # every larger level meets that dependent 3-set; no task runs for them
+    c = get_code(3, 3, 2, (0, 0, 2))
+    h = c.H.copy()
+    h[:, 2] = c.field.ops.mul[2, h[:, 1]]
+    resets = []
+    monkeypatch.setattr(IncrementalElim, "reset",
+                        lambda self: resets.append(self.frame))
+    for early_exit, checked, restriction in ((True, c.nu - 2, "none"),
+                                             (False, 1, "orbit:3")):
+        elim = IncrementalElim(c.field, h)
+        for w, hits in ((2, []), (3, [(0, 1, 2)])):
+            record, got = codes_mod._run_level(elim, w, SearchPlan(),
+                                               early_exit=early_exit,
+                                               label="x", k=3)
+            assert got == hits and record.dependent_found == len(hits)
+        assert (record.checked, record.restriction) == (checked, restriction)
+        assert not record.capped and elim.frame == 2
+        for w in (4, 5):
+            with pytest.raises(DependencyInvariantError) as err:
+                codes_mod._run_level(elim, w, SearchPlan(),
+                                     early_exit=early_exit, label="x", k=3)
+            assert err.value.subset == (0, 1, 2)
+    assert resets == []
+
+
 @pytest.mark.parametrize("cfg,budget,digest,rows", [
     ((3, 3, 2, (0, 0, 2)), 20,  # track-27: level 6 cut after 276 of 2,300
      "e9032fb8c35b2b7d2c549dff6b5f8f3a34abe62a4ecabfc6de30ed247e1d1d2d",
@@ -1491,7 +1538,7 @@ def test_general_position_budget_error():
                                 SearchPlan(budget=20))
 
 
-# -- lex rank helper -------------------------------------------------------------------
+# -- closed-form counts: lex rank and level tasks ----------------------------
 
 @given(st.data())
 @settings(max_examples=50, deadline=None)
@@ -1501,3 +1548,36 @@ def test_lex_rank_matches_enumeration(data):
     subsets = list(itertools.combinations(range(nu), w))
     idx = data.draw(st.integers(0, len(subsets) - 1))
     assert _lex_rank(subsets[idx], nu) == idx
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_level_tasks_tile_the_next_columns(data):
+    # runs of 1, 2, 4, ... next columns with three left, one column with
+    # more, one task with fewer; their counts, checked by enumeration,
+    # reach the budget, and only the task the budget cuts has a cap
+    nu = data.draw(st.integers(2, 14))
+    k = data.draw(st.integers(0, min(3, nu - 1)))
+    left = data.draw(st.integers(1, min(6, nu - k)))
+    total = comb(nu - k, left)
+    budget = data.draw(st.integers(1, total + 3))
+    tasks = codes_mod._level_tasks(nu, k, k + left, budget)
+    los, his, caps = map(list, zip(*tasks))
+    end = nu - left + 1
+    assert los == [k] + his[:-1] and his[-1] <= end
+    firsts = [s[0] for s in itertools.combinations(range(k, nu), left)]
+    counts = [sum(lo <= f < hi for f in firsts) for lo, hi in zip(los, his)]
+    if left <= 2:
+        assert tasks == [(k, end, None)]
+        return
+    lengths = [hi - lo for lo, hi in zip(los, his)]
+    if left == 3:
+        assert lengths[:-1] == [1 << i for i in range(len(tasks) - 1)]
+        assert lengths[-1] == 1 << len(tasks) - 1 or his[-1] == end
+    else:
+        assert set(lengths) == {1}
+    assert sum(counts[:-1]) < min(budget, total) <= sum(counts)
+    assert his[-1] == end or budget < total
+    rest = budget - sum(counts[:-1])
+    assert caps == [None] * (len(tasks) - 1) + [
+        rest if counts[-1] > rest else None]

@@ -23,3 +23,4 @@ def test_frontier_script_runs_from_a_plain_checkout(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert "--only" in res.stdout and "gf8-n3" in res.stdout
+    assert "--workers" in res.stdout
