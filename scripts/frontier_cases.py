@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Time the frontier cases level by level.
 
-Runs the five frontier rows of ROADMAP item 1 with --workers workers
-(default 1), each at its own w_max (the last row runs the whole analyze
-pipeline), and prints the set-up seconds (Field through build_code, the
-one reduction of the point table among them) and the report's
-canonical_hash, then one line per level: the subsets checked, the
-seconds (the level's stage_log record, the same timing the reports
-carry) and the checks per second.  The hash must not depend on the
-worker count.  Each row stresses one layer of the search:
+Runs the frontier rows (the five of ROADMAP item 1 and gf256-hit) with
+--workers workers (default 1), each at its own w_max (the rows without
+one run the whole analyze pipeline), and prints the set-up seconds
+(Field through build_code, the one reduction of the point table among
+them) and the report's canonical_hash, then one line per level: the
+subsets checked, the seconds (the level's stage_log record, the same
+timing the reports carry) and the checks per second.  The hash must not
+depend on the worker count.  Each row stresses one layer of the search:
 
   gf27-n3     GF(27), n=3, sigma=(0,0,1), w_max 5: a wide-tail level
   gf8-n3      GF(8), n=3, sigma=(0,1,2), w_max 6: narrow tails, N = 27
@@ -16,6 +16,9 @@ worker count.  Each row stresses one layer of the search:
   gf8-n4      GF(8), n=4, sigma=(0,1,2), w_max 5: the symmetry step at
               N = 64, then level 5
   gf128-line  GF(2^7), n=2, sigma=(0,0,0), analyze: the classification
+  gf256-hit   GF(2^8), n=2, sigma=(0,1,6), analyze: delta = 7, whose
+              level ends on a hit in task 4 of its 51, a worker's task
+              when the level runs on workers
 
 Usage:
     python scripts/frontier_cases.py [--only LABEL ...] [--workers N]
@@ -39,6 +42,7 @@ ROWS = [
     ("gf512-n2", 2, 9, 2, (0, 1, 2), 6),
     ("gf8-n4", 2, 3, 4, (0, 1, 2), 5),
     ("gf128-line", 2, 7, 2, (0, 0, 0), None),
+    ("gf256-hit", 2, 8, 2, (0, 1, 6), None),
 ]
 
 

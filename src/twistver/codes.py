@@ -77,12 +77,11 @@ columns left, whose children pair_groups settles in runs that double in
 length from 1 along the task.  A level of C(nu, w) subsets thus pushes
 only prefixes of w-3 columns or fewer.
 
-Everything is deterministic: the tasks run and are read back in
-lexicographic order (the first in this process, the rest in order
-through a fork pool of at most one worker per usable CPU when the level
-is large and workers > 1), only the last, cut at the budget, has a cap,
-and reported check counts are closed-form, so a report is bit-identical
-for any worker count.
+Everything is deterministic: the tasks are read back in lexicographic
+order, whether this process or a forked worker ran them (see
+_scan_columns), only the last, cut at the budget, has a cap, and
+reported check counts are closed-form, so a report is bit-identical for
+any worker count.
 
 An unstructured brute-force oracle (plain subset enumeration, scalar
 arithmetic, no staging, no symmetry) cross-validates the search on small
@@ -96,7 +95,7 @@ import json
 import os
 import time
 from bisect import bisect_left
-from contextlib import closing, suppress
+from contextlib import suppress
 from dataclasses import (asdict, dataclass, field as dc_field, fields,
                          replace)
 from itertools import combinations
@@ -111,7 +110,7 @@ from .linalg import IncrementalElim, is_independent, kernel_basis
 from .pg import on_common_subline
 from .veronese import Twist, VarietyMatrix
 
-PARALLEL_MIN_CHECKS = 200_000  # below this a pool costs more than it saves
+PARALLEL_MIN_CHECKS = 200_000  # below this workers cost more than they save
 LEAF_ENTRIES = 1 << 18  # reduced entries per batched pair_groups call
 SUPPORTS_LISTED = 1_000  # lex-first supports a report lists; all are checked
 CHECK_BLOCK = 1 << 12  # supports per on_common_subline call
@@ -318,7 +317,7 @@ def _scan_subtree(elim: IncrementalElim, w: int,
         base = tuple(prefix)
         while lo < hi:
             stop = min(hi, lo + max(1, min(run, area // max(1, ncols - lo))))
-            dead, groups = pairs(range(lo, stop), early_exit)
+            dead, groups = pairs(range(lo, stop))
             bad = np.flatnonzero(dead >= 0)
             first = int(bad[0]) if bad.size else stop - lo
             if early_exit and groups and groups[0][0] < first:
@@ -391,7 +390,7 @@ def _level_tasks(nu: int, k: int, w: int, budget: int):
     range(k).  With at most two columns left, one task is the level,
     one vectorized scan whatever the budget.  With three, a task is a
     run of 1, 2, 4, ... next columns, which pair_groups settles at once;
-    with more, it is one next column, so that the pool gets many
+    with more, it is one next column, so that the workers get many
     subtrees to balance.  Only the last task, cut at the budget, has a
     cap: the budget left for it."""
     left, end = w - k, nu - (w - k) + 1
@@ -417,56 +416,65 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# The scan of the level a fork pool is running; its workers inherit it,
-# IncrementalElim and its frame included, through the fork.
-_forked_scan = None
-
-
-def _call_forked_scan(task):
-    return _forked_scan(task)
-
-
-def _task_results(scan, tasks, workers: int):
-    """scan(task) for each task, in task order: the first in this process,
-    the rest through map or, with workers > 1, a fork pool's ordered imap.
-    A pool is started only when the caller asks for the second result."""
-    global _forked_scan
-    yield scan(tasks[0])
-    rest = tasks[1:]
-    if workers == 1 or not rest:
-        yield from map(scan, rest)
-        return
-    _forked_scan = scan
+def _serve(elim, w: int, early_exit: bool, tasks, conn) -> None:
+    """A forked worker: the _scan_subtree result of each task in order,
+    or the exception that stopped it, sent down conn."""
     try:
-        size = min(workers, len(rest), usable_cpus())
-        with get_context("fork").Pool(size) as pool:
-            # subtrees shrink along the task list: a few ordered chunks
-            # per worker keep the workers evenly loaded
-            yield from pool.imap(_call_forked_scan, rest,
-                                 chunksize=-(-len(rest) // (4 * size)))
-    finally:
-        _forked_scan = None
+        for task in tasks:
+            conn.send(_scan_subtree(elim, w, task, early_exit))
+    except Exception as err:
+        conn.send(err)
 
 
 def _scan_columns(elim: IncrementalElim, w: int,
                   tasks: list[tuple[int, int, Optional[int]]],
                   early_exit: bool, workers: int):
-    """Scan the tasks' subtrees in lexicographic task order.  Early exit
-    stops at the first task with a hit, which lex-dominates every later
-    one: a level whose first task hits starts no pool, and a later hit
-    stops every worker.  Returns the sorted hits and the number of
-    w-subsets covered."""
-
-    def scan(task):
-        return _scan_subtree(elim, w, task, early_exit)
-
-    hits, covered = [], 0
-    with closing(_task_results(scan, tasks, workers)) as results:
-        for task_hits, checked in results:
+    """Scan the tasks' subtrees in lexicographic task order: the first in
+    this process and, with workers > 1, the rest in size = min(workers,
+    tasks left, usable_cpus()) forked workers, which inherit elim and its
+    frame.  Worker i sends the results of rest[i::size] down its own
+    pipe, read back in task order.  Early exit stops at the first task
+    with a hit, which lex-dominates every later one, so a level whose
+    first task hits starts no worker.  Killing the workers when the level
+    ends is safe at any moment: none shares a lock with this process.
+    Returns the sorted hits and the number of w-subsets covered."""
+    hits, covered, pool = [], 0, []  # (receive end, process) per worker
+    try:
+        for j, task in enumerate(tasks):
+            if j == 1 and workers > 1:
+                ctx = get_context("fork")
+                size = min(workers, len(tasks) - 1, usable_cpus())
+                for i in range(size):
+                    recv, send = ctx.Pipe(duplex=False)
+                    proc = ctx.Process(target=_serve, daemon=True, args=(
+                        elim, w, early_exit, tasks[1 + i::size], send))
+                    proc.start()
+                    pool.append((recv, proc))
+                    # closed before the next fork, so that no other
+                    # process holds it: a dead worker's pipe reports EOF
+                    send.close()
+            if not pool:
+                result = _scan_subtree(elim, w, task, early_exit)
+            else:
+                recv, proc = pool[(j - 1) % len(pool)]
+                try:
+                    result = recv.recv()
+                except EOFError:
+                    proc.join()
+                    result = RuntimeError(f"a search worker died with "
+                                          f"exit code {proc.exitcode}")
+            if isinstance(result, Exception):
+                raise result
+            task_hits, checked = result
             hits += task_hits
             covered += checked
             if early_exit and task_hits:
                 break
+    finally:
+        for recv, proc in pool:
+            proc.kill()
+            proc.join()
+            recv.close()
     return sorted(hits), covered
 
 

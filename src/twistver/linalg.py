@@ -202,8 +202,7 @@ class IncrementalElim:
         idx = np.arange(c + 1, self.ncols)
         return idx[~alive], idx[alive]
 
-    def pair_groups(self, children: range | None = None,
-                    lex_first: bool = False):
+    def pair_groups(self, children: range | None = None):
         """Classify the 2-extensions of a run of children at once.
 
         {pushed} + {a, b} is dependent exactly when the reduced columns a
@@ -222,12 +221,11 @@ class IncrementalElim:
         list (>= 2) of columns right of children[i] with S_i + {a, b}
         dependent for every pair in it.  So groups[0] gives the
         lexicographically first dependent (children[i], group[0],
-        group[1]).  lex_first, for a scan that stops at its first hit,
-        lists only that first group, cut to the two columns it needs.
+        group[1]).
         """
         c, r = self._stack[-1]
         if children is None:
-            return self._groups(r[:, c + 1:].T[None], c + 1, lex_first)
+            return self._groups(r[:, c + 1:].T[None], c + 1)
         lo, hi = children.start, children.stop
         tail = r[:, lo + 1:]
         cols = r[:, lo:hi]
@@ -235,9 +233,9 @@ class IncrementalElim:
         coef = self._div[tail[prow], cols[prow, np.arange(hi - lo)][:, None]]
         tails = self._sub[tail.T[None], self._mul[coef[:, :, None],
                                                   cols.T[:, None, :]]]
-        return self._groups(tails, lo + 1, lex_first)
+        return self._groups(tails, lo + 1)
 
-    def _groups(self, tails: np.ndarray, first: int, lex_first: bool):
+    def _groups(self, tails: np.ndarray, first: int):
         """(dead, groups) of pair_groups for a B x W x N stack of reduced
         columns whose position 0 is column `first`, one child per column
         from first - 1 on: child i counts only the positions right of
@@ -267,12 +265,6 @@ class IncrementalElim:
         kept = keep.ravel()  # neighbours of one child, both counted
         ok = (a // width == b // width) & kept[a] & kept[b]
         at, a, b = at[ok], a[ok], b[ok]
-        if at.size == 0:
-            return dead, []
-        if lex_first:  # the smallest member starts the first group
-            i = int(a.argmin())
-            x, y = int(a[i]), int(b[i])
-            return dead, [(x // width, [x % width + first, y % width + first])]
         # chain equal neighbours into maximal groups
         runs: list[list[int]] = []
         prev = -2

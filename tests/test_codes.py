@@ -1,6 +1,10 @@
 import itertools
+import multiprocessing
 import os
 import runpy
+import signal
+import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import fields
 from math import comb
@@ -1179,8 +1183,6 @@ def _check_batches(elim, children):
             assert dead.tolist() == [d for d, _ in ref]
             assert groups == [(i, g) for i, (d, gs) in enumerate(ref)
                               if d < 0 for g in gs]
-            _, first = elim.pair_groups(run, lex_first=True)
-            assert first == [(i, g[:2]) for i, g in groups[:1]]
 
 
 PLANES_AND_TRACK = [
@@ -1405,28 +1407,37 @@ def test_three_left_nodes_make_one_call_per_run(monkeypatch):
     assert len(calls["pair_groups"]) <= 8
 
 
+def _stand_in_context(sizes):
+    """A get_context stand-in whose Process runs its target at start(), in
+    this process, and whose Pipe is a queue, so no process is started;
+    sizes gets the number of workers each level starts."""
+
+    def process(target, args, daemon):
+        def start():
+            sizes[-1] += 1
+            target(*args)
+        return SimpleNamespace(start=start, kill=lambda: None,
+                               join=lambda: None, exitcode=0)
+
+    def pipe(duplex):
+        queue = deque()
+        end = SimpleNamespace(send=queue.append, recv=queue.popleft,
+                              close=lambda: None)
+        return end, end
+
+    def get_context(method):
+        assert method == "fork"
+        sizes.append(0)
+        return SimpleNamespace(Process=process, Pipe=pipe)
+    return get_context
+
+
 def test_pool_is_bounded_by_the_cpus(monkeypatch):
     # --workers 64 on a host with two usable CPUs starts two workers; a
-    # stand-in pool runs imap as map, so no process is started
+    # stand-in context runs each worker at start(), in this process
     sizes = []
-
-    class Pool:
-        def __init__(self, size):
-            sizes.append(size)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, tasks, chunksize):
-            assert chunksize >= 1
-            return map(fn, tasks)
-
     monkeypatch.setattr(codes_mod, "PARALLEL_MIN_CHECKS", 0)
-    monkeypatch.setattr(codes_mod, "get_context",
-                        lambda method: SimpleNamespace(Pool=Pool))
+    monkeypatch.setattr(codes_mod, "get_context", _stand_in_context(sizes))
     c = get_code(3, 3, 2, (0, 0, 1))
     serial = min_distance(c, SearchPlan(workers=1)).payload()
     assert sizes == []
@@ -1439,24 +1450,73 @@ def test_pool_is_bounded_by_the_cpus(monkeypatch):
 
 
 def test_pool_falls_back_to_the_cpu_count(monkeypatch):
-    # an OS without an affinity call (macOS) sizes the pool by
-    # os.cpu_count(); a stand-in pool runs imap as map
+    # an OS without an affinity call (macOS) sizes the workers by
+    # os.cpu_count(); a stand-in context runs them in this process
     sizes = []
-
-    @contextmanager
-    def pool(size):
-        sizes.append(size)
-        yield SimpleNamespace(imap=lambda fn, tasks, chunksize: map(fn, tasks))
-
     monkeypatch.setattr(codes_mod, "PARALLEL_MIN_CHECKS", 0)
-    monkeypatch.setattr(codes_mod, "get_context",
-                        lambda method: SimpleNamespace(Pool=pool))
+    monkeypatch.setattr(codes_mod, "get_context", _stand_in_context(sizes))
     monkeypatch.delattr(codes_mod.os, "sched_getaffinity")
     monkeypatch.setattr(codes_mod.os, "cpu_count", lambda: 3)
     c = get_code(3, 3, 2, (0, 0, 1))
     serial = min_distance(c, SearchPlan(workers=1)).payload()
     assert min_distance(c, SearchPlan(workers=64)).payload() == serial
     assert sizes and set(sizes) == {3}
+
+
+@contextmanager
+def _time_limit(seconds):
+    """Fail the test, rather than hang the suite, if the body overruns."""
+    def overrun(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_dying_worker_fails_the_level(monkeypatch):
+    # track-27's level 6 runs its second task, the run from c = 4, in the
+    # first worker, which exits there without a word
+    monkeypatch.setattr(codes_mod, "PARALLEL_MIN_CHECKS", 0)
+    scan, parent = codes_mod._scan_subtree, os.getpid()
+
+    def scan_or_exit(elim, w, task, early_exit):
+        if os.getpid() != parent:
+            os._exit(3)
+        return scan(elim, w, task, early_exit)
+
+    monkeypatch.setattr(codes_mod, "_scan_subtree", scan_or_exit)
+    with _time_limit(5):
+        with pytest.raises(RuntimeError, match="exit code 3"):
+            min_distance(get_code(3, 3, 2, (0, 0, 2)), SearchPlan(workers=2))
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_hit_stops_the_other_workers(monkeypatch):
+    # track-27's level 6, from the frame (0, 1, 2), has the tasks c = 3,
+    # c in 4..5, c in 6..9, ...; the hit (0, 1, 2, 4, 8, 11) is in the
+    # second, the first worker's, while the second worker sleeps in the
+    # third
+    monkeypatch.setattr(codes_mod, "PARALLEL_MIN_CHECKS", 0)
+    scan = codes_mod._scan_subtree
+
+    def scan_or_sleep(elim, w, task, early_exit):
+        if task[0] == 6:
+            time.sleep(60)
+        return scan(elim, w, task, early_exit)
+
+    monkeypatch.setattr(codes_mod, "_scan_subtree", scan_or_sleep)
+    c = get_code(3, 3, 2, (0, 0, 2))
+    with _time_limit(10):
+        record, hits = codes_mod._run_level(
+            IncrementalElim(c.field, c.H), 6, SearchPlan(workers=2),
+            early_exit=True, label="lex-search", k=3)
+    assert hits == [(0, 1, 2, 4, 8, 11)] and record.checked == 358
+    assert multiprocessing.active_children() == []
 
 
 def test_listed_supports_are_capped_but_all_are_checked(monkeypatch):
