@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Time the frontier cases level by level.
 
-Runs the frontier rows (the five of ROADMAP item 1 and gf256-hit) with
---workers workers (default 1), each at its own w_max (the rows without
-one run the whole analyze pipeline), and prints the set-up seconds
-(Field through build_code, the one reduction of the point table among
-them) and the report's canonical_hash, then one line per level: the
-subsets checked, the seconds (the level's stage_log record, the same
-timing the reports carry) and the checks per second.  The hash must not
-depend on the worker count.  Each row stresses one layer of the search:
+Runs the frontier rows with --workers workers (default 1), each at its
+own w_max (the rows without one run the whole analyze pipeline), and
+prints the set-up seconds (Field through build_code, the one reduction
+of the point table among them), the report's canonical_hash and the
+process's peak RSS so far, then one line per level: the subsets
+checked, the seconds (the level's stage_log record, the same timing the
+reports carry) and the checks per second.  The hash must not depend on
+the worker count.  Each row stresses one layer of the search:
 
   gf27-n3     GF(27), n=3, sigma=(0,0,1), w_max 5: a wide-tail level
   gf8-n3      GF(8), n=3, sigma=(0,1,2), w_max 6: narrow tails, N = 27
@@ -19,12 +19,18 @@ depend on the worker count.  Each row stresses one layer of the search:
   gf256-hit   GF(2^8), n=2, sigma=(0,1,6), analyze: delta = 7, whose
               level ends on a hit in task 4 of its 51, a worker's task
               when the level runs on workers
+  gf4096-line GF(2^12), n=2, sigma=(0,0,0), analyze: a classification
+              whose C(4094, 2) supports are one pair_groups run
+  gf256-quartic
+              GF(2^8), n=2, sigma=(0,0,0,0), analyze: a classification
+              of C(254, 3) supports in the runs of the leaves
 
 Usage:
     python scripts/frontier_cases.py [--only LABEL ...] [--workers N]
 """
 
 import argparse
+import resource
 import sys
 import time
 from pathlib import Path
@@ -43,7 +49,16 @@ ROWS = [
     ("gf8-n4", 2, 3, 4, (0, 1, 2), 5),
     ("gf128-line", 2, 7, 2, (0, 0, 0), None),
     ("gf256-hit", 2, 8, 2, (0, 1, 6), None),
+    ("gf4096-line", 2, 12, 2, (0, 0, 0), None),
+    ("gf256-quartic", 2, 8, 2, (0, 0, 0, 0), None),
 ]
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MB: ru_maxrss is
+    in KiB on Linux and in bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20) if sys.platform == "darwin" else peak / 1024
 
 
 def run_row(label, p, m, n, exps, w_max, workers):
@@ -58,7 +73,8 @@ def run_row(label, p, m, n, exps, w_max, workers):
     print(f"{label}: nu={report.nu} N={report.effective_N} "
           f"k={report.orbit_prefix} set-up {setup:.4f} s, symmetry "
           f"{report.timings['symmetry']:.3f} s, total {total:.3f} s, "
-          f"hash {report.canonical_hash()}")
+          f"hash {report.canonical_hash()}, "
+          f"peak RSS {peak_rss_mb():.0f} MB")
     for s in report.stage_log:
         rate = f"{s.checked / s.seconds:.3g}" if s.seconds > 0 else "-"
         print(f"  w={s.w:<2} {s.label:<17} {s.restriction:<8} "

@@ -51,14 +51,14 @@ reasons:
   (restriction "none").
 
 The subline structure is an output, not a shortcut: classify_min_words
-lists the h supports through the columns 0 .. k'-1, k' = min(k, d+2)
-(all of them if k = 0), counts h C(nu, k') / C(d+2, k') by double
-counting, since every k'-set of columns lies in h, and checks all listed
-ones for collinear pre-images on a common PG(1, q') subline in one array
-pass per CHECK_BLOCK supports, pg.on_common_subline; the scalar pg
-geometry (is_collinear, subline_through) serves only as its reference in
-the tests.  The proved symmetries come from matrices, which map sublines
-to sublines, so the listed ones speak for all.
+finds the h supports through the columns 0 .. k'-1, k' = min(k, d+2)
+(all of them if k = 0) as runs of the scan, counts h C(nu, k') /
+C(d+2, k') by double counting, since every k'-set of columns lies in h,
+and checks all h for collinear pre-images on a common PG(1, q') subline
+in one pg.on_common_subline call over each run's star (see
+classify_min_words); the scalar pg geometry serves only as its reference
+in the tests.  The proved symmetries come from matrices, which map
+sublines to sublines, so the h speak for all.
 
 Each level walks a depth-first tree of independent column prefixes in
 one incremental elimination per min_distance call, whose frame holds the
@@ -94,11 +94,13 @@ import hashlib
 import json
 import os
 import time
+import traceback
 from bisect import bisect_left
 from contextlib import suppress
 from dataclasses import (asdict, dataclass, field as dc_field, fields,
                          replace)
-from itertools import combinations
+from heapq import merge
+from itertools import combinations, islice
 from math import comb
 from multiprocessing import get_context
 from typing import Optional, Sequence
@@ -113,7 +115,6 @@ from .veronese import Twist, VarietyMatrix
 PARALLEL_MIN_CHECKS = 200_000  # below this workers cost more than they save
 LEAF_ENTRIES = 1 << 18  # reduced entries per batched pair_groups call
 SUPPORTS_LISTED = 1_000  # lex-first supports a report lists; all are checked
-CHECK_BLOCK = 1 << 12  # supports per on_common_subline call
 DEFAULT_BUDGET = 100_000_000
 DEFAULT_ORACLE_CAP = 2_000_000
 
@@ -282,12 +283,20 @@ def _lex_rank(subset: Sequence[int], nu: int) -> int:
                in enumerate(zip((-1, *subset), subset)))
 
 
+def _subsets(runs, w: int):
+    """The w-subsets of the runs (base, group), in lexicographic order:
+    each base plus any w - |base| columns of its ascending group."""
+    return merge(*(map(base.__add__, combinations(g, w - len(base)))
+                   for base, g in runs))
+
+
 def _scan_subtree(elim: IncrementalElim, w: int,
                   task: tuple[int, int, Optional[int]], early_exit: bool):
     """Scan one task (lo, hi, cap) of a level (see _level_tasks) from the
-    frame.  Returns the dependent w-subsets found (only the first with
-    early exit) and the number of w-subsets covered; a cap stops the scan
-    once that many are covered, and a vectorized leaf is covered whole.
+    frame.  Returns the runs of dependent w-subsets found (see _subsets;
+    only the first subset with early exit) and the number of w-subsets
+    covered; a cap stops the scan once that many are covered, and a
+    vectorized leaf is covered whole.
     With one or two columns left after the frame, the task is one
     split_extensions or pair_groups call; with three, leaves settles the
     children before the first one in the frame's span as one run; with
@@ -299,7 +308,7 @@ def _scan_subtree(elim: IncrementalElim, w: int,
     lo, hi, cap = task
     ncols, left = elim.ncols, w - elim.frame
     prefix = list(range(elim.frame))
-    hits: list[tuple[int, ...]] = []
+    runs: list[tuple[tuple[int, ...], list[int]]] = []
     checked, run = 0, 1  # run: children per pair_groups call
     push, pop, split, pairs = (elim.push, elim.pop, elim.split_extensions,
                                elim.pair_groups)
@@ -323,15 +332,13 @@ def _scan_subtree(elim: IncrementalElim, w: int,
             if early_exit and groups and groups[0][0] < first:
                 i, g = groups[0]
                 checked += _through(ncols, 3, lo, lo + i + 1)
-                hits.append(base + (lo + i, g[0], g[1]))
+                runs.append((base + (lo + i,), g[:2]))
                 return True
             if bad.size:
                 raise DependencyInvariantError(
                     base + (lo + first, int(dead[first])))
             checked += _through(ncols, 3, lo, stop)
-            for i, g in groups:
-                hits.extend(base + (lo + i,) + pair
-                            for pair in combinations(g, 2))
+            runs.extend((base + (lo + i,), g) for i, g in groups)
             lo, run = stop, 2 * run
         return cap is not None and checked >= cap
 
@@ -359,7 +366,7 @@ def _scan_subtree(elim: IncrementalElim, w: int,
             checked = deps.size + indeps.size
             if early_exit:
                 deps = deps[:1]
-            hits = [(*prefix, c) for c in deps.tolist()]
+            runs = [(tuple(prefix), deps.tolist())] if deps.size else []
         elif left == 2:
             (dead,), groups = pairs()
             if dead >= 0:
@@ -367,8 +374,7 @@ def _scan_subtree(elim: IncrementalElim, w: int,
             checked = comb(ncols - lo, 2)
             if early_exit:
                 groups = [(i, g[:2]) for i, g in groups[:1]]
-            hits = [(*prefix, *pair) for _, g in groups
-                    for pair in combinations(g, 2)]
+            runs = [(tuple(prefix), g) for _, g in groups]
         elif left == 3:
             deps, _ = split()
             deps = deps[(deps >= lo) & (deps < hi)]  # children in the span
@@ -379,7 +385,7 @@ def _scan_subtree(elim: IncrementalElim, w: int,
             walk(range(lo, hi), left)
     finally:
         elim.reset()
-    return hits, checked
+    return runs, checked
 
 
 def _level_tasks(nu: int, k: int, w: int, budget: int):
@@ -416,14 +422,20 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+class WorkerTraceback(Exception):
+    """The formatted traceback of an error a search worker sent: the
+    cause of that error when it is raised again in this process."""
+
+
 def _serve(elim, w: int, early_exit: bool, tasks, conn) -> None:
     """A forked worker: the _scan_subtree result of each task in order,
-    or the exception that stopped it, sent down conn."""
+    or the exception that stopped it with its formatted traceback, sent
+    down conn."""
     try:
         for task in tasks:
             conn.send(_scan_subtree(elim, w, task, early_exit))
     except Exception as err:
-        conn.send(err)
+        conn.send((err, traceback.format_exc()))
 
 
 def _scan_columns(elim: IncrementalElim, w: int,
@@ -437,7 +449,9 @@ def _scan_columns(elim: IncrementalElim, w: int,
     with a hit, which lex-dominates every later one, so a level whose
     first task hits starts no worker.  Killing the workers when the level
     ends is safe at any moment: none shares a lock with this process.
-    Returns the sorted hits and the number of w-subsets covered."""
+    A worker's error is raised here from a WorkerTraceback of its stack.
+    Returns the sorted runs of hits (in a level all share |base|, so the
+    first holds the lex-first hit) and the number of w-subsets covered."""
     hits, covered, pool = [], 0, []  # (receive end, process) per worker
     try:
         for j, task in enumerate(tasks):
@@ -461,10 +475,10 @@ def _scan_columns(elim: IncrementalElim, w: int,
                     result = recv.recv()
                 except EOFError:
                     proc.join()
-                    result = RuntimeError(f"a search worker died with "
-                                          f"exit code {proc.exitcode}")
-            if isinstance(result, Exception):
-                raise result
+                    raise RuntimeError(f"a search worker died with exit "
+                                       f"code {proc.exitcode}") from None
+                if isinstance(result[0], Exception):
+                    raise result[0] from WorkerTraceback(result[1])
             task_hits, checked = result
             hits += task_hits
             covered += checked
@@ -494,6 +508,8 @@ def _run_level(elim: IncrementalElim, w: int, plan: SearchPlan, *,
     w = k' is the frame's one subset.  A frame column f in the span of
     those before it stays out: range(f + 1) is then the hit at
     w = f + 1, and larger levels raise DependencyInvariantError.
+    Returns the record and the sorted runs (base, group) of the hits (see
+    _subsets); dependent_found counts their subsets.
     """
     nu, k = elim.ncols, min(k, w)
     start = time.perf_counter()
@@ -502,8 +518,9 @@ def _run_level(elim: IncrementalElim, w: int, plan: SearchPlan, *,
     if elim.frame < k and elim.frame + 1 < w:
         raise DependencyInvariantError(range(elim.frame + 1))
     total = comb(nu - k, w - k)
-    if k == w:
-        hits, checked = [tuple(range(w))] if elim.frame < w else [], 1
+    if k == w:  # the frame's subset, as a run
+        hits = [(tuple(range(w - 1)), [w - 1])] if elim.frame < w else []
+        checked = 1
     else:
         workers = plan.workers if total >= PARALLEL_MIN_CHECKS else 1
         tasks = _level_tasks(nu, k, w, plan.budget)
@@ -514,11 +531,13 @@ def _run_level(elim: IncrementalElim, w: int, plan: SearchPlan, *,
     if early_exit and hits:
         # deterministic count: every subset scanned up to and including
         # the leaf that produced the lexicographically first hit
-        checked = _lex_rank(hits[0][:-1] + (nu - 1,), nu) + 1
+        first = next(_subsets(hits, w))
+        checked = _lex_rank(first[:-1] + (nu - 1,), nu) + 1
 
     restriction = f"orbit:{k}" if k and not (early_exit and hits) else "none"
+    found = sum(comb(len(g), w - len(base)) for base, g in hits)
     record = StageRecord(label=label, w=w, restriction=restriction,
-                         checked=checked, dependent_found=len(hits),
+                         checked=checked, dependent_found=found,
                          early_exit=early_exit, capped=capped,
                          seconds=time.perf_counter() - start)
     return record, hits
@@ -691,7 +710,7 @@ def min_distance(code: Code, plan: Optional[SearchPlan] = None) -> CodeReport:
             report.delta = w
             report.delta_exact = True
             report.delta_lower_bound = w
-            witness = hits[0]
+            witness = next(_subsets(hits, w))
             report.witness = list(witness)
             report.witness_points = [list(code.variety.points[i])
                                      for i in witness]
@@ -751,11 +770,20 @@ def classify_min_words(code: Code, report: CodeReport,
                        plan: Optional[SearchPlan] = None) -> CodeReport:
     """Count the dependent (d+2)-subsets, find them (k' = 0) or the h
     through the columns 0 .. k'-1 (see classification_scan and the module
-    docstring), and check all h, CHECK_BLOCK at a time, with
+    docstring) as runs (base, group), and check all h with
     on_common_subline: collinear pre-images on one PG(1, q') subline.
     Records every violation, but lists only the lexicographically first
     SUPPORTS_LISTED supports; h is the classify record's dependent_found.
     Over the budget, raises BudgetExceeded.
+
+    A run's supports are base plus any r = d+2 - |base| columns of g.
+    Its star rows, base + g[:r-1] + (x,) for x in g[r-1:], are supports,
+    and all its supports lie on one subline iff all star rows do: with
+    |base| >= 3 the base fixes the subline, with |base| = 2 the star
+    forces one coset of GF(q')^*, and else d+2 = 3, so d = 1 and q' = Q,
+    where only collinearity counts.  So one call over the star rows and
+    the listed supports checks every k', 0 included; only a run with a
+    failing star row is expanded and checked support by support.
 
     Each listed support is a minimal dependent set without a check of its
     own.  The guard requires an exact delta = d+2, so every (d+1)-set of
@@ -774,28 +802,39 @@ def classify_min_words(code: Code, report: CodeReport,
     if cost > plan.budget:
         raise BudgetExceeded(
             f"classification needs {cost} checks, budget is {plan.budget}")
-    record, hits = _run_level(IncrementalElim(code.field, code.H), d + 2,
-                              plan, early_exit=False, label="classify", k=k)
+    w, points = d + 2, code.variety.point_array
+    record, runs = _run_level(IncrementalElim(code.field, code.H), w, plan,
+                              early_exit=False, label="classify", k=k)
     checks = time.perf_counter()
 
-    cols = np.array(hits, dtype=np.int64).reshape(-1, d + 2)
-    points = code.variety.point_array
-    collinear, on_sub = map(np.concatenate, zip(*(
-        on_common_subline(code.field, points[cols[i:i + CHECK_BLOCK]],
-                          code.twist.q_fixed)
-        for i in range(0, len(cols), CHECK_BLOCK))))
-    violations = [{"columns": cols[i].tolist(), "problem": (
-        "pre-images not on a common subline" if collinear[i]
-        else "pre-images not collinear")}
-        for i in np.flatnonzero(~on_sub).tolist()]
-    listed = slice(SUPPORTS_LISTED)  # the true h is the record's dependent_found
+    def check(subsets):
+        cols = np.array(subsets, dtype=np.int64).reshape(-1, w)
+        return (cols, *on_common_subline(code.field, points[cols],
+                                         code.twist.q_fixed))
+
+    rs = [w - len(base) for base, _ in runs]
+    star = [base + tuple(g[:r - 1]) + (x,)
+            for (base, g), r in zip(runs, rs) for x in g[r - 1:]]
+    cols, collinear, on_sub = check(
+        star + list(islice(_subsets(runs, w), SUPPORTS_LISTED)))
+    violations, listed = [], slice(len(star), None)
+    if not on_sub[:len(star)].all():  # check the failing runs' supports
+        owner = np.repeat(np.arange(len(runs)),
+                          [len(g) - r + 1 for (_, g), r in zip(runs, rs)])
+        bad = [runs[i] for i in np.unique(owner[~on_sub[:len(star)]])]
+        every, line, sub = check(list(_subsets(bad, w)))
+        violations = [{"columns": every[i].tolist(), "problem": (
+            "pre-images not on a common subline" if line[i]
+            else "pre-images not collinear")}
+            for i in np.flatnonzero(~sub).tolist()]
     supports = [{"columns": subset, "points": row, "collinear": line,
                  "on_subline": sub}
                 for subset, row, line, sub in zip(
                     cols[listed].tolist(), points[cols[listed]].tolist(),
                     collinear[listed].tolist(), on_sub[listed].tolist())]
     # C(nu, k) k-sets in h supports each, C(d+2, k) per support
-    count, rest = divmod(len(hits) * comb(code.nu, k), comb(d + 2, k))
+    count, rest = divmod(record.dependent_found * comb(code.nu, k),
+                         comb(w, k))
     if rest:  # an invariant, checked also under python -O
         raise AssertionError("supports not spread evenly over k-sets")
     report.min_weight_support_count = count

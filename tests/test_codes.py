@@ -4,9 +4,11 @@ import os
 import runpy
 import signal
 import time
+import traceback
+import tracemalloc
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import fields, replace
 from math import comb
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,13 +20,13 @@ from hypothesis import given, settings, strategies as st
 import twistver.codes as codes_mod
 from twistver.codes import (BudgetExceeded, CodeReport,
                             DependencyInvariantError, SearchPlan,
-                            _lex_rank, _minimality_problem, build_code,
-                            classify_min_words, column_orbit_prefix,
-                            mds_status, min_distance,
+                            _lex_rank, _minimality_problem, _subsets,
+                            build_code, classify_min_words,
+                            column_orbit_prefix, mds_status, min_distance,
                             oracle_min_distance, verify_dep_classification,
                             verify_general_position, verify_oracle_equivalence)
 from twistver.linalg import IncrementalElim, rank
-from twistver.pg import is_collinear
+from twistver.pg import is_collinear, on_common_subline
 
 from conftest import (classify_counted_and_full, get_code, get_variety,
                       mat_vec)
@@ -336,39 +338,12 @@ def test_classify_checks_all_supports_in_one_array_call(monkeypatch):
                       (codes_mod, "kernel_basis")]:
         monkeypatch.setattr(mod, name, scalar)
     rep = classify_min_words(c, rep)
-    assert calls == [len(rep.supports)]
+    # one run, ((0, 1, 2), group of 2): its 2 star rows and the 2 listed
+    assert calls == [2 + len(rep.supports)]
     assert (len(rep.supports) == rep.stage_log[-1].dependent_found == 2)
     assert rep.min_weight_support_count == 340
     assert rep.violations == []
     assert all(s["collinear"] and s["on_subline"] for s in rep.supports)
-
-
-def test_classify_checks_supports_in_blocks(monkeypatch):
-    # the k = 0 path lists all 340 supports of subline-16; blocks of 7
-    # give the same counts, violations and listed supports as one block
-    import twistver.pg as pg_mod
-    calls = []
-
-    def judged(field, points, q_sub):
-        # the real check, plus a violation wherever the first point's last
-        # coordinate is odd
-        calls.append(len(points))
-        collinear, on_sub = pg_mod.on_common_subline(field, points, q_sub)
-        return collinear, on_sub & (points[:, 0, -1] % 2 == 0)
-
-    c = get_code(2, 4, 2, (0, 2))
-    monkeypatch.setattr(codes_mod, "on_common_subline", judged)
-    monkeypatch.setattr(codes_mod, "_is_column_symmetry", lambda *a: False)
-    one = classify_min_words(c, min_distance(c))
-    assert calls == [340]
-    monkeypatch.setattr(codes_mod, "CHECK_BLOCK", 7)
-    calls.clear()
-    blocks = classify_min_words(c, min_distance(c))
-    assert calls == [7] * 48 + [4]
-    assert 0 < len(one.violations) < 340
-    assert (blocks.min_weight_support_count, blocks.violations,
-            blocks.supports) == (one.min_weight_support_count,
-                                 one.violations, one.supports)
 
 
 def test_classify_classical_conic_all_quadruples():
@@ -586,6 +561,78 @@ def test_classify_gf64_line_every_5_set():
     assert rep.timings["classify"] >= rep.stage_log[-1].seconds
 
 
+def test_classify_gf4096_line_in_little_memory():
+    # sigma = (0, 0, 0) over GF(2^12): the C(4094, 2) supports through
+    # {0, 1, 2} are one pair_groups run, checked through its 4,093 star
+    # rows and never listed one by one
+    c = get_code(2, 12, 2, (0, 0, 0))
+    tracemalloc.start()
+    try:
+        rep = codes_mod.analyze(c, SearchPlan(workers=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.min_weight_support_count == 9_595_953_945_037_824
+    assert len(rep.supports) == codes_mod.SUPPORTS_LISTED == 1000
+    assert rep.violations == []
+    assert peak < 50 << 20
+
+
+STAR_CONFIGS = [
+    (2, 2, 3, (0,)),          # GF(4) plane, d = 1: w = 3 and q' = Q
+    (3, 1, 3, (0,)),          # GF(3) plane, d = 1
+    (2, 4, 2, (0, 2)),        # subline-16
+    (5, 1, 2, (0, 0)),        # conic-5
+    (2, 2, 3, (0, 0)),        # GF(4) plane, veronese-surface-4
+    (3, 2, 3, (0, 1)),        # GF(9) plane, plane-9
+    (2, 3, 2, (0, 0, 0)),     # GF(8) line: every 5-set
+    (2, 6, 2, (0, 0, 0, 0)),  # GF(64) line: every 6-set
+    (3, 1, 4, (0, 0)),        # GF(3), n = 4
+]
+
+
+@pytest.mark.parametrize("cfg", STAR_CONFIGS)
+def test_star_rule_matches_a_per_support_pass(cfg, monkeypatch):
+    # classify_min_words checks a run through its star rows; here every
+    # support of every run is checked on its own, at the proved k and at
+    # k = 0 (not on GF(64), whose C(65, 6) 6-sets are all supports), with
+    # the point table as it is and with its rows 2 and nu-1 swapped: the
+    # scan reads H and finds the same supports, the check reads the table
+    c = get_code(*cfg)
+    found = min_distance(c)
+    w, points = c.twist.d + 2, c.variety.point_array
+    swapped = points.copy()
+    swapped[[2, c.nu - 1]] = points[[c.nu - 1, 2]]
+    faulty = c.variety.n >= 3 or c.twist.q_fixed < c.field.order
+    proved = found.orbit_prefix
+    for k in (proved, 0) if comb(c.nu, w) < 10 ** 7 else (proved,):
+        _, runs = codes_mod._run_level(IncrementalElim(c.field, c.H), w,
+                                       SearchPlan(), early_exit=False,
+                                       label="x", k=k)
+        every = np.array(list(_subsets(runs, w)))
+        for table in (points, swapped):
+            monkeypatch.setattr(c.variety, "point_array", table)
+            line, sub = on_common_subline(c.field, table[every],
+                                          c.twist.q_fixed)
+            rep = classify_min_words(c, replace(
+                found, orbit_prefix=k, stage_log=list(found.stage_log)))
+            assert rep.min_weight_support_count == _closed_form_count(c)
+            assert (rep.min_weight_support_count * comb(w, k)
+                    == len(every) * comb(c.nu, k))
+            listed = slice(codes_mod.SUPPORTS_LISTED)
+            assert rep.supports == [
+                {"columns": s, "points": t, "collinear": a, "on_subline": b}
+                for s, t, a, b in zip(
+                    every[listed].tolist(), table[every[listed]].tolist(),
+                    line[listed].tolist(), sub[listed].tolist())]
+            assert rep.violations == [
+                {"columns": s, "problem": "pre-images not on a common subline"
+                 if a else "pre-images not collinear"}
+                for s, a, b in zip(every.tolist(), line.tolist(),
+                                   sub.tolist()) if not b]
+            assert bool(rep.violations) == (faulty and table is swapped)
+
+
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
 def test_closed_form_is_zero_exactly_when_delta_exceeds_d_plus_2(cfg):
     c = get_code(*cfg)
@@ -632,7 +679,7 @@ def _scan_levels(code, k):
             status = mds_status(SimpleNamespace(
                 delta_exact=True, delta=w,
                 singleton_bound=code.nu - code.kappa + 1))
-            return w, hits[0], status, found
+            return w, next(_subsets(hits, w)), status, found
     return None, None, None, found
 
 
@@ -1097,6 +1144,13 @@ def test_pool_worker_error_reaches_caller(monkeypatch):
     # children c of the frame (0, 1, 2), and the run from c = 4 is the
     # first one a worker runs
     assert err.value.subset == (0, 1, 2, 4)
+    # the error is raised from the worker's formatted stack, which this
+    # process's stack, ending in _scan_columns, does not hold
+    assert isinstance(err.value.__cause__, codes_mod.WorkerTraceback)
+    chain = "".join(traceback.format_exception(err.value))
+    assert "in _serve" in chain and "in scan_or_fail" in chain
+    assert "in scan_or_fail" not in "".join(traceback.format_tb(
+        err.value.__traceback__))
 
 
 def test_first_task_hit_starts_no_pool(monkeypatch):
@@ -1112,7 +1166,7 @@ def test_first_task_hit_starts_no_pool(monkeypatch):
     record, hits = codes_mod._run_level(
         IncrementalElim(c.field, c.H), 6, SearchPlan(workers=2),
         early_exit=True, label="lex-search", k=2)
-    assert hits == [(0, 1, 2, 4, 8, 11)]
+    assert list(_subsets(hits, 6)) == [(0, 1, 2, 4, 8, 11)]
     assert record.checked == 358 and not record.capped
 
 
@@ -1256,7 +1310,8 @@ def _level_outcome(scan, *args):
 def _batched_level(elim, w, k, early_exit):
     elim.reset()
     tasks = codes_mod._level_tasks(elim.ncols, k, w, codes_mod.DEFAULT_BUDGET)
-    return codes_mod._scan_columns(elim, w, tasks, early_exit, 1)
+    runs, covered = codes_mod._scan_columns(elim, w, tasks, early_exit, 1)
+    return list(_subsets(runs, w)), covered
 
 
 @pytest.mark.parametrize("cfg", PLANES_AND_TRACK)
@@ -1339,7 +1394,8 @@ def test_frame_that_stops_growing_settles_its_levels(monkeypatch):
             record, got = codes_mod._run_level(elim, w, SearchPlan(),
                                                early_exit=early_exit,
                                                label="x", k=3)
-            assert got == hits and record.dependent_found == len(hits)
+            assert list(_subsets(got, w)) == hits
+            assert record.dependent_found == len(hits)
         assert (record.checked, record.restriction) == (checked, restriction)
         assert not record.capped and elim.frame == 2
         for w in (4, 5):
@@ -1515,7 +1571,8 @@ def test_a_worker_hit_stops_the_other_workers(monkeypatch):
         record, hits = codes_mod._run_level(
             IncrementalElim(c.field, c.H), 6, SearchPlan(workers=2),
             early_exit=True, label="lex-search", k=3)
-    assert hits == [(0, 1, 2, 4, 8, 11)] and record.checked == 358
+    assert list(_subsets(hits, 6)) == [(0, 1, 2, 4, 8, 11)]
+    assert record.checked == 358
     assert multiprocessing.active_children() == []
 
 
