@@ -2,19 +2,21 @@
 """Time the frontier cases level by level.
 
 Runs the frontier rows with --workers workers (default 1), each at its
-own w_max (the rows without one run the whole analyze pipeline), and
-prints the set-up seconds (Field through build_code, the one reduction
-of the point table among them), the report's canonical_hash and the
-process's peak RSS so far, then one line per level: the subsets
-checked, the seconds (the level's stage_log record, the same timing the
-reports carry) and the checks per second.  The hash must not depend on
-the worker count.  Each row stresses one layer of the search:
+own w_max (the rows without one run the whole analyze pipeline) and its
+own budget (the default where it names none), and prints the row's
+cyclic bound (codes.cyclic_bound), the set-up seconds (Field through
+build_code, the one reduction of the point table among them), the
+report's canonical_hash and the process's peak RSS so far, then one
+line per level: the subsets checked, the seconds (the level's stage_log
+record, the same timing the reports carry) and the checks per second.
+The hash must not depend on the worker count.  Each row stresses one
+layer of the search:
 
-  gf27-n3     GF(27), n=3, sigma=(0,0,1), w_max 5: a wide-tail level
-  gf8-n3      GF(8), n=3, sigma=(0,1,2), w_max 6: narrow tails, N = 27
-  gf512-n2    GF(2^9), n=2, sigma=(0,1,2), w_max 6: pair_groups leaves
-  gf8-n4      GF(8), n=4, sigma=(0,1,2), w_max 5: the symmetry step at
-              N = 64, then level 5
+  gf27-n3     GF(27), n=3, sigma=(0,0,1), w_max 5: bound 7, no scan
+  gf8-n3      GF(8), n=3, sigma=(0,1,2), w_max 6: bound 9, no scan
+  gf512-n2    GF(2^9), n=2, sigma=(0,1,2), w_max 6: bound 9, no scan
+  gf8-n4      GF(8), n=4, sigma=(0,1,2), w_max 5: bound 9, so only the
+              symmetry step at N = 64
   gf128-line  GF(2^7), n=2, sigma=(0,0,0), analyze: the classification
   gf256-hit   GF(2^8), n=2, sigma=(0,1,6), analyze: delta = 7, whose
               level ends on a hit in task 4 of its 51, a worker's task
@@ -24,6 +26,11 @@ the worker count.  Each row stresses one layer of the search:
   gf256-quartic
               GF(2^8), n=2, sigma=(0,0,0,0), analyze: a classification
               of C(254, 3) supports in the runs of the leaves
+  gf1024-n2   GF(2^10), n=2, sigma=(0,1,3), analyze, budget 1e9: bound
+              5 and delta 7, so the empty levels 5 and 6 are scanned,
+              177,388,540 subsets at level 6
+  gf32-n3     GF(32), n=3, sigma=(0,0,2), analyze, budget 1e9: bound 5
+              and delta 6, with 195,150,735 subsets at the empty level 5
 
 Usage:
     python scripts/frontier_cases.py [--only LABEL ...] [--workers N]
@@ -39,18 +46,22 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from twistver import Field, SearchPlan, Twist, build_code, build_variety  # noqa: E402
-from twistver.codes import analyze, min_distance  # noqa: E402
+from twistver.codes import (DEFAULT_BUDGET, analyze, cyclic_bound,  # noqa: E402
+                            min_distance)
 
 ROWS = [
-    # label, p, m, n, sigma exponents (powers of p), w_max (None: analyze)
-    ("gf27-n3", 3, 3, 3, (0, 0, 1), 5),
-    ("gf8-n3", 2, 3, 3, (0, 1, 2), 6),
-    ("gf512-n2", 2, 9, 2, (0, 1, 2), 6),
-    ("gf8-n4", 2, 3, 4, (0, 1, 2), 5),
-    ("gf128-line", 2, 7, 2, (0, 0, 0), None),
-    ("gf256-hit", 2, 8, 2, (0, 1, 6), None),
-    ("gf4096-line", 2, 12, 2, (0, 0, 0), None),
-    ("gf256-quartic", 2, 8, 2, (0, 0, 0, 0), None),
+    # label, p, m, n, sigma exponents (powers of p), w_max (None:
+    # analyze), budget (None: the default)
+    ("gf27-n3", 3, 3, 3, (0, 0, 1), 5, None),
+    ("gf8-n3", 2, 3, 3, (0, 1, 2), 6, None),
+    ("gf512-n2", 2, 9, 2, (0, 1, 2), 6, None),
+    ("gf8-n4", 2, 3, 4, (0, 1, 2), 5, None),
+    ("gf128-line", 2, 7, 2, (0, 0, 0), None, None),
+    ("gf256-hit", 2, 8, 2, (0, 1, 6), None, None),
+    ("gf4096-line", 2, 12, 2, (0, 0, 0), None, None),
+    ("gf256-quartic", 2, 8, 2, (0, 0, 0, 0), None, None),
+    ("gf1024-n2", 2, 10, 2, (0, 1, 3), None, 10 ** 9),
+    ("gf32-n3", 2, 5, 3, (0, 0, 2), None, 10 ** 9),
 ]
 
 
@@ -61,17 +72,20 @@ def peak_rss_mb() -> float:
     return peak / (1 << 20) if sys.platform == "darwin" else peak / 1024
 
 
-def run_row(label, p, m, n, exps, w_max, workers):
+def run_row(label, p, m, n, exps, w_max, budget, workers):
     t0 = time.perf_counter()
     field = Field(p, m)
-    code = build_code(build_variety(field, n, Twist(p, m, exps)))
+    twist = Twist(p, m, exps)
+    code = build_code(build_variety(field, n, twist))
     setup = time.perf_counter() - t0
     t0 = time.perf_counter()
-    plan = SearchPlan(w_max=w_max, workers=workers)
+    plan = SearchPlan(w_max=w_max, budget=budget or DEFAULT_BUDGET,
+                      workers=workers)
     report = (analyze if w_max is None else min_distance)(code, plan)
     total = time.perf_counter() - t0
     print(f"{label}: nu={report.nu} N={report.effective_N} "
-          f"k={report.orbit_prefix} set-up {setup:.4f} s, symmetry "
+          f"bound={cyclic_bound(twist, n)} k={report.orbit_prefix} "
+          f"delta={report.delta} set-up {setup:.4f} s, symmetry "
           f"{report.timings['symmetry']:.3f} s, total {total:.3f} s, "
           f"hash {report.canonical_hash()}, "
           f"peak RSS {peak_rss_mb():.0f} MB")

@@ -50,6 +50,37 @@ reasons:
   witness, found after the same number of checks as by the full scan
   (restriction "none").
 
+Singer-cyclic bound.  Let Q = p^m be the field order, so that
+nu = (Q^n - 1)/(Q - 1).  The points of PG(n-1, Q) are the classes of
+omega^i, i < nu, for omega primitive in GF(Q^n) (J. Singer, Trans. AMS
+43, 1938).  Over a GF(Q)-basis of GF(Q^n), each coordinate of x is a
+trace, a sum of constants times x^(Q^l), l < n, and x -> x^(p^s) is
+additive, so each basis monomial is a GF(Q^n)-combination of the
+characters x^e, e = sum_j p^s_j Q^l_j.  There are as many distinct e as
+monomials (see singer_zeros), so the two spans are equal.  Write
+e = norm + (Q - 1) f; then (omega^i)^e = (omega^i)^norm z^(i f) for
+z = omega^(Q-1), of order nu.  Let column c hold the point
+lambda_c omega^i(c), lambda_c in GF(Q)^*.  A codeword x, moved to
+position i(c) and rescaled to x_c lambda_c^norm (omega^i(c))^norm,
+keeps its weight and is a word of the cyclic code of length nu over
+GF(Q^n) whose zeros are z^f for every f in F.  The BCH bound
+(MacWilliams and Sloane 1977, ch. 7) on F gives
+b = cyclic_bound(twist, n): every dependent set has at least b columns.
+F depends only on (p, m, n, sigma), so b costs integer arithmetic, no
+field and no matrix.  No run-time certificate checks it, since Field
+models no GF(Q) inside GF(Q^n); the tests check b <= delta against the
+oracle and the unreduced scan.  min_distance logs the levels 2 .. b-1
+with restriction "bch:b" and 0 subsets checked, starts the scan at level
+b, and records the bound's seconds in timings["bound"], outside the
+hash.  On nrc-27, GF(27), n = 2, sigma = (0,0,1), b = 7 =
+effective_N + 1, and the first leaf of level 7 holds the witness
+(0, ..., 6):
+
+    general-position   w=2..4  bch:7  checked 0
+    minimal-dependent  w=5     bch:7  checked 0
+    lex-search         w=6     bch:7  checked 0
+    lex-search         w=7     none   checked 22  dependent 1
+
 The subline structure is an output, not a shortcut: classify_min_words
 finds the h supports through the columns 0 .. k'-1, k' = min(k, d+2)
 (all of them if k = 0) as runs of the scan, counts h C(nu, k') /
@@ -101,7 +132,7 @@ from dataclasses import (asdict, dataclass, field as dc_field, fields,
                          replace)
 from heapq import merge
 from itertools import combinations, islice
-from math import comb
+from math import comb, gcd
 from multiprocessing import get_context
 from typing import Optional, Sequence
 
@@ -667,12 +698,62 @@ def column_orbit_prefix(code: Code) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Singer-cyclic bound
+# ---------------------------------------------------------------------------
+
+def singer_zeros(twist: Twist, n: int) -> set[int]:
+    """F, the zeros of the Singer-cyclic code that holds every codeword of
+    the code of (twist, n), rescaled entrywise (see the module docstring):
+    f = (e - norm) / (Q - 1) mod nu for each e = sum_j p^s_j Q^l_j mod
+    (Q^n - 1), (l_0, ..., l_{d-1}) in [0, n)^d.  That e is the base-Q
+    number whose digits are the exponent vector of the monomial that puts
+    factor j on variable l_j.  Since norm < Q and n >= 2, the digits stay
+    below Q and e below Q^n - 1, so neither reduction acts,
+    f = sum_j p^s_j (1 + Q + ... + Q^(l_j - 1)), and distinct monomials
+    give distinct f: |F| = effective_N."""
+    big = twist.p ** twist.m
+    repunits = [(big ** l - 1) // (big - 1) for l in range(n)]
+    zeros = {0}
+    for s in twist.exponents:  # the sumset, one factor at a time
+        weight = twist.p ** s
+        zeros = {f + weight * r for f in zeros for r in repunits}
+    return zeros
+
+
+def cyclic_bound(twist: Twist, n: int) -> int:
+    """The BCH bound of the Singer-cyclic code (MacWilliams and Sloane,
+    ch. 7): 1 + the longest run f, f+s, ..., f+(L-1)s mod nu inside
+    F = singer_zeros(twist, n) with gcd(s, nu) = 1.  Every dependent set
+    of columns has at least this many.  A run of two or more starts at a
+    pair a, b of F, with a - s outside F for s = b - a, so each run is
+    walked once and the work is O(|F|^2) integer operations."""
+    zeros = singer_zeros(twist, n)
+    big = twist.p ** twist.m
+    nu = (big ** n - 1) // (big - 1)
+    longest = 1
+    for a in zeros:
+        for b in zeros:  # the run with step b - a through a, b
+            step = (b - a) % nu
+            if (a - step) % nu in zeros or gcd(step, nu) != 1:
+                continue  # a is not its first zero, or a == b
+            run, c = 2, b
+            while (c := (c + step) % nu) in zeros:
+                run += 1
+            longest = max(longest, run)
+    return 1 + longest
+
+
+# ---------------------------------------------------------------------------
 # Exact minimum distance
 # ---------------------------------------------------------------------------
 
 def min_distance(code: Code, plan: Optional[SearchPlan] = None) -> CodeReport:
     """Exact minimum distance by one lexicographic scan per level (see
     the module docstring), or a proven lower bound.
+
+    The levels below b = cyclic_bound(...) are proved empty without a
+    scan (restriction "bch:b", 0 subsets checked), so the scan starts at
+    level b, and delta_lower_bound is at least b.
 
     The returned report carries the per-level log; delta_exact is False
     when a budget cap stopped the search first (report.capped), or when
@@ -696,15 +777,23 @@ def min_distance(code: Code, plan: Optional[SearchPlan] = None) -> CodeReport:
         singleton_bound=code.nu - code.kappa + 1,
     )
     t0 = time.perf_counter()
+    bound = cyclic_bound(code.twist, code.variety.n)
+    report.timings["bound"] = round(time.perf_counter() - t0, 6)
+    t1 = time.perf_counter()
     k = report.orbit_prefix = column_orbit_prefix(code)
-    report.timings["symmetry"] = round(time.perf_counter() - t0, 6)
+    report.timings["symmetry"] = round(time.perf_counter() - t1, 6)
     d = code.twist.d
     elim = IncrementalElim(code.field, code.H)  # every level grows its frame
     for w in range(2, w_cap + 1):
         label = ("general-position" if w <= d + 1 else
                  "minimal-dependent" if w == d + 2 else "lex-search")
-        record, hits = _run_level(elim, w, plan, early_exit=True,
-                                  label=label, k=k)
+        if w < bound:
+            record, hits = StageRecord(
+                label=label, w=w, restriction=f"bch:{bound}", checked=0,
+                dependent_found=0, early_exit=True, capped=False), []
+        else:
+            record, hits = _run_level(elim, w, plan, early_exit=True,
+                                      label=label, k=k)
         report.stage_log.append(record)
         if hits:
             report.delta = w
@@ -724,6 +813,8 @@ def min_distance(code: Code, plan: Optional[SearchPlan] = None) -> CodeReport:
             report.delta_lower_bound = w
             break
         report.delta_lower_bound = w + 1
+    # above a w_max below the bound, the bound is the stronger proof
+    report.delta_lower_bound = max(report.delta_lower_bound, bound)
     report.timings["total"] = round(time.perf_counter() - t0, 6)
     if report.delta_exact:
         report.status = mds_status(report)

@@ -46,6 +46,14 @@ def classify_counted_and_full(code, monkeypatch, plan=None):
 
 
 @pytest.fixture
+def no_bound(monkeypatch):
+    """A cyclic bound of 2, which proves no level empty: the search scans
+    every level from w = 2, as it did before the bound, so a test of the
+    scan's mechanics can drive the levels the bound would skip."""
+    monkeypatch.setattr(codes_mod, "cyclic_bound", lambda twist, n: 2)
+
+
+@pytest.fixture
 def gf27():
     return get_field(3, 3)
 

@@ -345,7 +345,7 @@ def test_verify_dep_classification_budget_exit(capsys):
     assert captured.out == "" and "budget" in captured.err
 
 
-def test_verify_oracle_equivalence_budget_exit(capsys):
+def test_verify_oracle_equivalence_budget_exit(capsys, no_bound):
     # GF(7), the normal rational curve of degree 6: level 6 needs
     # C(5, 3) = 10 > 6 checks and holds no dependent set
     code = run_cli(["verify", "oracle-equivalence", "--p", "7", "--t", "1",

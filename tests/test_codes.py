@@ -1,4 +1,5 @@
 import itertools
+import json
 import multiprocessing
 import os
 import runpy
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twistver.codes as codes_mod
+from twistver import Twist
 from twistver.codes import (BudgetExceeded, CodeReport,
                             DependencyInvariantError, SearchPlan,
                             _lex_rank, _minimality_problem, _subsets,
@@ -156,7 +158,7 @@ def test_full_level_counts_p2():
     assert by_w[4].restriction == "orbit:3"  # the supersets of {0, 1, 2}
 
 
-def test_plane_with_small_fixed_subfield():
+def test_plane_with_small_fixed_subfield(no_bound):
     # n = 3 over GF(4), twist (0,1): q' = 2 = d, so the d+2 level holds
     # no dependent set and the d+3 level resolves by lex search
     c = get_code(2, 2, 3, (0, 1))
@@ -173,7 +175,7 @@ def test_plane_with_small_fixed_subfield():
     assert rank(c.field, c.H[:, list(line[:5])]) == 4
 
 
-def test_collinear_level_agrees_with_unrestricted_scan():
+def test_collinear_level_agrees_with_unrestricted_scan(no_bound):
     # GF(8) plane, twist (0,1): q' = 2 = d.  The orbit level checks the
     # C(71, 2) supersets of {0, 1}; the unrestricted scan of all
     # C(73, 4) subsets must find no dependent set either.
@@ -191,7 +193,7 @@ def test_collinear_level_agrees_with_unrestricted_scan():
                                                          [0, 1, 2, 3, 4])
 
 
-def test_plane_over_gf16_with_fixed_subfield_gf2():
+def test_plane_over_gf16_with_fixed_subfield_gf2(no_bound):
     # n = 3 over GF(16), twist (0,1): q' = 2 = d.  An unrestricted d+2
     # level would need C(273, 4) > DEFAULT_BUDGET checks; the orbit level
     # needs C(271, 2), so delta stays exact at the default budget
@@ -206,7 +208,7 @@ def test_plane_over_gf16_with_fixed_subfield_gf2():
     assert rep.witness == [0, 1, 2, 3, 4]
 
 
-def test_plane_over_gf9_with_fixed_subfield_gf3():
+def test_plane_over_gf9_with_fixed_subfield_gf3(no_bound):
     # n = 3 over GF(9), twist (0,0,1): q' = 3 = d.  Unreduced, level 6
     # alone is C(91, 6) > DEFAULT_BUDGET subsets; the orbit level scans
     # C(89, 4), enough to use the pool, and the report must not depend on it
@@ -222,7 +224,7 @@ def test_plane_over_gf9_with_fixed_subfield_gf3():
     assert reports[0].canonical_hash() == reports[1].canonical_hash()
 
 
-def test_line_over_gf2048_above_pair_table_order():
+def test_line_over_gf2048_above_pair_table_order(no_bound):
     # GF(2^11) computes with exp/log ops, and k = 3 comes from three orbit
     # searches over the 2049 columns; the d+2 level is C(2046, 1) checks,
     # C(2049, 4) unreduced
@@ -235,7 +237,7 @@ def test_line_over_gf2048_above_pair_table_order():
     assert rep.witness == [0, 1, 2, 3, 4]
 
 
-def test_line_over_gf4096_is_exact_at_the_default_budget():
+def test_line_over_gf4096_is_exact_at_the_default_budget(no_bound):
     # nu = 4097: the symmetry step searches orbits of single columns only,
     # so k = 3 holds at any length and level 4 is C(4094, 1) checks
     rep = min_distance(get_code(2, 12, 2, (0, 1)), SearchPlan(workers=1))
@@ -247,7 +249,7 @@ def test_line_over_gf4096_is_exact_at_the_default_budget():
     assert rep.witness == [0, 1, 2, 3, 4]
 
 
-def test_line_over_gf243_is_exact_at_the_default_budget():
+def test_line_over_gf243_is_exact_at_the_default_budget(no_bound):
     # the nrc-27 family over GF(3^5): level 6 holds C(242, 4) > budget
     # supersets of {0, 1}, but k = 3 leaves the C(241, 3) of {0, 1, 2}
     rep = min_distance(get_code(3, 5, 2, (0, 0, 1)), SearchPlan(workers=1))
@@ -262,7 +264,7 @@ def test_line_over_gf243_is_exact_at_the_default_budget():
     assert rep.witness == list(range(7))
 
 
-def test_plane_over_gf64_is_exact_at_the_default_budget():
+def test_plane_over_gf64_is_exact_at_the_default_budget(no_bound):
     # n = 3 over GF(64), twist (0,1): q' = 2, so a subline holds only 3
     # points and the first dependent sets have 5 columns
     rep = min_distance(get_code(2, 6, 3, (0, 1)), SearchPlan(workers=1))
@@ -426,7 +428,7 @@ def test_mds_status_values():
     assert mds_status(rep) == "other"  # [21, 15, 4], Singleton 7
 
 
-def test_mds_status_requires_exact():
+def test_mds_status_requires_exact(no_bound):
     # GF(7), the normal rational curve of degree 6: the empty level 6
     # would scan C(5, 3) = 10 supersets of {0, 1, 2}; the budget stops it
     # after those of {0, 1, 2, 3}
@@ -464,7 +466,7 @@ def test_oracle_equivalence_requires_equal_witness(monkeypatch):
     assert not ok and staged == oracle == delta
 
 
-def test_oracle_does_not_read_h(monkeypatch):
+def test_oracle_does_not_read_h(monkeypatch, no_bound):
     # conic-5 with one wrong entry of H: a non-pivot column with a zero in
     # the last row lies in the span of two pivot columns, so the search
     # finds delta = 3 on H, while the oracle reads the raw point table
@@ -850,7 +852,7 @@ def test_symmetry_step_is_one_pass_and_one_proof(monkeypatch, cfg):
     assert calls == ["_induced_permutation", "_is_column_symmetry"]
 
 
-def test_no_verified_generator_means_unreduced_levels(monkeypatch):
+def test_no_verified_generator_means_unreduced_levels(monkeypatch, no_bound):
     # one singular matrix among the generators fails the proof of the
     # whole set: none is used, not even the good ones
     c = get_code(3, 3, 2, (0, 0, 2))
@@ -885,12 +887,12 @@ def test_symmetry_step_runs_once_per_code(monkeypatch):
     assert calls == [17]
 
 
-def _small_configs():
-    """(p, m, n, sigma) for p in {2, 3, 5, 7} with p^m <= 16, n in {2, 3}
-    and every sorted sigma = (0, s_1, ..., s_{d-1}), d <= 3, of norm
-    below p^m."""
+def _small_configs(largest=16):
+    """(p, m, n, sigma) for p in {2, 3, 5, 7} with p^m <= largest, n in
+    {2, 3} and every sorted sigma = (0, s_1, ..., s_{d-1}), d <= 3, of
+    norm below p^m."""
     for p in (2, 3, 5, 7):
-        for m in itertools.takewhile(lambda m: p ** m <= 16,
+        for m in itertools.takewhile(lambda m: p ** m <= largest,
                                      itertools.count(1)):
             for n, d in itertools.product((2, 3), (1, 2, 3)):
                 for rest in itertools.combinations_with_replacement(
@@ -964,6 +966,140 @@ def test_orbit_matches_naive_closure(data):
         sorted(seen))
 
 
+# -- Singer-cyclic bound ----------------------------------------------------------
+
+def test_singer_zeros_of_a_normal_rational_curve_are_consecutive():
+    # sigma = (0, ..., 0) on a line: f = l_0 + ... + l_{d-1}, so
+    # F = {0, ..., d}, and the bound d + 2 = effective_N + 1 says MDS
+    for p, m, d in [(5, 1, 2), (3, 3, 3), (7, 1, 6), (2, 7, 3)]:
+        twist = Twist(p, m, (0,) * d)
+        assert codes_mod.singer_zeros(twist, 2) == set(range(d + 1))
+        assert codes_mod.cyclic_bound(twist, 2) == d + 2
+    # GF(4), n = 3, sigma = (0, 1): f = r_0 + 2 r_1 for repunits r in
+    # {0, 1, 5}, nu = 21; the longest run is 0, 1, 2, 3, and delta = 5
+    zeros = codes_mod.singer_zeros(Twist(2, 2, (0, 1)), 3)
+    assert zeros == {0, 1, 2, 3, 5, 7, 10, 11, 15}
+    assert codes_mod.cyclic_bound(Twist(2, 2, (0, 1)), 3) == 5
+
+
+def test_bound_takes_only_steps_prime_to_nu(monkeypatch):
+    # nu = 8 on the GF(7) line: 0, 3, 6 is a run of step 3, prime to 8;
+    # 0, 2, 4 has step 2, which proves nothing, and every other step
+    # between its zeros is even too
+    twist = Twist(7, 1, (0, 0))
+    for zeros, bound in [({0, 3, 6}, 4), ({0, 2, 4}, 2), ({6, 7, 0, 5}, 5)]:
+        monkeypatch.setattr(codes_mod, "singer_zeros",
+                            lambda twist, n, zeros=zeros: zeros)
+        assert codes_mod.cyclic_bound(twist, 2) == bound, zeros
+
+
+def _unreduced_delta(code, budget):
+    """delta from the unreduced (k = 0) scan of every level, which shares
+    no code with the bound or the symmetry step; None if a level is cut
+    at the budget before it is settled."""
+    elim = IncrementalElim(code.field, code.H)
+    for w in range(2, code.effective_N + 2):
+        record, hits = codes_mod._run_level(
+            elim, w, SearchPlan(budget=budget), early_exit=True, label="x")
+        if hits:
+            return w
+        if record.capped:
+            return None
+    raise AssertionError("no dependent set up to effective_N + 1")
+
+
+ANSWERS = json.loads((WORKLOADS.parent / "answers.json").read_text())
+
+
+def _check_bound(code, delta):
+    twist, n = code.twist, code.variety.n
+    assert len(codes_mod.singer_zeros(twist, n)) == code.effective_N
+    bound = codes_mod.cyclic_bound(twist, n)
+    assert 2 <= bound <= delta
+    return bound
+
+
+def test_bound_is_at_most_delta_on_the_pinned_cases():
+    # delta from perfbench's pinned answers and, for the GF(7) curve of
+    # the capped pins, from the oracle
+    bounds = {label: _check_bound(get_code(*cfg), ANSWERS[label]["delta"])
+              for label, cfg in BENCHMARK_CASES.items()}
+    assert bounds["nrc-27"] == 7 and bounds["track-81"] == 4
+    curve = get_code(7, 1, 2, (0,) * 6)
+    assert _check_bound(curve, oracle_min_distance(curve)[0]) == 8
+
+
+def test_bound_is_at_most_delta_on_the_small_configs():
+    # every config with p^m <= 32 and nu <= 400 whose unreduced scan
+    # settles each level within 5,000 subsets
+    configs = [(p, m, n, exps) for p, m, n, exps in _small_configs(32)
+               if (p ** (m * n) - 1) // (p ** m - 1) <= 400]
+    assert len(configs) == 120
+    settled = tight = 0
+    for cfg in configs:
+        c = get_code(*cfg)
+        delta = _unreduced_delta(c, 5_000)
+        if delta is None:
+            assert len(codes_mod.singer_zeros(c.twist, cfg[2])) == (
+                c.effective_N)
+            continue
+        settled += 1
+        tight += _check_bound(c, delta) == delta
+    assert (settled, tight) == (55, 50)
+
+
+@pytest.mark.parametrize("cfg", BENCHMARK_CASES.values(),
+                         ids=BENCHMARK_CASES.keys())
+def test_bound_only_replaces_the_levels_below_it(cfg, monkeypatch):
+    # the report with the bound is the report of the scan from w = 2,
+    # but for the stage-log rows of the levels below the bound
+    c = get_code(*cfg)
+    bound = codes_mod.cyclic_bound(c.twist, c.variety.n)
+    skipping = min_distance(c).payload()
+    monkeypatch.setattr(codes_mod, "cyclic_bound", lambda twist, n: 2)
+    scanning = min_distance(c).payload()
+    log, full = skipping.pop("stage_log"), scanning.pop("stage_log")
+    assert skipping == scanning
+    below = [s for s in full if s["w"] < bound]
+    assert all(s["dependent_found"] == 0 for s in below)
+    assert log == [{**s, "restriction": f"bch:{bound}", "checked": 0}
+                   for s in below] + full[len(below):]
+
+
+def test_levels_below_the_bound_are_not_scanned(monkeypatch):
+    # nrc-27 has bound 7: general position up to k = 6 needs no scan;
+    # the symmetry step still runs, and the bound has its own timing
+    c = get_code(3, 3, 2, (0, 0, 1))
+    rep = min_distance(c, SearchPlan(w_max=6))
+    assert set(rep.timings) == {"bound", "symmetry", "total"}
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a level below the bound was scanned")
+
+    monkeypatch.setattr(codes_mod, "_run_level", no_scan)
+    res = verify_general_position(c, 6)
+    assert (res.ok, res.k, res.checked, res.witness) == (True, 6, 0, None)
+    rep = min_distance(c, SearchPlan(w_max=6))
+    assert (rep.delta, rep.delta_exact, rep.delta_lower_bound) == (
+        None, False, 7)
+    assert [s.restriction for s in rep.stage_log] == ["bch:7"] * 5
+
+
+def test_bound_settles_the_paper_codes():
+    # V_{3,sigma}: GF(8), n = 3, sigma = (0,1,2) has bound 9, and level
+    # 9's first leaf holds the witness; an unreduced level 8 alone is
+    # 143,218,999 supersets of {0, 1}.  GF(2^9), n = 2, sigma = (0,1,2)
+    # is MDS: bound 9 = effective_N + 1
+    for cfg, nu in [((2, 3, 3, (0, 1, 2)), 73), ((2, 9, 2, (0, 1, 2)), 513)]:
+        start = time.perf_counter()
+        rep = codes_mod.analyze(get_code(*cfg), SearchPlan(workers=1))
+        assert time.perf_counter() - start < 5
+        assert (rep.nu, rep.delta, rep.delta_exact) == (nu, 9, True)
+        assert rep.witness == list(range(9))
+        assert [s.restriction for s in rep.stage_log[:-1]] == ["bch:9"] * 7
+    assert rep.status == "MDS" and rep.stage_log[-1].checked == 513 - 8
+
+
 # -- budgets and determinism ---------------------------------------------------------
 
 def test_budget_cap_gives_sound_lower_bound():
@@ -1007,7 +1143,7 @@ def test_plan_w_max_validation():
             SearchPlan(w_max=w_max)
 
 
-def test_worker_count_does_not_change_report(monkeypatch):
+def test_worker_count_does_not_change_report(monkeypatch, no_bound):
     # nrc-27's level 6 runs 23 tasks from the frame (0, 1, 2): the first
     # in this process, the rest through a pool for workers 2 and 3
     monkeypatch.setattr(codes_mod, "PARALLEL_MIN_CHECKS", 0)
@@ -1073,18 +1209,18 @@ def test_classification_pushes_its_frame_once(monkeypatch, cfg):
 GP, MD, LS = "general-position", "minimal-dependent", "lex-search"
 PINNED_REPORTS = {
     (3, 3, 2, (0, 0, 1)): (  # nrc-27
-        "1c90350be5c54407f33124f36cea16df10c61cde2a14428271fe6b7804504644",
-        [(GP, 2, "orbit:2", 1, 0), (GP, 3, "orbit:3", 1, 0),
-         (GP, 4, "orbit:3", 25, 0), (MD, 5, "orbit:3", 300, 0),
-         (LS, 6, "orbit:3", 2300, 0), (LS, 7, "none", 22, 1)]),
+        "9ff67eadca8c6cdac1387c2944667505507715de1d2176e4a8d71bad49dda62d",
+        [(GP, 2, "bch:7", 0, 0), (GP, 3, "bch:7", 0, 0),
+         (GP, 4, "bch:7", 0, 0), (MD, 5, "bch:7", 0, 0),
+         (LS, 6, "bch:7", 0, 0), (LS, 7, "none", 22, 1)]),
     (3, 4, 2, (0, 0, 3)): (  # track-81
-        "fe169606ec890b68d9f5a606e2930e1b6de487059f1dfca49fdcbcc8a0b9525b",
-        [(GP, 2, "orbit:2", 1, 0), (GP, 3, "orbit:3", 1, 0),
+        "97e12b21ed30c3960f89a4f45f917a267efb6fad22859f7ca9e2bb4b75ab5888",
+        [(GP, 2, "bch:4", 0, 0), (GP, 3, "bch:4", 0, 0),
          (GP, 4, "orbit:3", 79, 0), (MD, 5, "orbit:3", 3081, 0),
          (LS, 6, "none", 3079, 1)]),
     (3, 2, 3, (0, 1)): (  # plane-9
-        "9f841206ca69b6c77a6397c89acf4d21e507e2f174a96a1532ca84b779be568b",
-        [(GP, 2, "orbit:2", 1, 0), (GP, 3, "orbit:2", 89, 0),
+        "521364d4d4177cd40c3096f8ed41c61ba277b22316731fce3866b8079e3fc518",
+        [(GP, 2, "bch:3", 0, 0), (GP, 3, "orbit:2", 89, 0),
          (MD, 4, "none", 88, 1)]),
 }
 
@@ -1108,13 +1244,13 @@ def test_classification_report_is_pinned():
     c = get_code(2, 4, 2, (0, 2))
     rep = classify_min_words(c, min_distance(c))
     assert [s.payload() for s in rep.stage_log] == _stage_payloads(
-        [(GP, 2, "orbit:2", 1, 0), (GP, 3, "orbit:3", 1, 0),
+        [(GP, 2, "bch:3", 0, 0), (GP, 3, "orbit:3", 1, 0),
          (MD, 4, "none", 14, 1)]) + _stage_payloads(
         [("classify", 4, "orbit:3", 14, 2)], early_exit=False)
     assert (rep.min_weight_support_count, len(rep.supports)) == (340, 2)
     digest = rep.canonical_hash()
     assert digest == (
-        "e2cbb7621161cbc0364cce1b3fd7c0c9b48353680229084ffb6bece37d0791f1")
+        "5b5ec8feb19b174c2bdd2ac4eafec2e350552da120a813d26d565933580e635b")
     # the classification's timings: the whole call, its scan (the stage
     # record's seconds, in its JSON stage entry) and its checks, all
     # outside the hash
@@ -1420,7 +1556,7 @@ def test_frame_that_stops_growing_settles_its_levels(monkeypatch):
      [(2, 1, False), (3, 1, False), (4, 25, False), (5, 300, False),
       (6, 1160, True)]),
 ])
-def test_capped_stage_logs_are_pinned(cfg, budget, digest, rows):
+def test_capped_stage_logs_are_pinned(cfg, budget, digest, rows, no_bound):
     # taken from the per-child scan: cutting a run at the child whose
     # pairs reach the cap covers the same subsets
     rep = min_distance(get_code(*cfg), SearchPlan(budget=budget))
@@ -1488,7 +1624,7 @@ def _stand_in_context(sizes):
     return get_context
 
 
-def test_pool_is_bounded_by_the_cpus(monkeypatch):
+def test_pool_is_bounded_by_the_cpus(monkeypatch, no_bound):
     # --workers 64 on a host with two usable CPUs starts two workers; a
     # stand-in context runs each worker at start(), in this process
     sizes = []
@@ -1505,7 +1641,7 @@ def test_pool_is_bounded_by_the_cpus(monkeypatch):
         assert sizes and set(sizes) == {want}
 
 
-def test_pool_falls_back_to_the_cpu_count(monkeypatch):
+def test_pool_falls_back_to_the_cpu_count(monkeypatch, no_bound):
     # an OS without an affinity call (macOS) sizes the workers by
     # os.cpu_count(); a stand-in context runs them in this process
     sizes = []
@@ -1631,7 +1767,7 @@ def test_general_position_k_range():
             verify_general_position(c, k)
 
 
-def test_general_position_budget_covers_every_level():
+def test_general_position_budget_covers_every_level(no_bound):
     # GF(7), the normal rational curve of degree 6: nu = 8.  Levels 7 and
     # 8 scan C(5, 4) = 5 and C(5, 5) = 1 supersets of {0, 1, 2}, which
     # fit the budget, but level 6 needs C(5, 3) = 10

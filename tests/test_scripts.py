@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -24,3 +25,20 @@ def test_frontier_script_runs_from_a_plain_checkout(tmp_path):
     assert res.returncode == 0, res.stderr
     assert "--only" in res.stdout and "gf8-n3" in res.stdout
     assert "--workers" in res.stdout
+
+
+def test_sweep_flags_no_row_on_a_tiny_grid(tmp_path):
+    # the 52 rows with nu <= 30 are all exact at the default budget, and
+    # no cyclic bound exceeds its delta
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = tmp_path / "sweep.json"
+    res = subprocess.run(
+        [sys.executable, str(SCRIPTS / "sweep.py"), "--max-nu", "30",
+         "--json", str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert "52 rows: 52 exact, 0 capped, 0 timeout; 0 flagged" in res.stdout
+    assert "FLAG" not in res.stdout
+    rows = json.loads(out.read_text())
+    assert len(rows) == 52 and max(r["nu"] for r in rows) <= 30
+    assert all(2 <= r["bound"] <= r["delta"] for r in rows)
