@@ -9,8 +9,8 @@ from .veronese import (MonomialBasis, ScrollFrame, Twist, VarietyMatrix,
                        build_variety, embed_point, monomial_basis,
                        scroll_plucker_check)
 from .codes import (BudgetExceeded, Code, CodeReport, DependencyInvariantError,
-                    SearchPlan, build_code, classify_min_words, cyclic_bound,
-                    mds_status, min_distance, oracle_min_distance,
+                    SearchPlan, build_code, classify_min_words, mds_status,
+                    min_distance, oracle_min_distance,
                     verify_dep_classification, verify_general_position,
                     verify_oracle_equivalence)
 

@@ -174,7 +174,7 @@ def cmd_verify(args) -> int:
         code = build_code(variety)
         res = verify_general_position(code, k, plan)
         ok = res.ok
-        result.update(k=k, checked=res.checked,
+        result.update(k=k, checked=res.checked, bound=res.bound,
                       witness=list(res.witness) if res.witness else None)
     elif prop == "dep-classification":
         code = build_code(variety)
@@ -253,7 +253,10 @@ def main(argv=None) -> int:
     p_code = sub.add_parser("code", help="build the code and search the minimum distance")
     _add_experiment_flags(p_code)
 
-    p_verify = sub.add_parser("verify", help="run an exhaustive verification")
+    p_verify = sub.add_parser(
+        "verify", help="run an exhaustive verification (general-position "
+        "levels below the code's cyclic bound are proved by the BCH bound, "
+        "not scanned)")
     p_verify.add_argument("property", choices=[
         "general-position", "dep-classification", "scroll-plucker",
         "oracle-equivalence"])

@@ -1008,9 +1008,12 @@ def oracle_min_distance(code: Code, max_checks: int = DEFAULT_ORACLE_CAP):
 
 @dataclass
 class GeneralPositionResult:
+    """bound is cyclic_bound(...): when k < bound the BCH bound alone
+    proves ok, and checked is 0."""
     ok: bool
     k: int
     checked: int
+    bound: int
     witness: Optional[tuple] = None
 
 
@@ -1028,8 +1031,10 @@ def _settled(report: CodeReport) -> CodeReport:
 
 def verify_general_position(code: Code, k: int,
                             plan: Optional[SearchPlan] = None) -> GeneralPositionResult:
-    """Test every k-subset of columns for independence: min_distance up
-    to w_max = k.
+    """Decide whether every k-subset of columns is independent:
+    min_distance up to w_max = k.  Levels below b = cyclic_bound(...)
+    are proved empty by the BCH bound, not scanned, so for k < b the
+    answer is ok with 0 subsets checked; the result carries b.
 
     Returns ok=True, or ok=False with the lexicographically first
     dependent k-subset as witness.  Raises BudgetExceeded when a level
@@ -1038,13 +1043,16 @@ def verify_general_position(code: Code, k: int,
     plan = plan or SearchPlan()
     if not 2 <= k <= code.effective_N + 1:
         raise ValueError(f"k = {k} is outside [2, effective_N + 1]")
+    bound = cyclic_bound(code.twist, code.variety.n)
     report = _settled(min_distance(code, replace(plan, w_max=k)))
     if report.delta is None:
-        return GeneralPositionResult(True, k, report.stage_log[-1].checked)
+        return GeneralPositionResult(True, k, report.stage_log[-1].checked,
+                                     bound)
     if report.delta < k:  # level k never ran, so no k-subset was checked
-        return GeneralPositionResult(False, k, 0, _lex_first_dependent(code, k))
+        return GeneralPositionResult(False, k, 0, bound,
+                                     _lex_first_dependent(code, k))
     return GeneralPositionResult(False, k, report.stage_log[-1].checked,
-                                 tuple(report.witness))
+                                 bound, tuple(report.witness))
 
 
 def _lex_first_dependent(code: Code, k: int) -> tuple:

@@ -295,6 +295,18 @@ def test_verify_general_position(tmp_path, capsys):
     assert code == 0
     res = json.loads(out.read_text())
     assert res["pass"] is True and res["checked"] == 25  # C(25, 1)
+    assert res["bound"] == 4  # level 4 is scanned
+
+
+def test_verify_general_position_below_the_bound(capsys):
+    # nrc-27 has cyclic bound 7: k = 4 is proved without a scan, and the
+    # result says which bound proved it
+    code = run_cli(["verify", "general-position", "--k", "4",
+                    "--p", "3", "--e", "1", "--t", "3", "--n", "2",
+                    "--sigma", "0,0,1", "--workers", "1"])
+    assert code == 0
+    res = json.loads(capsys.readouterr().out)
+    assert (res["pass"], res["checked"], res["bound"]) == (True, 0, 7)
 
 
 def test_verify_general_position_failure(capsys):

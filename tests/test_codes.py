@@ -1078,7 +1078,8 @@ def test_levels_below_the_bound_are_not_scanned(monkeypatch):
 
     monkeypatch.setattr(codes_mod, "_run_level", no_scan)
     res = verify_general_position(c, 6)
-    assert (res.ok, res.k, res.checked, res.witness) == (True, 6, 0, None)
+    assert (res.ok, res.k, res.checked, res.bound, res.witness) == (
+        True, 6, 0, 7, None)
     rep = min_distance(c, SearchPlan(w_max=6))
     assert (rep.delta, rep.delta_exact, rep.delta_lower_bound) == (
         None, False, 7)
