@@ -3,11 +3,11 @@
 
 Runs the frontier rows with --workers workers (default 1), each at its
 own w_max (the rows without one run the whole analyze pipeline) and its
-own budget (the default where it names none), and prints the row's
-cyclic bound (codes.cyclic_bound), the set-up seconds (Field through
-build_code, the one reduction of the point table among them), the
-report's canonical_hash and the process's peak RSS so far, then one
-line per level: the subsets checked, the seconds (the level's stage_log
+own budget (the default where it names none), and prints the report's
+cyclic bound and symmetry seconds ("-" when no level was scanned), the
+set-up seconds (Field through build_code, the one reduction of the point
+table among them), the report's canonical_hash and the process's peak
+RSS so far, then one line per level: the subsets checked, the seconds (the level's stage_log
 record, the same timing the reports carry) and the checks per second.
 The hash must not depend on the worker count.  Each row stresses one
 layer of the search:
@@ -15,8 +15,8 @@ layer of the search:
   gf27-n3     GF(27), n=3, sigma=(0,0,1), w_max 5: bound 7, no scan
   gf8-n3      GF(8), n=3, sigma=(0,1,2), w_max 6: bound 9, no scan
   gf512-n2    GF(2^9), n=2, sigma=(0,1,2), w_max 6: bound 9, no scan
-  gf8-n4      GF(8), n=4, sigma=(0,1,2), w_max 5: bound 9, so only the
-              symmetry step at N = 64
+  gf8-n4      GF(8), n=4, sigma=(0,1,2), analyze: bound 9, the symmetry
+              step at N = 64, then level 9 hits after 577 checks
   gf128-line  GF(2^7), n=2, sigma=(0,0,0), analyze: the classification
   gf256-hit   GF(2^8), n=2, sigma=(0,1,6), analyze: delta = 7, whose
               level ends on a hit in task 4 of its 51, a worker's task
@@ -46,8 +46,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from twistver import Field, SearchPlan, Twist, build_code, build_variety  # noqa: E402
-from twistver.codes import (DEFAULT_BUDGET, analyze, cyclic_bound,  # noqa: E402
-                            min_distance)
+from twistver.codes import DEFAULT_BUDGET, analyze, min_distance  # noqa: E402
 
 ROWS = [
     # label, p, m, n, sigma exponents (powers of p), w_max (None:
@@ -55,7 +54,7 @@ ROWS = [
     ("gf27-n3", 3, 3, 3, (0, 0, 1), 5, None),
     ("gf8-n3", 2, 3, 3, (0, 1, 2), 6, None),
     ("gf512-n2", 2, 9, 2, (0, 1, 2), 6, None),
-    ("gf8-n4", 2, 3, 4, (0, 1, 2), 5, None),
+    ("gf8-n4", 2, 3, 4, (0, 1, 2), None, None),
     ("gf128-line", 2, 7, 2, (0, 0, 0), None, None),
     ("gf256-hit", 2, 8, 2, (0, 1, 6), None, None),
     ("gf4096-line", 2, 12, 2, (0, 0, 0), None, None),
@@ -83,10 +82,12 @@ def run_row(label, p, m, n, exps, w_max, budget, workers):
                       workers=workers)
     report = (analyze if w_max is None else min_distance)(code, plan)
     total = time.perf_counter() - t0
+    symmetry = report.timings.get("symmetry")
     print(f"{label}: nu={report.nu} N={report.effective_N} "
-          f"bound={cyclic_bound(twist, n)} k={report.orbit_prefix} "
+          f"bound={report.cyclic_bound} k={report.orbit_prefix} "
           f"delta={report.delta} set-up {setup:.4f} s, symmetry "
-          f"{report.timings['symmetry']:.3f} s, total {total:.3f} s, "
+          + ("-" if symmetry is None else f"{symmetry:.3f} s")
+          + f", total {total:.3f} s, "
           f"hash {report.canonical_hash()}, "
           f"peak RSS {peak_rss_mb():.0f} MB")
     for s in report.stage_log:

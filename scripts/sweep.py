@@ -8,10 +8,11 @@ rows).  Each row runs codes.analyze with one worker and the default
 budget, under an alarm of ROW_SECONDS, and prints p, m, n, sigma, nu, N
 (effective_N), delta (the lower bound, after ">=", when the row is not
 exact), whether delta is exact, the status (or "capped" or "timeout"),
-the cyclic bound (codes.cyclic_bound) and the seconds of set-up and
-analyze (the bound's own seconds, timings["bound"] of the report, go to
-the totals line and --json).  A row whose bound exceeds its exact delta
-is flagged: the bound is then wrong.  The totals of exact, capped and timed-out rows and of flagged
+the report's cyclic_bound ("-" for a timed-out row, which has no
+report) and the seconds of set-up and analyze (the bound's own seconds,
+timings["bound"] of the report, go to the totals line and --json).  A
+row whose bound exceeds its exact delta is flagged: the bound is then
+wrong.  The totals of exact, capped and timed-out rows and of flagged
 rows come last, and the exit status is 1 when a row is flagged.
 
 Usage:
@@ -30,7 +31,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from twistver import Field, SearchPlan, Twist, build_code, build_variety  # noqa: E402
-from twistver.codes import analyze, cyclic_bound  # noqa: E402
+from twistver.codes import analyze  # noqa: E402
 
 
 ROW_SECONDS = 15
@@ -58,14 +59,12 @@ def grid(max_nu):
 
 def run_row(p, m, n, sigma):
     """The row's outcome as a dict; a row past its alarm is a timeout."""
-    twist = Twist(p, m, sigma)
-    # the bound's value comes from its own call, so a timed-out row has one
-    row = {"p": p, "m": m, "n": n, "sigma": list(sigma),
-           "bound": cyclic_bound(twist, n), "bound_s": None}
+    row = {"p": p, "m": m, "n": n, "sigma": list(sigma), "bound": None,
+           "bound_s": None}
     start = time.perf_counter()
     signal.alarm(ROW_SECONDS)
     try:
-        code = build_code(build_variety(Field(p, m), n, twist))
+        code = build_code(build_variety(Field(p, m), n, Twist(p, m, sigma)))
         row.update(nu=code.nu, N=code.effective_N)
         report = analyze(code, SearchPlan(workers=1))
     except RowTimeout:
@@ -77,7 +76,7 @@ def run_row(p, m, n, sigma):
             delta=report.delta if report.delta_exact
             else report.delta_lower_bound,
             exact=report.delta_exact, status=report.status,
-            bound_s=report.timings["bound"],
+            bound=report.cyclic_bound, bound_s=report.timings["bound"],
             witness=report.witness,
             count=report.min_weight_support_count)
     finally:
@@ -92,9 +91,10 @@ def show(row):
              f"{'' if row['exact'] else '>='}{row['delta']}")
     status = row["status"] if row["exact"] else row["outcome"]
     sigma = ",".join(map(str, row["sigma"]))
+    bound = "-" if row["bound"] is None else row["bound"]
     return (f"{row['p']:>2} {row['m']:>2} {row['n']} {sigma:<8} "
             f"{row.get('nu', '-'):>5} {row.get('N', '-'):>3} {delta:>5} "
-            f"{str(row['exact']):<5} {status:<10} {row['bound']:>5} "
+            f"{str(row['exact']):<5} {status:<10} {bound:>5} "
             f"{row['seconds']:8.3f}" + ("  FLAG bound > delta"
                                         if row["flagged"] else ""))
 

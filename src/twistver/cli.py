@@ -84,11 +84,10 @@ def _build_with_warnings(args):
     twist = _resolve_twist(args, field)
     variety = build_variety(field, args.n, twist)
     basis = variety.basis
-    if basis.collapsed and not args.allow_collapse:
+    if basis.collapsed:
         _progress(f"warning: collapse: {basis.effective_N} of "
                   f"{basis.expected_N} monomials distinct (repeated twisted "
-                  "degrees merge coordinates); pass --allow-collapse to "
-                  "silence this")
+                  "degrees merge coordinates)")
     return field, twist, variety
 
 
@@ -228,8 +227,6 @@ def _add_experiment_flags(sp) -> None:
     sp.add_argument("--workers", type=int, default=usable_cpus(),
                     help="parallel workers (default: the CPUs this process "
                     "may use, here %(default)s)")
-    sp.add_argument("--allow-collapse", action="store_true",
-                    help="silence the repeated-monomial collapse warning")
     sp.add_argument("-o", "--output", help="write the JSON result here instead of stdout")
 
 

@@ -21,8 +21,8 @@ establishes:
 Column symmetries.  For M in GL(n, q^t) the embedding satisfies
 nu(Mv) = (M^{s_0} (x) ... (x) M^{s_{d-1}}) nu(v), so M permutes the
 columns of H up to nonzero scalars through an invertible linear map, and
-a column subset is dependent exactly when its image is.  Once per
-min_distance call, one array pass reads each generator M listed by
+a column subset is dependent exactly when its image is.  At the first
+level that min_distance scans, one array pass reads each generator M of
 _gl_generators off the point list as a column permutation and per-column
 scales lead^norm (every basis monomial has degree norm), and one
 certificate product, _is_column_symmetry, proves the set: the permuted
@@ -56,8 +56,9 @@ omega^i, i < nu, for omega primitive in GF(Q^n) (J. Singer, Trans. AMS
 43, 1938).  Over a GF(Q)-basis of GF(Q^n), each coordinate of x is a
 trace, a sum of constants times x^(Q^l), l < n, and x -> x^(p^s) is
 additive, so each basis monomial is a GF(Q^n)-combination of the
-characters x^e, e = sum_j p^s_j Q^l_j.  There are as many distinct e as
-monomials (see singer_zeros), so the two spans are equal.  Write
+characters x^e, e = sum_j p^s_j Q^l_j, the base-Q number whose digits
+are a monomial's exponent vector: one e per monomial (see singer_zeros),
+so the two spans are equal.  Write
 e = norm + (Q - 1) f; then (omega^i)^e = (omega^i)^norm z^(i f) for
 z = omega^(Q-1), of order nu.  Let column c hold the point
 lambda_c omega^i(c), lambda_c in GF(Q)^*.  A codeword x, moved to
@@ -65,16 +66,17 @@ position i(c) and rescaled to x_c lambda_c^norm (omega^i(c))^norm,
 keeps its weight and is a word of the cyclic code of length nu over
 GF(Q^n) whose zeros are z^f for every f in F.  The BCH bound
 (MacWilliams and Sloane 1977, ch. 7) on F gives
-b = cyclic_bound(twist, n): every dependent set has at least b columns.
+b = cyclic_bound(basis): every dependent set has at least b columns.
 F depends only on (p, m, n, sigma), so b costs integer arithmetic, no
 field and no matrix.  No run-time certificate checks it, since Field
 models no GF(Q) inside GF(Q^n); the tests check b <= delta against the
-oracle and the unreduced scan.  min_distance logs the levels 2 .. b-1
-with restriction "bch:b" and 0 subsets checked, starts the scan at level
-b, and records the bound's seconds in timings["bound"], outside the
-hash.  On nrc-27, GF(27), n = 2, sigma = (0,0,1), b = 7 =
-effective_N + 1, and the first leaf of level 7 holds the witness
-(0, ..., 6):
+oracle and the unreduced scan.  min_distance, its one caller, stores b
+in the report as cyclic_bound, logs the levels 2 .. b-1 with restriction
+"bch:b" and 0 subsets checked, starts the scan at level b (so a search
+with no level from b on has no symmetry step), and records the bound's
+seconds in timings["bound"], outside the hash.  On nrc-27, GF(27),
+n = 2, sigma = (0,0,1), b = 7 = effective_N + 1, and the first leaf of
+level 7 holds the witness (0, ..., 6):
 
     general-position   w=2..4  bch:7  checked 0
     minimal-dependent  w=5     bch:7  checked 0
@@ -134,6 +136,7 @@ from heapq import merge
 from itertools import combinations, islice
 from math import comb, gcd
 from multiprocessing import get_context
+from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -141,7 +144,7 @@ import numpy as np
 from .ff import Field
 from .linalg import IncrementalElim, is_independent, kernel_basis
 from .pg import on_common_subline
-from .veronese import Twist, VarietyMatrix
+from .veronese import MonomialBasis, Twist, VarietyMatrix
 
 PARALLEL_MIN_CHECKS = 200_000  # below this workers cost more than they save
 LEAF_ENTRIES = 1 << 18  # reduced entries per batched pair_groups call
@@ -255,7 +258,8 @@ class CodeReport:
     expected_N: int
     effective_N: int
     singleton_bound: int
-    orbit_prefix: int = 0
+    cyclic_bound: int
+    orbit_prefix: Optional[int] = None  # None: no level was scanned
     delta: Optional[int] = None
     delta_exact: bool = False
     delta_lower_bound: int = 1
@@ -701,35 +705,29 @@ def column_orbit_prefix(code: Code) -> int:
 # Singer-cyclic bound
 # ---------------------------------------------------------------------------
 
-def singer_zeros(twist: Twist, n: int) -> set[int]:
+def singer_zeros(basis: MonomialBasis) -> set[int]:
     """F, the zeros of the Singer-cyclic code that holds every codeword of
-    the code of (twist, n), rescaled entrywise (see the module docstring):
-    f = (e - norm) / (Q - 1) mod nu for each e = sum_j p^s_j Q^l_j mod
-    (Q^n - 1), (l_0, ..., l_{d-1}) in [0, n)^d.  That e is the base-Q
-    number whose digits are the exponent vector of the monomial that puts
-    factor j on variable l_j.  Since norm < Q and n >= 2, the digits stay
-    below Q and e below Q^n - 1, so neither reduction acts,
-    f = sum_j p^s_j (1 + Q + ... + Q^(l_j - 1)), and distinct monomials
-    give distinct f: |F| = effective_N."""
-    big = twist.p ** twist.m
-    repunits = [(big ** l - 1) // (big - 1) for l in range(n)]
-    zeros = {0}
-    for s in twist.exponents:  # the sumset, one factor at a time
-        weight = twist.p ** s
-        zeros = {f + weight * r for f in zeros for r in repunits}
-    return zeros
+    the code of the basis, rescaled entrywise (see the module docstring):
+    f = sum_l e_l (Q^l - 1)/(Q - 1) = (e - norm)/(Q - 1) for the exponent
+    vector (e_0, ..., e_{n-1}) of each basis monomial, read as the base-Q
+    number e = sum_l e_l Q^l.  Its digits sum to norm < Q and n >= 2, so
+    e < Q^n - 1 and f < nu, and distinct monomials give distinct f:
+    |F| = effective_N."""
+    big = basis.twist.p ** basis.twist.m
+    repunits = [(big ** l - 1) // (big - 1) for l in range(basis.n)]
+    return {sum(map(mul, e, repunits)) for e in basis.monomials}
 
 
-def cyclic_bound(twist: Twist, n: int) -> int:
+def cyclic_bound(basis: MonomialBasis) -> int:
     """The BCH bound of the Singer-cyclic code (MacWilliams and Sloane,
     ch. 7): 1 + the longest run f, f+s, ..., f+(L-1)s mod nu inside
-    F = singer_zeros(twist, n) with gcd(s, nu) = 1.  Every dependent set
+    F = singer_zeros(basis) with gcd(s, nu) = 1.  Every dependent set
     of columns has at least this many.  A run of two or more starts at a
     pair a, b of F, with a - s outside F for s = b - a, so each run is
     walked once and the work is O(|F|^2) integer operations."""
-    zeros = singer_zeros(twist, n)
-    big = twist.p ** twist.m
-    nu = (big ** n - 1) // (big - 1)
+    zeros = singer_zeros(basis)
+    big = basis.twist.p ** basis.twist.m
+    nu = (big ** basis.n - 1) // (big - 1)
     longest = 1
     for a in zeros:
         for b in zeros:  # the run with step b - a through a, b
@@ -751,9 +749,10 @@ def min_distance(code: Code, plan: Optional[SearchPlan] = None) -> CodeReport:
     """Exact minimum distance by one lexicographic scan per level (see
     the module docstring), or a proven lower bound.
 
-    The levels below b = cyclic_bound(...) are proved empty without a
-    scan (restriction "bch:b", 0 subsets checked), so the scan starts at
-    level b, and delta_lower_bound is at least b.
+    The levels below the report's cyclic_bound b are proved empty
+    without a scan (restriction "bch:b", 0 subsets checked), so the scan,
+    and the symmetry step with it, starts at level b, and
+    delta_lower_bound is at least b.
 
     The returned report carries the per-level log; delta_exact is False
     when a budget cap stopped the search first (report.capped), or when
@@ -769,20 +768,17 @@ def min_distance(code: Code, plan: Optional[SearchPlan] = None) -> CodeReport:
             raise ValueError(f"w_max {plan.w_max} exceeds effective_N + 1 = {w_cap}")
         w_cap = plan.w_max
 
+    t0 = time.perf_counter()
+    bound, d = cyclic_bound(code.variety.basis), code.twist.d
+    bound_s = round(time.perf_counter() - t0, 6)
     report = CodeReport(
         field=code.field.describe(), n=code.variety.n,
         sigma_exponents=list(code.twist.exponents),
         q_fixed=code.twist.q_fixed, nu=code.nu, kappa=code.kappa,
         expected_N=code.variety.basis.expected_N, effective_N=n_eff,
         singleton_bound=code.nu - code.kappa + 1,
+        cyclic_bound=bound, timings={"bound": bound_s},
     )
-    t0 = time.perf_counter()
-    bound = cyclic_bound(code.twist, code.variety.n)
-    report.timings["bound"] = round(time.perf_counter() - t0, 6)
-    t1 = time.perf_counter()
-    k = report.orbit_prefix = column_orbit_prefix(code)
-    report.timings["symmetry"] = round(time.perf_counter() - t1, 6)
-    d = code.twist.d
     elim = IncrementalElim(code.field, code.H)  # every level grows its frame
     for w in range(2, w_cap + 1):
         label = ("general-position" if w <= d + 1 else
@@ -792,8 +788,13 @@ def min_distance(code: Code, plan: Optional[SearchPlan] = None) -> CodeReport:
                 label=label, w=w, restriction=f"bch:{bound}", checked=0,
                 dependent_found=0, early_exit=True, capped=False), []
         else:
+            if report.orbit_prefix is None:  # the first scanned level
+                t1 = time.perf_counter()
+                report.orbit_prefix = column_orbit_prefix(code)
+                report.timings["symmetry"] = round(
+                    time.perf_counter() - t1, 6)
             record, hits = _run_level(elim, w, plan, early_exit=True,
-                                      label=label, k=k)
+                                      label=label, k=report.orbit_prefix)
         report.stage_log.append(record)
         if hits:
             report.delta = w
@@ -1008,8 +1009,8 @@ def oracle_min_distance(code: Code, max_checks: int = DEFAULT_ORACLE_CAP):
 
 @dataclass
 class GeneralPositionResult:
-    """bound is cyclic_bound(...): when k < bound the BCH bound alone
-    proves ok, and checked is 0."""
+    """bound is the report's cyclic_bound: when k < bound the BCH bound
+    alone proves ok, and checked is 0."""
     ok: bool
     k: int
     checked: int
@@ -1032,9 +1033,9 @@ def _settled(report: CodeReport) -> CodeReport:
 def verify_general_position(code: Code, k: int,
                             plan: Optional[SearchPlan] = None) -> GeneralPositionResult:
     """Decide whether every k-subset of columns is independent:
-    min_distance up to w_max = k.  Levels below b = cyclic_bound(...)
-    are proved empty by the BCH bound, not scanned, so for k < b the
-    answer is ok with 0 subsets checked; the result carries b.
+    min_distance up to w_max = k.  Levels below the report's
+    cyclic_bound b are proved empty by the BCH bound, not scanned, so for
+    k < b the answer is ok with 0 subsets checked; the result carries b.
 
     Returns ok=True, or ok=False with the lexicographically first
     dependent k-subset as witness.  Raises BudgetExceeded when a level
@@ -1043,16 +1044,15 @@ def verify_general_position(code: Code, k: int,
     plan = plan or SearchPlan()
     if not 2 <= k <= code.effective_N + 1:
         raise ValueError(f"k = {k} is outside [2, effective_N + 1]")
-    bound = cyclic_bound(code.twist, code.variety.n)
     report = _settled(min_distance(code, replace(plan, w_max=k)))
+    checked, bound = report.stage_log[-1].checked, report.cyclic_bound
     if report.delta is None:
-        return GeneralPositionResult(True, k, report.stage_log[-1].checked,
-                                     bound)
+        return GeneralPositionResult(True, k, checked, bound)
     if report.delta < k:  # level k never ran, so no k-subset was checked
         return GeneralPositionResult(False, k, 0, bound,
                                      _lex_first_dependent(code, k))
-    return GeneralPositionResult(False, k, report.stage_log[-1].checked,
-                                 bound, tuple(report.witness))
+    return GeneralPositionResult(False, k, checked, bound,
+                                 tuple(report.witness))
 
 
 def _lex_first_dependent(code: Code, k: int) -> tuple:

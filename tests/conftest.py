@@ -50,7 +50,7 @@ def no_bound(monkeypatch):
     """A cyclic bound of 2, which proves no level empty: the search scans
     every level from w = 2, as it did before the bound, so a test of the
     scan's mechanics can drive the levels the bound would skip."""
-    monkeypatch.setattr(codes_mod, "cyclic_bound", lambda twist, n: 2)
+    monkeypatch.setattr(codes_mod, "cyclic_bound", lambda basis: 2)
 
 
 @pytest.fixture

@@ -54,11 +54,6 @@ def test_build_collapse_warning(tmp_path, capsys):
                     "--sigma", "0,0,1", "-o", str(out)]) == 0
     err = capsys.readouterr().err
     assert "collapse: 5 of 6 monomials distinct" in err
-    capsys.readouterr()
-    assert run_cli(["build", "--p", "2", "--e", "1", "--t", "3", "--n", "2",
-                    "--sigma", "0,0,1", "--allow-collapse",
-                    "-o", str(out)]) == 0
-    assert "warning: collapse" not in capsys.readouterr().err
 
 
 def test_build_rejects_norm_violation(tmp_path, capsys):

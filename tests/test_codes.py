@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twistver.codes as codes_mod
-from twistver import Twist
+from twistver import Twist, monomial_basis
 from twistver.codes import (BudgetExceeded, CodeReport,
                             DependencyInvariantError, SearchPlan,
                             _lex_rank, _minimality_problem, _subsets,
@@ -973,24 +973,39 @@ def test_singer_zeros_of_a_normal_rational_curve_are_consecutive():
     # F = {0, ..., d}, and the bound d + 2 = effective_N + 1 says MDS
     for p, m, d in [(5, 1, 2), (3, 3, 3), (7, 1, 6), (2, 7, 3)]:
         twist = Twist(p, m, (0,) * d)
-        assert codes_mod.singer_zeros(twist, 2) == set(range(d + 1))
-        assert codes_mod.cyclic_bound(twist, 2) == d + 2
+        basis = monomial_basis(2, twist)
+        assert codes_mod.singer_zeros(basis) == set(range(d + 1))
+        assert codes_mod.cyclic_bound(basis) == d + 2
     # GF(4), n = 3, sigma = (0, 1): f = r_0 + 2 r_1 for repunits r in
     # {0, 1, 5}, nu = 21; the longest run is 0, 1, 2, 3, and delta = 5
-    zeros = codes_mod.singer_zeros(Twist(2, 2, (0, 1)), 3)
+    basis = monomial_basis(3, Twist(2, 2, (0, 1)))
+    zeros = codes_mod.singer_zeros(basis)
     assert zeros == {0, 1, 2, 3, 5, 7, 10, 11, 15}
-    assert codes_mod.cyclic_bound(Twist(2, 2, (0, 1)), 3) == 5
+    assert codes_mod.cyclic_bound(basis) == 5
+
+
+def test_singer_zeros_are_the_sumset_of_the_factors():
+    # the reference: F as the sumset over the factors j of
+    # p^s_j (Q^l - 1)/(Q - 1), l < n, which never builds the basis
+    for p, m, n, exps in _small_configs(32):
+        twist, big = Twist(p, m, exps), p ** m
+        zeros = {0}
+        for s in exps:
+            zeros = {f + p ** s * (big ** l - 1) // (big - 1)
+                     for f in zeros for l in range(n)}
+        assert codes_mod.singer_zeros(monomial_basis(n, twist)) == zeros, (
+            p, m, n, exps)
 
 
 def test_bound_takes_only_steps_prime_to_nu(monkeypatch):
     # nu = 8 on the GF(7) line: 0, 3, 6 is a run of step 3, prime to 8;
     # 0, 2, 4 has step 2, which proves nothing, and every other step
     # between its zeros is even too
-    twist = Twist(7, 1, (0, 0))
+    basis = monomial_basis(2, Twist(7, 1, (0, 0)))
     for zeros, bound in [({0, 3, 6}, 4), ({0, 2, 4}, 2), ({6, 7, 0, 5}, 5)]:
         monkeypatch.setattr(codes_mod, "singer_zeros",
-                            lambda twist, n, zeros=zeros: zeros)
-        assert codes_mod.cyclic_bound(twist, 2) == bound, zeros
+                            lambda basis, zeros=zeros: zeros)
+        assert codes_mod.cyclic_bound(basis) == bound, zeros
 
 
 def _unreduced_delta(code, budget):
@@ -1012,9 +1027,9 @@ ANSWERS = json.loads((WORKLOADS.parent / "answers.json").read_text())
 
 
 def _check_bound(code, delta):
-    twist, n = code.twist, code.variety.n
-    assert len(codes_mod.singer_zeros(twist, n)) == code.effective_N
-    bound = codes_mod.cyclic_bound(twist, n)
+    basis = code.variety.basis
+    assert len(codes_mod.singer_zeros(basis)) == code.effective_N
+    bound = codes_mod.cyclic_bound(basis)
     assert 2 <= bound <= delta
     return bound
 
@@ -1040,7 +1055,7 @@ def test_bound_is_at_most_delta_on_the_small_configs():
         c = get_code(*cfg)
         delta = _unreduced_delta(c, 5_000)
         if delta is None:
-            assert len(codes_mod.singer_zeros(c.twist, cfg[2])) == (
+            assert len(codes_mod.singer_zeros(c.variety.basis)) == (
                 c.effective_N)
             continue
         settled += 1
@@ -1054,11 +1069,13 @@ def test_bound_only_replaces_the_levels_below_it(cfg, monkeypatch):
     # the report with the bound is the report of the scan from w = 2,
     # but for the stage-log rows of the levels below the bound
     c = get_code(*cfg)
-    bound = codes_mod.cyclic_bound(c.twist, c.variety.n)
+    bound = codes_mod.cyclic_bound(c.variety.basis)
     skipping = min_distance(c).payload()
-    monkeypatch.setattr(codes_mod, "cyclic_bound", lambda twist, n: 2)
+    monkeypatch.setattr(codes_mod, "cyclic_bound", lambda basis: 2)
     scanning = min_distance(c).payload()
     log, full = skipping.pop("stage_log"), scanning.pop("stage_log")
+    assert (skipping.pop("cyclic_bound"), scanning.pop("cyclic_bound")) == (
+        bound, 2)
     assert skipping == scanning
     below = [s for s in full if s["w"] < bound]
     assert all(s["dependent_found"] == 0 for s in below)
@@ -1067,16 +1084,16 @@ def test_bound_only_replaces_the_levels_below_it(cfg, monkeypatch):
 
 
 def test_levels_below_the_bound_are_not_scanned(monkeypatch):
-    # nrc-27 has bound 7: general position up to k = 6 needs no scan;
-    # the symmetry step still runs, and the bound has its own timing
+    # nrc-27 has bound 7: general position up to k = 6 needs no scan and
+    # no symmetry step, and the bound has its own timing
     c = get_code(3, 3, 2, (0, 0, 1))
-    rep = min_distance(c, SearchPlan(w_max=6))
-    assert set(rep.timings) == {"bound", "symmetry", "total"}
+    proved = []
 
     def no_scan(*args, **kwargs):
         raise AssertionError("a level below the bound was scanned")
 
     monkeypatch.setattr(codes_mod, "_run_level", no_scan)
+    monkeypatch.setattr(codes_mod, "column_orbit_prefix", proved.append)
     res = verify_general_position(c, 6)
     assert (res.ok, res.k, res.checked, res.bound, res.witness) == (
         True, 6, 0, 7, None)
@@ -1084,6 +1101,9 @@ def test_levels_below_the_bound_are_not_scanned(monkeypatch):
     assert (rep.delta, rep.delta_exact, rep.delta_lower_bound) == (
         None, False, 7)
     assert [s.restriction for s in rep.stage_log] == ["bch:7"] * 5
+    assert (rep.cyclic_bound, rep.orbit_prefix) == (7, None)
+    assert set(rep.timings) == {"bound", "total"}
+    assert proved == []
 
 
 def test_bound_settles_the_paper_codes():
@@ -1210,17 +1230,17 @@ def test_classification_pushes_its_frame_once(monkeypatch, cfg):
 GP, MD, LS = "general-position", "minimal-dependent", "lex-search"
 PINNED_REPORTS = {
     (3, 3, 2, (0, 0, 1)): (  # nrc-27
-        "9ff67eadca8c6cdac1387c2944667505507715de1d2176e4a8d71bad49dda62d",
+        "c8326077d0f656821e018732b940b14e2fb43e5390e1e89e6955d1b4954354fb",
         [(GP, 2, "bch:7", 0, 0), (GP, 3, "bch:7", 0, 0),
          (GP, 4, "bch:7", 0, 0), (MD, 5, "bch:7", 0, 0),
          (LS, 6, "bch:7", 0, 0), (LS, 7, "none", 22, 1)]),
     (3, 4, 2, (0, 0, 3)): (  # track-81
-        "97e12b21ed30c3960f89a4f45f917a267efb6fad22859f7ca9e2bb4b75ab5888",
+        "0d20400adf0e208934308c35fbdb560adab2b4995492a221cfa860b70d51cfe0",
         [(GP, 2, "bch:4", 0, 0), (GP, 3, "bch:4", 0, 0),
          (GP, 4, "orbit:3", 79, 0), (MD, 5, "orbit:3", 3081, 0),
          (LS, 6, "none", 3079, 1)]),
     (3, 2, 3, (0, 1)): (  # plane-9
-        "521364d4d4177cd40c3096f8ed41c61ba277b22316731fce3866b8079e3fc518",
+        "ee7b0b3f84ccc76fbde7f1afbd2cd98bb17c8b4694a76e8cf7f399e1c90200ad",
         [(GP, 2, "bch:3", 0, 0), (GP, 3, "orbit:2", 89, 0),
          (MD, 4, "none", 88, 1)]),
 }
@@ -1251,7 +1271,7 @@ def test_classification_report_is_pinned():
     assert (rep.min_weight_support_count, len(rep.supports)) == (340, 2)
     digest = rep.canonical_hash()
     assert digest == (
-        "5b5ec8feb19b174c2bdd2ac4eafec2e350552da120a813d26d565933580e635b")
+        "6430ef836288b422be8c4da9deb06ad936512801c36f1abf0f62d1c76a56abaa")
     # the classification's timings: the whole call, its scan (the stage
     # record's seconds, in its JSON stage entry) and its checks, all
     # outside the hash
@@ -1545,18 +1565,18 @@ def test_frame_that_stops_growing_settles_its_levels(monkeypatch):
 
 @pytest.mark.parametrize("cfg,budget,digest,rows", [
     ((3, 3, 2, (0, 0, 2)), 20,  # track-27: level 6 cut after 276 of 2,300
-     "e9032fb8c35b2b7d2c549dff6b5f8f3a34abe62a4ecabfc6de30ed247e1d1d2d",
+     "4ecfa14de4be4a85f46d099c992f850a17e9975b02adf10cfcf23e76b5027cf3",
      [(2, 1, False), (3, 1, False), (4, 25, False), (5, 300, False),
       (6, 276, True)]),
     ((7, 1, 2, (0,) * 6), 6,  # GF(7) degree-6 curve: level 6 cut at 6 of 10
-     "7b667646fedc8bb53d5160c9b109cd24009b92be3f2472613d0dbebc677a0258",
+     "d6c6bd0880bc7444f1e647df818f82c688abbc76b15febaf25f167557d5e7b51",
      [(2, 1, False), (3, 1, False), (4, 5, False), (5, 10, False),
       (6, 6, True)]),
     ((3, 3, 2, (0, 0, 1)), 1000,  # nrc-27: a run cut inside, 1,160
-     "b4132f86882bbef6210e6088df7ef79206f872c58e76c1a402a7ccbf5810ee40",
+     "b6d904d48f78e8dc40aeca91496f7149c92f9ac0a7e789bc063af3ac3ca4dcc3",
      [(2, 1, False), (3, 1, False), (4, 25, False), (5, 300, False),
       (6, 1160, True)]),
-])
+], ids=["track-27", "curve-7", "nrc-27"])  # ids that a new digest keeps
 def test_capped_stage_logs_are_pinned(cfg, budget, digest, rows, no_bound):
     # taken from the per-child scan: cutting a run at the child whose
     # pairs reach the cap covers the same subsets

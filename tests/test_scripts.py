@@ -25,6 +25,18 @@ def test_frontier_script_runs_from_a_plain_checkout(tmp_path):
     assert res.returncode == 0, res.stderr
     assert "--only" in res.stdout and "gf8-n3" in res.stdout
     assert "--workers" in res.stdout
+    # both rows stop below their cyclic bound: no level is scanned, so
+    # the report holds no symmetry seconds
+    res = subprocess.run(
+        [sys.executable, str(SCRIPTS / "frontier_cases.py"), "--only",
+         "gf8-n3", "gf27-n3"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    heads = [line for line in res.stdout.splitlines()
+             if not line.startswith(" ")]
+    assert [h.split(":")[0] for h in heads] == ["gf27-n3", "gf8-n3"]
+    assert "bound=7 k=None" in heads[0] and "bound=9 k=None" in heads[1]
+    assert all("symmetry -," in h for h in heads)
 
 
 def test_sweep_flags_no_row_on_a_tiny_grid(tmp_path):
