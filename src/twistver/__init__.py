@@ -2,12 +2,9 @@
 
 from .ff import Field
 from .linalg import IncrementalElim, det, is_independent, kernel_basis, rank
-from .pg import (canonicalize, enum_points, is_collinear, line_through,
-                 on_common_subline, point_count, subline_through,
-                 sublines_of_line)
-from .veronese import (MonomialBasis, ScrollFrame, Twist, VarietyMatrix,
-                       build_variety, embed_point, monomial_basis,
-                       scroll_plucker_check)
+from .pg import enum_points, on_common_subline, point_count
+from .veronese import (MonomialBasis, Twist, VarietyMatrix, build_variety,
+                       monomial_basis, scroll_plucker_check)
 from .codes import (BudgetExceeded, Code, CodeReport, DependencyInvariantError,
                     SearchPlan, build_code, classify_min_words, mds_status,
                     min_distance, oracle_min_distance,

@@ -25,7 +25,8 @@ from .codes import (DEFAULT_BUDGET, BudgetExceeded, SearchPlan, analyze,
                     verify_dep_classification, verify_general_position,
                     verify_oracle_equivalence)
 from .ff import Field
-from .veronese import ScrollFrame, Twist, build_variety, scroll_plucker_check
+from .linalg import rank
+from .veronese import Twist, build_variety, scroll_plucker_check
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -117,7 +118,8 @@ def cmd_field(args) -> int:
 def cmd_build(args) -> int:
     field, twist, variety = _build_with_warnings(args)
     _progress(f"built {variety.num_points} x {variety.basis.effective_N} "
-              f"point table over GF({field.order}), rank {variety.rank_}")
+              f"point table over GF({field.order}), "
+              f"rank {rank(field, variety.coords)}")
     _emit(variety.to_json(), args.output)
     if args.csv:
         # the point table transposed, H before its reduction, entries the
@@ -182,10 +184,9 @@ def cmd_verify(args) -> int:
                       supports=report.min_weight_support_count,
                       violations=report.violations, reason=why)
     elif prop == "scroll-plucker":
-        frame = ScrollFrame(args.n, twist)
-        basis = variety.basis
         failures = [list(p) for p in variety.points
-                    if not scroll_plucker_check(variety.field, p, frame, basis)]
+                    if not scroll_plucker_check(variety.field, p,
+                                                variety.basis)]
         ok = not failures
         result.update(points=variety.num_points, failures=failures)
     elif prop == "oracle-equivalence":

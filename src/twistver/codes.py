@@ -3,10 +3,10 @@ search, and minimum-weight support classification.
 
 The parity-check matrix H has one column per embedded point, in the fixed
 point-enumeration order: the table of embedded points, row-reduced once
-by build_variety to systematic form, H[:, P] = I for its pivot columns
-P.  It has the kernel of the table, so the same code and the same
-dependent column sets.  The minimum distance equals the size of the
-smallest linearly dependent column subset.  min_distance runs one search
+by build_code to systematic form, H[:, P] = I for its pivot columns P.
+It has the kernel of the table, so the same code and the same dependent
+column sets.  The minimum distance equals the size of the smallest
+linearly dependent column subset.  min_distance runs one search
 routine for every size w = 2, 3, ...: a scan of w-subsets in
 lexicographic order that stops at the first dependent one, so the first
 level with a hit gives delta and the lexicographically first minimal
@@ -142,7 +142,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ff import Field
-from .linalg import IncrementalElim, is_independent, kernel_basis
+from .linalg import (IncrementalElim, is_independent, kernel_basis,
+                     systematic_form)
 from .pg import on_common_subline
 from .veronese import MonomialBasis, Twist, VarietyMatrix
 
@@ -156,8 +157,10 @@ DEFAULT_ORACLE_CAP = 2_000_000
 class DependencyInvariantError(RuntimeError):
     """A dependent subset smaller than the current level was encountered.
 
-    Earlier exhaustive levels rule this out, so seeing one means a bug;
-    the search must not continue silently.
+    The levels below are ruled out either by an exhaustive scan or, below
+    cyclic_bound, by the BCH bound alone without a scan, so seeing one
+    means a bug; the search must not continue silently.  It is also the
+    only run-time sign that the bound was wrong.
     """
 
     def __init__(self, subset):
@@ -174,13 +177,21 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass
 class Code:
-    """A linear code handled entirely through its parity-check matrix."""
+    """A linear code handled entirely through its parity-check matrix H,
+    the variety's point table in systematic form; build_code makes it.
+    Length nu is the number of points, dimension kappa = nu - effective_N."""
 
     variety: VarietyMatrix
     H: np.ndarray      # effective_N x nu, the point table in systematic form
     pivots: np.ndarray  # the columns P with H[:, P] = I
-    nu: int
-    kappa: int
+
+    @property
+    def nu(self) -> int:
+        return self.variety.num_points
+
+    @property
+    def kappa(self) -> int:
+        return self.nu - self.effective_N
 
     @property
     def field(self) -> Field:
@@ -197,15 +208,16 @@ class Code:
 
 def build_code(variety: VarietyMatrix) -> Code:
     """The code whose parity-check matrix H is the variety's point table
-    in systematic form (VarietyMatrix.reduced)."""
+    reduced to systematic form: the same row space, so the same kernel and
+    the same dependent column sets.  This is the one reduction of the
+    table; a table of rank below effective_N is refused."""
+    H, pivots = systematic_form(variety.field, variety.coords.T)
     n_eff = variety.basis.effective_N
-    if variety.rank_ != n_eff:
+    if len(pivots) != n_eff:
         raise ValueError(
-            f"point table has rank {variety.rank_}, expected {n_eff}; "
+            f"point table has rank {len(pivots)}, expected {n_eff}; "
             "the check matrix would be rank deficient")
-    nu = variety.num_points
-    return Code(variety=variety, H=variety.reduced, pivots=variety.pivots,
-                nu=nu, kappa=nu - n_eff)
+    return Code(variety=variety, H=H, pivots=pivots)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,12 @@ v^(p^s_0) (x) v^(p^s_1) (x) ... (x) v^(p^s_{d-1}), whose coordinates are the
 monomials of total degree norm = sum p^s_i.
 
 Coordinates are indexed by deduplicated total exponent vectors rather than
-raw tensor slots: repeated monomials would only produce proportional rows
-of the point table and contribute nothing to its rank or dependence
-structure.  The origin map keeps the per-factor multi-index labelling so
-the tensor picture (and the Grassmann/scroll cross-check) stays available.
+raw tensor slots: tensor slots with the same monomial would only repeat
+coordinates of the embedded point and add nothing to the rank or the
+dependence structure of the point table.  The tensor slot that picks
+variable i_j in factor j holds the monomial with exponent vector
+sum_j p^s_j e_{i_j}, which is how the Grassmann/scroll cross-check reads
+the embedded point.
 
 Because norm < q^t is enforced, no per-variable exponent reaches q^t and
 distinct exponent vectors are distinct functions on the field, so no
@@ -22,12 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .ff import Field
-from .linalg import det, systematic_form
+from .linalg import det
 from .pg import ProjPoint, enum_points, point_count
 
 MAX_POINTS = 1 << 16  # largest point set build_variety embeds
@@ -104,10 +106,18 @@ class MonomialBasis:
 
     n: int
     twist: Twist
-    monomials: list[ExponentVector]          # graded-lex descending
-    origin_map: dict[tuple, int]             # per-block multi-index -> index
-    expected_N: int
-    effective_N: int
+    monomials: list[ExponentVector]  # graded-lex descending
+
+    @property
+    def effective_N(self) -> int:
+        return len(self.monomials)
+
+    @property
+    def expected_N(self) -> int:
+        """Tensor slots before deduplication: a degree-d_j symmetric power
+        of the n variables for each block (s, d_j) of the twist."""
+        return math.prod(math.comb(self.n + dj - 1, dj)
+                         for _, dj in self.twist.blocks)
 
     @property
     def collapsed(self) -> bool:
@@ -115,57 +125,29 @@ class MonomialBasis:
 
 
 def monomial_basis(n: int, twist: Twist) -> MonomialBasis:
-    """Enumerate per-block degree-d_j exponent vectors, combine, dedupe.
+    """Enumerate per-block degree-d_j exponent vectors, sum, dedupe.
 
-    The per-block multi-index is a nondecreasing tuple of variable indices
-    of length d_j; its exponent vector is scaled by p^s_j and the block
-    contributions are summed into the total exponent vector.
+    Block (s, d_j) contributes p^s times the exponent vector of a
+    nondecreasing tuple of d_j variable indices; one choice per block,
+    summed, is the total exponent vector of a tensor slot.
     """
     if n < 2:
         raise ValueError("the embedding needs n >= 2 variables")
-    blocks = twist.blocks
-    per_block: list[list[tuple[tuple[int, ...], ExponentVector]]] = []
-    for s, dj in blocks:
+    per_block = []
+    for s, dj in twist.blocks:
         scale = twist.p ** s
-        entries = []
-        for multi in combinations_with_replacement(range(n), dj):
-            ev = [0] * n
-            for v in multi:
-                ev[v] += scale
-            entries.append((multi, tuple(ev)))
-        per_block.append(entries)
-
-    expected = 1
-    for entries in per_block:
-        expected *= len(entries)
-
-    origin: dict[tuple, ExponentVector] = {}
-    for combo in product(*per_block):
-        key = tuple(multi for multi, _ in combo)
-        total = [0] * n
-        for _, ev in combo:
-            for k in range(n):
-                total[k] += ev[k]
-        origin[key] = tuple(total)
-
-    monomials = sorted(set(origin.values()), reverse=True)
-    index = {mono: i for i, mono in enumerate(monomials)}
-    origin_map = {key: index[mono] for key, mono in origin.items()}
-    return MonomialBasis(n=n, twist=twist, monomials=monomials,
-                         origin_map=origin_map, expected_N=expected,
-                         effective_N=len(monomials))
-
-
-def embed_point(field: Field, point: ProjPoint, basis: MonomialBasis) -> np.ndarray:
-    """Evaluate every basis monomial at the point (0^0 = 1)."""
-    return field.eval_monomials([point], basis.monomials)[0]
+        per_block.append(
+            [tuple(scale * multi.count(v) for v in range(n))
+             for multi in combinations_with_replacement(range(n), dj)])
+    totals = {tuple(map(sum, zip(*combo))) for combo in product(*per_block)}
+    return MonomialBasis(n=n, twist=twist,
+                         monomials=sorted(totals, reverse=True))
 
 
 @dataclass
 class VarietyMatrix:
-    """Embedded image of every point of PG(n-1, q^t), one row per point,
-    and coords.T in systematic form: the same row space, so the same
-    kernel and the same dependent column sets."""
+    """Embedded image of every point of PG(n-1, q^t), one row per point.
+    The table is exported as it is; codes.build_code reduces it."""
 
     field: Field
     n: int
@@ -174,16 +156,10 @@ class VarietyMatrix:
     points: list[ProjPoint]
     point_array: np.ndarray  # (num_points, n) int64, the points as rows
     coords: np.ndarray  # (num_points, effective_N)
-    reduced: np.ndarray  # (rank_, num_points), reduced[:, pivots] = I
-    pivots: np.ndarray
 
     @property
     def num_points(self) -> int:
         return len(self.points)
-
-    @property
-    def rank_(self) -> int:
-        return len(self.pivots)
 
     def to_json(self) -> dict:
         return {
@@ -200,7 +176,7 @@ class VarietyMatrix:
 
 
 def build_variety(field: Field, n: int, twist: Twist) -> VarietyMatrix:
-    """Embed every point, verify injectivity, reduce the table once."""
+    """Embed every point and verify injectivity."""
     if twist.p != field.p or twist.m != field.m:
         raise ValueError("twist was built for a different field")
     num = point_count(field, n)
@@ -217,75 +193,46 @@ def build_variety(field: Field, n: int, twist: Twist) -> VarietyMatrix:
     if len(set(map(tuple, canon.tolist()))) != len(pts):
         raise AssertionError("embedding failed injectivity check")
 
-    reduced, pivots = systematic_form(field, coords.T)
     return VarietyMatrix(field=field, n=n, twist=twist, basis=basis,
-                         points=pts, point_array=point_array, coords=coords,
-                         reduced=reduced, pivots=pivots)
+                         points=pts, point_array=point_array, coords=coords)
 
 
 # ---------------------------------------------------------------------------
 # Scroll / Grassmann cross-check
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScrollFrame:
-    """d twisted copies of PG(n-1) on disjoint coordinate blocks of V(nd).
+def scroll_plucker_check(field: Field, point: ProjPoint,
+                         basis: MonomialBasis) -> bool:
+    """Wedge the d twisted copies of the point and compare with the tensor
+    coordinates of its embedding.
 
-    Copy j lives on coordinates [j*n, (j+1)*n) (the block shift sends
-    basis vector e_i to e_{i+n}, indices mod n*d) and carries the j-th
-    Frobenius twist.
+    Copy j lives on coordinates [j*n, (j+1)*n) of V(nd) and carries the
+    j-th Frobenius twist.  Exterior coordinates over d-subsets of the nd
+    indices must vanish unless the subset picks exactly one index j*n + i_j
+    per block; on such transversal subsets the row-per-block matrix is
+    diagonal, so the determinant is the product of the block entries, the
+    monomial with exponent vector sum_j p^s_j e_{i_j} at the point.  Sorted
+    subsets with blocks in order make the sign convention +1.
     """
-
-    n: int
-    twist: Twist
-
-    @property
-    def d(self) -> int:
-        return self.twist.d
-
-    def block_vectors(self, field: Field, point: ProjPoint) -> list[list[int]]:
-        n, d = self.n, self.d
-        vecs = []
-        for j, s in enumerate(self.twist.exponents):
-            v = [0] * (n * d)
-            for i, x in enumerate(point):
-                v[j * n + i] = field.frobenius(x, s)
-            vecs.append(v)
-        return vecs
-
-
-def scroll_plucker_check(field: Field, point: ProjPoint, frame: ScrollFrame,
-                         basis: Optional[MonomialBasis] = None) -> bool:
-    """Wedge the d block vectors and compare with the tensor coordinates.
-
-    Exterior coordinates over d-subsets of the nd ambient indices must
-    vanish unless the subset picks exactly one index per block; on such
-    transversal subsets the row-per-block matrix is diagonal, so the
-    determinant equals the plain product of block entries, i.e. the tensor
-    coordinate of the embedded point.  Sorted subsets with blocks in order
-    make the sign convention +1.
-    """
-    n, d = frame.n, frame.d
-    if basis is None:
-        basis = monomial_basis(n, frame.twist)
-    vecs = frame.block_vectors(field, point)
-    embedded = embed_point(field, point, basis)
-    blocks = frame.twist.blocks
+    n, twist = basis.n, basis.twist
+    d = twist.d
+    vecs = []
+    for j, s in enumerate(twist.exponents):
+        v = [0] * (n * d)
+        v[j * n:(j + 1) * n] = [field.frobenius(x, s) for x in point]
+        vecs.append(v)
+    embedded = field.eval_monomials([point], basis.monomials)[0]
+    index = {mono: i for i, mono in enumerate(basis.monomials)}
 
     for subset in combinations(range(n * d), d):
         coord = det(field, [[vecs[r][c] for c in subset] for r in range(d)])
-        owners = [c // n for c in subset]
-        if owners != list(range(d)):
+        if [c // n for c in subset] != list(range(d)):
             if coord != 0:
                 return False
             continue
-        # group the factor indices by distinct twist block, nondecreasing
-        key = []
-        pos = 0
-        for _, dj in blocks:
-            key.append(tuple(sorted(c % n for c in subset[pos:pos + dj])))
-            pos += dj
-        expected = embedded[basis.origin_map[tuple(key)]]
-        if coord != expected:
+        ev = [0] * n
+        for c, s in zip(subset, twist.exponents):
+            ev[c % n] += twist.p ** s
+        if coord != embedded[index[tuple(ev)]]:
             return False
     return True

@@ -13,13 +13,11 @@ from math import comb
 import pytest
 
 import twistver.codes as codes_mod
-from twistver import (Field, IncrementalElim, ScrollFrame, SearchPlan,
-                      Twist, build_code, build_variety, enum_points,
-                      kernel_basis, min_distance, monomial_basis,
-                      oracle_min_distance, rank,
-                      scroll_plucker_check, sublines_of_line,
-                      verify_general_position)
-from twistver.pg import is_collinear
+from twistver import (Field, IncrementalElim, SearchPlan, Twist, build_code,
+                      build_variety, enum_points, kernel_basis, min_distance,
+                      monomial_basis, oracle_min_distance, rank,
+                      scroll_plucker_check, verify_general_position)
+from twistver.pg import is_collinear, sublines_of_line
 
 from conftest import classify_counted_and_full, mat_vec
 
@@ -265,7 +263,7 @@ def test_A9c_spanning_rank_and_injectivity():
     for p, m, n, exps in A9_CONFIGS:
         f = Field(p, m)
         v = build_variety(f, n, Twist(p, m, exps))  # injectivity checked inside
-        assert v.rank_ == v.basis.effective_N, (p, m, n, exps)
+        assert rank(f, v.coords) == v.basis.effective_N, (p, m, n, exps)
         assert v.num_points == (f.order ** n - 1) // (f.order - 1)
     _passline("A9c", f"rank = effective_N and injectivity on "
                      f"{len(A9_CONFIGS)} configurations")
@@ -276,11 +274,9 @@ def test_A9d_scroll_plucker_all_small_configs():
     for p, m, n, exps in SCROLL_CONFIGS:
         assert n * len(exps) <= 8
         f = Field(p, m)
-        tw = Twist(p, m, exps)
-        frame = ScrollFrame(n, tw)
-        basis = monomial_basis(n, tw)
+        basis = monomial_basis(n, Twist(p, m, exps))
         for pt in enum_points(f, n):
-            assert scroll_plucker_check(f, pt, frame, basis), (p, m, n, exps, pt)
+            assert scroll_plucker_check(f, pt, basis), (p, m, n, exps, pt)
             total += 1
     _passline("A9d", f"wedge/tensor agreement at {total} points across "
                      f"{len(SCROLL_CONFIGS)} configurations")

@@ -57,6 +57,14 @@ def test_build_code_columns_are_points():
     assert rank(c.field, np.vstack([c.H, v.coords.T])) == c.effective_N
 
 
+def test_build_code_refuses_a_rank_deficient_table():
+    v = get_variety(3, 3, 2, (0, 0, 2))
+    coords = v.coords.copy()
+    coords[:, -1] = coords[:, 0]
+    with pytest.raises(ValueError, match="rank 5, expected 6"):
+        build_code(replace(v, coords=coords))
+
+
 # -- staged minimum distance ----------------------------------------------------
 
 def test_min_distance_track_gf27():

@@ -15,6 +15,24 @@ def test_headline_script_runs_from_a_plain_checkout(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert "--out-dir" in res.stdout
+    # the full run writes one report per case, each equal to its label's
+    # pinned answers
+    out = tmp_path / "reports"
+    res = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_headline_cases.py"),
+         "--out-dir", str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    answers = json.loads((SCRIPTS.parent / "perfbench" / "answers.json")
+                         .read_text())
+    reports = sorted(out.glob("*.json"))
+    assert len(reports) == 8
+    keys = ("nu", "kappa", "delta", "status", "witness",
+            "min_weight_support_count")
+    for path in reports:
+        report, pinned = json.loads(path.read_text()), answers[path.stem]
+        assert {k: report[k] for k in keys} == {k: pinned[k] for k in keys}, \
+            path.stem
 
 
 def test_frontier_script_runs_from_a_plain_checkout(tmp_path):

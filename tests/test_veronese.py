@@ -1,12 +1,12 @@
 import itertools
-from math import comb
+from math import comb, prod
 
-import numpy as np
 import pytest
 
+from twistver.ff import Field
+from twistver.linalg import rank
 from twistver.pg import enum_points
-from twistver.veronese import (MonomialBasis, ScrollFrame, Twist,
-                               build_variety, embed_point, monomial_basis,
+from twistver.veronese import (Twist, build_variety, monomial_basis,
                                scroll_plucker_check)
 
 from conftest import get_field, get_variety
@@ -93,14 +93,18 @@ def test_degree_one_twist_is_identity_embedding():
     assert basis.monomials == [(1, 0), (0, 1)]
     f = get_field(3, 3)
     for pt in enum_points(f, 2):
-        assert tuple(embed_point(f, pt, basis)) == pt
+        assert tuple(f.eval_monomials([pt], basis.monomials)[0]) == pt
 
 
 def test_expected_dimension_formula():
     tw = Twist(3, 4, (0, 0, 3))
     basis = monomial_basis(3, tw)
     assert basis.expected_N == comb(3 + 1, 2) * comb(3, 1)  # deg-2 block x deg-1 block
-    assert len(basis.origin_map) == basis.expected_N
+    # the tensor slots, one nondecreasing multi-index per block
+    slots = prod(
+        len(list(itertools.combinations_with_replacement(range(3), dj)))
+        for _, dj in tw.blocks)
+    assert basis.expected_N == slots == 18
 
 
 @pytest.mark.parametrize("p,m,d", [(2, 3, 2), (3, 3, 3), (5, 2, 5)])
@@ -116,23 +120,24 @@ def test_normal_rational_curve_twists(p, m, d):
 
 # -- point embedding ------------------------------------------------------------
 
-def test_embed_point_at_infinity_is_unit_vector(gf27):
+def test_embedded_point_at_infinity_is_unit_vector(gf27):
     basis = monomial_basis(2, Twist(3, 3, (0, 0, 2)))
-    vec = embed_point(gf27, (0, 1), basis)
+    vec = gf27.eval_monomials([(0, 1)], basis.monomials)[0]
     assert vec.tolist() == [0, 0, 0, 0, 0, 1]
 
 
 def test_embed_affine_points_are_power_rows(gf27):
     basis = monomial_basis(2, Twist(3, 3, (0, 0, 2)))
     for z in range(1, 27):
-        vec = embed_point(gf27, (1, z), basis)
+        vec = gf27.eval_monomials([(1, z)], basis.monomials)[0]
         assert vec.tolist() == [1, z, gf27.pow(z, 2), gf27.pow(z, 9),
                                 gf27.pow(z, 10), gf27.pow(z, 11)]
 
 
 def test_embed_all_ones_gives_all_ones(gf27):
     basis = monomial_basis(2, Twist(3, 3, (0, 0, 1)))
-    assert embed_point(gf27, (1, 1), basis).tolist() == [1] * 6
+    vec = gf27.eval_monomials([(1, 1)], basis.monomials)[0]
+    assert vec.tolist() == [1] * 6
 
 
 # -- variety construction --------------------------------------------------------
@@ -140,13 +145,13 @@ def test_embed_all_ones_gives_all_ones(gf27):
 def test_variety_gf27_shape_and_rank():
     v = get_variety(3, 3, 2, (0, 0, 2))
     assert v.coords.shape == (28, 6)
-    assert v.rank_ == 6
+    assert rank(v.field, v.coords) == 6
 
 
 def test_variety_gf4_is_cubic_curve():
     v = get_variety(2, 2, 2, (0, 1))
     assert v.coords.shape == (5, 4)
-    assert v.rank_ == 4
+    assert rank(v.field, v.coords) == 4
     f = v.field
     for pt, row in zip(v.points, v.coords):
         if pt[0] == 1:
@@ -157,14 +162,14 @@ def test_variety_gf4_is_cubic_curve():
 def test_variety_classical_veronese_surface():
     v = get_variety(2, 2, 3, (0, 0))
     assert v.coords.shape == (21, 6)
-    assert v.rank_ == 6
+    assert rank(v.field, v.coords) == 6
 
 
 def test_variety_collapse_rank_is_effective():
     v = get_variety(2, 3, 2, (0, 0, 1))
     assert v.basis.expected_N == 6
     assert v.basis.effective_N == 5
-    assert v.rank_ == 5
+    assert rank(v.field, v.coords) == 5
 
 
 def test_variety_rows_pairwise_nonproportional():
@@ -200,30 +205,27 @@ SCROLL_CONFIGS = [
 @pytest.mark.parametrize("p,m,n,exps", SCROLL_CONFIGS)
 def test_scroll_plucker_agreement_exhaustive(p, m, n, exps):
     f = get_field(p, m)
-    tw = Twist(p, m, exps)
-    frame = ScrollFrame(n, tw)
-    basis = monomial_basis(n, tw)
-    assert all(scroll_plucker_check(f, pt, frame, basis)
-               for pt in enum_points(f, n))
-
-
-def test_scroll_wedge_coordinates_d2():
-    # n = d = 2: wedge coordinates on transversal index pairs are
-    # (1, a^sigma, a, a*a^sigma) for the point (1, a), all others zero
-    f = get_field(2, 2)
-    tw = Twist(2, 2, (0, 1))
-    frame = ScrollFrame(2, tw)
-    a = f.generator
-    v0, v1 = frame.block_vectors(f, (1, a))
-    assert v0 == [1, a, 0, 0]
-    assert v1 == [0, 0, 1, f.frobenius(a, 1)]
+    basis = monomial_basis(n, Twist(p, m, exps))
+    assert all(scroll_plucker_check(f, pt, basis) for pt in enum_points(f, n))
 
 
 def test_scroll_point_on_first_axis():
     f = get_field(3, 3)
-    tw = Twist(3, 3, (0, 0, 2))
-    frame = ScrollFrame(2, tw)
-    basis = monomial_basis(2, tw)
-    assert scroll_plucker_check(f, (1, 0), frame, basis)
-    vec = embed_point(f, (1, 0), basis)
+    basis = monomial_basis(2, Twist(3, 3, (0, 0, 2)))
+    assert scroll_plucker_check(f, (1, 0), basis)
+    vec = f.eval_monomials([(1, 0)], basis.monomials)[0]
     assert (vec != 0).sum() == 1
+
+
+def test_scroll_check_fails_without_the_frobenius_twist(monkeypatch):
+    # with the twist dropped from the wedge side, the factor x -> x^9
+    # disagrees with the embedding exactly at the points with a
+    # coordinate outside GF(3), the field x^9 = x fixes
+    f = Field(3, 3)
+    monkeypatch.setattr(f, "frobenius", lambda x, s: x)
+    basis = monomial_basis(2, Twist(3, 3, (0, 0, 2)))
+    gf3 = {0, 1, 2}
+    points = enum_points(f, 2)
+    failed = [pt for pt in points if not scroll_plucker_check(f, pt, basis)]
+    assert failed == [pt for pt in points if not set(pt) <= gf3]
+    assert (len(failed), len(points)) == (24, 28)
