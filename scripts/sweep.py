@@ -9,11 +9,15 @@ budget, under an alarm of ROW_SECONDS, and prints p, m, n, sigma, nu, N
 (effective_N), delta (the lower bound, after ">=", when the row is not
 exact), whether delta is exact, the status (or "capped" or "timeout"),
 the report's cyclic_bound ("-" for a timed-out row, which has no
-report) and the seconds of set-up and analyze (the bound's own seconds,
-timings["bound"] of the report, go to the totals line and --json).  A
-row whose bound exceeds its exact delta is flagged: the bound is then
-wrong.  The totals of exact, capped and timed-out rows and of flagged
-rows come last, and the exit status is 1 when a row is flagged.
+report) and the seconds of set-up, scroll check and analyze (the
+bound's own seconds, timings["bound"] of the report, go to the totals
+line and --json).  Before analyze, each row checks the paper's scroll
+claim on its point table (veronese.scroll_plucker_check) and stores the
+verdict as `scroll`.  A row is flagged when its scroll check fails
+("FLAG scroll") or its bound exceeds its exact delta ("FLAG bound >
+delta": the bound is then wrong).  The totals of exact, capped and
+timed-out rows and of flagged rows come last, and the exit status is 1
+when a row is flagged.
 
 Usage:
     python scripts/sweep.py [--max-nu NU] [--json FILE]
@@ -30,7 +34,8 @@ from pathlib import Path
 # run from a plain checkout: import the package from its src directory
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from twistver import Field, SearchPlan, Twist, build_code, build_variety  # noqa: E402
+from twistver import (Field, SearchPlan, Twist, build_code,  # noqa: E402
+                      build_variety, scroll_plucker_check)
 from twistver.codes import analyze  # noqa: E402
 
 
@@ -60,12 +65,14 @@ def grid(max_nu):
 def run_row(p, m, n, sigma):
     """The row's outcome as a dict; a row past its alarm is a timeout."""
     row = {"p": p, "m": m, "n": n, "sigma": list(sigma), "bound": None,
-           "bound_s": None}
+           "bound_s": None, "scroll": None}
     start = time.perf_counter()
     signal.alarm(ROW_SECONDS)
     try:
-        code = build_code(build_variety(Field(p, m), n, Twist(p, m, sigma)))
-        row.update(nu=code.nu, N=code.effective_N)
+        variety = build_variety(Field(p, m), n, Twist(p, m, sigma))
+        code = build_code(variety)
+        row.update(nu=code.nu, N=code.effective_N,
+                   scroll=bool(scroll_plucker_check(variety).all()))
         report = analyze(code, SearchPlan(workers=1))
     except RowTimeout:
         row.update(outcome="timeout", delta=None, exact=False)
@@ -82,7 +89,9 @@ def run_row(p, m, n, sigma):
     finally:
         signal.alarm(0)
     row["seconds"] = round(time.perf_counter() - start, 3)
-    row["flagged"] = row["exact"] and row["bound"] > row["delta"]
+    row["flags"] = ((["scroll"] if row["scroll"] is False else [])
+                    + (["bound > delta"] if row["exact"]
+                       and row["bound"] > row["delta"] else []))
     return row
 
 
@@ -95,8 +104,8 @@ def show(row):
     return (f"{row['p']:>2} {row['m']:>2} {row['n']} {sigma:<8} "
             f"{row.get('nu', '-'):>5} {row.get('N', '-'):>3} {delta:>5} "
             f"{str(row['exact']):<5} {status:<10} {bound:>5} "
-            f"{row['seconds']:8.3f}" + ("  FLAG bound > delta"
-                                        if row["flagged"] else ""))
+            f"{row['seconds']:8.3f}"
+            + "".join(f"  FLAG {flag}" for flag in row["flags"]))
 
 
 def main():
@@ -119,7 +128,7 @@ def main():
         print(show(rows[-1]), flush=True)
     totals = {k: sum(r["outcome"] == k for r in rows)
               for k in ("exact", "capped", "timeout")}
-    flagged = sum(r["flagged"] for r in rows)
+    flagged = sum(bool(r["flags"]) for r in rows)
     bound_s = max((r["bound_s"] for r in rows if r["bound_s"] is not None),
                   default=0.0)
     print(f"{len(rows)} rows: {totals['exact']} exact, {totals['capped']} "

@@ -1,7 +1,7 @@
 """Twisted Veronese point sets over finite fields and their linear codes."""
 
 from .ff import Field
-from .linalg import IncrementalElim, det, is_independent, kernel_basis, rank
+from .linalg import IncrementalElim, kernel_basis, rank
 from .pg import enum_points, on_common_subline, point_count
 from .veronese import (MonomialBasis, Twist, VarietyMatrix, build_variety,
                        monomial_basis, scroll_plucker_check)

@@ -184,9 +184,7 @@ def cmd_verify(args) -> int:
                       supports=report.min_weight_support_count,
                       violations=report.violations, reason=why)
     elif prop == "scroll-plucker":
-        failures = [list(p) for p in variety.points
-                    if not scroll_plucker_check(variety.field, p,
-                                                variety.basis)]
+        failures = variety.point_array[~scroll_plucker_check(variety)].tolist()
         ok = not failures
         result.update(points=variety.num_points, failures=failures)
     elif prop == "oracle-equivalence":

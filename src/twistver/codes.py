@@ -155,7 +155,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ff import Field
-from .linalg import (IncrementalElim, is_independent, kernel_basis,
+from .linalg import (IncrementalElim, kernel_basis, matmul, rank,
                      systematic_form)
 from .pg import on_common_subline
 from .veronese import MonomialBasis, Twist, VarietyMatrix
@@ -635,10 +635,7 @@ def _induced_permutation(code: Code, mats: np.ndarray):
     perms[i, j] of H, and the basis need not be evaluated again."""
     field, ops = code.field, code.field.ops
     pts = code.variety.point_array
-    terms = ops.mul[pts[None, :, None, :], mats[:, None, :, :]]
-    img = terms[..., 0]
-    for s in range(1, mats.shape[2]):
-        img = ops.add[img, terms[..., s]]
+    img = matmul(field, pts, mats.swapaxes(1, 2))
     lead = np.take_along_axis(img, (img != 0).argmax(axis=2)[..., None],
                               axis=2)[..., 0]
     canon = ops.div[img, lead[..., None]]
@@ -673,10 +670,7 @@ def _is_column_symmetry(code: Code, perms: np.ndarray,
     ops, h = code.field.ops, code.H
     images = ops.mul[scales[:, None], h[:, perms].swapaxes(0, 1)]
     coef = images[:, :, code.pivots]  # A_i, g x N x N
-    prod = ops.mul[coef[:, :, :1], h[0]]
-    for k in range(1, len(h)):
-        prod = ops.add[prod, ops.mul[coef[:, :, k:k + 1], h[k]]]
-    return bool((prod == images).all())
+    return bool((matmul(code.field, coef, h) == images).all())
 
 
 def _orbit(nu: int, start: int, perms: Sequence[np.ndarray]) -> np.ndarray:
@@ -848,8 +842,8 @@ def min_distance(code: Code, plan: Optional[SearchPlan] = None) -> CodeReport:
             report.delta_lower_bound = w
             witness = next(_subsets(hits, w))
             report.witness = list(witness)
-            report.witness_points = [list(code.variety.points[i])
-                                     for i in witness]
+            report.witness_points = code.variety.point_array[
+                list(witness)].tolist()
             problem = _minimality_problem(code, witness)
             if problem:
                 raise AssertionError(f"witness {witness} is not a minimal "
@@ -1106,7 +1100,7 @@ def verify_general_position(code: Code, k: int,
 def _lex_first_dependent(code: Code, k: int) -> tuple:
     """Direct lex scan; only called when a dependent k-subset must exist."""
     for subset in combinations(range(code.nu), k):
-        if not is_independent(code.field, code.H, subset):
+        if rank(code.field, code.H[:, list(subset)]) < k:
             return subset
     raise AssertionError("no dependent subset found where one was implied")
 

@@ -252,8 +252,8 @@ class Field:
     The (e, t) split only labels the field for reporting and for
     power-of-q automorphism input; arithmetic depends on p and m alone.
     `ops` does the array arithmetic; the scalar methods read the same
-    tables, one lookup per call, because pg, the scroll cross-check and
-    the brute-force oracle call them one element at a time.
+    tables, one lookup per call, because pg and the brute-force oracle
+    call them one element at a time.
     """
 
     def __init__(self, p: int, m: int, e: int = 1):
@@ -389,8 +389,9 @@ class Field:
         vanish = (pts == 0).astype(np.int64) @ (exps > 0).T.astype(np.int64)
         return np.where(vanish > 0, 0, self._exp[s]).astype(np.int64)
 
-    def frobenius(self, a: int, s: int) -> int:
-        """a^(p^s), the s-th power of the absolute Frobenius."""
+    def frobenius(self, a, s: int):
+        """a^(p^s), the s-th power of the absolute Frobenius, of an
+        element or, entrywise through pow, of an array of them."""
         if not 0 <= s < self.m:
             raise ValueError(f"Frobenius exponent s = {s} out of range [0, {self.m})")
         if s == 0:

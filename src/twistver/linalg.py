@@ -2,13 +2,14 @@
 
 A matrix is a bare 2-D numpy array (or anything np.array turns into one)
 of integer element encodings, passed with its field: rank(field, a),
-kernel_basis(field, a), det(field, a), systematic_form(field, a).
+kernel_basis(field, a), systematic_form(field, a), matmul(field, a, b).
 Entries are trusted to be encodings of that field; the callers build
 them from its own tables.
-These and is_independent rest on one elimination of a copy, the row
-rule: rows are taken top to bottom, and each row's pivot is its first
-nonzero column once the rows before it are eliminated.  It is fully
-general over an exact field, and all results are deterministic.
+There is one elimination, systematic_form, which works on a copy by the
+row rule: rows are taken top to bottom, and each row's pivot is its
+first nonzero column once the rows before it are eliminated; rank and
+kernel_basis read its result.  It is fully general over an exact field,
+and all results are deterministic.
 Every entry operation goes through the field's array ops (`Field.ops`),
 a whole row or block at a time, so all fields up to ff.DEFAULT_MAX_ORDER
 run the same code.
@@ -29,8 +30,6 @@ This is the performance-critical path; everything else favours clarity.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
@@ -41,14 +40,15 @@ from .ff import Field
 # Elimination
 # ---------------------------------------------------------------------------
 
-def _reduce(field: Field, a) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """(rows, pivots, leads) of the row rule: kept row i is divided by
-    leads[i], its pivot entry, and its pivot column pivots[i] is cleared
-    from every other row; a row that is zero by then is dropped.  Once
-    every column has a pivot the rest are zero, so the loop stops."""
+def systematic_form(field: Field, a) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, pivots) of the row rule: a basis of the row space of a with
+    rows[:, pivots] the identity, so len(pivots) = rank(a).  Kept row i
+    is divided by its pivot entry and its pivot column pivots[i] is
+    cleared from every other row; a row that is zero by then is dropped.
+    Once every column has a pivot the rest are zero, so the loop stops."""
     a = np.array(a, dtype=np.int64)
     ops = field.ops
-    kept, pivots, leads = [], [], []
+    kept, pivots = [], []
     for r, row in enumerate(a):
         if len(pivots) == a.shape[1]:
             break
@@ -63,19 +63,11 @@ def _reduce(field: Field, a) -> tuple[np.ndarray, np.ndarray, list[int]]:
             a[:] = ops.sub[a, ops.mul[factors[:, None], row]]
             kept.append(r)
             pivots.append(c)
-            leads.append(lead)
-    return a[kept], np.array(pivots, dtype=np.int64), leads
+    return a[kept], np.array(pivots, dtype=np.int64)
 
 
 def rank(field: Field, a) -> int:
-    return len(_reduce(field, a)[1])
-
-
-def systematic_form(field: Field, a) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, pivots): a basis of the row space of a with rows[:, pivots]
-    the identity, so len(pivots) = rank(a)."""
-    rows, pivots, _ = _reduce(field, a)
-    return rows, pivots
+    return len(systematic_form(field, a)[1])
 
 
 def kernel_basis(field: Field, a) -> list[np.ndarray]:
@@ -83,7 +75,7 @@ def kernel_basis(field: Field, a) -> list[np.ndarray]:
     among systematic_form's pivots, free columns ascending.  Free column
     f's vector has 1 at f, 0 at the other free columns and the negated
     reduced column f at the pivots."""
-    rows, pivots, _ = _reduce(field, a)
+    rows, pivots = systematic_form(field, a)
     ncols = rows.shape[1]
     bound = set(pivots.tolist())
     basis = []
@@ -95,36 +87,20 @@ def kernel_basis(field: Field, a) -> list[np.ndarray]:
     return basis
 
 
-def is_independent(field: Field, a: np.ndarray,
-                   column_subset: Sequence[int]) -> bool:
-    """True iff the selected columns have rank equal to the subset size."""
-    cols = list(column_subset)
-    if len(set(cols)) != len(cols):
-        raise ValueError("duplicate column indices")
-    for c in cols:
-        if not 0 <= c < a.shape[1]:
-            raise ValueError(f"column index {c} out of range")
-    return rank(field, a[:, cols]) == len(cols)
+# ---------------------------------------------------------------------------
+# Products
+# ---------------------------------------------------------------------------
 
-
-def det(field: Field, a) -> int:
-    """Determinant of a square matrix.  Row divisions by the leads and
-    determinant-1 row operations turn a full-rank a into the permutation
-    matrix with 1 at (i, pivots[i]), so det(a) is the product of the
-    leads times that permutation's sign."""
-    a = np.asarray(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("determinant of a non-square matrix")
-    _, pivots, leads = _reduce(field, a)
-    if len(pivots) < a.shape[0]:
-        return 0
+def matmul(field: Field, a, b) -> np.ndarray:
+    """The product a b over field, batched over the leading axes like
+    np.matmul: both have at least 2 axes, and the last axis of a meets
+    the second last of b in a sum of products, one term at a time."""
     ops = field.ops
-    acc = 1
-    for lead in leads:
-        acc = ops.mul[acc, lead]
-    if sum(x > y for x, y in combinations(pivots.tolist(), 2)) % 2:
-        acc = ops.neg[acc]
-    return int(acc)
+    a, b = np.asarray(a), np.asarray(b)
+    acc = ops.mul[a[..., :1], b[..., :1, :]]
+    for k in range(1, a.shape[-1]):
+        acc = ops.add[acc, ops.mul[a[..., k:k + 1], b[..., k:k + 1, :]]]
+    return acc
 
 
 @lru_cache(maxsize=None)

@@ -11,8 +11,11 @@ raw tensor slots: tensor slots with the same monomial would only repeat
 coordinates of the embedded point and add nothing to the rank or the
 dependence structure of the point table.  The tensor slot that picks
 variable i_j in factor j holds the monomial with exponent vector
-sum_j p^s_j e_{i_j}, which is how the Grassmann/scroll cross-check reads
-the embedded point.
+sum_j p^s_j e_{i_j}.  The scroll cross-check, scroll_plucker_check, reads
+the point table that way: the table is the Grassmann embedding of a
+normal rational scroll, so each exterior coordinate of the d twisted
+copies of a point is 0 or one such monomial, and one array pass over
+the n^d picks compares every point at once.
 
 Because norm < q^t is enforced, no per-variable exponent reaches q^t and
 distinct exponent vectors are distinct functions on the field, so no
@@ -23,14 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 from typing import Sequence
 
 import numpy as np
 
 from .ff import Field
-from .linalg import det
-from .pg import ProjPoint, enum_points, point_count
+from .pg import enum_points, point_count
 
 MAX_POINTS = 1 << 16  # largest point set build_variety embeds
 
@@ -153,13 +155,12 @@ class VarietyMatrix:
     n: int
     twist: Twist
     basis: MonomialBasis
-    points: list[ProjPoint]
-    point_array: np.ndarray  # (num_points, n) int64, the points as rows
+    point_array: np.ndarray  # (num_points, n) int64, enum_points' rows
     coords: np.ndarray  # (num_points, effective_N)
 
     @property
     def num_points(self) -> int:
-        return len(self.points)
+        return len(self.point_array)
 
     def to_json(self) -> dict:
         return {
@@ -170,7 +171,7 @@ class VarietyMatrix:
             "effective_N": self.basis.effective_N,
             "monomial_order": "lex-descending",
             "basis": [list(m) for m in self.basis.monomials],
-            "points": [list(p) for p in self.points],
+            "points": self.point_array.tolist(),
             "coords": self.coords.tolist(),
         }
 
@@ -182,57 +183,51 @@ def build_variety(field: Field, n: int, twist: Twist) -> VarietyMatrix:
     num = point_count(field, n)
     if num > MAX_POINTS:
         raise ValueError(f"{num} points exceed the supported bound {MAX_POINTS}")
-    pts = enum_points(field, n)
-    point_array = np.array(pts, dtype=np.int64)
+    point_array = np.array(enum_points(field, n), dtype=np.int64)
     basis = monomial_basis(n, twist)
     coords = field.eval_monomials(point_array, basis.monomials)
 
     # injectivity: canonical projective representatives of rows are distinct
-    lead = coords[np.arange(len(pts)), (coords != 0).argmax(axis=1)]
+    lead = coords[np.arange(num), (coords != 0).argmax(axis=1)]
     canon = field.ops.div[coords, lead[:, None]]
-    if len(set(map(tuple, canon.tolist()))) != len(pts):
+    if len(set(map(tuple, canon.tolist()))) != num:
         raise AssertionError("embedding failed injectivity check")
 
     return VarietyMatrix(field=field, n=n, twist=twist, basis=basis,
-                         points=pts, point_array=point_array, coords=coords)
+                         point_array=point_array, coords=coords)
 
 
 # ---------------------------------------------------------------------------
 # Scroll / Grassmann cross-check
 # ---------------------------------------------------------------------------
 
-def scroll_plucker_check(field: Field, point: ProjPoint,
-                         basis: MonomialBasis) -> bool:
-    """Wedge the d twisted copies of the point and compare with the tensor
-    coordinates of its embedding.
+def scroll_plucker_check(variety: VarietyMatrix) -> np.ndarray:
+    """One bool per point (rows of variety.point_array): whether the
+    wedge of the d twisted copies of the point agrees with its row of
+    variety.coords, the table build_code reduces.
 
     Copy j lives on coordinates [j*n, (j+1)*n) of V(nd) and carries the
-    j-th Frobenius twist.  Exterior coordinates over d-subsets of the nd
-    indices must vanish unless the subset picks exactly one index j*n + i_j
-    per block; on such transversal subsets the row-per-block matrix is
-    diagonal, so the determinant is the product of the block entries, the
-    monomial with exponent vector sum_j p^s_j e_{i_j} at the point.  Sorted
-    subsets with blocks in order make the sign convention +1.
-    """
-    n, twist = basis.n, basis.twist
-    d = twist.d
-    vecs = []
-    for j, s in enumerate(twist.exponents):
-        v = [0] * (n * d)
-        v[j * n:(j + 1) * n] = [field.frobenius(x, s) for x in point]
-        vecs.append(v)
-    embedded = field.eval_monomials([point], basis.monomials)[0]
-    index = {mono: i for i, mono in enumerate(basis.monomials)}
-
-    for subset in combinations(range(n * d), d):
-        coord = det(field, [[vecs[r][c] for c in subset] for r in range(d)])
-        if [c // n for c in subset] != list(range(d)):
-            if coord != 0:
-                return False
-            continue
-        ev = [0] * n
-        for c, s in zip(subset, twist.exponents):
-            ev[c % n] += twist.p ** s
-        if coord != embedded[index[tuple(ev)]]:
-            return False
-    return True
+    j-th Frobenius twist.  A d-subset of the nd indices that misses a
+    block leaves that block's copy a zero row in the d x d minor, so the
+    exterior coordinate is 0 by construction and needs no computing.  A
+    subset that picks one index j*n + i_j per block gives a diagonal
+    minor: its determinant is the product over j of x_{i_j}^(p^s_j), the
+    monomial with exponent vector sum_j p^s_j e_{i_j} at the point.
+    Sorted subsets with blocks in order make the sign convention +1, so
+    each of the n^d picks is one product per point, compared with that
+    monomial's column."""
+    field, twist = variety.field, variety.twist
+    mul = field.ops.mul
+    copies = [field.frobenius(variety.point_array, s)
+              for s in twist.exponents]
+    index = {mono: c for c, mono in enumerate(variety.basis.monomials)}
+    ok = np.ones(variety.num_points, dtype=bool)
+    for pick in product(range(variety.n), repeat=twist.d):
+        ev = [0] * variety.n
+        for i, s in zip(pick, twist.exponents):
+            ev[i] += twist.p ** s
+        minor = copies[0][:, pick[0]]
+        for copy, i in zip(copies[1:], pick[1:]):
+            minor = mul[minor, copy[:, i]]
+        ok &= minor == variety.coords[:, index[tuple(ev)]]
+    return ok

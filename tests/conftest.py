@@ -1,3 +1,4 @@
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import twistver.codes as codes_mod
 from twistver import (Field, Twist, build_code, build_variety,
                       classify_min_words, min_distance)
+from twistver.linalg import matmul
 
 
 @lru_cache(maxsize=None)
@@ -26,12 +28,29 @@ def get_code(p, m, n, exps, e=1):
 
 def mat_vec(field, a, v):
     """The product of the matrix a and the vector v over field, a list."""
-    ops = field.ops
-    terms = ops.mul[np.asarray(a), np.asarray(v, dtype=np.int64)]
-    acc = np.zeros(terms.shape[0], dtype=np.int64)
-    for j in range(terms.shape[1]):
-        acc = ops.add[acc, terms[:, j]]
-    return acc.tolist()
+    column = np.asarray(v, dtype=np.int64)[:, None]
+    return matmul(field, a, column)[:, 0].tolist()
+
+
+def leibniz_det(f, m: np.ndarray) -> int:
+    """The Leibniz expansion, sum of sign(perm) * prod_i m[i, perm[i]],
+    in the field's polynomial-mode arithmetic; the sign is (-1)^(n -
+    number of cycles)."""
+    n = m.shape[0]
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        term, cycles, seen = 1, 0, set()
+        for i in range(n):
+            term = f.mul_poly(term, int(m[i, perm[i]]))
+            if i not in seen:
+                cycles += 1
+                j = i
+                while j not in seen:
+                    seen.add(j)
+                    j = perm[j]
+        odd = (n - cycles) % 2
+        total = (f.sub_poly if odd else f.add_poly)(total, term)
+    return total
 
 
 def classify_counted_and_full(code, monkeypatch, plan=None):

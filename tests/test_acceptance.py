@@ -83,7 +83,7 @@ def test_A3_normal_rational_curve_mds():
     v = code.variety
     f = v.field
     assert v.basis.monomials == [(5, 0), (4, 1), (3, 2), (2, 3), (1, 4), (0, 5)]
-    for pt, row in zip(v.points, v.coords):
+    for pt, row in zip(enum_points(f, 2), v.coords):
         if pt == (0, 1):
             assert row.tolist() == [0, 0, 0, 0, 0, 1]
         else:
@@ -129,7 +129,7 @@ def test_A5_min_weight_support_classification(monkeypatch):
         return (q * q - 1) * (q * q - q) // (q - 1)
 
     assert pgl2_order(16) // pgl2_order(4) == 68
-    sublines = sublines_of_line(code.field, code.variety.points, 4)
+    sublines = sublines_of_line(code.field, enum_points(code.field, 2), 4)
     assert len(sublines) == 68
     subline_sets = [set(s) for s in sublines]
     for s in report.supports:
@@ -273,11 +273,10 @@ def test_A9d_scroll_plucker_all_small_configs():
     total = 0
     for p, m, n, exps in SCROLL_CONFIGS:
         assert n * len(exps) <= 8
-        f = Field(p, m)
-        basis = monomial_basis(n, Twist(p, m, exps))
-        for pt in enum_points(f, n):
-            assert scroll_plucker_check(f, pt, basis), (p, m, n, exps, pt)
-            total += 1
+        v = build_variety(Field(p, m), n, Twist(p, m, exps))
+        ok = scroll_plucker_check(v)
+        assert ok.all(), (p, m, n, exps, v.point_array[~ok].tolist())
+        total += v.num_points
     _passline("A9d", f"wedge/tensor agreement at {total} points across "
                      f"{len(SCROLL_CONFIGS)} configurations")
 
@@ -305,7 +304,6 @@ def test_A9f_general_position_and_minimal_witness_invariants():
         assert rank(code.field, code.H[:, witness]) == len(witness) - 1
         kb = kernel_basis(code.field, code.H[:, witness])
         assert len(kb) == 1 and all(x != 0 for x in kb[0])
-        pts = [code.variety.points[i] for i in witness]
-        assert is_collinear(code.field, pts)
+        assert is_collinear(code.field, code.variety.point_array[witness])
     _passline("A9f", "general position at d+1, minimal witnesses have "
                      "1-dimensional kernels and collinear pre-images")

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from twistver import Field, Twist, build_variety
+from twistver import Field, Twist, build_variety, enum_points
 from twistver.cli import main
 
 
@@ -44,7 +44,7 @@ def test_build_writes_variety(tmp_path, capsys):
     assert len(data["points"]) == 28
     assert data["effective_N"] == 6
     v = build_variety(Field(3, 3), 2, Twist(3, 3, (0, 0, 2)))
-    assert data["points"] == [list(p) for p in v.points]
+    assert data["points"] == [list(p) for p in enum_points(v.field, 2)]
     assert data["coords"] == v.coords.tolist()
 
 
@@ -330,6 +330,18 @@ def test_verify_scroll_plucker(tmp_path):
                     "--sigma", "0,0,2", "-o", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["points"] == 28
+
+
+def test_verify_scroll_plucker_on_585_points(tmp_path):
+    # GF(8), n = 4, d = 3: C(12, 3) minors a point by determinants, here
+    # 64 products over the whole point column
+    out = tmp_path / "res.json"
+    code = run_cli(["verify", "scroll-plucker", "--p", "2", "--t", "3",
+                    "--n", "4", "--sigma", "0,1,2", "-o", str(out)])
+    assert code == 0
+    res = json.loads(out.read_text())
+    assert res["points"] == 585
+    assert res["failures"] == [] and res["pass"] is True
 
 
 def test_verify_oracle_equivalence(tmp_path):

@@ -106,8 +106,7 @@ def test_witness_preimages_collinear():
     for cfg in [(3, 3, 2, (0, 0, 2)), (2, 4, 2, (0, 2)), (2, 2, 3, (0, 0))]:
         c = get_code(*cfg)
         rep = min_distance(c)
-        pts = [c.variety.points[i] for i in rep.witness]
-        assert is_collinear(c.field, pts)
+        assert is_collinear(c.field, c.variety.point_array[rep.witness])
 
 
 def test_min_distance_lex_first_witness():
@@ -178,8 +177,8 @@ def test_plane_with_small_fixed_subfield(no_bound):
     assert rep.delta == 5
     # independent upper-bound witness: any 5 points of a line embed into a
     # cubic curve spanning only a 4-dimensional space
-    from twistver.pg import all_lines
-    line = all_lines(c.field, c.variety.points)[0]
+    from twistver.pg import all_lines, enum_points
+    line = all_lines(c.field, enum_points(c.field, 2))[0]
     assert rank(c.field, c.H[:, list(line[:5])]) == 4
 
 
@@ -742,7 +741,7 @@ def test_every_generator_is_a_verified_symmetry():
             # the scales are those of the embedding: M . points[j] embeds
             # to scale[j] times column perm[j]
             img = c.field.eval_monomials(
-                [mat_vec(c.field, mat, pt) for pt in c.variety.points],
+                [mat_vec(c.field, mat, pt) for pt in c.variety.point_array],
                 c.variety.basis.monomials)
             assert (img == c.field.ops.mul[scale[:, None],
                                            c.variety.coords[perm]]).all()

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from twistver.codes import _scalar_rank
 from twistver.ff import LogOps
-from twistver.linalg import (IncrementalElim, det, is_independent,
-                             kernel_basis, rank, systematic_form)
+from twistver.linalg import (IncrementalElim, kernel_basis, matmul, rank,
+                             systematic_form)
 
 from conftest import get_code, get_field, mat_vec
 
@@ -171,37 +171,6 @@ def test_kernel_of_dependent_six_subset_is_one_dimensional():
     basis = kernel_basis(code.field, sub)
     assert len(basis) == 1
     assert all(x != 0 for x in basis[0])
-
-
-# -- subset independence -----------------------------------------------------
-
-def test_single_nonzero_column_independent(gf27):
-    m = np.array([[5], [0], [7]])
-    assert is_independent(gf27, m, [0])
-
-
-def test_two_distinct_projective_points_independent(gf27):
-    m = np.array([[1, 1], [2, 5]])
-    assert is_independent(gf27, m, [0, 1])
-
-
-def test_is_independent_errors(gf27):
-    m = np.eye(3, dtype=np.int64)
-    with pytest.raises(ValueError):
-        is_independent(gf27, m, [0, 0])
-    with pytest.raises(ValueError):
-        is_independent(gf27, m, [0, 9])
-
-
-@pytest.mark.parametrize("p,m_", [(7, 1), (2, 3)])
-def test_is_independent_agrees_with_rank_exhaustively(p, m_):
-    f = get_field(p, m_)
-    rng = np.random.default_rng(7)
-    m = random_matrix(f, 4, 6, rng)
-    for size in range(1, 5):
-        for sub in itertools.combinations(range(6), size):
-            expected = _scalar_rank(f, m[:, sub].tolist()) == size
-            assert is_independent(f, m, sub) == expected
 
 
 def test_incremental_elim_matches_rank(gf27):
@@ -383,7 +352,7 @@ def test_incremental_elim_above_pair_table_order():
 
 
 def test_elimination_above_pair_table_order():
-    # rank/kernel/is_independent must also work on fields too large for
+    # rank/kernel must also work on fields too large for
     # the pairwise tables
     from twistver.ff import Field
     f = Field(2, 11)
@@ -397,84 +366,37 @@ def test_elimination_above_pair_table_order():
     basis = kernel_basis(f, dep)
     assert len(basis) == 1
     assert all(x == 0 for x in mat_vec(f, dep, basis[0].tolist()))
-    assert is_independent(f, m, [0, 1, 2])
-    assert not is_independent(f, dep, [0, 1, 2])
+    assert rank(f, m[:, [0, 1, 2]]) == 3
+    assert rank(f, dep[:, [0, 1, 2]]) < 3
 
 
-# -- determinant -------------------------------------------------------------
+# -- products ----------------------------------------------------------------
 
-def leibniz_det(f, m: np.ndarray) -> int:
-    """The Leibniz expansion, sum of sign(perm) * prod_i m[i, perm[i]],
-    in the field's polynomial-mode arithmetic; the sign is (-1)^(n -
-    number of cycles)."""
-    n = m.shape[0]
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        term, cycles, seen = 1, 0, set()
-        for i in range(n):
-            term = f.mul_poly(term, int(m[i, perm[i]]))
-            if i not in seen:
-                cycles += 1
-                j = i
-                while j not in seen:
-                    seen.add(j)
-                    j = perm[j]
-        odd = (n - cycles) % 2
-        total = (f.sub_poly if odd else f.add_poly)(total, term)
-    return total
+def poly_matmul(f, a, b) -> list:
+    """a b by the field's polynomial-mode arithmetic, entry by entry."""
+    return [[functools.reduce(f.add_poly, [
+                f.mul_poly(int(a[i, k]), int(b[k, j]))
+                for k in range(a.shape[1])]) for j in range(b.shape[1])]
+            for i in range(a.shape[0])]
 
 
-@pytest.mark.parametrize("p,m_", [(7, 1), (3, 2), (2, 3), (2, 11)])
-def test_det_equals_leibniz_expansion(p, m_):
-    # value and sign, not only the zero set: random, singular and scaled
-    # permutation matrices, whose sign elimination must track
+@pytest.mark.parametrize("p,m_", [(7, 1), (3, 3), (2, 11)])
+def test_matmul_equals_polynomial_products(p, m_):
+    # unbatched, batched on both sides, and one side broadcast over the
+    # other's stack, against scalar products that share no code with ops
     f = get_field(p, m_)
     rng = np.random.default_rng(p * 100 + m_)
-    minus_one = f.sub_poly(0, 1)
-    for n in (2, 3, 4):
-        for _ in range(6):
-            a = random_matrix(f, n, n, rng)
-            assert det(f, a) == leibniz_det(f, a)
-            a[-1] = a[0]
-            assert det(f, a) == leibniz_det(f, a) == 0
-        for perm in itertools.permutations(range(n)):
-            a = np.eye(n, dtype=np.int64)[list(perm)]
-            assert det(f, a) == leibniz_det(f, a)
-            scaled = a * rng.integers(1, f.order, size=(n, 1))
-            assert det(f, scaled) == leibniz_det(f, scaled)
-        odd = np.eye(n, dtype=np.int64)[[1, 0, *range(2, n)]]
-        assert det(f, odd) == minus_one  # -1, which is 1 when p = 2
-        assert (minus_one == 1) == (p == 2)
-
-
-def test_det_matches_rank_and_products(gf27):
-    assert det(gf27, np.eye(3, dtype=np.int64)) == 1
-    rng = np.random.default_rng(13)
-    for _ in range(40):
-        m = random_matrix(gf27, 3, 3, rng)
-        d = det(gf27, m)
-        assert (d == 0) == (rank(gf27, m) < 3)
-
-
-def test_det_multiplicative_gf7():
-    f = get_field(7, 1)
-    rng = np.random.default_rng(17)
-    for _ in range(30):
-        a = random_matrix(f, 3, 3, rng)
-        b = random_matrix(f, 3, 3, rng)
-        ab = [[sum(int(a[i, k]) * int(b[k, j]) for k in range(3)) % 7
-               for j in range(3)] for i in range(3)]
-        assert det(f, ab) == f.mul(det(f, a), det(f, b))
-
-
-@pytest.mark.parametrize("p,m_", [(2, 11), (3, 7)])
-def test_det_multiplicative_above_pair_table_order(p, m_):
-    f = get_field(p, m_)
-    rng = np.random.default_rng(17)
-    for _ in range(10):
-        a = random_matrix(f, 3, 3, rng)
-        b = random_matrix(f, 3, 3, rng)
-        ab = [[functools.reduce(f.add_poly, [
-                  f.mul_poly(int(a[i, k]), int(b[k, j]))
-                  for k in range(3)]) for j in range(3)] for i in range(3)]
-        assert det(f, ab) == f.mul(det(f, a), det(f, b))
+    for rows, inner, cols in [(1, 1, 1), (3, 3, 3), (2, 5, 4), (4, 1, 3)]:
+        a = random_matrix(f, rows, inner, rng)
+        b = random_matrix(f, inner, cols, rng)
+        assert matmul(f, a, b).tolist() == poly_matmul(f, a, b)
+        sa = rng.integers(0, f.order, size=(3, rows, inner))
+        sb = rng.integers(0, f.order, size=(3, inner, cols))
+        got = matmul(f, sa, sb)
+        assert got.shape == (3, rows, cols)
+        for i in range(3):
+            assert got[i].tolist() == poly_matmul(f, sa[i], sb[i])
+            assert (matmul(f, a, sb)[i].tolist()
+                    == poly_matmul(f, a, sb[i]))
+            assert (matmul(f, sa, b)[i].tolist()
+                    == poly_matmul(f, sa[i], b))

@@ -1,5 +1,7 @@
 import json
 import os
+import runpy
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -60,8 +62,9 @@ def test_frontier_script_runs_from_a_plain_checkout(tmp_path):
 
 
 def test_sweep_flags_no_row_on_a_tiny_grid(tmp_path):
-    # the 52 rows with nu <= 30 are all exact at the default budget, and
-    # no cyclic bound exceeds its delta
+    # the 52 rows with nu <= 30 are all exact at the default budget, every
+    # point table passes the scroll check, and no cyclic bound exceeds
+    # its delta
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     out = tmp_path / "sweep.json"
     res = subprocess.run(
@@ -74,3 +77,29 @@ def test_sweep_flags_no_row_on_a_tiny_grid(tmp_path):
     rows = json.loads(out.read_text())
     assert len(rows) == 52 and max(r["nu"] for r in rows) <= 30
     assert all(2 <= r["bound"] <= r["delta"] for r in rows)
+    assert all(r["scroll"] is True for r in rows)
+
+
+def test_sweep_flags_a_row_whose_scroll_check_fails(monkeypatch, capsys):
+    # a check that fails every point of GF(4)'s tables flags those 3 rows
+    # and only those, and the sweep exits 1
+    import numpy as np
+    import twistver
+
+    def check(variety):
+        return np.full(variety.num_points, variety.field.order != 4)
+
+    monkeypatch.setattr(twistver, "scroll_plucker_check", check)
+    monkeypatch.setattr(sys, "argv", ["sweep.py", "--max-nu", "7"])
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    sweep = runpy.run_path(str(SCRIPTS / "sweep.py"))
+    handler = signal.getsignal(signal.SIGALRM)
+    try:
+        assert sweep["main"]() == 1
+    finally:
+        signal.signal(signal.SIGALRM, handler)
+    out = capsys.readouterr().out
+    flagged = [line.split()[:2] for line in out.splitlines()
+               if line.endswith("  FLAG scroll")]
+    assert flagged == [["2", "2"]] * 3
+    assert "6 rows: 6 exact, 0 capped, 0 timeout; 3 flagged" in out

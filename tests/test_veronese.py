@@ -1,6 +1,8 @@
 import itertools
+from dataclasses import replace
 from math import comb, prod
 
+import numpy as np
 import pytest
 
 from twistver.ff import Field
@@ -9,7 +11,7 @@ from twistver.pg import enum_points
 from twistver.veronese import (Twist, build_variety, monomial_basis,
                                scroll_plucker_check)
 
-from conftest import get_field, get_variety
+from conftest import get_field, get_variety, leibniz_det
 
 
 # -- twist validation ---------------------------------------------------------
@@ -153,7 +155,7 @@ def test_variety_gf4_is_cubic_curve():
     assert v.coords.shape == (5, 4)
     assert rank(v.field, v.coords) == 4
     f = v.field
-    for pt, row in zip(v.points, v.coords):
+    for pt, row in zip(enum_points(f, 2), v.coords):
         if pt[0] == 1:
             z = pt[1]
             assert row.tolist() == [1, z, f.pow(z, 2), f.pow(z, 3)]
@@ -202,19 +204,58 @@ SCROLL_CONFIGS = [
 ]
 
 
+def twisted_copies(variety, point) -> np.ndarray:
+    """The d x nd matrix whose row j is the j-th Frobenius twist of the
+    point, placed on block j, coordinates [j*n, (j+1)*n)."""
+    f, n, exps = variety.field, variety.n, variety.twist.exponents
+    rows = np.zeros((len(exps), n * len(exps)), dtype=np.int64)
+    for j, s in enumerate(exps):
+        rows[j, j * n:(j + 1) * n] = [f.frobenius(x, s) for x in point]
+    return rows
+
+
 @pytest.mark.parametrize("p,m,n,exps", SCROLL_CONFIGS)
 def test_scroll_plucker_agreement_exhaustive(p, m, n, exps):
-    f = get_field(p, m)
-    basis = monomial_basis(n, Twist(p, m, exps))
-    assert all(scroll_plucker_check(f, pt, basis) for pt in enum_points(f, n))
+    # the exterior-algebra definition, minor by minor through the Leibniz
+    # expansion: a subset that misses a block gives 0, and a transversal
+    # one gives the point's coordinate at sum_j p^s_j e_{i_j}
+    v = get_variety(p, m, n, exps)
+    d = len(exps)
+    index = {mono: c for c, mono in enumerate(v.basis.monomials)}
+    for pt, row in zip(v.point_array.tolist(), v.coords):
+        vecs = twisted_copies(v, pt)
+        for subset in itertools.combinations(range(n * d), d):
+            minor = leibniz_det(v.field, vecs[:, subset])
+            if [c // n for c in subset] != list(range(d)):
+                assert minor == 0, (pt, subset)
+                continue
+            ev = [0] * n
+            for c, s in zip(subset, exps):
+                ev[c % n] += p ** s
+            assert minor == row[index[tuple(ev)]], (pt, subset)
+    assert scroll_plucker_check(v).tolist() == [True] * v.num_points
+
+
+@pytest.mark.parametrize("p,m,n,exps", SCROLL_CONFIGS)
+def test_scroll_check_fails_at_a_changed_coordinate(p, m, n, exps):
+    # every coordinate is the product of some pick, so a change to any
+    # nonzero entry fails its point and no other
+    v = get_variety(p, m, n, exps)
+    rng = np.random.default_rng(p * 1000 + m * 10 + n)
+    rows, cols = np.nonzero(v.coords)
+    for at in rng.choice(len(rows), size=min(5, len(rows)), replace=False):
+        coords = v.coords.copy()
+        i, c = rows[at], cols[at]
+        coords[i, c] = v.field.add(int(coords[i, c]), 1)
+        ok = scroll_plucker_check(replace(v, coords=coords))
+        assert np.flatnonzero(~ok).tolist() == [i]
 
 
 def test_scroll_point_on_first_axis():
-    f = get_field(3, 3)
-    basis = monomial_basis(2, Twist(3, 3, (0, 0, 2)))
-    assert scroll_plucker_check(f, (1, 0), basis)
-    vec = f.eval_monomials([(1, 0)], basis.monomials)[0]
-    assert (vec != 0).sum() == 1
+    v = get_variety(3, 3, 2, (0, 0, 2))
+    first = enum_points(v.field, 2).index((1, 0))
+    assert scroll_plucker_check(v)[first]
+    assert (v.coords[first] != 0).sum() == 1
 
 
 def test_scroll_check_fails_without_the_frobenius_twist(monkeypatch):
@@ -222,10 +263,11 @@ def test_scroll_check_fails_without_the_frobenius_twist(monkeypatch):
     # disagrees with the embedding exactly at the points with a
     # coordinate outside GF(3), the field x^9 = x fixes
     f = Field(3, 3)
+    v = build_variety(f, 2, Twist(3, 3, (0, 0, 2)))
     monkeypatch.setattr(f, "frobenius", lambda x, s: x)
-    basis = monomial_basis(2, Twist(3, 3, (0, 0, 2)))
     gf3 = {0, 1, 2}
     points = enum_points(f, 2)
-    failed = [pt for pt in points if not scroll_plucker_check(f, pt, basis)]
+    failed = [pt for pt, ok in zip(points, scroll_plucker_check(v))
+              if not ok]
     assert failed == [pt for pt in points if not set(pt) <= gf3]
     assert (len(failed), len(points)) == (24, 28)
