@@ -75,9 +75,8 @@ def _resolve_twist(args, field: Field) -> Twist:
     return Twist.from_q_powers(field, _parse_exponents(args.sigma_q))
 
 
-def _resolve_plan(args) -> SearchPlan:
-    return SearchPlan(w_max=args.w_max, budget=args.budget,
-                      workers=args.workers)
+def _resolve_plan(args, w_max: Optional[int] = None) -> SearchPlan:
+    return SearchPlan(w_max=w_max, budget=args.budget, workers=args.workers)
 
 
 def _build_with_warnings(args):
@@ -130,7 +129,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_code(args) -> int:
-    plan = _resolve_plan(args)
+    plan = _resolve_plan(args, args.w_max)
     _, _, variety = _build_with_warnings(args)
     code = build_code(variety)
     _progress(f"code length {code.nu}, dimension {code.kappa}, "
@@ -212,6 +211,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_experiment_flags(sp) -> None:
+    """The field and twist flags, and -o."""
     sp.add_argument("--p", type=int, required=True, help="prime characteristic")
     sp.add_argument("--e", type=int, default=1,
                     help="base-field exponent, q = p^e (default %(default)s)")
@@ -220,13 +220,15 @@ def _add_experiment_flags(sp) -> None:
                     "points of PG(n-1) (default %(default)s)")
     sp.add_argument("--sigma", help="comma-separated Frobenius exponents (powers of p), e.g. 0,0,2")
     sp.add_argument("--sigma-q", dest="sigma_q", help="comma-separated exponents as powers of q")
+    sp.add_argument("-o", "--output", help="write the JSON result here instead of stdout")
+
+
+def _add_search_flags(sp) -> None:
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                     help="max subsets checked per search level (default %(default)s)")
-    sp.add_argument("--w-max", dest="w_max", type=int, help="largest subset size to search")
     sp.add_argument("--workers", type=int, default=usable_cpus(),
                     help="parallel workers (default: the CPUs this process "
                     "may use, here %(default)s)")
-    sp.add_argument("-o", "--output", help="write the JSON result here instead of stdout")
 
 
 def main(argv=None) -> int:
@@ -248,6 +250,9 @@ def main(argv=None) -> int:
 
     p_code = sub.add_parser("code", help="build the code and search the minimum distance")
     _add_experiment_flags(p_code)
+    _add_search_flags(p_code)
+    p_code.add_argument("--w-max", dest="w_max", type=int,
+                        help="largest subset size to search")
 
     p_verify = sub.add_parser(
         "verify", help="run an exhaustive verification (general-position "
@@ -257,6 +262,8 @@ def main(argv=None) -> int:
         "general-position", "dep-classification", "scroll-plucker",
         "oracle-equivalence"])
     _add_experiment_flags(p_verify)
+    # no --w-max: each property fixes how far its search goes
+    _add_search_flags(p_verify)
     p_verify.add_argument("--k", type=int, help="subset size for general-position")
 
     args = parser.parse_args(argv)

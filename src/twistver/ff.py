@@ -15,21 +15,22 @@ membership is decided by x^{q'} = x), so Conway-style compatibility is not
 needed.
 
 Every field carries exp/log tables over its smallest primitive element.
-`Field.ops` does array arithmetic: add, sub, neg, mul, div and inv on
-numpy arrays, written as lookups (`ops.mul[a, b]`).  Up to PAIR_TABLE_MAX
-it is FieldTables, one gather into a pairwise int16 table per operation;
-above, LogOps computes the same entries by exp/log gathers and digit-wise
-base-p addition (XOR when p = 2).  `Field.eval_monomials` evaluates a
-table of monomials at a table of points in the log domain.  Scalar
-methods read the same tables.
-Polynomial mode computes on coefficient vectors: mul_poly builds the
-tables (through _find_generator and _exp_table), and add_poly, sub_poly
-and mul_poly are the references the tests compare against.
+`Field.ops` is the one element arithmetic: add, sub, neg, mul, div and
+inv, written as lookups (`ops.mul[a, b]`) on numpy arrays or single
+elements.  Up to PAIR_TABLE_MAX it is FieldTables, one gather into a
+pairwise int16 table per operation; above, LogOps computes the same
+entries by exp/log gathers and digit-wise base-p addition (XOR when
+p = 2).  The scalar methods are one `ops` read each; `Field.pow` and
+`Field.eval_monomials` gather in the log domain.
+The polynomial helpers are the one polynomial arithmetic: they find the
+modulus and the generator, mul_poly builds the exp table, and add_poly,
+sub_poly and mul_poly are the references the tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 
 import numpy as np
 
@@ -251,9 +252,9 @@ class Field:
 
     The (e, t) split only labels the field for reporting and for
     power-of-q automorphism input; arithmetic depends on p and m alone.
-    `ops` does the array arithmetic; the scalar methods read the same
-    tables, one lookup per call, because pg and the brute-force oracle
-    call them one element at a time.
+    `ops` does the arithmetic; the scalar methods are one `ops` read
+    each, because pg and the brute-force oracle call them one element at
+    a time.
     """
 
     def __init__(self, p: int, m: int, e: int = 1):
@@ -310,35 +311,20 @@ class Field:
             raise ValueError(f"{a} is not an element encoding of GF({self.order})")
         return a
 
-    # -- polynomial mode: mul_poly builds the tables; all are test references
+    # -- polynomial mode: mul_poly builds the exp table; all three are test
+    # references (from_coeffs reduces each coefficient mod p)
 
     def add_poly(self, a: int, b: int) -> int:
-        p = self.p
-        out = 0
-        pw = 1
-        while a or b:
-            out += ((a % p + b % p) % p) * pw
-            a //= p
-            b //= p
-            pw *= p
-        return out
+        return self.from_coeffs(map(add, self.to_coeffs(a), self.to_coeffs(b)))
 
     def sub_poly(self, a: int, b: int) -> int:
-        p = self.p
-        out = 0
-        pw = 1
-        while a or b:
-            out += ((a % p - b % p) % p) * pw
-            a //= p
-            b //= p
-            pw *= p
-        return out
+        return self.from_coeffs(map(sub, self.to_coeffs(a), self.to_coeffs(b)))
 
     def mul_poly(self, a: int, b: int) -> int:
         prod = poly_mul(list(self.to_coeffs(a)), list(self.to_coeffs(b)), self.p)
-        return self.from_coeffs(poly_rem(prod, list(self.modulus), self.p) + [0] * self.m)
+        return self.from_coeffs(poly_rem(prod, list(self.modulus), self.p))
 
-    # -- scalar arithmetic -----------------------------------------------------
+    # -- scalar arithmetic: one ops read each --------------------------------
 
     def add(self, a: int, b: int) -> int:
         return int(self.ops.add[a, b])
@@ -347,36 +333,28 @@ class Field:
         return int(self.ops.sub[a, b])
 
     def neg(self, a: int) -> int:
-        return self.sub(0, a)
+        return int(self.ops.neg[a])
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        n = self.order - 1
-        return int(self._exp[(int(self._log[a]) + int(self._log[b])) % n])
+        return int(self.ops.mul[a, b])
 
+    # ops reads 0 for these, so the scalar methods check zero first
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        n = self.order - 1
-        return int(self._exp[(-int(self._log[a])) % n])
+        return int(self.ops.inv[a])
 
     def div(self, a: int, b: int) -> int:
         if b == 0:
             raise ZeroDivisionError("division by zero")
-        return self.mul(a, self.inv(b))
+        return int(self.ops.div[a, b])
 
     def pow(self, a, k: int):
-        """a ** k (0 ** 0 = 1); one log/exp gather for an array a, k >= 0."""
-        if isinstance(a, np.ndarray):
-            logs = self._log[a].astype(np.int64) * k % (self.order - 1)
-            return np.where(a == 0, int(k == 0), self._exp[logs])
-        if k < 0:
-            return self.pow(self.inv(a), -k)
-        if a == 0:
-            return 1 if k == 0 else 0
-        n = self.order - 1
-        return int(self._exp[(int(self._log[a]) * k) % n])
+        """a ** k for k >= 0 (0 ** 0 = 1), of an element or entrywise of an
+        array: one log/exp gather."""
+        logs = self._log[a].astype(np.int64) * k % (self.order - 1)
+        out = np.where(a == 0, int(k == 0), self._exp[logs])
+        return out if isinstance(a, np.ndarray) else int(out)
 
     def eval_monomials(self, points, exponents) -> np.ndarray:
         """Table of prod_j points[i][j] ** exponents[k][j]: one row per
@@ -421,21 +399,13 @@ class Field:
         if n == 1:
             return 1
         factors = prime_factors(n)
+        mod = list(self.modulus)
         for g in range(2, self.order):
-            if all(self._pow_raw(g, n // r) != 1 for r in factors):
+            # the tables do not exist yet: polynomial mode
+            coeffs = list(self.to_coeffs(g))
+            if all(poly_powmod(coeffs, n // r, mod, self.p) != [1] for r in factors):
                 return g
         raise RuntimeError("no primitive element found")  # unreachable
-
-    def _pow_raw(self, a: int, k: int) -> int:
-        # square-and-multiply through polynomial mode only (used before tables exist)
-        result = 1
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul_poly(result, base)
-            base = self.mul_poly(base, base)
-            k >>= 1
-        return result
 
     def _exp_table(self) -> np.ndarray:
         """exp[i] = g^i for 0 <= i < order - 1, g the generator.

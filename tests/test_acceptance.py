@@ -5,18 +5,14 @@ failure pytest shows the captured line plus the assertion).  Run the whole
 module with:  pytest tests/test_acceptance.py -v
 """
 
-import itertools
-import math
 import time
 from math import comb
 
-import pytest
-
 import twistver.codes as codes_mod
-from twistver import (Field, IncrementalElim, SearchPlan, Twist, build_code,
-                      build_variety, enum_points, kernel_basis, min_distance,
-                      monomial_basis, oracle_min_distance, rank,
-                      scroll_plucker_check, verify_general_position)
+from twistver import (Field, SearchPlan, Twist, build_code, build_variety,
+                      enum_points, kernel_basis, min_distance, monomial_basis,
+                      oracle_min_distance, rank, scroll_plucker_check,
+                      verify_general_position)
 from twistver.pg import is_collinear, sublines_of_line
 
 from conftest import classify_counted_and_full, mat_vec

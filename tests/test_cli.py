@@ -271,13 +271,20 @@ CODE_ARGS = ["code", "--p", "3", "--t", "3", "--sigma", "0,0,2"]
     CODE_ARGS + ["--variety", "v.json"],
     CODE_ARGS + ["--budget", "abc"],
     ["verify", "no-such-property", "--p", "3", "--t", "3", "--sigma", "0,0,2"],
-], ids=["unknown-flag", "non-integer-budget", "unknown-verify-property"])
+    # verify fixes its own search depth (a --w-max below delta read as a
+    # FAIL), and build runs no search
+    ["verify", "oracle-equivalence", "--p", "2", "--t", "4", "--n", "2",
+     "--sigma", "0,2", "--workers", "1", "--w-max", "3"],
+    ["build", "--p", "3", "--t", "3", "--sigma", "0,0,2", "--workers", "2"],
+], ids=["unknown-flag", "non-integer-budget", "unknown-verify-property",
+        "verify-w-max", "build-workers"])
 def test_usage_errors_exit_invalid(capsys, argv):
     # argparse's own status, 2, would read as "budget exhausted"
     with pytest.raises(SystemExit) as exc:
         run_cli(argv)
     assert exc.value.code == 1
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
 
 
 # -- verify --------------------------------------------------------------------------

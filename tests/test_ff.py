@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistver.ff import (Field, FieldTables, LogOps, is_irreducible, is_prime,
-                         lex_smallest_irreducible, poly_mul, prime_factors)
+                         lex_smallest_irreducible, poly_mul, poly_powmod,
+                         prime_factors)
 
 from conftest import get_field
 
@@ -84,6 +85,22 @@ def test_multiplicative_group_cyclic(p, m):
         x = f.mul(x, g)
         seen.add(x)
     assert len(seen) == order - 1
+
+
+def test_generator_is_the_smallest_primitive_element():
+    # every field of order <= 4096, and GF(2^13), a LogOps field
+    fields = [(p, m) for p in range(2, 4097) if is_prime(p)
+              for m in range(1, 13) if p ** m <= 4096] + [(2, 13)]
+    assert len(fields) == 605
+    for p, m in fields:
+        f = Field(p, m)
+        n, g = f.order - 1, f.generator
+        # exp lists the powers of g, all q - 1 nonzero elements once each
+        assert f._exp[1 % n] == g
+        assert (np.sort(f._exp) == np.arange(1, f.order)).all()
+        # c = g^k is primitive iff gcd(k, q - 1) = 1
+        assert math.gcd(int(f._log[g]), n) == 1
+        assert (np.gcd(f._log[2:g], n) > 1).all(), (p, m)
 
 
 @pytest.mark.parametrize("p,m", FIELDS)
@@ -196,11 +213,43 @@ def test_log_ops_match_polynomial_mode(p, m):
     quot, inv = ops.div[a[nz], b[nz]].tolist(), ops.inv[b[nz]].tolist()
     for x, y, qt, iv in zip(a[nz].tolist(), b[nz].tolist(), quot, inv):
         assert f.mul_poly(qt, y) == x and f.mul_poly(iv, y) == 1
-    # the scalar methods share the same tables
-    for x, y in pairs[:50]:
-        assert f.add(x, y) == f.add_poly(x, y)
-        assert f.sub(x, y) == f.sub_poly(x, y)
-        assert f.mul(x, y) == f.mul_poly(x, y)
+
+
+@pytest.mark.parametrize("p,m", [(3, 3), (2, 11), (3, 7)])
+def test_scalar_methods_read_ops(p, m):
+    f = get_field(p, m)
+    ops = f.ops
+    assert isinstance(ops, FieldTables if f.order <= 1 << 10 else LogOps)
+    rng = np.random.default_rng(p * 100 + m)
+    a = rng.integers(0, f.order, size=200)
+    b = rng.integers(0, f.order, size=200)
+    a[:10] = 0
+    b[10:20] = 0
+    for x, y in zip(a.tolist(), b.tolist()):
+        got = (f.add(x, y), f.sub(x, y), f.neg(x), f.mul(x, y))
+        assert all(type(v) is int for v in got)
+        assert got == (int(ops.add[x, y]), int(ops.sub[x, y]),
+                       int(ops.neg[x]), int(ops.mul[x, y]))
+        assert got == (f.add_poly(x, y), f.sub_poly(x, y), f.sub_poly(0, x),
+                       f.mul_poly(x, y))
+        if y:
+            assert f.div(x, y) == int(ops.div[x, y])
+            assert f.mul_poly(f.div(x, y), y) == x
+            assert f.inv(y) == int(ops.inv[y])
+            assert f.mul_poly(f.inv(y), y) == 1
+        for k in (0, 1, 2, p, f.order - 1, f.order, 3 * f.order + 5):
+            want = f.from_coeffs(poly_powmod(list(f.to_coeffs(x)), k,
+                                             list(f.modulus), p))
+            assert f.pow(x, k) == want == int(f.pow(np.array([x]), k)[0])
+            assert type(f.pow(x, k)) is int
+    assert f.pow(0, 0) == 1 and f.pow(0, 1) == 0
+    # ops reads 0 here; only the scalar methods reject zero
+    assert int(ops.div[5, 0]) == int(ops.inv[0]) == 0
+    for x in (0, 1, 5):
+        with pytest.raises(ZeroDivisionError):
+            f.div(x, 0)
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
 
 
 # -- element enumeration and subfields ---------------------------------------

@@ -3,9 +3,9 @@
 * Invariants are stated with explicit raises.  A bare `assert` vanishes
   under `python -O`, so an invariant written that way stops being
   checked exactly when nobody is watching.
-* Every module-level import is used: an unused one keeps a dependency
-  alive that nothing needs.  The package `__init__` re-exports, so it is
-  left out.
+* Every module-level import, in the package, `scripts/` and `tests/`, is
+  used: an unused one keeps a dependency alive that nothing needs.  The
+  package `__init__` re-exports, so it is left out.
 * Every name the benchmark's tracer wraps (`perfbench/spans.py`
   `TARGETS`) exists: a missing one makes `perfbench/run.py --trace 1`
   fail inside `Tracer.installed()`.
@@ -31,7 +31,8 @@ def test_no_assert_statements_in_the_package():
 
 
 def test_no_unused_module_level_imports():
-    files = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    files = sorted(p for d in (SRC, ROOT / "scripts", ROOT / "tests")
+                   for p in d.glob("*.py") if p.name != "__init__.py")
     assert files
     found = []
     for path in files:
@@ -48,9 +49,9 @@ def test_no_unused_module_level_imports():
                     imported[alias.asname or alias.name] = node.lineno
         used = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)}
-        found += [f"{path.name}:{line} {name}"
+        found += [f"{path.relative_to(ROOT)}:{line} {name}"
                   for name, line in imported.items() if name not in used]
-    assert not found, f"unused imports in src/twistver: {found}"
+    assert not found, f"unused imports: {found}"
 
 
 def test_benchmark_trace_targets_resolve():
