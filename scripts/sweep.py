@@ -9,15 +9,17 @@ budget, under an alarm of ROW_SECONDS, and prints p, m, n, sigma, nu, N
 (effective_N), delta (the lower bound, after ">=", when the row is not
 exact), whether delta is exact, the status (or "capped" or "timeout"),
 the report's cyclic_bound ("-" for a timed-out row, which has no
-report) and the seconds of set-up, scroll check and analyze (the
+report), the set-up seconds (Field through build_code and the scroll
+check; `setup_s`) and the seconds of set-up and analyze together (the
 bound's own seconds, timings["bound"] of the report, go to the totals
 line and --json).  Before analyze, each row checks the paper's scroll
 claim on its point table (veronese.scroll_plucker_check) and stores the
 verdict as `scroll`.  A row is flagged when its scroll check fails
 ("FLAG scroll") or its bound exceeds its exact delta ("FLAG bound >
 delta": the bound is then wrong).  The totals of exact, capped and
-timed-out rows and of flagged rows come last, and the exit status is 1
-when a row is flagged.
+timed-out rows and of flagged rows come last, with the summed seconds
+and the summed set-up seconds, and the exit status is 1 when a row is
+flagged.
 
 Usage:
     python scripts/sweep.py [--max-nu NU] [--json FILE]
@@ -65,14 +67,15 @@ def grid(max_nu):
 def run_row(p, m, n, sigma):
     """The row's outcome as a dict; a row past its alarm is a timeout."""
     row = {"p": p, "m": m, "n": n, "sigma": list(sigma), "bound": None,
-           "bound_s": None, "scroll": None}
+           "bound_s": None, "scroll": None, "setup_s": None}
     start = time.perf_counter()
     signal.alarm(ROW_SECONDS)
     try:
         variety = build_variety(Field(p, m), n, Twist(p, m, sigma))
         code = build_code(variety)
         row.update(nu=code.nu, N=code.effective_N,
-                   scroll=bool(scroll_plucker_check(variety).all()))
+                   scroll=bool(scroll_plucker_check(variety).all()),
+                   setup_s=round(time.perf_counter() - start, 4))
         report = analyze(code, SearchPlan(workers=1))
     except RowTimeout:
         row.update(outcome="timeout", delta=None, exact=False)
@@ -101,9 +104,10 @@ def show(row):
     status = row["status"] if row["exact"] else row["outcome"]
     sigma = ",".join(map(str, row["sigma"]))
     bound = "-" if row["bound"] is None else row["bound"]
+    setup = "-" if row["setup_s"] is None else f"{row['setup_s']:.4f}"
     return (f"{row['p']:>2} {row['m']:>2} {row['n']} {sigma:<8} "
             f"{row.get('nu', '-'):>5} {row.get('N', '-'):>3} {delta:>5} "
-            f"{str(row['exact']):<5} {status:<10} {bound:>5} "
+            f"{str(row['exact']):<5} {status:<10} {bound:>5} {setup:>7} "
             f"{row['seconds']:8.3f}"
             + "".join(f"  FLAG {flag}" for flag in row["flags"]))
 
@@ -121,7 +125,8 @@ def main():
         raise RowTimeout
 
     signal.signal(signal.SIGALRM, overrun)
-    print(" p  m n sigma       nu   N delta exact status     bound  seconds")
+    print(" p  m n sigma       nu   N delta exact status     bound   setup"
+          "  seconds")
     rows = []
     for p, m, n, sigma in grid(args.max_nu):
         rows.append(run_row(p, m, n, sigma))
@@ -131,10 +136,11 @@ def main():
     flagged = sum(bool(r["flags"]) for r in rows)
     bound_s = max((r["bound_s"] for r in rows if r["bound_s"] is not None),
                   default=0.0)
+    setup_s = sum(r["setup_s"] for r in rows if r["setup_s"] is not None)
     print(f"{len(rows)} rows: {totals['exact']} exact, {totals['capped']} "
           f"capped, {totals['timeout']} timeout; {flagged} flagged; "
-          f"{sum(r['seconds'] for r in rows):.1f} s, the bound at most "
-          f"{bound_s:.4f} s a row")
+          f"{sum(r['seconds'] for r in rows):.1f} s, set-up {setup_s:.2f} s, "
+          f"the bound at most {bound_s:.4f} s a row")
     if args.json:
         args.json.write_text(json.dumps(rows, indent=1) + "\n")
     return 1 if flagged else 0

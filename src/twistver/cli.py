@@ -163,9 +163,12 @@ def cmd_code(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    plan = _resolve_plan(args)
-    _, twist, variety = _build_with_warnings(args)
     prop = args.property
+    if args.k is not None and prop != "general-position":
+        raise ValueError(f"--k applies to general-position only, not {prop}")
+    # scroll-plucker searches nothing, so its --budget and --workers go unread
+    plan = None if prop == "scroll-plucker" else _resolve_plan(args)
+    _, twist, variety = _build_with_warnings(args)
     result: dict = {"property": prop}
     ok = False
 

@@ -15,6 +15,10 @@ membership is decided by x^{q'} = x), so Conway-style compatibility is not
 needed.
 
 Every field carries exp/log tables over its smallest primitive element.
+They and the operation tables below are built once per (p, m) in a
+process and shared, read-only, by every Field of that order; an LRU
+cache keeps the FIELD_CACHE_SIZE fields used last (at most 8 MiB each),
+and a search worker forked from the process inherits it.
 `Field.ops` is the one element arithmetic: add, sub, neg, mul, div and
 inv, written as lookups (`ops.mul[a, b]`) on numpy arrays or single
 elements.  Up to PAIR_TABLE_MAX it is FieldTables, one gather into a
@@ -23,19 +27,21 @@ entries by exp/log gathers and digit-wise base-p addition (XOR when
 p = 2).  The scalar methods are one `ops` read each; `Field.pow` and
 `Field.eval_monomials` gather in the log domain.
 The polynomial helpers are the one polynomial arithmetic: they find the
-modulus and the generator, mul_poly builds the exp table, and add_poly,
+modulus and the generator and build the exp table, and add_poly,
 sub_poly and mul_poly are the references the tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add, sub
 
 import numpy as np
 
 DEFAULT_MAX_ORDER = 1 << 20  # largest p^m accepted
 PAIR_TABLE_MAX = 1 << 10     # full pairwise numpy tables up to this order
+FIELD_CACHE_SIZE = 16        # fields whose arithmetic a process keeps
 
 
 def is_prime(n: int) -> bool:
@@ -152,19 +158,58 @@ def is_irreducible(f: list[int], p: int) -> bool:
     return True
 
 
+def _digits(a: int, p: int, m: int) -> list[int]:
+    """The m base-p digits of a, lowest first: an element's coefficients."""
+    out = []
+    for _ in range(m):
+        out.append(a % p)
+        a //= p
+    return out
+
+
 def lex_smallest_irreducible(p: int, m: int) -> list[int]:
     """First monic irreducible of degree m over F_p, scanning coefficient
     tuples (a_{m-1}, ..., a_1, a_0) in ascending lexicographic order."""
     for k in range(p ** m):
-        low = []
-        kk = k
-        for _ in range(m):
-            low.append(kk % p)
-            kk //= p
-        f = low + [1]
+        f = _digits(k, p, m) + [1]
         if is_irreducible(f, p):
             return f
     raise RuntimeError(f"no irreducible polynomial of degree {m} over F_{p}")
+
+
+def _find_generator(p: int, m: int, modulus: list[int]) -> int:
+    """The smallest primitive element, found in polynomial arithmetic."""
+    n = p ** m - 1
+    if n == 1:
+        return 1
+    factors = prime_factors(n)
+    for g in range(2, n + 1):
+        coeffs = _digits(g, p, m)
+        if all(poly_powmod(coeffs, n // r, modulus, p) != [1] for r in factors):
+            return g
+    raise RuntimeError("no primitive element found")  # unreachable
+
+
+def _exp_table(p: int, m: int, modulus: list[int], g: int) -> np.ndarray:
+    """exp[i] = g^i for 0 <= i < p^m - 1.
+
+    Multiplying by g^k is F_p-linear on coefficient vectors, so the
+    powers k..2k-1 are the powers 0..k-1 times the matrix of g^k, and
+    squaring that matrix doubles k.
+    """
+    n = p ** m - 1
+    # row i holds the coefficients of x^i * g^k, starting from k = 1
+    step, coeffs_g = np.zeros((m, m), dtype=np.int64), _digits(g, p, m)
+    for i in range(m):
+        row = poly_rem(poly_mul([0] * i + [1], coeffs_g, p), modulus, p)
+        step[i, :len(row)] = row
+    coeffs = np.zeros((1, m), dtype=np.int64)
+    coeffs[0, 0] = 1
+    while len(coeffs) < n:
+        block = coeffs[:n - len(coeffs)] @ step % p
+        coeffs = np.concatenate([coeffs, block])
+        step = step @ step % p
+    return (coeffs @ p ** np.arange(m, dtype=np.int64)).astype(LogOps.dtype)
 
 
 @dataclass(frozen=True)
@@ -203,9 +248,9 @@ class LogOps:
 
     dtype = np.int32
 
-    def __init__(self, field: Field):
-        self.p, self.m = field.p, field.m
-        self._exp, self._log = field._exp, field._log
+    def __init__(self, p: int, m: int, exp: np.ndarray, log: np.ndarray):
+        self.p, self.m = p, m
+        self._exp, self._log = exp, log
         self.add = _Computed(lambda a, b: self._digitwise(a, b, 1))
         self.sub = _Computed(lambda a, b: self._digitwise(a, b, -1))
         self.neg = _Computed(lambda a: self._digitwise(0, a, -1))
@@ -226,7 +271,8 @@ class LogOps:
 
     def _via_log(self, a, b, sign: int):
         out = self._exp[(self._log[a] + sign * self._log[b]) % self._exp.size]
-        return np.where((a == 0) | (b == 0), 0, out)
+        # a mask, not np.where, which would make a 0-d array of one element
+        return out * ((a != 0) & (b != 0))
 
     def tabulate(self) -> FieldTables:
         p, order = self.p, self.p ** self.m
@@ -244,7 +290,41 @@ class LogOps:
         mul, neg, inv = self.mul[a, b], np.argmin(add, axis=1), self.inv[x]
         # a - b = a + (-b) and a / b = a * b^-1: one gather each
         t = dict(add=add, sub=add[:, neg], neg=neg, mul=mul, div=mul[:, inv], inv=inv)
-        return FieldTables(**{k: v.astype(FieldTables.dtype) for k, v in t.items()})
+        return FieldTables(**{k: _read_only(v.astype(FieldTables.dtype))
+                              for k, v in t.items()})
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=FIELD_CACHE_SIZE)
+def _arithmetic(p: int, m: int) -> tuple[
+        tuple[int, ...], int, np.ndarray, np.ndarray, FieldTables | LogOps]:
+    """(modulus, generator, exp, log, ops) of GF(p^m), built once and
+    kept for the FIELD_CACHE_SIZE fields used last in this process.
+
+    Every Field of this (p, m) shares the result, so every array in it is
+    read-only.  One field holds about 8 MiB at most: four int16 pairwise
+    tables, 8 * Q^2 bytes at Q = PAIR_TABLE_MAX, or int32 exp and log
+    tables, 8 * Q bytes at Q = DEFAULT_MAX_ORDER.  The cache holds at most
+    FIELD_CACHE_SIZE * 8 MiB = 128 MiB, and it holds the sweep's largest
+    set of fields of one characteristic (the 11 of p = 2), which the grid
+    visits once for each n.
+    """
+    order = p ** m
+    modulus = lex_smallest_irreducible(p, m)
+    generator = _find_generator(p, m, modulus)
+    exp = _read_only(_exp_table(p, m, modulus, generator))
+    # log[0] stays 0 and must never be consulted for the zero element
+    log = np.zeros(order, dtype=np.int32)
+    log[exp] = np.arange(order - 1, dtype=np.int32)
+    ops = LogOps(p, m, exp, _read_only(log))
+    # pairwise tables would need order^2 entries above PAIR_TABLE_MAX
+    if order <= PAIR_TABLE_MAX:
+        ops = ops.tabulate()
+    return tuple(modulus), generator, exp, log, ops
 
 
 class Field:
@@ -252,6 +332,9 @@ class Field:
 
     The (e, t) split only labels the field for reporting and for
     power-of-q automorphism input; arithmetic depends on p and m alone.
+    So every Field of one (p, m) shares its modulus, generator, exp/log
+    tables and `ops`, built once per process (see _arithmetic) and
+    read-only: constructing a Field again only checks its arguments.
     `ops` does the arithmetic; the scalar methods are one `ops` read
     each, because pg and the brute-force oracle call them one element at
     a time.
@@ -274,28 +357,15 @@ class Field:
         self.t = m // e
         self.q = p ** e
         self.order = order
-        self.modulus: tuple[int, ...] = tuple(lex_smallest_irreducible(p, m))
-
-        self.generator = self._find_generator()
-        self._exp = self._exp_table()
-        # log[0] stays 0 and must never be consulted for the zero element
-        self._log = np.zeros(order, dtype=np.int32)
-        self._log[self._exp] = np.arange(order - 1, dtype=np.int32)
+        (self.modulus, self.generator, self._exp, self._log,
+         self.ops) = _arithmetic(p, m)
         self._subfields: dict[int, list[int]] = {}
-        log_ops = LogOps(self)
-        # pairwise tables would need order^2 entries above PAIR_TABLE_MAX
-        self.ops: FieldTables | LogOps = (
-            log_ops.tabulate() if order <= PAIR_TABLE_MAX else log_ops)
 
     # -- encoding ----------------------------------------------------------
 
     def to_coeffs(self, a: int) -> tuple[int, ...]:
         """Coefficient vector (c_0, ..., c_{m-1}) of an element."""
-        out = []
-        for _ in range(self.m):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
+        return tuple(_digits(a, self.p, self.m))
 
     def from_coeffs(self, coeffs) -> int:
         a = 0
@@ -311,8 +381,8 @@ class Field:
             raise ValueError(f"{a} is not an element encoding of GF({self.order})")
         return a
 
-    # -- polynomial mode: mul_poly builds the exp table; all three are test
-    # references (from_coeffs reduces each coefficient mod p)
+    # -- polynomial mode: the test references (from_coeffs reduces each
+    # coefficient mod p)
 
     def add_poly(self, a: int, b: int) -> int:
         return self.from_coeffs(map(add, self.to_coeffs(a), self.to_coeffs(b)))
@@ -352,8 +422,9 @@ class Field:
     def pow(self, a, k: int):
         """a ** k for k >= 0 (0 ** 0 = 1), of an element or entrywise of an
         array: one log/exp gather."""
-        logs = self._log[a].astype(np.int64) * k % (self.order - 1)
-        out = np.where(a == 0, int(k == 0), self._exp[logs])
+        # int64, since log * k overflows int32
+        logs = self._log[a] * np.int64(k) % (self.order - 1)
+        out = self._exp[logs] * ((a != 0) | (k == 0))
         return out if isinstance(a, np.ndarray) else int(out)
 
     def eval_monomials(self, points, exponents) -> np.ndarray:
@@ -391,40 +462,6 @@ class Field:
             step = (self.order - 1) // (q_sub - 1)
             self._subfields[q_sub] = [0] + sorted(self._exp[::step].tolist())
         return list(self._subfields[q_sub])
-
-    # -- tables ---------------------------------------------------------------
-
-    def _find_generator(self) -> int:
-        n = self.order - 1
-        if n == 1:
-            return 1
-        factors = prime_factors(n)
-        mod = list(self.modulus)
-        for g in range(2, self.order):
-            # the tables do not exist yet: polynomial mode
-            coeffs = list(self.to_coeffs(g))
-            if all(poly_powmod(coeffs, n // r, mod, self.p) != [1] for r in factors):
-                return g
-        raise RuntimeError("no primitive element found")  # unreachable
-
-    def _exp_table(self) -> np.ndarray:
-        """exp[i] = g^i for 0 <= i < order - 1, g the generator.
-
-        Multiplying by g^k is F_p-linear on coefficient vectors, so the
-        powers k..2k-1 are the powers 0..k-1 times the matrix of g^k, and
-        squaring that matrix doubles k.
-        """
-        p, m, n = self.p, self.m, self.order - 1
-        # row i holds the coefficients of x^i * g^k, starting from k = 1
-        step = np.array([self.to_coeffs(self.mul_poly(p ** i, self.generator))
-                         for i in range(m)], dtype=np.int64)
-        coeffs = np.zeros((1, m), dtype=np.int64)
-        coeffs[0, 0] = 1
-        while len(coeffs) < n:
-            block = coeffs[:n - len(coeffs)] @ step % p
-            coeffs = np.concatenate([coeffs, block])
-            step = step @ step % p
-        return (coeffs @ p ** np.arange(m, dtype=np.int64)).astype(LogOps.dtype)
 
     # -- reporting -------------------------------------------------------------
 

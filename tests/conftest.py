@@ -10,7 +10,6 @@ from twistver import (Field, Twist, build_code, build_variety,
 from twistver.linalg import matmul
 
 
-@lru_cache(maxsize=None)
 def get_field(p, m, e=1):
     return Field(p, m, e=e)
 

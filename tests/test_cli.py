@@ -339,6 +339,27 @@ def test_verify_scroll_plucker(tmp_path):
     assert json.loads(out.read_text())["points"] == 28
 
 
+def test_verify_scroll_plucker_reads_no_search_flags(capsys):
+    # the check searches nothing, so a worker count it would reject in a
+    # search does not stop it
+    code = run_cli(["verify", "scroll-plucker", "--p", "3", "--t", "3",
+                    "--sigma", "0,0,2", "--workers", "0"])
+    assert code == 0
+    res = json.loads(capsys.readouterr().out)
+    assert res["points"] == 28 and res["pass"] is True
+
+
+@pytest.mark.parametrize("prop", ["oracle-equivalence", "dep-classification",
+                                  "scroll-plucker"])
+def test_verify_rejects_k_outside_general_position(capsys, prop):
+    code = run_cli(["verify", prop, "--p", "2", "--t", "2", "--sigma", "0,1",
+                    "--workers", "1", "--k", "3"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--k applies to general-position only" in captured.err
+
+
 def test_verify_scroll_plucker_on_585_points(tmp_path):
     # GF(8), n = 4, d = 3: C(12, 3) minors a point by determinants, here
     # 64 products over the whole point column

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistver.ff import (Field, FieldTables, LogOps, is_irreducible, is_prime,
+from twistver.ff import (FIELD_CACHE_SIZE, Field, FieldTables, LogOps,
+                         _arithmetic, is_irreducible, is_prime,
                          lex_smallest_irreducible, poly_mul, poly_powmod,
                          prime_factors)
 
@@ -183,7 +184,7 @@ def test_pair_tables_consistent(gf27):
 @pytest.mark.parametrize("p,m", [(2, 4), (3, 3), (3, 4)])
 def test_pair_ops_match_log_ops(p, m):
     f = get_field(p, m)
-    pair, log = f.ops, LogOps(f)
+    pair, log = f.ops, LogOps(f.p, f.m, f._exp, f._log)
     assert isinstance(pair, FieldTables)
     a, b = np.divmod(np.arange(f.order ** 2), f.order)  # every pair
     for op in ("add", "sub", "mul", "div"):
@@ -250,6 +251,77 @@ def test_scalar_methods_read_ops(p, m):
             f.div(x, 0)
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
+
+
+# -- the per-process arithmetic -------------------------------------------------
+
+def test_fields_of_one_order_share_their_arithmetic():
+    a, b, c = Field(2, 4), Field(2, 4), Field(2, 4, e=2)
+    for name in ("ops", "_exp", "_log", "modulus"):
+        assert getattr(a, name) is getattr(b, name) is getattr(c, name)
+    assert (c.e, c.t, c.q) == (2, 2, 4) and (a.e, a.t, a.q) == (1, 4, 2)
+    assert Field(3, 4).ops is not a.ops
+
+
+@pytest.mark.parametrize("p,m", [(3, 3), (2, 11)])
+def test_shared_arrays_are_read_only(p, m):
+    f = Field(p, m)
+    arrays = [f._exp, f._log]
+    if isinstance(f.ops, FieldTables):
+        arrays += [getattr(f.ops, k)
+                   for k in ("add", "sub", "neg", "mul", "div", "inv")]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[1] = 0
+    assert f.mul(2, 1) == 2 and f._exp[1] == f.generator
+
+
+@pytest.mark.parametrize("p,m", [(3, 3), (2, 11)])
+def test_cached_arithmetic_equals_a_fresh_build(p, m):
+    cached = Field(p, m)
+    _arithmetic.cache_clear()
+    fresh = Field(p, m)
+    assert fresh.ops is not cached.ops and fresh._exp is not cached._exp
+    assert (fresh.modulus, fresh.generator) == (cached.modulus, cached.generator)
+    for old, new in [(cached._exp, fresh._exp), (cached._log, fresh._log)]:
+        assert old.dtype == new.dtype and (old == new).all()
+    if isinstance(cached.ops, FieldTables):
+        for k in ("add", "sub", "neg", "mul", "div", "inv"):
+            old, new = getattr(cached.ops, k), getattr(fresh.ops, k)
+            assert old.dtype == new.dtype and (old == new).all(), k
+    else:
+        assert isinstance(fresh.ops, LogOps)
+        # every 4099th pair of the 2^22
+        a, b = np.divmod(np.arange(0, fresh.order ** 2, 4099), fresh.order)
+        for k in ("add", "sub", "mul", "div"):
+            assert (getattr(cached.ops, k)[a, b]
+                    == getattr(fresh.ops, k)[a, b]).all(), k
+
+
+def test_the_cache_evicts_the_least_recently_used_field():
+    primes = [p for p in range(2, 1000) if is_prime(p)][:FIELD_CACHE_SIZE + 1]
+    _arithmetic.cache_clear()
+    first = [Field(p, 1).ops for p in primes[:-1]]
+    assert _arithmetic.cache_info().currsize == FIELD_CACHE_SIZE
+    Field(primes[0], 1)  # now the most recently used
+    Field(primes[-1], 1)  # one field too many: evicts primes[1]
+    assert _arithmetic.cache_info().currsize == FIELD_CACHE_SIZE
+    assert Field(primes[0], 1).ops is first[0]
+    assert all(Field(p, 1).ops is ops
+               for p, ops in zip(primes[2:-1], first[2:]))
+    rebuilt = Field(primes[1], 1).ops
+    assert rebuilt is not first[1]
+    assert (rebuilt.mul == first[1].mul).all()
+
+
+def test_equality_and_hash_follow_p_m_e():
+    a = Field(3, 4)
+    _arithmetic.cache_clear()
+    b = Field(3, 4)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != Field(3, 4, e=2) and a != Field(3, 2) and a != (3, 4, 1)
+    assert hash(Field(3, 4, e=2)) == hash((3, 4, 2))
+    assert len({a, b, Field(3, 4, e=2)}) == 2
 
 
 # -- element enumeration and subfields ---------------------------------------

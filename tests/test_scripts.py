@@ -78,6 +78,11 @@ def test_sweep_flags_no_row_on_a_tiny_grid(tmp_path):
     assert len(rows) == 52 and max(r["nu"] for r in rows) <= 30
     assert all(2 <= r["bound"] <= r["delta"] for r in rows)
     assert all(r["scroll"] is True for r in rows)
+    # set-up is part of each row's seconds (both rounded), and the totals
+    # line sums it
+    assert all(0 <= r["setup_s"] <= r["seconds"] + 5e-4 for r in rows)
+    total = sum(r["setup_s"] for r in rows)
+    assert f"set-up {total:.2f} s," in res.stdout.splitlines()[-1]
 
 
 def test_sweep_flags_a_row_whose_scroll_check_fails(monkeypatch, capsys):
