@@ -17,9 +17,11 @@ claim on its point table (veronese.scroll_plucker_check) and stores the
 verdict as `scroll`.  A row is flagged when its scroll check fails
 ("FLAG scroll") or its bound exceeds its exact delta ("FLAG bound >
 delta": the bound is then wrong).  The totals of exact, capped and
-timed-out rows and of flagged rows come last, with the summed seconds
-and the summed set-up seconds, and the exit status is 1 when a row is
-flagged.
+timed-out rows and of flagged rows come last, with the number of
+projective spaces built (pg.space's cache misses: one per distinct
+(p, m, n), since the rows of one space are consecutive), the summed
+seconds and the summed set-up seconds, and the exit status is 1 when a
+row is flagged.  --json writes {"rows": [...], "spaces_built": N}.
 
 Usage:
     python scripts/sweep.py [--max-nu NU] [--json FILE]
@@ -39,6 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from twistver import (Field, SearchPlan, Twist, build_code,  # noqa: E402
                       build_variety, scroll_plucker_check)
 from twistver.codes import analyze  # noqa: E402
+from twistver.pg import space  # noqa: E402
 
 
 ROW_SECONDS = 15
@@ -127,7 +130,7 @@ def main():
     signal.signal(signal.SIGALRM, overrun)
     print(" p  m n sigma       nu   N delta exact status     bound   setup"
           "  seconds")
-    rows = []
+    rows, built = [], space.cache_info().misses
     for p, m, n, sigma in grid(args.max_nu):
         rows.append(run_row(p, m, n, sigma))
         print(show(rows[-1]), flush=True)
@@ -137,12 +140,15 @@ def main():
     bound_s = max((r["bound_s"] for r in rows if r["bound_s"] is not None),
                   default=0.0)
     setup_s = sum(r["setup_s"] for r in rows if r["setup_s"] is not None)
+    spaces = space.cache_info().misses - built
     print(f"{len(rows)} rows: {totals['exact']} exact, {totals['capped']} "
           f"capped, {totals['timeout']} timeout; {flagged} flagged; "
+          f"{spaces} spaces built; "
           f"{sum(r['seconds'] for r in rows):.1f} s, set-up {setup_s:.2f} s, "
           f"the bound at most {bound_s:.4f} s a row")
     if args.json:
-        args.json.write_text(json.dumps(rows, indent=1) + "\n")
+        args.json.write_text(json.dumps(
+            {"rows": rows, "spaces_built": spaces}, indent=1) + "\n")
     return 1 if flagged else 0
 
 

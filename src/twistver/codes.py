@@ -21,21 +21,24 @@ establishes:
 Column symmetries.  For M in GL(n, q^t) the embedding satisfies
 nu(Mv) = (M^{s_0} (x) ... (x) M^{s_{d-1}}) nu(v), so M permutes the
 columns of H up to nonzero scalars through an invertible linear map, and
-a column subset is dependent exactly when its image is.  In
-column_orbit_prefix, one array pass reads each generator M of
-_gl_generators off the point list as a column permutation and per-column
-scales lead^norm (every basis monomial has degree norm), and one
-certificate product, _is_column_symmetry, proves the set: the permuted
-and scaled H, X_i, equals A_i H with A_i = X_i[:, P], so the invertible
-A_i moves the columns as claimed; nothing rests on the identity above
-and H is not eliminated again.  If the test fails, k = 0 and no level
-is reduced.  Otherwise a stabiliser chain over the nu columns gives k:
-the largest k such that, for every i < k, the permutations that fix
-columns 0 .. i-1 move column i onto every column >= i, so any k distinct
-columns map onto (0, ..., k-1).  On a line (n = 2) PGL(2, q^t) is
-3-transitive and k = 3 (more on the tiniest fields); for n >= 3 the
-generators that fix columns 0 and 1 fix column 2 too, and the chain
-stops at 2.
+a column subset is dependent exactly when its image is.  The points
+and the action of the generators on them do not depend on sigma:
+pg.space(p, m, n), built once per process, reads each generator M of
+pg._gl_generators off the point list as a column permutation with
+leads, M v_j = lead_j v_perm(j), and runs the stabiliser chain of those
+permutations for k.  column_orbit_prefix adds what is this code's: the
+per-column scales lead^norm (every basis monomial has degree norm) and
+one certificate product, _is_column_symmetry, which proves the set on
+every call: the permuted and scaled H, X_i, equals A_i H with
+A_i = X_i[:, P], so the invertible A_i moves the columns as claimed;
+nothing rests on the identity above or on the cache, and H is not
+eliminated again.  If the test fails, k = 0 and no level is reduced.
+Otherwise k is the space's: the largest k such that, for every i < k,
+the permutations that fix columns 0 .. i-1 move column i onto every
+column >= i, so any k distinct columns map onto (0, ..., k-1).  On a
+line (n = 2) PGL(2, q^t) is 3-transitive and k = 3 (more on the tiniest
+fields); for n >= 3 the generators that fix columns 0 and 1 fix column 2
+too, and the chain stops at 2.
 
 A level then scans only the C(nu-k', w-k') w-subsets that contain the
 columns 0 .. k'-1, k' = min(k, w) (McKay's "one representative per
@@ -157,7 +160,7 @@ import numpy as np
 from .ff import Field
 from .linalg import (IncrementalElim, kernel_basis, matmul, rank,
                      systematic_form)
-from .pg import on_common_subline
+from .pg import on_common_subline, space
 from .veronese import MonomialBasis, Twist, VarietyMatrix
 
 PARALLEL_MIN_CHECKS = 200_000  # below this workers cost more than they save
@@ -608,45 +611,6 @@ def _run_level(elim: IncrementalElim, w: int, plan: SearchPlan, *,
 # Column symmetries
 # ---------------------------------------------------------------------------
 
-def _gl_generators(field: Field, n: int) -> np.ndarray:
-    """The g x n x n stack of diag(g, 1, ..., 1), the cyclic coordinate
-    shift, I + E_01, I + E_{n-1,0} and, for n >= 3, the cyclic shift of
-    the first n-1 coordinates.  They generate GL(n, q^t), whose
-    projective image is 2-transitive on the points of PG(n-1, q^t).  All
-    but the full shift and, for n = 2, I + E_01 fix e_{n-1}, the point of
-    column 0, and those generate a group transitive on the other points."""
-    mats = np.zeros((5 if n >= 3 else 4, n, n), dtype=np.int64)
-    i = np.arange(n)
-    mats[:, i, i] = 1
-    mats[0, 0, 0] = field.generator
-    mats[1] = mats[1, (i + 1) % n]  # row i of a shift is e_{i+1}
-    mats[2, 0, 1] = mats[3, n - 1, 0] = 1
-    if n >= 3:
-        mats[4, :-1] = mats[4, (i[:-1] + 1) % (n - 1)]
-    return mats
-
-
-def _induced_permutation(code: Code, mats: np.ndarray):
-    """(perms, scales), g x nu each, for a g x n x n stack of matrices M_i
-    with M_i . points[j] = lead_ij . points[perms[i, j]]: perms[i, j] is
-    -1 where M_i . points[j] is zero or not a listed point, and
-    scales[i, j] = lead_ij ** norm.  Every basis monomial has total degree
-    norm, so the embedding of M_i . points[j] is scales[i, j] times column
-    perms[i, j] of H, and the basis need not be evaluated again."""
-    field, ops = code.field, code.field.ops
-    pts = code.variety.point_array
-    img = matmul(field, pts, mats.swapaxes(1, 2))
-    lead = np.take_along_axis(img, (img != 0).argmax(axis=2)[..., None],
-                              axis=2)[..., 0]
-    canon = ops.div[img, lead[..., None]]
-    place = field.order ** np.arange(pts.shape[1] - 1, -1, -1,
-                                     dtype=np.int64)
-    keys, want = pts @ place, canon @ place  # keys ascend with the points
-    perms = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-    perms[(keys[perms] != want) | (lead == 0)] = -1
-    return perms, field.pow(lead, code.twist.norm)  # 0 where lead is 0
-
-
 def _is_column_symmetry(code: Code, perms: np.ndarray,
                         scales: np.ndarray) -> bool:
     """True iff, for every candidate i, an invertible linear map sends
@@ -662,7 +626,7 @@ def _is_column_symmetry(code: Code, perms: np.ndarray,
 
     That is sound for any H and P, and complete because H[:, P] = I: a
     row x lies in the row space of H exactly when x = x[P] H.  The
-    candidates come from _induced_permutation; nothing here relies on
+    candidates come from pg.space's point action; nothing here relies on
     the embedding identity that produced them."""
     if not ((np.sort(perms, axis=1) == np.arange(code.nu)).all()
             and scales.all()):
@@ -671,42 +635,6 @@ def _is_column_symmetry(code: Code, perms: np.ndarray,
     images = ops.mul[scales[:, None], h[:, perms].swapaxes(0, 1)]
     coef = images[:, :, code.pivots]  # A_i, g x N x N
     return bool((matmul(code.field, coef, h) == images).all())
-
-
-def _orbit(nu: int, start: int, perms: Sequence[np.ndarray]) -> np.ndarray:
-    """Mask of the orbit of column `start` under the group the perms
-    generate.  Each round adds to the whole mask its preimages under the
-    perms (their inverses generate the same group) and under the next
-    squared power p^(2^r) of each, so a long cycle is covered in log2
-    rounds; the powers lie in the group, and the search stops once the
-    perms themselves leave the mask unchanged."""
-    seen = np.zeros(nu, dtype=bool)
-    seen[start] = True
-    powers = perms
-    while True:
-        size = np.count_nonzero(seen)
-        for p in perms:
-            seen |= seen[p]
-        if np.count_nonzero(seen) == size:
-            return seen
-        powers = [q[q] for q in powers]
-        for q in powers:
-            seen |= seen[q]
-
-
-def _orbit_prefix(nu: int, perms: Sequence[np.ndarray]) -> int:
-    """The largest k such that, for every i < k, the perms that fix the
-    columns 0 .. i-1 move column i onto all nu - i columns >= i: a
-    stabiliser chain, each step one orbit search over the perms of the
-    step before that fix column i-1.  Then any k distinct columns
-    (a_0, ..., a_{k-1}) map onto (0, ..., k-1): a product of the first
-    step's perms moves a_0 onto 0, one of the second step's moves the
-    image of a_1 onto 1 while 0 stays put, and so on."""
-    k = 0
-    while k < nu and np.count_nonzero(_orbit(nu, k, perms)) == nu - k:
-        perms = [p for p in perms if p[k] == k]
-        k += 1
-    return k
 
 
 def _proved_prefix(code: Code, report: CodeReport) -> int:
@@ -722,13 +650,17 @@ def _proved_prefix(code: Code, report: CodeReport) -> int:
 def column_orbit_prefix(code: Code) -> int:
     """Length k of the column prefix (0, ..., k-1) that every subset of
     k or more columns can be mapped onto by a verified symmetry of H.
-    The generators are proved as one set, and used all or not at all:
-    if _is_column_symmetry fails, k = 0 and the levels scan everything."""
-    perms, scales = _induced_permutation(
-        code, _gl_generators(code.field, code.variety.n))
-    if not _is_column_symmetry(code, perms, scales):
+    The point permutations, their leads and the chain length k come from
+    the code's pg.space, shared by every twist of that field and n; only
+    the scales lead^norm and the certificate are this code's.  The
+    generators are proved as one set, on every call, and used all or not
+    at all: if _is_column_symmetry fails, k = 0 and the levels scan
+    everything."""
+    action = space(code.field.p, code.field.m, code.variety.n)
+    scales = code.field.pow(action.leads, code.twist.norm)  # 0 at a 0 lead
+    if not _is_column_symmetry(code, action.perms, scales):
         return 0
-    return _orbit_prefix(code.nu, list(perms))
+    return action.k
 
 
 # ---------------------------------------------------------------------------

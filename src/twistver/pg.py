@@ -1,5 +1,6 @@
-"""Projective geometry over a finite field: PG(n-1, q^t) points, lines,
-collinearity, and subfield sublines of a projective line.
+"""Projective geometry over a finite field: PG(n-1, q^t) points and the
+action of GL(n, q^t) on them, lines, collinearity, and subfield sublines
+of a projective line.
 
 A point is a tuple of element encodings in canonical form: not all zero,
 first nonzero coordinate equal to 1.  The point list returned by
@@ -12,17 +13,37 @@ on_common_subline, one array pass over a stack of point tuples.  The
 scalar is_collinear and subline_through are its references in the
 tests; subline_through constructs the unique PG(1, q') subline through
 three frame points, which get the parameters infinity, 0 and 1.
+
+A Space is PG(n-1, p^m) with the point action of GL(n, p^m): the
+sorted point array and, for each generator of _gl_generators, the
+permutation of the points and the leads by which it moves them, and the
+length k of the stabiliser chain of those permutations (_orbit_prefix).
+None of it depends on a twist, so space(p, m, n) builds it once per
+process and every code of that field and n shares it, read-only:
+build_variety takes its points from it and codes.column_orbit_prefix
+its permutations, leads and k, which it uses only once its certificate
+has proved the permutations on that code's H.  An LRU cache keeps the
+SPACE_CACHE_SIZE spaces used last, and a forked search worker inherits
+it.  A space holds at most 8 (n + 2g) bytes a point, g <= 5
+generators (the leads have the field's element type): at the 65,536
+points of veronese.MAX_POINTS at most 5 MiB for n = 2 and 7.5 MiB for
+n = 5, and the cache at most SPACE_CACHE_SIZE times that; the sweep's
+spaces, nu <= 5,000, hold under 0.6 MiB each.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Sequence
 
 import numpy as np
 
 from .ff import Field
-from .linalg import kernel_basis, rank
+from .linalg import kernel_basis, matmul, rank
+
+SPACE_CACHE_SIZE = 16  # spaces whose points and point action a process keeps
 
 ProjPoint = tuple[int, ...]
 
@@ -166,3 +187,105 @@ def sublines_of_line(field: Field, line_points: Sequence[ProjPoint],
     for frame in combinations(line_points, 3):
         seen.add(subline_through(field, *frame, q_sub))
     return sorted(seen)
+
+
+# ---------------------------------------------------------------------------
+# The point action of GL(n, q^t), once per space
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class Space:
+    """PG(n-1, p^m) and the point action of _gl_generators(field, n), all
+    read-only: with M_i the generators, M_i . points[j] =
+    leads[i, j] . points[perms[i, j]], and k = _orbit_prefix(nu, perms).
+    perms[i, j] is -1 where the image is zero or not a listed point."""
+
+    points: np.ndarray  # nu x n, enum_points' rows
+    perms: np.ndarray   # g x nu
+    leads: np.ndarray   # g x nu, 0 where the image is zero
+    k: int
+
+
+@lru_cache(maxsize=SPACE_CACHE_SIZE)
+def space(p: int, m: int, n: int) -> Space:
+    """The Space of PG(n-1, p^m), built once and kept for the
+    SPACE_CACHE_SIZE spaces used last in this process (see the module
+    docstring)."""
+    field = Field(p, m)
+    points = np.array(enum_points(field, n), dtype=np.int64)
+    perms, leads = _point_action(field, points, _gl_generators(field, n))
+    for a in (points, perms, leads):
+        a.setflags(write=False)
+    return Space(points, perms, leads, _orbit_prefix(len(points), perms))
+
+
+def _gl_generators(field: Field, n: int) -> np.ndarray:
+    """The g x n x n stack of diag(g, 1, ..., 1), the cyclic coordinate
+    shift, I + E_01, I + E_{n-1,0} and, for n >= 3, the cyclic shift of
+    the first n-1 coordinates.  They generate GL(n, q^t), whose
+    projective image is 2-transitive on the points of PG(n-1, q^t).  All
+    but the full shift and, for n = 2, I + E_01 fix e_{n-1}, the first
+    point, and those generate a group transitive on the other points."""
+    mats = np.zeros((5 if n >= 3 else 4, n, n), dtype=np.int64)
+    i = np.arange(n)
+    mats[:, i, i] = 1
+    mats[0, 0, 0] = field.generator
+    mats[1] = mats[1, (i + 1) % n]  # row i of a shift is e_{i+1}
+    mats[2, 0, 1] = mats[3, n - 1, 0] = 1
+    if n >= 3:
+        mats[4, :-1] = mats[4, (i[:-1] + 1) % (n - 1)]
+    return mats
+
+
+def _point_action(field: Field, points: np.ndarray, mats: np.ndarray):
+    """(perms, leads), g x nu each, for a g x n x n stack of matrices M_i
+    and the sorted canonical points: M_i . points[j] = leads[i, j] .
+    points[perms[i, j]], with perms[i, j] = -1 where M_i . points[j] is
+    zero or not a listed point."""
+    ops = field.ops
+    img = matmul(field, points, mats.swapaxes(1, 2))
+    lead = np.take_along_axis(img, (img != 0).argmax(axis=2)[..., None],
+                              axis=2)[..., 0]
+    canon = ops.div[img, lead[..., None]]
+    place = field.order ** np.arange(points.shape[1] - 1, -1, -1,
+                                     dtype=np.int64)
+    keys, want = points @ place, canon @ place  # keys ascend with the points
+    perms = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    perms[(keys[perms] != want) | (lead == 0)] = -1
+    return perms, lead
+
+
+def _orbit(nu: int, start: int, perms: Sequence[np.ndarray]) -> np.ndarray:
+    """Mask of the orbit of point `start` under the group the perms
+    generate.  Each round adds to the whole mask its preimages under the
+    perms (their inverses generate the same group) and under the next
+    squared power p^(2^r) of each, so a long cycle is covered in log2
+    rounds; the powers lie in the group, and the search stops once the
+    perms themselves leave the mask unchanged."""
+    seen = np.zeros(nu, dtype=bool)
+    seen[start] = True
+    powers = perms
+    while True:
+        size = np.count_nonzero(seen)
+        for p in perms:
+            seen |= seen[p]
+        if np.count_nonzero(seen) == size:
+            return seen
+        powers = [q[q] for q in powers]
+        for q in powers:
+            seen |= seen[q]
+
+
+def _orbit_prefix(nu: int, perms: Sequence[np.ndarray]) -> int:
+    """The largest k such that, for every i < k, the perms that fix the
+    points 0 .. i-1 move point i onto all nu - i points >= i: a
+    stabiliser chain, each step one orbit search over the perms of the
+    step before that fix point i-1.  Then any k distinct points
+    (a_0, ..., a_{k-1}) map onto (0, ..., k-1): a product of the first
+    step's perms moves a_0 onto 0, one of the second step's moves the
+    image of a_1 onto 1 while 0 stays put, and so on."""
+    k = 0
+    while k < nu and np.count_nonzero(_orbit(nu, k, perms)) == nu - k:
+        perms = [p for p in perms if p[k] == k]
+        k += 1
+    return k

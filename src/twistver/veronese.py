@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .ff import Field
-from .pg import enum_points, point_count
+from .pg import point_count, space
 
 MAX_POINTS = 1 << 16  # largest point set build_variety embeds
 
@@ -155,7 +155,7 @@ class VarietyMatrix:
     n: int
     twist: Twist
     basis: MonomialBasis
-    point_array: np.ndarray  # (num_points, n) int64, enum_points' rows
+    point_array: np.ndarray  # (num_points, n) int64, pg.space's points
     coords: np.ndarray  # (num_points, effective_N)
 
     @property
@@ -183,7 +183,7 @@ def build_variety(field: Field, n: int, twist: Twist) -> VarietyMatrix:
     num = point_count(field, n)
     if num > MAX_POINTS:
         raise ValueError(f"{num} points exceed the supported bound {MAX_POINTS}")
-    point_array = np.array(enum_points(field, n), dtype=np.int64)
+    point_array = space(field.p, field.m, n).points  # shared, read-only
     basis = monomial_basis(n, twist)
     coords = field.eval_monomials(point_array, basis.monomials)
 

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twistver.codes as codes_mod
+import twistver.pg as pg
 from twistver import Twist, monomial_basis
 from twistver.codes import (BudgetExceeded, CodeReport,
                             DependencyInvariantError, SearchPlan,
@@ -717,23 +718,41 @@ def test_orbit_levels_match_unreduced_scan(cfg):
             [s.dependent_found for s in rep.stage_log]) == reduced
 
 
+def _induced(code, mats):
+    """(perms, scales) of a g x n x n stack of matrices on the code's
+    points: the point action pg.space builds, and the scales lead^norm
+    that column_orbit_prefix adds."""
+    perms, leads = pg._point_action(code.field, code.variety.point_array,
+                                    mats)
+    return perms, code.field.pow(leads, code.twist.norm)
+
+
+@pytest.fixture
+def cold_spaces():
+    """An empty space cache, emptied again at the end, so that no space
+    built under a patched generator outlives the test."""
+    pg.space.cache_clear()
+    yield
+    pg.space.cache_clear()
+
+
 def test_every_generator_is_a_verified_symmetry():
     # (config, indices of the generators that fix e_{n-1}, k); the second
     # is GF(4), n = 3 with nu = 21
     for cfg, fixing_0, k in [((3, 3, 2, (0, 0, 2)), [0, 3], 3),
                              ((2, 2, 3, (0, 1)), [0, 2, 3, 4], 2)]:
         c = get_code(*cfg)
-        gens = codes_mod._gl_generators(c.field, c.variety.n)
+        gens = pg._gl_generators(c.field, c.variety.n)
         ranks = {sub: rank(c.field, c.H[:, list(sub)])
                  for sub in itertools.combinations(range(c.nu), 3)}
         assert len(gens) == (4 if c.variety.n == 2 else 5)
-        perms, scales = codes_mod._induced_permutation(c, gens)
+        perms, scales = _induced(c, gens)
         assert perms.shape == scales.shape == (len(gens), c.nu)
         assert codes_mod._is_column_symmetry(c, perms, scales)
         for i, mat in enumerate(gens):
             # a stack of one candidate gives the same row and is proved
             # on its own
-            perm, scale = codes_mod._induced_permutation(c, mat[None])
+            perm, scale = _induced(c, mat[None])
             assert np.array_equal(perm[0], perms[i])
             assert np.array_equal(scale[0], scales[i])
             assert codes_mod._is_column_symmetry(c, perm, scale)
@@ -786,8 +805,7 @@ BENCHMARK_CASES = {c.label: (c.p, c.e * c.t, c.n, c.sigma, c.e)
                          ids=BENCHMARK_CASES.keys())
 def test_symmetry_proof_matches_rank_form_on_benchmark_cases(cfg):
     c = get_code(*cfg)
-    perms, scales = codes_mod._induced_permutation(
-        c, codes_mod._gl_generators(c.field, c.variety.n))
+    perms, scales = _induced(c, pg._gl_generators(c.field, c.variety.n))
     assert _proved(c, perms, scales)
 
 
@@ -797,8 +815,7 @@ def test_symmetry_check_rejects_non_symmetries():
     def proved(perm, scale):  # a stack of one candidate
         return _proved(c, perm[None], scale[None])
 
-    perms, scales = codes_mod._induced_permutation(
-        c, codes_mod._gl_generators(c.field, 2)[2:3])
+    perms, scales = _induced(c, pg._gl_generators(c.field, 2)[2:3])
     perm, scale = perms[0], scales[0]
     assert proved(perm, scale)
     ones = np.ones(c.nu, dtype=np.int64)
@@ -825,14 +842,12 @@ def test_symmetry_check_rejects_non_symmetries():
     assert not proved(perm, ones)
     # a singular matrix sends the point (0, 1) to zero: no column, and a
     # zero scale
-    singular, singular_scale = codes_mod._induced_permutation(
-        c, np.array([[[1, 0], [0, 0]]]))
+    singular, singular_scale = _induced(c, np.array([[[1, 0], [0, 0]]]))
     assert -1 in singular[0].tolist()
     assert not singular_scale.all()
     assert not _proved(c, singular, singular_scale)
     # one bad candidate among the generators rejects the whole stack
-    perms, scales = codes_mod._induced_permutation(
-        c, codes_mod._gl_generators(c.field, 2))
+    perms, scales = _induced(c, pg._gl_generators(c.field, 2))
     assert _proved(c, perms, scales)
     for i in range(len(perms)):
         # a bijection with nonzero scales: only the joint span test sees it
@@ -843,32 +858,65 @@ def test_symmetry_check_rejects_non_symmetries():
         assert not _proved(c, bad_perms, bad_scales)
 
 
-@pytest.mark.parametrize("cfg", [(3, 3, 2, (0, 0, 2)), (2, 2, 3, (0, 1))])
-def test_symmetry_step_is_one_pass_and_one_proof(monkeypatch, cfg):
+@pytest.mark.parametrize("cfg", [
+    (3, 3, 2, [(0, 0, 2), (0, 0, 1)]),    # track-27, nrc-27
+    (2, 2, 3, [(0, 1), (0, 0)]),          # GF(4) plane
+])
+def test_symmetry_step_is_one_pass_and_one_proof(monkeypatch, cold_spaces,
+                                                 cfg):
+    # one point action per space, shared by its twists; one certificate
+    # per code, also when the space is warm
+    p, m, n, sigmas = cfg
     calls = []
 
-    def counted(name, fn):
+    def counted(module, name):
+        fn = getattr(module, name)
+
         def wrapper(*args):
             calls.append(name)
             return fn(*args)
-        monkeypatch.setattr(codes_mod, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    counted("_induced_permutation", codes_mod._induced_permutation)
-    counted("_is_column_symmetry", codes_mod._is_column_symmetry)
-    assert codes_mod.column_orbit_prefix(get_code(*cfg)) > 0
-    assert calls == ["_induced_permutation", "_is_column_symmetry"]
+    counted(pg, "_point_action")
+    counted(codes_mod, "_is_column_symmetry")
+    codes = [get_code(p, m, n, sigma) for sigma in sigmas]
+    assert [column_orbit_prefix(c) for c in codes] == [
+        3 if n == 2 else 2] * 2
+    assert calls == ["_point_action"] + ["_is_column_symmetry"] * 2
+    assert pg.space.cache_info().misses == 1
 
 
-def test_no_verified_generator_means_unreduced_levels(monkeypatch, no_bound):
+def test_a_warm_space_never_skips_the_proof(monkeypatch, cold_spaces):
+    # the cached permutations, leads and k are used only once the
+    # certificate has proved them on this code's H: one changed entry of
+    # H, or one changed lead, and column_orbit_prefix returns 0
+    c = get_code(3, 3, 2, (0, 0, 2))
+    assert column_orbit_prefix(c) == 3
+    warm = pg.space(3, 3, 2)
+    h = c.H.copy()
+    h[0, c.nu - 1] = c.field.add(int(h[0, c.nu - 1]), 1)
+    assert column_orbit_prefix(replace(c, H=h)) == 0
+    leads = warm.leads.copy()
+    leads[1, 5] = c.field.mul(int(leads[1, 5]), c.field.generator)
+    monkeypatch.setattr(codes_mod, "space",
+                        lambda p, m, n: replace(warm, leads=leads))
+    assert column_orbit_prefix(c) == 0
+    assert pg.space(3, 3, 2) is warm and pg.space.cache_info().misses == 1
+
+
+def test_no_verified_generator_means_unreduced_levels(monkeypatch, no_bound,
+                                                      cold_spaces):
     # one singular matrix among the generators fails the proof of the
-    # whole set: none is used, not even the good ones
+    # whole set: none is used, not even the good ones.  It is injected
+    # into a space built after the cache was emptied.
     c = get_code(3, 3, 2, (0, 0, 2))
     reduced = min_distance(c)
     assert reduced.orbit_prefix == 3
-    real = codes_mod._gl_generators
-    monkeypatch.setattr(codes_mod, "_gl_generators", lambda field, n: (
+    pg.space.cache_clear()
+    real = pg._gl_generators
+    monkeypatch.setattr(pg, "_gl_generators", lambda field, n: (
         np.concatenate([real(field, n), [np.diag([1] + [0] * (n - 1))]])))
-    assert len(codes_mod._gl_generators(c.field, 2)) == 5  # 4 and the singular
+    assert len(pg.space(3, 3, 2).perms) == 5  # 4 and the singular
     assert codes_mod.column_orbit_prefix(c) == 0
     full = min_distance(c)
     assert full.orbit_prefix == 0
@@ -993,17 +1041,17 @@ def test_orbit_prefix_on_every_small_config():
 def test_orbit_prefix_of_intransitive_groups():
     ident = np.arange(6)
     cycle = np.roll(ident, 1)  # one 6-cycle: transitive on points only
-    assert codes_mod._orbit_prefix(6, []) == 0
-    assert codes_mod._orbit_prefix(6, [ident]) == 0
-    assert codes_mod._orbit_prefix(6, [cycle]) == 1
+    assert pg._orbit_prefix(6, []) == 0
+    assert pg._orbit_prefix(6, [ident]) == 0
+    assert pg._orbit_prefix(6, [cycle]) == 1
     swap = ident.copy()
     swap[[0, 1]] = [1, 0]  # with the cycle, all of S_6
     # sound but incomplete: k = 2 is proved only from perms that fix 0
-    assert codes_mod._orbit_prefix(6, [cycle, swap]) == 1
+    assert pg._orbit_prefix(6, [cycle, swap]) == 1
     fix_0 = np.array([0, 2, 3, 4, 5, 1])  # transitive on 1..5
-    assert codes_mod._orbit_prefix(6, [cycle, swap, fix_0]) == 2
+    assert pg._orbit_prefix(6, [cycle, swap, fix_0]) == 2
     # transitive on 1..5 while fixing 0, but not on all points
-    assert codes_mod._orbit_prefix(6, [fix_0]) == 0
+    assert pg._orbit_prefix(6, [fix_0]) == 0
 
 
 def test_orbit_prefix_is_a_stabiliser_chain():
@@ -1012,15 +1060,15 @@ def test_orbit_prefix_is_a_stabiliser_chain():
     fix_0 = np.array([0, 2, 3, 4, 5, 6, 1])     # a 6-cycle on 1..6
     fix_01 = np.array([0, 1, 3, 4, 5, 6, 2])    # a 5-cycle on 2..6
     split_01 = np.array([0, 1, 3, 2, 5, 6, 4])  # two orbits on 2..6
-    assert codes_mod._orbit_prefix(7, [cycle, fix_0, fix_01]) == 3
+    assert pg._orbit_prefix(7, [cycle, fix_0, fix_01]) == 3
     # the chain stops at 2 when the perms that fix 0 and 1 are not
     # transitive on the rest, or fix nothing but 0 and 1
-    assert codes_mod._orbit_prefix(7, [cycle, fix_0, split_01]) == 2
-    assert codes_mod._orbit_prefix(7, [cycle, fix_0]) == 2
+    assert pg._orbit_prefix(7, [cycle, fix_0, split_01]) == 2
+    assert pg._orbit_prefix(7, [cycle, fix_0]) == 2
     # fix_01 fixes 1 as well: the perms that fix 0 do not move 1 anywhere
-    assert codes_mod._orbit_prefix(7, [cycle, fix_01]) == 1
+    assert pg._orbit_prefix(7, [cycle, fix_01]) == 1
     # S_3 from a 3-cycle and a transposition fixing 0: k = nu
-    assert codes_mod._orbit_prefix(3, [np.array([1, 2, 0]),
+    assert pg._orbit_prefix(3, [np.array([1, 2, 0]),
                                        np.array([0, 2, 1])]) == 3
 
 
@@ -1040,7 +1088,7 @@ def test_orbit_matches_naive_closure(data):
             if int(p[x]) not in seen:
                 seen.add(int(p[x]))
                 todo.append(int(p[x]))
-    assert np.flatnonzero(codes_mod._orbit(nu, start, perms)).tolist() == (
+    assert np.flatnonzero(pg._orbit(nu, start, perms)).tolist() == (
         sorted(seen))
 
 

@@ -1,15 +1,20 @@
+import dataclasses
 import itertools
 import random
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistver.pg import (all_lines, canonicalize, enum_points, is_collinear,
+from twistver import Field, Twist, build_variety
+from twistver.ff import is_prime
+from twistver.pg import (SPACE_CACHE_SIZE, _gl_generators, all_lines,
+                         canonicalize, enum_points, is_collinear,
                          line_through, on_common_subline, point_count,
-                         subline_through, sublines_of_line)
+                         space, subline_through, sublines_of_line)
 
-from conftest import get_field
+from conftest import get_field, mat_vec
 
 
 # -- point enumeration -------------------------------------------------------
@@ -27,6 +32,70 @@ def test_points_canonical_distinct_sorted(gf16):
     for p in pts:
         nz = [c for c in p if c]
         assert nz and nz[0] == 1
+
+
+# -- the per-process space ---------------------------------------------------
+
+def test_one_space_is_shared_across_e_and_sigma():
+    # every twist and every (e, t) split of one (p, m, n) reads one point
+    # array and one action
+    a = build_variety(Field(3, 4), 2, Twist(3, 4, (0, 0, 3)))
+    b = build_variety(Field(3, 4, e=2), 2, Twist(3, 4, (0, 1)))
+    assert a.point_array is b.point_array is space(3, 4, 2).points
+    assert space(3, 4, 2) is space(3, 4, 2)
+    assert space(3, 4, 3) is not space(3, 4, 2) is not space(3, 2, 2)
+
+
+@pytest.mark.parametrize("p,m,n", [(3, 3, 2), (2, 2, 3)])
+def test_space_arrays_are_read_only(p, m, n):
+    s = space(p, m, n)
+    for a in (s.points, s.perms, s.leads):
+        with pytest.raises(ValueError):
+            a[0, 0] = a[0, 0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.k = 0
+
+
+@pytest.mark.parametrize("p,m,n", [(3, 3, 2), (2, 2, 3), (3, 1, 4)])
+def test_space_action_moves_the_points(p, m, n):
+    # M_i . points[j] = leads[i, j] . points[perms[i, j]], every perm a
+    # bijection, and the chain length 3 on a line (4 over GF(3)), else 2
+    f, s = Field(p, m), space(p, m, n)
+    assert s.points.tolist() == [list(pt) for pt in enum_points(f, n)]
+    for mat, perm, lead in zip(_gl_generators(f, n), s.perms, s.leads):
+        assert sorted(perm.tolist()) == list(range(len(s.points)))
+        for pt, j, c in zip(s.points, perm.tolist(), lead.tolist()):
+            assert mat_vec(f, mat, pt) == [f.mul(c, x) for x in s.points[j]]
+    assert s.k == (2 if n >= 3 else 4 if p ** m == 3 else 3)
+
+
+@pytest.mark.parametrize("p,m,n", [(3, 3, 2), (2, 2, 3), (2, 11, 2)])
+def test_cached_space_equals_a_fresh_build(p, m, n):
+    cached = space(p, m, n)
+    space.cache_clear()
+    fresh = space(p, m, n)
+    assert fresh is not cached and fresh.k == cached.k
+    for name in ("points", "perms", "leads"):
+        old, new = getattr(cached, name), getattr(fresh, name)
+        assert old is not new
+        assert (old.dtype, old.shape) == (new.dtype, new.shape), name
+        assert old.tobytes() == new.tobytes(), name
+
+
+def test_the_space_cache_evicts_the_least_recently_used_space():
+    primes = [p for p in range(2, 100) if is_prime(p)][:SPACE_CACHE_SIZE + 1]
+    space.cache_clear()
+    first = [space(p, 1, 2) for p in primes[:-1]]
+    assert space.cache_info().currsize == SPACE_CACHE_SIZE
+    space(primes[0], 1, 2)  # now the most recently used
+    space(primes[-1], 1, 2)  # one space too many: evicts primes[1]
+    assert space.cache_info().currsize == SPACE_CACHE_SIZE
+    assert space(primes[0], 1, 2) is first[0]
+    assert all(space(p, 1, 2) is s
+               for p, s in zip(primes[2:-1], first[2:]))
+    rebuilt = space(primes[1], 1, 2)
+    assert rebuilt is not first[1]
+    assert np.array_equal(rebuilt.perms, first[1].perms)
 
 
 @given(st.data())

@@ -74,8 +74,13 @@ def test_sweep_flags_no_row_on_a_tiny_grid(tmp_path):
     assert res.returncode == 0, res.stderr
     assert "52 rows: 52 exact, 0 capped, 0 timeout; 0 flagged" in res.stdout
     assert "FLAG" not in res.stdout
-    rows = json.loads(out.read_text())
+    data = json.loads(out.read_text())
+    rows = data["rows"]
     assert len(rows) == 52 and max(r["nu"] for r in rows) <= 30
+    # one projective space is built for each distinct (p, m, n)
+    spaces = len({(r["p"], r["m"], r["n"]) for r in rows})
+    assert data["spaces_built"] == spaces
+    assert f"; {spaces} spaces built;" in res.stdout.splitlines()[-1]
     assert all(2 <= r["bound"] <= r["delta"] for r in rows)
     assert all(r["scroll"] is True for r in rows)
     # set-up is part of each row's seconds (both rounded), and the totals
