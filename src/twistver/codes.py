@@ -55,14 +55,13 @@ reasons:
 
 Only the first reason rests on the symmetries, so min_distance proves
 them only when a level ends without a hit.  Until then a level runs at
-the k stated above, 3 on a line and 2 for n >= 3, and whatever k' it
-runs at, a hit, its witness and its check count are those of the full
-scan.  The first level that ends empty or capped runs the proof, and if
-the proved k gives another k', that level is scanned again at the proved
-k from a fresh elimination, so every logged row is the one the proved k
-gives.  The report keeps k as orbit_prefix, null when no conclusion used
-the symmetries; classification_scan proves k the same way when the
-search did not.
+the space's k, and whatever k' it runs at, a hit, its witness and its
+check count are those of the full scan.  The first level that ends
+empty or capped runs the proof; if the certificate fails (k = 0), that
+level is scanned again unreduced from a fresh elimination, so every
+logged row is the one the proved k gives.  The report keeps k as
+orbit_prefix, null when no conclusion used the symmetries;
+classification_scan proves k the same way when the search did not.
 
 Singer-cyclic bound.  Let Q = p^m be the field order, so that
 nu = (Q^n - 1)/(Q - 1).  The points of PG(n-1, Q) are the classes of
@@ -715,13 +714,13 @@ def min_distance(code: Code, plan: Optional[SearchPlan] = None) -> CodeReport:
     without a scan (restriction "bch:b", 0 subsets checked), so the scan
     starts at level b, and delta_lower_bound is at least b.
 
-    A level runs at the orbit prefix k that the module docstring states,
-    3 on a line and 2 for n >= 3, until one is proved: a hit does not
-    depend on k.  The first level that ends without a hit proves k
-    (column_orbit_prefix, stored as orbit_prefix, its seconds in
-    timings["symmetry"]) and, if k gives that level another k', scans it
-    again at k from a fresh elimination.  A search that ends on a hit at
-    its first scanned level, or scans none, leaves orbit_prefix null.
+    A level runs at the orbit prefix k of the code's pg.space until one
+    is proved: a hit does not depend on k.  The first level that ends
+    without a hit proves k (column_orbit_prefix, stored as orbit_prefix,
+    its seconds in timings["symmetry"]) and, if the certificate failed
+    (k = 0), scans that level again unreduced from a fresh elimination.
+    A search that ends on a hit at its first scanned level, or scans
+    none, leaves orbit_prefix null.
 
     The returned report carries the per-level log; delta_exact is False
     when a budget cap stopped the search first (report.capped), or when
@@ -749,7 +748,8 @@ def min_distance(code: Code, plan: Optional[SearchPlan] = None) -> CodeReport:
         cyclic_bound=bound, timings={"bound": bound_s},
     )
     elim = IncrementalElim(code.field, code.H)  # every level grows its frame
-    k = 3 if code.variety.n == 2 else 2  # until the symmetries are proved
+    # the space's k until the symmetries are proved
+    k = space(code.field.p, code.field.m, code.variety.n).k
     for w in range(2, w_cap + 1):
         label = ("general-position" if w <= d + 1 else
                  "minimal-dependent" if w == d + 2 else "lex-search")
@@ -954,19 +954,20 @@ def _scalar_rank(field: Field, rows: list[list[int]]) -> int:
     return rk
 
 
-def oracle_min_distance(code: Code, max_checks: int = DEFAULT_ORACLE_CAP):
+def oracle_min_distance(code: Code):
     """Smallest dependent column-subset size by plain enumeration.
 
     No geometric restriction, no staging, no shared elimination state:
     every subset is rank-checked from scratch, on the raw point table, not
     H.  Returns (delta, witness); delta is None if no dependent subset
-    exists.
+    exists.  Over DEFAULT_ORACLE_CAP subsets in all, raises
+    BudgetExceeded before checking any.
     """
     w_cap = min(code.effective_N + 1, code.nu)
     total = sum(comb(code.nu, w) for w in range(2, w_cap + 1))
-    if total > max_checks:
-        raise BudgetExceeded(
-            f"oracle would enumerate {total} subsets, cap is {max_checks}")
+    if total > DEFAULT_ORACLE_CAP:
+        raise BudgetExceeded(f"oracle would enumerate {total} subsets, "
+                             f"cap is {DEFAULT_ORACLE_CAP}")
     field = code.field
     hdata = code.variety.coords.T.tolist()
     for w in range(2, w_cap + 1):
@@ -1013,7 +1014,9 @@ def verify_general_position(code: Code, k: int,
 
     Returns ok=True, or ok=False with the lexicographically first
     dependent k-subset as witness.  Raises BudgetExceeded when a level
-    was capped before it was settled.
+    was capped before it was settled, or when the witness, searched
+    directly because level k never ran, needs more than plan.budget
+    subsets ranked.
     """
     plan = plan or SearchPlan()
     if not 2 <= k <= code.effective_N + 1:
@@ -1024,14 +1027,20 @@ def verify_general_position(code: Code, k: int,
         return GeneralPositionResult(True, k, checked, bound)
     if report.delta < k:  # level k never ran, so no k-subset was checked
         return GeneralPositionResult(False, k, 0, bound,
-                                     _lex_first_dependent(code, k))
+                                     _lex_first_dependent(code, k, plan))
     return GeneralPositionResult(False, k, checked, bound,
                                  tuple(report.witness))
 
 
-def _lex_first_dependent(code: Code, k: int) -> tuple:
-    """Direct lex scan; only called when a dependent k-subset must exist."""
-    for subset in combinations(range(code.nu), k):
+def _lex_first_dependent(code: Code, k: int, plan: SearchPlan) -> tuple:
+    """Direct lex scan; only called when a dependent k-subset must exist.
+    Raises BudgetExceeded when the scan would rank more than plan.budget
+    subsets."""
+    for checked, subset in enumerate(combinations(range(code.nu), k), 1):
+        if checked > plan.budget:
+            raise BudgetExceeded(
+                f"no dependent {k}-subset among the first {plan.budget} "
+                "ranked; raise the budget explicitly to proceed")
         if rank(code.field, code.H[:, list(subset)]) < k:
             return subset
     raise AssertionError("no dependent subset found where one was implied")

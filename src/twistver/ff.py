@@ -359,7 +359,6 @@ class Field:
         self.order = order
         (self.modulus, self.generator, self._exp, self._log,
          self.ops) = _arithmetic(p, m)
-        self._subfields: dict[int, list[int]] = {}
 
     # -- encoding ----------------------------------------------------------
 
@@ -455,13 +454,11 @@ class Field:
     def subfield_elements(self, q_sub: int) -> list[int]:
         """All solutions of x^{q_sub} = x, i.e. the subfield of that
         order, ascending: zero and the powers of g^((order-1)/(q_sub-1))."""
-        if q_sub not in self._subfields:
-            if q_sub not in self.subfield_orders():
-                raise ValueError(
-                    f"{q_sub} is not a subfield order of GF({self.order})")
-            step = (self.order - 1) // (q_sub - 1)
-            self._subfields[q_sub] = [0] + sorted(self._exp[::step].tolist())
-        return list(self._subfields[q_sub])
+        if q_sub not in self.subfield_orders():
+            raise ValueError(
+                f"{q_sub} is not a subfield order of GF({self.order})")
+        step = (self.order - 1) // (q_sub - 1)
+        return [0] + sorted(self._exp[::step].tolist())
 
     # -- reporting -------------------------------------------------------------
 

@@ -11,11 +11,14 @@ raw tensor slots: tensor slots with the same monomial would only repeat
 coordinates of the embedded point and add nothing to the rank or the
 dependence structure of the point table.  The tensor slot that picks
 variable i_j in factor j holds the monomial with exponent vector
-sum_j p^s_j e_{i_j}.  The scroll cross-check, scroll_plucker_check, reads
-the point table that way: the table is the Grassmann embedding of a
-normal rational scroll, so each exterior coordinate of the d twisted
-copies of a point is 0 or one such monomial, and one array pass over
-the n^d picks compares every point at once.
+sum_j p^s_j e_{i_j}.  tensor_slots walks the slots once, up to
+reordering inside a block of equal exponents, which leaves the monomial
+unchanged; monomial_basis dedupes their exponent vectors.  The scroll
+cross-check, scroll_plucker_check, reads the point table along the same
+walk: the table is the Grassmann embedding of a normal rational scroll,
+so each exterior coordinate of the d twisted copies of a point is 0 or
+one such monomial, and one array pass over the expected_N slots
+compares every point at once.
 
 Because norm < q^t is enforced, no per-variable exponent reaches q^t and
 distinct exponent vectors are distinct functions on the field, so no
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -116,7 +119,8 @@ class MonomialBasis:
 
     @property
     def expected_N(self) -> int:
-        """Tensor slots before deduplication: a degree-d_j symmetric power
+        """Tensor slots before deduplication, up to reordering inside a
+        block, as tensor_slots walks them: a degree-d_j symmetric power
         of the n variables for each block (s, d_j) of the twist."""
         return math.prod(math.comb(self.n + dj - 1, dj)
                          for _, dj in self.twist.blocks)
@@ -126,22 +130,28 @@ class MonomialBasis:
         return self.effective_N < self.expected_N
 
 
-def monomial_basis(n: int, twist: Twist) -> MonomialBasis:
-    """Enumerate per-block degree-d_j exponent vectors, sum, dedupe.
+def tensor_slots(n: int, twist: Twist
+                 ) -> Iterator[tuple[tuple[int, ...], ExponentVector]]:
+    """Each tensor slot once, up to reordering inside a block of equal
+    exponents, with its exponent vector sum_j p^s_j e_{i_j}: the pick
+    (i_0, ..., i_{d-1}), aligned with twist.exponents and nondecreasing
+    inside each block.  A block (s, d_j) picks a degree-d_j multiset of
+    the n variables, so there are expected_N slots."""
+    weights = [twist.p ** s for s in twist.exponents]
+    for parts in product(*(combinations_with_replacement(range(n), dj)
+                           for _, dj in twist.blocks)):
+        pick = sum(parts, ())
+        ev = [0] * n
+        for i, weight in zip(pick, weights):
+            ev[i] += weight
+        yield pick, tuple(ev)
 
-    Block (s, d_j) contributes p^s times the exponent vector of a
-    nondecreasing tuple of d_j variable indices; one choice per block,
-    summed, is the total exponent vector of a tensor slot.
-    """
+
+def monomial_basis(n: int, twist: Twist) -> MonomialBasis:
+    """The distinct exponent vectors of the tensor slots."""
     if n < 2:
         raise ValueError("the embedding needs n >= 2 variables")
-    per_block = []
-    for s, dj in twist.blocks:
-        scale = twist.p ** s
-        per_block.append(
-            [tuple(scale * multi.count(v) for v in range(n))
-             for multi in combinations_with_replacement(range(n), dj)])
-    totals = {tuple(map(sum, zip(*combo))) for combo in product(*per_block)}
+    totals = {ev for _, ev in tensor_slots(n, twist)}
     return MonomialBasis(n=n, twist=twist,
                          monomials=sorted(totals, reverse=True))
 
@@ -213,21 +223,19 @@ def scroll_plucker_check(variety: VarietyMatrix) -> np.ndarray:
     subset that picks one index j*n + i_j per block gives a diagonal
     minor: its determinant is the product over j of x_{i_j}^(p^s_j), the
     monomial with exponent vector sum_j p^s_j e_{i_j} at the point.
-    Sorted subsets with blocks in order make the sign convention +1, so
-    each of the n^d picks is one product per point, compared with that
-    monomial's column."""
+    Sorted subsets with blocks in order make the sign convention +1.
+    Reordering a pick among copies of one exponent leaves its product
+    unchanged, so each of the expected_N tensor_slots is one product per
+    point, compared with its monomial's column."""
     field, twist = variety.field, variety.twist
     mul = field.ops.mul
     copies = [field.frobenius(variety.point_array, s)
               for s in twist.exponents]
     index = {mono: c for c, mono in enumerate(variety.basis.monomials)}
     ok = np.ones(variety.num_points, dtype=bool)
-    for pick in product(range(variety.n), repeat=twist.d):
-        ev = [0] * variety.n
-        for i, s in zip(pick, twist.exponents):
-            ev[i] += twist.p ** s
+    for pick, ev in tensor_slots(variety.n, twist):
         minor = copies[0][:, pick[0]]
         for copy, i in zip(copies[1:], pick[1:]):
             minor = mul[minor, copy[:, i]]
-        ok &= minor == variety.coords[:, index[tuple(ev)]]
+        ok &= minor == variety.coords[:, index[ev]]
     return ok

@@ -320,6 +320,16 @@ def test_verify_general_position_failure(capsys):
     assert res["witness"] == [0, 1, 2, 3]
 
 
+def test_verify_general_position_witness_over_budget(capsys):
+    # delta = 5 < k = 6, and the direct scan for a dependent 6-subset
+    # would rank 34 subsets
+    code = run_cli(["verify", "general-position", "--k", "6",
+                    "--p", "2", "--t", "4", "--sigma", "0,0,2",
+                    "--budget", "20"])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_dep_classification(tmp_path):
     out = tmp_path / "res.json"
     code = run_cli(["verify", "dep-classification",
@@ -358,6 +368,16 @@ def test_verify_rejects_k_outside_general_position(capsys, prop):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--k applies to general-position only" in captured.err
+
+
+def test_verify_scroll_plucker_on_a_degree_18_curve(capsys):
+    # sigma = (0)^18 on a line: 19 tensor slots up to reordering, where
+    # the 2^18 picks would repeat each of them
+    code = run_cli(["verify", "scroll-plucker", "--p", "2", "--t", "5",
+                    "--sigma", ",".join(["0"] * 18)])
+    assert code == 0
+    res = json.loads(capsys.readouterr().out)
+    assert res["points"] == 33 and res["pass"] is True
 
 
 def test_verify_scroll_plucker_on_585_points(tmp_path):

@@ -488,9 +488,10 @@ def test_oracle_does_not_read_h(monkeypatch, no_bound):
     assert verify_oracle_equivalence(c) == (False, 3, 4)
 
 
-def test_oracle_cap():
+def test_oracle_cap(monkeypatch):
+    monkeypatch.setattr(codes_mod, "DEFAULT_ORACLE_CAP", 100)
     with pytest.raises(BudgetExceeded):
-        oracle_min_distance(get_code(3, 3, 2, (0, 0, 2)), max_checks=100)
+        oracle_min_distance(get_code(3, 3, 2, (0, 0, 2)))
 
 
 def test_oracle_witness_is_dependent():
@@ -534,8 +535,8 @@ def test_counted_classification_matches_full_scan(cfg, monkeypatch):
     assert comb(c.nu, c.twist.d + 2) <= codes_mod.DEFAULT_BUDGET
     counted, full = classify_counted_and_full(c, monkeypatch)
     assert counted.delta == full.delta == c.twist.d + 2
-    # PGL(2, q^t) is 3-transitive on the points of a line
-    k = 3 if c.variety.n == 2 else 2
+    # the space's k: PGL(2, q^t) is 3-transitive on the points of a line
+    k = pg.space(c.field.p, c.field.m, c.variety.n).k
     assert counted.stage_log[-1].restriction == f"orbit:{k}"
     assert full.stage_log[-1].restriction == "none"
     # every listed support of the counted path is one of the full list
@@ -667,7 +668,7 @@ def test_counted_classification_at_the_default_budget(cfg, count):
     assert rep.delta == c.twist.d + 2 and rep.delta_exact
     assert rep.min_weight_support_count == _closed_form_count(c) == count
     assert rep.violations == []
-    k = 3 if c.variety.n == 2 else 2
+    k = pg.space(c.field.p, c.field.m, c.variety.n).k
     assert rep.orbit_prefix == k
     h = rep.stage_log[-1].dependent_found
     assert len(rep.supports) == h
@@ -709,7 +710,7 @@ def test_orbit_levels_match_unreduced_scan(cfg):
     # is 3-transitive, and 2 on a plane
     c = get_code(*cfg)
     k = codes_mod.column_orbit_prefix(c)
-    assert k == (3 if c.variety.n == 2 else 2)
+    assert k == pg.space(c.field.p, c.field.m, c.variety.n).k
     reduced = _scan_levels(c, k)
     assert reduced[0] is not None
     assert reduced == _scan_levels(c, 0)
@@ -881,7 +882,7 @@ def test_symmetry_step_is_one_pass_and_one_proof(monkeypatch, cold_spaces,
     counted(codes_mod, "_is_column_symmetry")
     codes = [get_code(p, m, n, sigma) for sigma in sigmas]
     assert [column_orbit_prefix(c) for c in codes] == [
-        3 if n == 2 else 2] * 2
+        pg.space(p, m, n).k] * 2
     assert calls == ["_point_action"] + ["_is_column_symmetry"] * 2
     assert pg.space.cache_info().misses == 1
 
@@ -1910,6 +1911,19 @@ def test_general_position_dependent_set_below_k():
     assert not res.ok
     assert res.witness == (0, 1, 2, 3, 4)
     assert res.checked == 0
+
+
+def test_general_position_direct_witness_search_is_budgeted():
+    # GF(16), n = 2, sigma = (0,0,2) has delta = 5 < k = 6: level 6 never
+    # runs, and the direct lex scan for its witness ranks 34 subsets,
+    # more than a budget of 20 allows
+    c = get_code(2, 4, 2, (0, 0, 2))
+    with pytest.raises(BudgetExceeded, match="first 20 ranked"):
+        verify_general_position(c, 6, SearchPlan(budget=20))
+    res = verify_general_position(c, 6, SearchPlan(budget=34))
+    assert (res.ok, res.checked) == (False, 0)
+    assert res.witness == verify_general_position(c, 6).witness
+    assert res.witness == (0, 1, 2, 3, 7, 8)
 
 
 def test_general_position_k_range():

@@ -9,7 +9,7 @@ from twistver.ff import Field
 from twistver.linalg import rank
 from twistver.pg import enum_points
 from twistver.veronese import (Twist, build_variety, monomial_basis,
-                               scroll_plucker_check)
+                               scroll_plucker_check, tensor_slots)
 
 from conftest import get_field, get_variety, leibniz_det
 
@@ -202,6 +202,21 @@ SCROLL_CONFIGS = [
     (2, 3, 2, (0, 0, 0, 1)),  # nd = 8
     (2, 2, 4, (0, 1)),        # nd = 8
 ]
+
+
+@pytest.mark.parametrize("p,m,n,exps", SCROLL_CONFIGS)
+def test_tensor_slots_walk_each_slot_once(p, m, n, exps):
+    # expected_N picks, each nondecreasing inside a block and distinct,
+    # whose exponent vectors are those of all n^d picks
+    tw = Twist(p, m, exps)
+    slots = list(tensor_slots(n, tw))
+    assert len(slots) == monomial_basis(n, tw).expected_N
+    picks = [pick for pick, _ in slots]
+    assert len(set(picks)) == len(picks)
+    for pick in picks:
+        assert all(i <= j for i, j, s, t in zip(pick, pick[1:], exps, exps[1:])
+                   if s == t)
+    assert {ev for _, ev in slots} == brute_force_monomials(n, p, exps)
 
 
 def twisted_copies(variety, point) -> np.ndarray:
