@@ -762,7 +762,7 @@ def min_distance(code: Code, plan: Optional[SearchPlan] = None) -> CodeReport:
                                       label=label, k=k)
             if not hits and report.orbit_prefix is None:
                 proved = _proved_prefix(code, report)
-                if min(proved, w) != min(k, w):  # rescan at the proved k
+                if proved != k:  # the certificate failed: rescan unreduced
                     elim = IncrementalElim(code.field, code.H)
                     record, hits = _run_level(elim, w, plan, early_exit=True,
                                               label=label, k=proved)
