@@ -211,6 +211,8 @@ def space(p: int, m: int, n: int) -> Space:
     """The Space of PG(n-1, p^m), built once and kept for the
     SPACE_CACHE_SIZE spaces used last in this process (see the module
     docstring)."""
+    if n < 2:
+        raise ValueError(f"n = {n}: PG(n-1, q) needs n >= 2 coordinates")
     field = Field(p, m)
     points = np.array(enum_points(field, n), dtype=np.int64)
     perms, leads = _point_action(field, points, _gl_generators(field, n))

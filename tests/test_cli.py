@@ -64,6 +64,15 @@ def test_build_rejects_norm_violation(tmp_path, capsys):
     assert "norm" in err and "q^t" in err
 
 
+@pytest.mark.parametrize("command", ["build", "code"])
+@pytest.mark.parametrize("n", ["1", "0"])
+def test_fewer_than_two_coordinates_exit_invalid(capsys, command, n):
+    assert run_cli([command, "--p", "2", "--t", "2", "--n", n,
+                    "--sigma", "0"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: n = {n}:")
+
+
 def test_build_csv_export(tmp_path):
     out = tmp_path / "v.json"
     csv_path = tmp_path / "h.csv"

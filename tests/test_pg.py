@@ -46,6 +46,15 @@ def test_one_space_is_shared_across_e_and_sigma():
     assert space(3, 4, 3) is not space(3, 4, 2) is not space(3, 2, 2)
 
 
+def test_a_space_needs_two_coordinates():
+    # the point action's generator I + E_01 needs two coordinates, and
+    # build_variety reaches the check before anything else that uses n
+    with pytest.raises(ValueError, match="n >= 2"):
+        space(2, 2, 1)
+    with pytest.raises(ValueError, match="n >= 2"):
+        build_variety(Field(2, 2), 1, Twist(2, 2, (0,)))
+
+
 @pytest.mark.parametrize("p,m,n", [(3, 3, 2), (2, 2, 3)])
 def test_space_arrays_are_read_only(p, m, n):
     s = space(p, m, n)

@@ -7,6 +7,9 @@ import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+# the benchmark's headline labels, read as tests/test_codes.py reads its cases
+HEADLINE = runpy.run_path(str(SCRIPTS.parent / "perfbench" / "workloads.py"))[
+    "WORKLOADS"]["headline"].labels
 
 
 def test_headline_script_runs_from_a_plain_checkout(tmp_path):
@@ -17,12 +20,12 @@ def test_headline_script_runs_from_a_plain_checkout(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert "--out-dir" in res.stdout
-    # the full run writes one report per case, each equal to its label's
-    # pinned answers
+    # the headline rows write one report per case, each equal to its
+    # label's pinned answers
     out = tmp_path / "reports"
     res = subprocess.run(
         [sys.executable, str(SCRIPTS / "run_headline_cases.py"),
-         "--out-dir", str(out)],
+         "--out-dir", str(out), "--only", *HEADLINE],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     answers = json.loads((SCRIPTS.parent / "perfbench" / "answers.json")
@@ -40,7 +43,7 @@ def test_headline_script_runs_from_a_plain_checkout(tmp_path):
 def test_frontier_script_runs_from_a_plain_checkout(tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     res = subprocess.run(
-        [sys.executable, str(SCRIPTS / "frontier_cases.py"), "--help"],
+        [sys.executable, str(SCRIPTS / "run_headline_cases.py"), "--help"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert "--only" in res.stdout and "gf8-n3" in res.stdout
@@ -49,7 +52,7 @@ def test_frontier_script_runs_from_a_plain_checkout(tmp_path):
     # level ends on a hit: no conclusion needs the symmetries, so no
     # report holds symmetry seconds
     res = subprocess.run(
-        [sys.executable, str(SCRIPTS / "frontier_cases.py"), "--only",
+        [sys.executable, str(SCRIPTS / "run_headline_cases.py"), "--only",
          "gf8-n3", "gf27-n3", "gf8-n4"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
@@ -59,6 +62,29 @@ def test_frontier_script_runs_from_a_plain_checkout(tmp_path):
     assert "bound=7 k=None" in heads[0] and "bound=9 k=None" in heads[1]
     assert "bound=9 k=None delta=9" in heads[2]
     assert all("symmetry -," in h for h in heads)
+
+
+def test_a_row_hash_does_not_depend_on_the_worker_count(tmp_path):
+    # gf256-hit's level 7 has C(254, 4) subsets, enough to start workers;
+    # each printed hash is the canonical_hash of the report written
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    hashes = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        res = subprocess.run(
+            [sys.executable, str(SCRIPTS / "run_headline_cases.py"),
+             "--only", "gf256-hit", "--workers", workers,
+             "--out-dir", str(out)],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120)
+        assert res.returncode == 0, res.stderr
+        (head,) = [line for line in res.stdout.splitlines()
+                   if not line.startswith(" ")]
+        printed = head.split(" hash ")[1].split(",")[0]
+        report = json.loads((out / "gf256-hit.json").read_text())
+        assert printed == report["canonical_hash"]
+        hashes.append(printed)
+    assert hashes[0] == hashes[1]
 
 
 def test_sweep_flags_no_row_on_a_tiny_grid(tmp_path):
