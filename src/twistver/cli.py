@@ -3,6 +3,7 @@
 Subcommands: field, build, code, verify.  Long-running commands print
 stage progress to stderr; the machine-readable result goes to the output
 file (or stdout when no -o is given), never mixed with progress text.
+Every -o and --csv path is checked before any work starts.
 
 Exit codes: 0 success (an exact result, or no dependent set up to
 --w-max), 2 budget exhausted (a capped level: a lower bound only),
@@ -48,6 +49,17 @@ def _write(path: str, write) -> None:
         with suppress(FileNotFoundError):
             os.remove(tmp)
     _progress(f"wrote {path}")
+
+
+def _check_writable(path: str) -> None:
+    """Raise OSError, naming path, unless _write can write a file there."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise OSError(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(folder):
+        raise OSError(f"cannot write {path}: no directory {folder}")
+    if not os.access(folder, os.W_OK | os.X_OK):
+        raise OSError(f"cannot write {path}: directory {folder} is not writable")
 
 
 def _emit(payload: dict, output: Optional[str]) -> None:
@@ -104,7 +116,7 @@ def cmd_field(args) -> int:
         "subfield_orders": field.subfield_orders(),
         "generator": field.generator,
     }
-    if args.json:
+    if args.json or args.output:
         _emit(payload, args.output)
     else:
         print(f"GF({field.order}) = GF({field.p}^{field.m})")
@@ -244,8 +256,9 @@ def main(argv=None) -> int:
     p_field = sub.add_parser("field", help="print field parameters")
     p_field.add_argument("--p", type=int, required=True)
     p_field.add_argument("--m", type=int, required=True)
-    p_field.add_argument("--json", action="store_true")
-    p_field.add_argument("-o", "--output")
+    p_field.add_argument("--json", action="store_true",
+                         help="print the parameters as JSON")
+    p_field.add_argument("-o", "--output", help="write the JSON here")
 
     p_build = sub.add_parser("build", help="build and export the point table")
     _add_experiment_flags(p_build)
@@ -271,6 +284,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        for path in (args.output, vars(args).get("csv")):
+            if path:
+                _check_writable(path)
         return {"field": cmd_field, "build": cmd_build, "code": cmd_code,
                 "verify": cmd_verify}[args.command](args)
     except BudgetExceeded as exc:

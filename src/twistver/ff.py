@@ -21,11 +21,11 @@ cache keeps the FIELD_CACHE_SIZE fields used last (at most 8 MiB each),
 and a search worker forked from the process inherits it.
 `Field.ops` is the one element arithmetic: add, sub, neg, mul, div and
 inv, written as lookups (`ops.mul[a, b]`) on numpy arrays or single
-elements.  Up to PAIR_TABLE_MAX it is FieldTables, one gather into a
-pairwise int16 table per operation; above, LogOps computes the same
-entries by exp/log gathers and digit-wise base-p addition (XOR when
-p = 2).  The scalar methods are one `ops` read each; `Field.pow` and
-`Field.eval_monomials` gather in the log domain.
+elements.  LogOps computes them by exp/log gathers and digit-wise base-p
+addition (XOR when p = 2).  Up to PAIR_TABLE_MAX `ops` is FieldTables,
+LogOps tabulated once into a pairwise int16 table per operation, so each
+operation has one implementation.  The scalar methods are one `ops` read
+each; `Field.pow` and `Field.eval_monomials` gather in the log domain.
 The polynomial helpers are the one polynomial arithmetic: they find the
 modulus and the generator and build the exp table, and add_poly,
 sub_poly and mul_poly are the references the tests compare against.
@@ -214,8 +214,9 @@ def _exp_table(p: int, m: int, modulus: list[int], g: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FieldTables:
-    """Pairwise numpy operation tables: the array ops of a field of order
-    <= PAIR_TABLE_MAX, one gather per operation (`mul[a, b]`, `neg[a]`).
+    """Pairwise numpy operation tables, LogOps.tabulate's result: the
+    array ops of a field of order <= PAIR_TABLE_MAX, one gather per
+    operation (`mul[a, b]`, `neg[a]`).
 
     All arrays are indexed by the integer element encoding.  Division by
     zero and the inverse of zero read 0; callers reject them first.
@@ -275,19 +276,11 @@ class LogOps:
         return out * ((a != 0) & (b != 0))
 
     def tabulate(self) -> FieldTables:
-        p, order = self.p, self.p ** self.m
+        """These ops, every entry of each gathered once into FieldTables."""
+        order = self.p ** self.m
         a, b = np.ogrid[:order, :order]
         x = np.arange(order)
-        # the addition table of GF(p^(k+1)) from that of GF(p^k): the top
-        # digit, the slow index of an encoding, adds mod p on its own
-        digit = (x[:p, None] + x[None, :p]) % p
-        add = digit
-        while len(add) < order:
-            n = len(add)
-            add = (digit[:, None, :, None] * n
-                   + add[None, :, None, :]).reshape(n * p, n * p)
-        # -a is the b with a + b = 0, the smallest entry of row a
-        mul, neg, inv = self.mul[a, b], np.argmin(add, axis=1), self.inv[x]
+        add, mul, neg, inv = self.add[a, b], self.mul[a, b], self.neg[x], self.inv[x]
         # a - b = a + (-b) and a / b = a * b^-1: one gather each
         t = dict(add=add, sub=add[:, neg], neg=neg, mul=mul, div=mul[:, inv], inv=inv)
         return FieldTables(**{k: _read_only(v.astype(FieldTables.dtype))

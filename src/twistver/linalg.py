@@ -10,6 +10,8 @@ row rule: rows are taken top to bottom, and each row's pivot is its
 first nonzero column once the rows before it are eliminated; rank and
 kernel_basis read its result.  It is fully general over an exact field,
 and all results are deterministic.
+canonical(field, a), the one projective normal form, scales each vector
+along the last axis of a so that its first nonzero entry is 1.
 Every entry operation goes through the field's array ops (`Field.ops`),
 a whole row or block at a time, so all fields up to ff.DEFAULT_MAX_ORDER
 run the same code.
@@ -87,6 +89,16 @@ def kernel_basis(field: Field, a) -> list[np.ndarray]:
     return basis
 
 
+def canonical(field: Field, a) -> tuple[np.ndarray, np.ndarray]:
+    """(canon, lead): each vector along the last axis of the array a
+    divided by its first nonzero entry, lead, so that that entry is 1.
+    A zero vector stays zero, with lead 0."""
+    flat = a.reshape(-1, a.shape[-1])
+    lead = flat[np.arange(len(flat)), (flat != 0).argmax(axis=1)]
+    canon = field.ops.div[flat, lead[:, None]]
+    return canon.reshape(a.shape), lead.reshape(a.shape[:-1])
+
+
 # ---------------------------------------------------------------------------
 # Products
 # ---------------------------------------------------------------------------
@@ -132,6 +144,7 @@ class IncrementalElim:
 
     def __init__(self, field: Field, columns: np.ndarray):
         ops = field.ops
+        self._field = field
         self._sub = ops.sub
         self._div = ops.div
         self._mul = ops.mul
@@ -228,10 +241,7 @@ class IncrementalElim:
             if has.all():
                 return dead, []
             keep &= ~has[:, None]
-        # canonical columns: scaled so that the first nonzero entry is 1
-        flat = tails.reshape(-1, n)
-        lead = flat[np.arange(flat.shape[0]), (flat != 0).argmax(axis=1)]
-        keys = self._div[flat, lead[:, None]] @ self._pack
+        keys = canonical(self._field, tails.reshape(-1, n))[0] @ self._pack
         # a stable sort keeps equal keys in (child, column) order, so the
         # proportional columns of a child end up adjacent and ascending
         order = np.lexsort(keys.T)

@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .ff import Field
-from .linalg import kernel_basis, matmul, rank
+from .linalg import canonical, kernel_basis, matmul, rank
 
 SPACE_CACHE_SIZE = 16  # spaces whose points and point action a process keeps
 
@@ -244,11 +244,7 @@ def _point_action(field: Field, points: np.ndarray, mats: np.ndarray):
     and the sorted canonical points: M_i . points[j] = leads[i, j] .
     points[perms[i, j]], with perms[i, j] = -1 where M_i . points[j] is
     zero or not a listed point."""
-    ops = field.ops
-    img = matmul(field, points, mats.swapaxes(1, 2))
-    lead = np.take_along_axis(img, (img != 0).argmax(axis=2)[..., None],
-                              axis=2)[..., 0]
-    canon = ops.div[img, lead[..., None]]
+    canon, lead = canonical(field, matmul(field, points, mats.swapaxes(1, 2)))
     place = field.order ** np.arange(points.shape[1] - 1, -1, -1,
                                      dtype=np.int64)
     keys, want = points @ place, canon @ place  # keys ascend with the points

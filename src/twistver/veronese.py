@@ -35,6 +35,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .ff import Field
+from .linalg import canonical
 from .pg import point_count, space
 
 MAX_POINTS = 1 << 16  # largest point set build_variety embeds
@@ -198,9 +199,7 @@ def build_variety(field: Field, n: int, twist: Twist) -> VarietyMatrix:
     coords = field.eval_monomials(point_array, basis.monomials)
 
     # injectivity: canonical projective representatives of rows are distinct
-    lead = coords[np.arange(num), (coords != 0).argmax(axis=1)]
-    canon = field.ops.div[coords, lead[:, None]]
-    if len(set(map(tuple, canon.tolist()))) != num:
+    if len(set(map(tuple, canonical(field, coords)[0].tolist()))) != num:
         raise AssertionError("embedding failed injectivity check")
 
     return VarietyMatrix(field=field, n=n, twist=twist, basis=basis,

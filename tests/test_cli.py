@@ -113,6 +113,41 @@ def test_failed_write_keeps_the_old_file(tmp_path, capsys, monkeypatch,
     assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
+@pytest.mark.parametrize("argv,bad", [
+    (["field", "--p", "2", "--m", "4", "-o", "missing/f.json"],
+     "missing/f.json"),
+    (["code", "--p", "3", "--t", "3", "--sigma", "0,0,2", "--workers", "1",
+      "-o", "missing/r.json"], "missing/r.json"),
+    (["build", "--p", "3", "--t", "3", "--sigma", "0,0,2", "-o", "ok.json",
+      "--csv", "missing/h.csv"], "missing/h.csv"),
+    (["verify", "scroll-plucker", "--p", "3", "--t", "3", "--sigma", "0,0,2",
+      "-o", "out"], "out"),
+], ids=["field", "code", "build-csv", "verify-directory"])
+def test_a_bad_output_path_fails_before_any_work(tmp_path, capsys,
+                                                 monkeypatch, argv, bad):
+    # a missing directory, or a directory as the path: one error line
+    # naming the path as given, no stage line and no file written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {bad}:")
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert not any((tmp_path / "out").iterdir())
+
+
+def test_field_output_writes_the_json(tmp_path, capsys):
+    out = tmp_path / "f.json"
+    assert run_cli(["field", "--p", "2", "--m", "4", "-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(out.read_text()) == {
+        "p": 2, "m": 4, "order": 16, "modulus": [1, 1, 0, 0, 1],
+        "modulus_str": "x^4 + x + 1", "subfield_orders": [2, 4, 16],
+        "generator": 2}
+
+
 # -- code -----------------------------------------------------------------------
 
 def test_code_command_exact(tmp_path, capsys):

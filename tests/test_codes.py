@@ -1317,6 +1317,29 @@ def test_worker_count_does_not_change_report(monkeypatch, no_bound):
     assert payloads[0]["delta"] == 7
 
 
+def test_capped_level_does_not_depend_on_the_worker_count(monkeypatch,
+                                                          no_bound):
+    # nrc-27 at budget 1,000: level 6 is cut inside its third task, the
+    # run of children 6 to 9, which a worker runs at workers 2
+    monkeypatch.setattr(codes_mod, "PARALLEL_MIN_CHECKS", 0)
+    pools = []
+
+    def spy(method, _orig=codes_mod.get_context):
+        pools.append(method)
+        return _orig(method)
+
+    monkeypatch.setattr(codes_mod, "get_context", spy)
+    c = get_code(3, 3, 2, (0, 0, 1))
+    serial = min_distance(c, SearchPlan(budget=1000, workers=1))
+    assert not pools
+    pooled = min_distance(c, SearchPlan(budget=1000, workers=2))
+    assert pools
+    assert pooled.payload() == serial.payload()
+    assert pooled.stage_log[-1].capped
+    assert pooled.canonical_hash() == (
+        "b6d904d48f78e8dc40aeca91496f7149c92f9ac0a7e789bc063af3ac3ca4dcc3")
+
+
 def _pushes_per_column(monkeypatch):
     pushed = {}
 

@@ -160,14 +160,25 @@ def test_frobenius_range_errors(gf27):
 
 # -- dual representation -----------------------------------------------------
 
-@pytest.mark.parametrize("p,m", [(2, 4), (3, 3), (5, 2), (2, 8)])
+@pytest.mark.parametrize("p,m", [(2, 4), (3, 3), (5, 2), (3, 4), (2, 8)])
 def test_table_and_polynomial_modes_agree(p, m):
+    # every entry of all six tables against the polynomial references;
+    # GF(81) is an odd-p field of degree 4
     f = get_field(p, m)
-    assert isinstance(f.ops, FieldTables) or f.order > 1 << 10
-    for a in range(f.order):
-        for b in range(f.order):
-            assert f.mul(a, b) == f.mul_poly(a, b)
-            assert f.add(a, b) == f.add_poly(a, b)
+    t = f.ops
+    assert isinstance(t, FieldTables)
+    x = list(range(f.order))
+    assert t.neg.tolist() == [f.sub_poly(0, b) for b in x]
+    assert t.inv[0] == 0
+    assert [f.mul_poly(c, b) for c, b in zip(t.inv[1:].tolist(), x[1:])] \
+        == [1] * (f.order - 1)
+    for a in x:
+        assert t.add[a].tolist() == [f.add_poly(a, b) for b in x]
+        assert t.sub[a].tolist() == [f.sub_poly(a, b) for b in x]
+        assert t.mul[a].tolist() == [f.mul_poly(a, b) for b in x]
+        assert t.div[a, 0] == 0
+        assert [f.mul_poly(c, b) for c, b in zip(t.div[a, 1:].tolist(), x[1:])] \
+            == [a] * (f.order - 1)
 
 
 def test_pair_tables_consistent(gf27):

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from twistver.codes import _scalar_rank
 from twistver.ff import LogOps
-from twistver.linalg import (IncrementalElim, kernel_basis, matmul, rank,
-                             systematic_form)
+from twistver.linalg import (IncrementalElim, canonical, kernel_basis,
+                             matmul, rank, systematic_form)
+from twistver.pg import canonicalize
 
 from conftest import get_code, get_field, mat_vec
 
@@ -171,6 +172,26 @@ def test_kernel_of_dependent_six_subset_is_one_dimensional():
     basis = kernel_basis(code.field, sub)
     assert len(basis) == 1
     assert all(x != 0 for x in basis[0])
+
+
+@pytest.mark.parametrize("p,m", [(3, 3), (2, 11)])
+def test_canonical_matches_the_scalar_normal_form(p, m):
+    # a 3-D stack with zero vectors, against pg.canonicalize, the scalar
+    # reference, on a pairwise-table field and a LogOps one
+    f = get_field(p, m)
+    rng = np.random.default_rng(p * m)
+    a = rng.integers(0, f.order, size=(4, 30, 3))
+    a[:, :5] = 0
+    a[:, 5:10, 0] = 0
+    canon, lead = canonical(f, a)
+    assert canon.shape == a.shape and lead.shape == a.shape[:-1]
+    for v, c, x in zip(a.reshape(-1, 3).tolist(), canon.reshape(-1, 3).tolist(),
+                       lead.ravel().tolist()):
+        if any(v):
+            assert tuple(c) == canonicalize(f, v)
+            assert x == next(e for e in v if e)
+        else:
+            assert c == v and x == 0
 
 
 def test_incremental_elim_matches_rank(gf27):
