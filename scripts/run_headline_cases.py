@@ -3,8 +3,8 @@
 
 Each row builds its code (Field through build_code, the one reduction of
 the point table among them) and runs analyze with --workers workers
-(default 1), or min_distance up to the row's w_max where it names one, at
-the row's budget (the default where it names none).  It prints one head
+(default 1), up to the row's w_max where it names one, at the row's
+budget (the default where it names none).  It prints one head
 line: the field, sigma, [nu,kappa,delta], the status, the number of
 minimum-weight supports ("-" when they were not classified), the check
 rank N, the report's cyclic bound and orbit prefix k, delta, the set-up
@@ -61,11 +61,11 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from twistver import Field, SearchPlan, Twist, build_code, build_variety  # noqa: E402
-from twistver.codes import DEFAULT_BUDGET, analyze, min_distance  # noqa: E402
+from twistver.codes import DEFAULT_BUDGET, analyze  # noqa: E402
 
 BENCH = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
 
-# label, p, m, n, sigma exponents (powers of p), w_max (None: analyze),
+# label, p, m, n, sigma exponents (powers of p), w_max (None: no cap),
 # budget (None: the default), e (the subfield degree of Field, default 1)
 ROWS = [(c.label, c.p, c.e * c.t, c.n, c.sigma, None, None, c.e)
         for c in map(BENCH["CASES"].get, BENCH["WORKLOADS"]["headline"].labels)]
@@ -100,7 +100,7 @@ def run_row(label, p, m, n, exps, w_max, budget, e=1, *, workers, out_dir):
     t0 = time.perf_counter()
     plan = SearchPlan(w_max=w_max, budget=budget or DEFAULT_BUDGET,
                       workers=workers)
-    report = (analyze if w_max is None else min_distance)(code, plan)
+    report = analyze(code, plan)
     total = time.perf_counter() - t0
     if out_dir is not None:
         (out_dir / f"{label}.json").write_text(
@@ -139,7 +139,10 @@ def main():
                     help="write each row's JSON report here")
     args = ap.parse_args()
     if args.out_dir is not None:
-        args.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            args.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            ap.error(f"--out-dir: {err}")
     for row in ROWS:
         if args.only is None or row[0] in args.only:
             run_row(*row, workers=args.workers, out_dir=args.out_dir)

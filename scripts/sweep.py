@@ -123,6 +123,10 @@ def main():
     ap.add_argument("--json", type=Path, metavar="FILE",
                     help="also write every row, witness and count included")
     args = ap.parse_args()
+    # checked before the first row, so that a bad path costs no work
+    if args.json is not None and (args.json.is_dir()
+                                  or not args.json.parent.is_dir()):
+        ap.error(f"--json: cannot write a file at {args.json}")
 
     def overrun(signum, frame):
         raise RowTimeout

@@ -131,9 +131,13 @@ _scan_columns), only the last, cut at the budget, has a cap, and
 reported check counts are closed-form, so a report is bit-identical for
 any worker count.
 
-An unstructured brute-force oracle (plain subset enumeration, scalar
-arithmetic, no staging, no symmetry) cross-validates the search on small
-codes: the same delta and the same lexicographically first witness.
+An unstructured brute-force oracle cross-validates the search on small
+codes: the same delta and the same lexicographically first witness.  Its
+one level scan, _first_dependent, enumerates the w-subsets in
+lexicographic order and rank-checks each from scratch with scalar
+arithmetic on the raw point table, not H: no staging, no symmetry, no
+shared elimination.  verify_general_position calls the same scan, under
+the plan's budget, for a witness at a level the search never ran.
 """
 
 from __future__ import annotations
@@ -145,8 +149,7 @@ import time
 import traceback
 from bisect import bisect_left
 from contextlib import suppress
-from dataclasses import (asdict, dataclass, field as dc_field, fields,
-                         replace)
+from dataclasses import dataclass, field as dc_field, fields, replace
 from heapq import merge
 from itertools import combinations, islice
 from math import comb, gcd
@@ -157,8 +160,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ff import Field
-from .linalg import (IncrementalElim, kernel_basis, matmul, rank,
-                     systematic_form)
+from .linalg import IncrementalElim, kernel_basis, matmul, systematic_form
 from .pg import on_common_subline, space
 from .veronese import MonomialBasis, Twist, VarietyMatrix
 
@@ -269,9 +271,9 @@ class StageRecord:
     seconds: float = 0.0
 
     def payload(self) -> dict:
-        d = asdict(self)
-        d.pop("seconds")
-        return d
+        """Every field except the seconds."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "seconds"}
 
 
 @dataclass
@@ -411,11 +413,12 @@ def _scan_subtree(elim: IncrementalElim, w: int,
             if not push(c):
                 raise DependencyInvariantError((*prefix, c))
             prefix.append(c)
-            deps, indeps = split()
+            deps, _ = split()
             if deps.size:
                 raise DependencyInvariantError((*prefix, int(deps[0])))
+            # no column right of c is in the span: all are children
             stop = (leaves(c + 1, ncols) if left == 4
-                    else walk(indeps.tolist(), left - 1))
+                    else walk(range(c + 1, ncols), left - 1))
             prefix.pop()
             pop()
             if stop:
@@ -954,27 +957,43 @@ def _scalar_rank(field: Field, rows: list[list[int]]) -> int:
     return rk
 
 
+def _first_dependent(code: Code, w: int, limit: int) -> Optional[tuple]:
+    """The lexicographically first dependent w-subset of the columns, or
+    None if every w-subset is independent, by plain enumeration: each
+    subset is rank-checked from scratch with scalar arithmetic on the raw
+    point table, variety.coords, never H.  It must stay that way: the
+    oracle is worth something only while it shares no matrix, elimination
+    or arithmetic path with the search it cross-checks.  Raises
+    BudgetExceeded before ranking subset limit + 1."""
+    table = code.variety.coords.T.tolist()
+    for ranked, subset in enumerate(combinations(range(code.nu), w), 1):
+        if ranked > limit:
+            raise BudgetExceeded(
+                f"no dependent {w}-subset among the first {limit} "
+                "ranked; raise the budget explicitly to proceed")
+        cols = [[row[c] for c in subset] for row in table]
+        if _scalar_rank(code.field, cols) < w:
+            return subset
+    return None
+
+
 def oracle_min_distance(code: Code):
     """Smallest dependent column-subset size by plain enumeration.
 
     No geometric restriction, no staging, no shared elimination state:
-    every subset is rank-checked from scratch, on the raw point table, not
-    H.  Returns (delta, witness); delta is None if no dependent subset
-    exists.  Over DEFAULT_ORACLE_CAP subsets in all, raises
-    BudgetExceeded before checking any.
+    one _first_dependent scan per level.  Returns (delta, witness); delta
+    is None if no dependent subset exists.  Over DEFAULT_ORACLE_CAP
+    subsets in all, raises BudgetExceeded before checking any.
     """
     w_cap = min(code.effective_N + 1, code.nu)
     total = sum(comb(code.nu, w) for w in range(2, w_cap + 1))
     if total > DEFAULT_ORACLE_CAP:
         raise BudgetExceeded(f"oracle would enumerate {total} subsets, "
                              f"cap is {DEFAULT_ORACLE_CAP}")
-    field = code.field
-    hdata = code.variety.coords.T.tolist()
     for w in range(2, w_cap + 1):
-        for subset in combinations(range(code.nu), w):
-            sub = [[row[c] for c in subset] for row in hdata]
-            if _scalar_rank(field, sub) < w:
-                return w, subset
+        subset = _first_dependent(code, w, total)
+        if subset is not None:
+            return w, subset
     return None, None
 
 
@@ -1013,10 +1032,11 @@ def verify_general_position(code: Code, k: int,
     k < b the answer is ok with 0 subsets checked; the result carries b.
 
     Returns ok=True, or ok=False with the lexicographically first
-    dependent k-subset as witness.  Raises BudgetExceeded when a level
-    was capped before it was settled, or when the witness, searched
-    directly because level k never ran, needs more than plan.budget
-    subsets ranked.
+    dependent k-subset as witness.  When level k never ran, the witness
+    comes from the oracle's level scan, _first_dependent, on the point
+    table.  Raises BudgetExceeded when a level was capped before it was
+    settled, or when that scan needs more than plan.budget subsets
+    ranked.
     """
     plan = plan or SearchPlan()
     if not 2 <= k <= code.effective_N + 1:
@@ -1026,24 +1046,13 @@ def verify_general_position(code: Code, k: int,
     if report.delta is None:
         return GeneralPositionResult(True, k, checked, bound)
     if report.delta < k:  # level k never ran, so no k-subset was checked
-        return GeneralPositionResult(False, k, 0, bound,
-                                     _lex_first_dependent(code, k, plan))
+        witness = _first_dependent(code, k, plan.budget)
+        if witness is None:
+            raise AssertionError(
+                "no dependent subset found where one was implied")
+        return GeneralPositionResult(False, k, 0, bound, witness)
     return GeneralPositionResult(False, k, checked, bound,
                                  tuple(report.witness))
-
-
-def _lex_first_dependent(code: Code, k: int, plan: SearchPlan) -> tuple:
-    """Direct lex scan; only called when a dependent k-subset must exist.
-    Raises BudgetExceeded when the scan would rank more than plan.budget
-    subsets."""
-    for checked, subset in enumerate(combinations(range(code.nu), k), 1):
-        if checked > plan.budget:
-            raise BudgetExceeded(
-                f"no dependent {k}-subset among the first {plan.budget} "
-                "ranked; raise the budget explicitly to proceed")
-        if rank(code.field, code.H[:, list(subset)]) < k:
-            return subset
-    raise AssertionError("no dependent subset found where one was implied")
 
 
 def verify_oracle_equivalence(code: Code, plan: Optional[SearchPlan] = None):

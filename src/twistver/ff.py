@@ -45,18 +45,7 @@ FIELD_CACHE_SIZE = 16        # fields whose arithmetic a process keeps
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return prime_factors(n) == [n]
 
 
 def prime_factors(n: int) -> list[int]:

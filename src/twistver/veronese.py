@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, groupby, product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -85,13 +85,7 @@ class Twist:
     @property
     def blocks(self) -> list[tuple[int, int]]:
         """Distinct exponents with multiplicities, ascending: [(s, d_s), ...]."""
-        out: list[tuple[int, int]] = []
-        for s in self.exponents:
-            if out and out[-1][0] == s:
-                out[-1] = (s, out[-1][1] + 1)
-            else:
-                out.append((s, 1))
-        return out
+        return [(s, len(list(run))) for s, run in groupby(self.exponents)]
 
     @property
     def q_fixed(self) -> int:
@@ -100,10 +94,7 @@ class Twist:
         Identity factors fix everything, so only nonzero exponents can
         shrink the fixed field; gcd(0, m) = m makes the formula uniform.
         """
-        g = self.m
-        for s in self.exponents:
-            g = math.gcd(g, s)
-        return self.p ** g
+        return self.p ** math.gcd(self.m, *self.exponents)
 
 
 @dataclass

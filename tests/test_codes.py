@@ -653,6 +653,27 @@ def test_closed_form_is_zero_exactly_when_delta_exceeds_d_plus_2(cfg):
         assert cfg in CLASSIFY_CONFIGS
 
 
+def test_the_papers_predictions_on_every_small_config():
+    # delta = d + 2 exactly when the fixed subfield has q' >= d + 1
+    # points, else delta > d + 2; at delta = d + 2 the supports number
+    # the closed form.  All 84 are exact at the default budget.
+    configs = list(_small_configs())
+    assert len(configs) == 84
+    tight = 0
+    for cfg in configs:
+        c = get_code(*cfg)
+        rep = codes_mod.analyze(c)
+        d = c.twist.d
+        assert rep.delta_exact, cfg
+        if c.twist.q_fixed >= d + 1:
+            tight += 1
+            assert rep.delta == d + 2, cfg
+            assert rep.min_weight_support_count == _closed_form_count(c), cfg
+        else:
+            assert rep.delta > d + 2, cfg
+    assert tight == 50
+
+
 @pytest.mark.parametrize("cfg,count", [
     ((2, 4, 3, (0, 2)), 92_820),           # plane-16
     ((5, 2, 3, (0, 1)), 1_269_450),        # GF(25), n = 3
@@ -1947,6 +1968,24 @@ def test_general_position_direct_witness_search_is_budgeted():
     assert (res.ok, res.checked) == (False, 0)
     assert res.witness == verify_general_position(c, 6).witness
     assert res.witness == (0, 1, 2, 3, 7, 8)
+
+
+def test_general_position_witness_scan_does_not_read_h(monkeypatch, no_bound):
+    # the same code, with column 1 of H overwritten by column 0: the
+    # search finds (0, 1) on H, so level 6 never runs, and a scan of H
+    # would return (0, 1, 2, 3, 4, 5); the witness scan is the oracle's,
+    # which reads the raw point table
+    c = get_code(2, 4, 2, (0, 0, 2))
+    table = c.variety.coords
+    want = next(s for s in itertools.combinations(range(c.nu), 6)
+                if rank(c.field, table[list(s)]) < 6)
+    assert want == (0, 1, 2, 3, 7, 8)
+    h = c.H.copy()
+    h[:, 1] = h[:, 0]
+    monkeypatch.setattr(c, "H", h)
+    assert min_distance(c, SearchPlan(w_max=6)).witness == [0, 1]
+    res = verify_general_position(c, 6)
+    assert (res.ok, res.checked, res.witness) == (False, 0, want)
 
 
 def test_general_position_k_range():

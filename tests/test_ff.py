@@ -383,6 +383,12 @@ def test_describe_roundtrip(gf27):
 
 def test_prime_helpers():
     assert is_prime(2) and is_prime(97) and not is_prime(1) and not is_prime(91)
+    sieve = np.ones(10_000, dtype=bool)
+    sieve[:2] = False
+    for f in range(2, 100):
+        sieve[f * f::f] = False
+    assert [n for n in range(-2, 10_000) if is_prime(n)] == \
+        np.flatnonzero(sieve).tolist()
     assert prime_factors(12) == [2, 3]
     assert prime_factors(1) == []
 

@@ -116,6 +116,25 @@ def test_sweep_flags_no_row_on_a_tiny_grid(tmp_path):
     assert f"set-up {total:.2f} s," in res.stdout.splitlines()[-1]
 
 
+def test_scripts_refuse_an_output_path_before_the_first_row(tmp_path):
+    # a --json in a missing directory, or an --out-dir that is a file,
+    # ends the run with one usage error and no row printed
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for argv in ([str(SCRIPTS / "sweep.py"), "--max-nu", "10", "--json",
+                  str(tmp_path / "missing" / "x.json")],
+                 [str(SCRIPTS / "run_headline_cases.py"), "--only",
+                  "conic-5", "--out-dir", str(afile)]):
+        res = subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 2, res.stderr
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr
+        assert res.stderr.splitlines()[-1].startswith(
+            f"{Path(argv[0]).name}: error: ")
+
+
 def test_sweep_flags_a_row_whose_scroll_check_fails(monkeypatch, capsys):
     # a check that fails every point of GF(4)'s tables flags those 3 rows
     # and only those, and the sweep exits 1
