@@ -14,7 +14,9 @@ process's peak RSS so far.  Then one line per level: the subsets
 checked, the seconds (the level's stage_log record, the same timing the
 reports carry) and the checks per second.  The hash must not depend on
 the worker count.  --out-dir writes each row's JSON report there as
-<label>.json.
+<label>.json, through twistver.cli.write.  A --workers below 1, or an
+--out-dir where a report cannot be written, is a usage error before the
+first row.
 
 The first rows are the headline configurations the benchmark pins
 (WORKLOADS["headline"] in perfbench/workloads.py, read from there).  The
@@ -61,6 +63,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from twistver import Field, SearchPlan, Twist, build_code, build_variety  # noqa: E402
+from twistver.cli import check_writable, write  # noqa: E402
 from twistver.codes import DEFAULT_BUDGET, analyze  # noqa: E402
 
 BENCH = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
@@ -103,8 +106,8 @@ def run_row(label, p, m, n, exps, w_max, budget, e=1, *, workers, out_dir):
     report = analyze(code, plan)
     total = time.perf_counter() - t0
     if out_dir is not None:
-        (out_dir / f"{label}.json").write_text(
-            json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
+        text = json.dumps(report.to_json(), indent=2, sort_keys=True)
+        write(out_dir / f"{label}.json", lambda fh: fh.write(text + "\n"))
     symmetry = report.timings.get("symmetry")
     supports = report.min_weight_support_count
     print(f"{label}: GF({field.order}) sigma=({','.join(map(str, exps))}) "
@@ -138,14 +141,19 @@ def main():
     ap.add_argument("--out-dir", type=Path, metavar="DIR",
                     help="write each row's JSON report here")
     args = ap.parse_args()
+    # checked before the first row, so that a bad value costs no work
+    if args.workers < 1:
+        ap.error(f"--workers must be at least 1, got {args.workers}")
+    rows = [row for row in ROWS if args.only is None or row[0] in args.only]
     if args.out_dir is not None:
         try:
             args.out_dir.mkdir(parents=True, exist_ok=True)
+            for row in rows:
+                check_writable(args.out_dir / f"{row[0]}.json")
         except OSError as err:
             ap.error(f"--out-dir: {err}")
-    for row in ROWS:
-        if args.only is None or row[0] in args.only:
-            run_row(*row, workers=args.workers, out_dir=args.out_dir)
+    for row in rows:
+        run_row(*row, workers=args.workers, out_dir=args.out_dir)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,8 @@ timed-out rows and of flagged rows come last, with the number of
 projective spaces built (pg.space's cache misses: one per distinct
 (p, m, n), since the rows of one space are consecutive), the summed
 seconds and the summed set-up seconds, and the exit status is 1 when a
-row is flagged.  --json writes {"rows": [...], "spaces_built": N}.
+row is flagged.  --json writes {"rows": [...], "spaces_built": N}
+through twistver.cli.write, so a failed write leaves any old file whole.
 
 Usage:
     python scripts/sweep.py [--max-nu NU] [--json FILE]
@@ -40,6 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from twistver import (Field, SearchPlan, Twist, build_code,  # noqa: E402
                       build_variety, scroll_plucker_check)
+from twistver.cli import check_writable, write  # noqa: E402
 from twistver.codes import analyze  # noqa: E402
 from twistver.pg import space  # noqa: E402
 
@@ -120,13 +122,15 @@ def main():
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--max-nu", type=int, default=5_000, metavar="NU",
                     help="largest code length in the grid (default %(default)s)")
-    ap.add_argument("--json", type=Path, metavar="FILE",
+    ap.add_argument("--json", metavar="FILE",
                     help="also write every row, witness and count included")
     args = ap.parse_args()
     # checked before the first row, so that a bad path costs no work
-    if args.json is not None and (args.json.is_dir()
-                                  or not args.json.parent.is_dir()):
-        ap.error(f"--json: cannot write a file at {args.json}")
+    if args.json is not None:
+        try:
+            check_writable(args.json)
+        except OSError as err:
+            ap.error(f"--json: {err}")
 
     def overrun(signum, frame):
         raise RowTimeout
@@ -151,8 +155,8 @@ def main():
           f"{sum(r['seconds'] for r in rows):.1f} s, set-up {setup_s:.2f} s, "
           f"the bound at most {bound_s:.4f} s a row")
     if args.json:
-        args.json.write_text(json.dumps(
-            {"rows": rows, "spaces_built": spaces}, indent=1) + "\n")
+        text = json.dumps({"rows": rows, "spaces_built": spaces}, indent=1)
+        write(args.json, lambda fh: fh.write(text + "\n"))
     return 1 if flagged else 0
 
 

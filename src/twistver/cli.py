@@ -38,12 +38,12 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
-def _write(path: str, write) -> None:
-    """write(fh) to a file beside path, then replace path with it whole."""
+def write(path: str | os.PathLike, fill) -> None:
+    """fill(fh) a file beside path, then replace path with it whole."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            write(fh)
+            fill(fh)
         os.replace(tmp, path)
     finally:
         with suppress(FileNotFoundError):
@@ -51,8 +51,8 @@ def _write(path: str, write) -> None:
     _progress(f"wrote {path}")
 
 
-def _check_writable(path: str) -> None:
-    """Raise OSError, naming path, unless _write can write a file there."""
+def check_writable(path: str | os.PathLike) -> None:
+    """Raise OSError, naming path, unless write can write a file there."""
     folder = os.path.dirname(path) or "."
     if os.path.isdir(path):
         raise OSError(f"cannot write {path}: it is a directory")
@@ -65,7 +65,7 @@ def _check_writable(path: str) -> None:
 def _emit(payload: dict, output: Optional[str]) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if output:
-        _write(output, lambda fh: fh.write(text + "\n"))
+        write(output, lambda fh: fh.write(text + "\n"))
     else:
         print(text)
 
@@ -87,11 +87,10 @@ def _resolve_twist(args, field: Field) -> Twist:
     return Twist.from_q_powers(field, _parse_exponents(args.sigma_q))
 
 
-def _resolve_plan(args, w_max: Optional[int] = None) -> SearchPlan:
-    return SearchPlan(w_max=w_max, budget=args.budget, workers=args.workers)
-
-
 def _build_with_warnings(args):
+    for flag, value in (("--e", args.e), ("--t", args.t)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     field = Field(args.p, args.e * args.t, e=args.e)
     twist = _resolve_twist(args, field)
     variety = build_variety(field, args.n, twist)
@@ -135,13 +134,14 @@ def cmd_build(args) -> int:
     if args.csv:
         # the point table transposed, H before its reduction, entries the
         # canonical integer encodings sum(c_i * p^i)
-        _write(args.csv, lambda fh: csv.writer(fh).writerows(
+        write(args.csv, lambda fh: csv.writer(fh).writerows(
             variety.coords.T.tolist()))
     return EXIT_OK
 
 
 def cmd_code(args) -> int:
-    plan = _resolve_plan(args, args.w_max)
+    plan = SearchPlan(w_max=args.w_max, budget=args.budget,
+                      workers=args.workers)
     _, _, variety = _build_with_warnings(args)
     code = build_code(variety)
     _progress(f"code length {code.nu}, dimension {code.kappa}, "
@@ -179,38 +179,22 @@ def cmd_verify(args) -> int:
     if args.k is not None and prop != "general-position":
         raise ValueError(f"--k applies to general-position only, not {prop}")
     # scroll-plucker searches nothing, so its --budget and --workers go unread
-    plan = None if prop == "scroll-plucker" else _resolve_plan(args)
+    plan = None if prop == "scroll-plucker" else SearchPlan(
+        budget=args.budget, workers=args.workers)
     _, twist, variety = _build_with_warnings(args)
-    result: dict = {"property": prop}
-    ok = False
-
     if prop == "general-position":
         k = args.k if args.k is not None else twist.d + 1
-        code = build_code(variety)
-        res = verify_general_position(code, k, plan)
-        ok = res.ok
-        result.update(k=k, checked=res.checked, bound=res.bound,
-                      witness=list(res.witness) if res.witness else None)
+        ok, detail = verify_general_position(build_code(variety), k, plan)
     elif prop == "dep-classification":
-        code = build_code(variety)
-        ok, report, why = verify_dep_classification(code, plan)
-        result.update(delta=report.delta,
-                      supports=report.min_weight_support_count,
-                      violations=report.violations, reason=why)
+        ok, detail = verify_dep_classification(build_code(variety), plan)
     elif prop == "scroll-plucker":
         failures = variety.point_array[~scroll_plucker_check(variety)].tolist()
-        ok = not failures
-        result.update(points=variety.num_points, failures=failures)
-    elif prop == "oracle-equivalence":
-        code = build_code(variety)
-        ok, staged, oracle = verify_oracle_equivalence(code, plan)
-        result.update(staged_delta=staged, oracle_delta=oracle)
-    else:  # unreachable through argparse choices
-        raise ValueError(f"unknown property {prop}")
-
-    result["pass"] = ok
+        ok, detail = not failures, {"points": variety.num_points,
+                                    "failures": failures}
+    else:  # oracle-equivalence, the last of argparse's choices
+        ok, detail = verify_oracle_equivalence(build_code(variety), plan)
     _progress(f"verify {prop}: {'pass' if ok else 'FAIL'}")
-    _emit(result, args.output)
+    _emit({"property": prop, **detail, "pass": ok}, args.output)
     return EXIT_OK if ok else EXIT_INVALID
 
 
@@ -286,7 +270,7 @@ def main(argv=None) -> int:
     try:
         for path in (args.output, vars(args).get("csv")):
             if path:
-                _check_writable(path)
+                check_writable(path)
         return {"field": cmd_field, "build": cmd_build, "code": cmd_code,
                 "verify": cmd_verify}[args.command](args)
     except BudgetExceeded as exc:

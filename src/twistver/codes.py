@@ -1000,17 +1000,8 @@ def oracle_min_distance(code: Code):
 # ---------------------------------------------------------------------------
 # Verification entry points
 # ---------------------------------------------------------------------------
-
-@dataclass
-class GeneralPositionResult:
-    """bound is the report's cyclic_bound: when k < bound the BCH bound
-    alone proves ok, and checked is 0."""
-    ok: bool
-    k: int
-    checked: int
-    bound: int
-    witness: Optional[tuple] = None
-
+# Each returns (ok, detail): detail holds exactly the fields that
+# `twistver verify` prints for the property, beside "property" and "pass".
 
 def _settled(report: CodeReport) -> CodeReport:
     """The report, unless a budget cap left a level unsettled."""
@@ -1025,54 +1016,64 @@ def _settled(report: CodeReport) -> CodeReport:
 
 
 def verify_general_position(code: Code, k: int,
-                            plan: Optional[SearchPlan] = None) -> GeneralPositionResult:
+                            plan: Optional[SearchPlan] = None
+                            ) -> tuple[bool, dict]:
     """Decide whether every k-subset of columns is independent:
-    min_distance up to w_max = k.  Levels below the report's
-    cyclic_bound b are proved empty by the BCH bound, not scanned, so for
-    k < b the answer is ok with 0 subsets checked; the result carries b.
+    min_distance up to w_max = k.
 
-    Returns ok=True, or ok=False with the lexicographically first
-    dependent k-subset as witness.  When level k never ran, the witness
-    comes from the oracle's level scan, _first_dependent, on the point
-    table.  Raises BudgetExceeded when a level was capped before it was
-    settled, or when that scan needs more than plan.budget subsets
-    ranked.
+    detail is {"k", "checked", "bound", "witness"}.  bound is the
+    report's cyclic_bound b; levels below b are proved empty by the BCH
+    bound, not scanned.  checked is the subsets level k checked: 0 when
+    k < b (ok by the bound alone), and 0 when level k never ran.
+    witness is None when ok, else the lexicographically first dependent
+    k-subset as a list.  When level k never ran, it comes from the
+    oracle's level scan, _first_dependent, on the point table.  Raises
+    BudgetExceeded when a level was capped before it was settled, or
+    when that scan needs more than plan.budget subsets ranked.
     """
     plan = plan or SearchPlan()
     if not 2 <= k <= code.effective_N + 1:
         raise ValueError(f"k = {k} is outside [2, effective_N + 1]")
     report = _settled(min_distance(code, replace(plan, w_max=k)))
-    checked, bound = report.stage_log[-1].checked, report.cyclic_bound
-    if report.delta is None:
-        return GeneralPositionResult(True, k, checked, bound)
-    if report.delta < k:  # level k never ran, so no k-subset was checked
+    detail = {"k": k, "checked": report.stage_log[-1].checked,
+              "bound": report.cyclic_bound, "witness": report.witness}
+    if report.delta is not None and report.delta < k:
         witness = _first_dependent(code, k, plan.budget)
         if witness is None:
             raise AssertionError(
                 "no dependent subset found where one was implied")
-        return GeneralPositionResult(False, k, 0, bound, witness)
-    return GeneralPositionResult(False, k, checked, bound,
-                                 tuple(report.witness))
+        detail.update(checked=0, witness=list(witness))
+    return report.delta is None, detail
 
 
-def verify_oracle_equivalence(code: Code, plan: Optional[SearchPlan] = None):
+def verify_oracle_equivalence(code: Code, plan: Optional[SearchPlan] = None
+                              ) -> tuple[bool, dict]:
     """Search and brute-force oracle must agree exactly: on delta and on
-    the lexicographically first dependent set.  A capped search raises
+    the lexicographically first dependent set.  detail is
+    {"staged_delta", "oracle_delta"}.  A capped search raises
     BudgetExceeded."""
     report = _settled(min_distance(code, plan))
     oracle_delta, oracle_witness = oracle_min_distance(code)
     ok = (report.delta_exact and report.delta == oracle_delta
           and report.witness == list(oracle_witness))
-    return ok, report.delta, oracle_delta
+    return ok, {"staged_delta": report.delta, "oracle_delta": oracle_delta}
 
 
-def verify_dep_classification(code: Code, plan: Optional[SearchPlan] = None):
-    """Run the search plus classification; pass iff no violations.  A
-    capped search raises BudgetExceeded."""
+def verify_dep_classification(code: Code, plan: Optional[SearchPlan] = None
+                              ) -> tuple[bool, dict]:
+    """Run the search plus classification; pass iff delta = d + 2 and no
+    support is a violation.  detail is {"delta", "supports",
+    "violations", "reason"}, reason None on a pass.  A capped search
+    raises BudgetExceeded."""
     report = _settled(min_distance(code, plan))
+    reason = None
     if report.delta != code.twist.d + 2:
-        return False, report, "minimum distance is not d + 2"
-    report = classify_min_words(code, report, plan)
-    if report.violations:
-        return False, report, f"{len(report.violations)} support violations"
-    return True, report, None
+        reason = "minimum distance is not d + 2"
+    else:
+        report = classify_min_words(code, report, plan)
+        if report.violations:
+            reason = f"{len(report.violations)} support violations"
+    return reason is None, {"delta": report.delta,
+                            "supports": report.min_weight_support_count,
+                            "violations": report.violations,
+                            "reason": reason}

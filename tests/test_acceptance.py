@@ -293,8 +293,8 @@ def test_A9f_general_position_and_minimal_witness_invariants():
     for p, m, n, exps in [(3, 3, 2, (0, 0, 2)), (2, 4, 2, (0, 2))]:
         code = _fresh_code(p, m, n, exps)
         d = code.twist.d
-        res = verify_general_position(code, d + 1, SearchPlan(workers=1))
-        assert res.ok
+        ok, _ = verify_general_position(code, d + 1, SearchPlan(workers=1))
+        assert ok
         rep = min_distance(code, SearchPlan(workers=1))
         witness = rep.witness
         assert rank(code.field, code.H[:, witness]) == len(witness) - 1

@@ -73,6 +73,18 @@ def test_fewer_than_two_coordinates_exit_invalid(capsys, command, n):
     assert len(err) == 1 and err[0].startswith(f"error: n = {n}:")
 
 
+@pytest.mark.parametrize("command", ["build", "code"])
+@pytest.mark.parametrize("flag", ["--e", "--t"])
+def test_field_degrees_below_one_name_their_flag(capsys, command, flag):
+    # q = p^e and the extension degree t: a 0 would otherwise surface as
+    # an error about m, which these commands do not take
+    argv = {"--e": ["--e", "0", "--t", "2"], "--t": ["--t", "0"]}[flag]
+    assert run_cli([command, "--p", "2", *argv, "--sigma", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be at least 1, got 0\n"
+
+
 def test_build_csv_export(tmp_path):
     out = tmp_path / "v.json"
     csv_path = tmp_path / "h.csv"
@@ -332,6 +344,44 @@ def test_usage_errors_exit_invalid(capsys, argv):
 
 
 # -- verify --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv,printed,status", [
+    # delta = 5 < k = 6: level 6 never ran, so the witness comes from the
+    # oracle's level scan and no subset counts as checked
+    (["general-position", "--p", "2", "--t", "4", "--sigma", "0,0,2",
+      "--k", "6"],
+     {"property": "general-position", "k": 6, "checked": 0, "bound": 5,
+      "witness": [0, 1, 2, 3, 7, 8], "pass": False}, 1),
+    (["general-position", "--p", "3", "--t", "3", "--sigma", "0,0,2",
+      "--k", "4"],
+     {"property": "general-position", "k": 4, "checked": 25, "bound": 4,
+      "witness": None, "pass": True}, 0),
+    (["general-position", "--p", "5", "--t", "1", "--sigma", "0,0",
+      "--k", "4"],
+     {"property": "general-position", "k": 4, "checked": 3, "bound": 4,
+      "witness": [0, 1, 2, 3], "pass": False}, 1),
+    (["dep-classification", "--p", "2", "--t", "4", "--sigma", "0,2"],
+     {"property": "dep-classification", "delta": 4, "supports": 340,
+      "violations": [], "reason": None, "pass": True}, 0),
+    (["dep-classification", "--p", "3", "--t", "3", "--sigma", "0,0,2"],
+     {"property": "dep-classification", "delta": 6, "supports": None,
+      "violations": [], "reason": "minimum distance is not d + 2",
+      "pass": False}, 1),
+    (["scroll-plucker", "--p", "3", "--t", "3", "--sigma", "0,0,2"],
+     {"property": "scroll-plucker", "points": 28, "failures": [],
+      "pass": True}, 0),
+    (["oracle-equivalence", "--p", "2", "--t", "2", "--sigma", "0,1"],
+     {"property": "oracle-equivalence", "staged_delta": 5,
+      "oracle_delta": 5, "pass": True}, 0),
+], ids=["gp-fallback", "gp-scanned", "gp-fail", "dep-pass", "dep-fail",
+        "scroll", "oracle"])
+def test_verify_prints_each_property_exactly(capsys, argv, printed, status):
+    # the whole JSON object and the one progress line, key for key
+    assert run_cli(["verify", *argv, "--workers", "1"]) == status
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == printed
+    verdict = "pass" if printed["pass"] else "FAIL"
+    assert captured.err == f"verify {argv[0]}: {verdict}\n"
 
 def test_verify_general_position(tmp_path, capsys):
     out = tmp_path / "res.json"

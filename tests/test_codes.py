@@ -418,10 +418,10 @@ def test_classify_requires_exact_d_plus_2():
 
 
 def test_verify_dep_classification_wrapper():
-    ok, rep, why = verify_dep_classification(get_code(2, 4, 2, (0, 2)))
-    assert ok and why is None
-    ok, rep, why = verify_dep_classification(get_code(3, 3, 2, (0, 0, 2)))
-    assert not ok and "not d + 2" in why
+    ok, detail = verify_dep_classification(get_code(2, 4, 2, (0, 2)))
+    assert ok and detail["reason"] is None
+    ok, detail = verify_dep_classification(get_code(3, 3, 2, (0, 0, 2)))
+    assert not ok and "not d + 2" in detail["reason"]
 
 
 # -- status ------------------------------------------------------------------------
@@ -460,8 +460,8 @@ ORACLE_CONFIGS = [
 
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
 def test_oracle_equivalence(cfg):
-    ok, staged, oracle = verify_oracle_equivalence(get_code(*cfg))
-    assert ok, (cfg, staged, oracle)
+    ok, detail = verify_oracle_equivalence(get_code(*cfg))
+    assert ok, (cfg, detail)
 
 
 def test_oracle_equivalence_requires_equal_witness(monkeypatch):
@@ -470,8 +470,9 @@ def test_oracle_equivalence_requires_equal_witness(monkeypatch):
     other = tuple(reversed(range(c.nu)))[:delta]  # dependent, not lex-first
     monkeypatch.setattr(codes_mod, "oracle_min_distance",
                         lambda code: (delta, other))
-    ok, staged, oracle = verify_oracle_equivalence(c)
-    assert not ok and staged == oracle == delta
+    ok, detail = verify_oracle_equivalence(c)
+    assert not ok
+    assert detail["staged_delta"] == detail["oracle_delta"] == delta
 
 
 def test_oracle_does_not_read_h(monkeypatch, no_bound):
@@ -479,13 +480,15 @@ def test_oracle_does_not_read_h(monkeypatch, no_bound):
     # the last row lies in the span of two pivot columns, so the search
     # finds delta = 3 on H, while the oracle reads the raw point table
     c = get_code(5, 1, 2, (0, 0))
-    assert verify_oracle_equivalence(c) == (True, 4, 4)
+    assert verify_oracle_equivalence(c) == (
+        True, {"staged_delta": 4, "oracle_delta": 4})
     h = c.H.copy()
     col = min(set(range(c.nu)) - set(c.pivots.tolist()))
     assert h[-1, col] != 0
     h[-1, col] = 0
     monkeypatch.setattr(c, "H", h)
-    assert verify_oracle_equivalence(c) == (False, 3, 4)
+    assert verify_oracle_equivalence(c) == (
+        False, {"staged_delta": 3, "oracle_delta": 4})
 
 
 def test_oracle_cap(monkeypatch):
@@ -1247,9 +1250,8 @@ def test_levels_below_the_bound_are_not_scanned(monkeypatch):
 
     monkeypatch.setattr(codes_mod, "_run_level", no_scan)
     monkeypatch.setattr(codes_mod, "column_orbit_prefix", proved.append)
-    res = verify_general_position(c, 6)
-    assert (res.ok, res.k, res.checked, res.bound, res.witness) == (
-        True, 6, 0, 7, None)
+    assert verify_general_position(c, 6) == (
+        True, {"k": 6, "checked": 0, "bound": 7, "witness": None})
     rep = min_distance(c, SearchPlan(w_max=6))
     assert (rep.delta, rep.delta_exact, rep.delta_lower_bound) == (
         None, False, 7)
@@ -1930,31 +1932,31 @@ def test_listed_supports_are_capped_but_all_are_checked(monkeypatch):
 # -- general position -----------------------------------------------------------------
 
 def test_general_position_track():
-    res = verify_general_position(get_code(3, 3, 2, (0, 0, 2)), 4)
-    assert res.ok and res.checked == comb(25, 1)
+    ok, res = verify_general_position(get_code(3, 3, 2, (0, 0, 2)), 4)
+    assert ok and res["checked"] == comb(25, 1)
 
 
 def test_general_position_pairs_always_hold():
-    res = verify_general_position(get_code(2, 3, 2, (0, 1)), 2)
-    assert res.ok
+    ok, _ = verify_general_position(get_code(2, 3, 2, (0, 1)), 2)
+    assert ok
 
 
 def test_general_position_conic_failure():
-    res = verify_general_position(get_code(5, 1, 2, (0, 0)), 4)
-    assert not res.ok
-    assert res.witness == (0, 1, 2, 3)
+    ok, res = verify_general_position(get_code(5, 1, 2, (0, 0)), 4)
+    assert not ok
+    assert res["witness"] == [0, 1, 2, 3]
     # early exit: the prefix (0, 1, 2) and its extensions 3, 4, 5
-    assert res.checked == _lex_rank((0, 1, 2, 5), 6) + 1 == 3
+    assert res["checked"] == _lex_rank((0, 1, 2, 5), 6) + 1 == 3
 
 
 def test_general_position_dependent_set_below_k():
     # the GF(4) plane Veronese code has delta = 4 < k = 5: level 4 finds
     # (0, 1, 2, 3), level 5 never runs, and the witness is the lex-first
     # dependent 5-subset
-    res = verify_general_position(get_code(2, 2, 3, (0, 0)), 5)
-    assert not res.ok
-    assert res.witness == (0, 1, 2, 3, 4)
-    assert res.checked == 0
+    ok, res = verify_general_position(get_code(2, 2, 3, (0, 0)), 5)
+    assert not ok
+    assert res["witness"] == [0, 1, 2, 3, 4]
+    assert res["checked"] == 0
 
 
 def test_general_position_direct_witness_search_is_budgeted():
@@ -1964,10 +1966,10 @@ def test_general_position_direct_witness_search_is_budgeted():
     c = get_code(2, 4, 2, (0, 0, 2))
     with pytest.raises(BudgetExceeded, match="first 20 ranked"):
         verify_general_position(c, 6, SearchPlan(budget=20))
-    res = verify_general_position(c, 6, SearchPlan(budget=34))
-    assert (res.ok, res.checked) == (False, 0)
-    assert res.witness == verify_general_position(c, 6).witness
-    assert res.witness == (0, 1, 2, 3, 7, 8)
+    ok, res = verify_general_position(c, 6, SearchPlan(budget=34))
+    assert (ok, res["checked"]) == (False, 0)
+    assert res["witness"] == verify_general_position(c, 6)[1]["witness"]
+    assert res["witness"] == [0, 1, 2, 3, 7, 8]
 
 
 def test_general_position_witness_scan_does_not_read_h(monkeypatch, no_bound):
@@ -1984,8 +1986,8 @@ def test_general_position_witness_scan_does_not_read_h(monkeypatch, no_bound):
     h[:, 1] = h[:, 0]
     monkeypatch.setattr(c, "H", h)
     assert min_distance(c, SearchPlan(w_max=6)).witness == [0, 1]
-    res = verify_general_position(c, 6)
-    assert (res.ok, res.checked, res.witness) == (False, 0, want)
+    ok, res = verify_general_position(c, 6)
+    assert (ok, res["checked"], res["witness"]) == (False, 0, list(want))
 
 
 def test_general_position_k_range():
@@ -2007,10 +2009,10 @@ def test_general_position_budget_covers_every_level(no_bound):
 def test_general_position_truncated_level_with_hit():
     # conic-5, k = 4: level 4 scans C(3, 1) = 3 > 2 subsets, but it hits
     # (0, 1, 2, 3) after 3 checks, so the answer is proven
-    res = verify_general_position(get_code(5, 1, 2, (0, 0)), 4,
-                                  SearchPlan(budget=2))
-    assert not res.ok
-    assert res.witness == (0, 1, 2, 3) and res.checked == 3
+    ok, res = verify_general_position(get_code(5, 1, 2, (0, 0)), 4,
+                                      SearchPlan(budget=2))
+    assert not ok
+    assert res["witness"] == [0, 1, 2, 3] and res["checked"] == 3
 
 
 def test_general_position_budget_error():

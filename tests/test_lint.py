@@ -6,6 +6,10 @@
 * Every module-level import, in the package, `scripts/` and `tests/`, is
   used: an unused one keeps a dependency alive that nothing needs.  The
   package `__init__` re-exports, so it is left out.
+* Scripts write files only through `twistver.cli.write`, which writes a
+  temporary file and replaces the target with it whole: no script calls
+  `write_text`, `write_bytes` or `open` in a write mode, any of which
+  leaves a truncated report when a run is interrupted mid-write.
 * Every name the benchmark's tracer wraps (`perfbench/spans.py`
   `TARGETS`) exists: a missing one makes `perfbench/run.py --trace 1`
   fail inside `Tracer.installed()`.
@@ -52,6 +56,34 @@ def test_no_unused_module_level_imports():
         found += [f"{path.relative_to(ROOT)}:{line} {name}"
                   for name, line in imported.items() if name not in used]
     assert not found, f"unused imports: {found}"
+
+
+def _open_mode(call: ast.Call) -> str:
+    """The mode an open call passes, open(file, mode) or Path.open(mode):
+    "r" by default, and "w" when it is not a string constant, since then
+    nothing shows that the call only reads."""
+    mode = next((k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None:
+        place = 1 if isinstance(call.func, ast.Name) else 0
+        if len(call.args) <= place:
+            return "r"
+        mode = call.args[place]
+    return mode.value if isinstance(mode, ast.Constant) else "w"
+
+
+def test_scripts_write_only_through_the_cli_writer():
+    files = sorted((ROOT / "scripts").glob("*.py"))
+    assert files
+    found = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in ("write_text", "write_bytes") or (
+                    name == "open" and set(_open_mode(node)) & set("wax+")):
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, f"scripts writing around twistver.cli.write: {found}"
 
 
 def test_benchmark_trace_targets_resolve():

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 # the benchmark's headline labels, read as tests/test_codes.py reads its cases
 HEADLINE = runpy.run_path(str(SCRIPTS.parent / "perfbench" / "workloads.py"))[
@@ -117,15 +119,18 @@ def test_sweep_flags_no_row_on_a_tiny_grid(tmp_path):
 
 
 def test_scripts_refuse_an_output_path_before_the_first_row(tmp_path):
-    # a --json in a missing directory, or an --out-dir that is a file,
-    # ends the run with one usage error and no row printed
+    # a --json in a missing directory, an --out-dir that is a file, or a
+    # worker count below 1 ends the run with one usage error and no row
+    # printed
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     afile = tmp_path / "afile"
     afile.write_text("")
     for argv in ([str(SCRIPTS / "sweep.py"), "--max-nu", "10", "--json",
                   str(tmp_path / "missing" / "x.json")],
                  [str(SCRIPTS / "run_headline_cases.py"), "--only",
-                  "conic-5", "--out-dir", str(afile)]):
+                  "conic-5", "--out-dir", str(afile)],
+                 [str(SCRIPTS / "run_headline_cases.py"), "--only",
+                  "conic-5", "--workers", "0"]):
         res = subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env,
                              capture_output=True, text=True, timeout=60)
         assert res.returncode == 2, res.stderr
@@ -158,3 +163,27 @@ def test_sweep_flags_a_row_whose_scroll_check_fails(monkeypatch, capsys):
                if line.endswith("  FLAG scroll")]
     assert flagged == [["2", "2"]] * 3
     assert "6 rows: 6 exact, 0 capped, 0 timeout; 3 flagged" in out
+
+
+def test_sweep_keeps_the_old_json_when_the_write_fails(tmp_path, monkeypatch):
+    # the report goes to a temporary file that replaces --json whole: a
+    # failed replace leaves the old file as it was and no temporary file
+    out = tmp_path / "sweep.json"
+    out.write_text("old\n")
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(sys, "argv", ["sweep.py", "--max-nu", "7",
+                                      "--json", str(out)])
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    sweep = runpy.run_path(str(SCRIPTS / "sweep.py"))
+    monkeypatch.setattr(os, "replace", fail)
+    handler = signal.getsignal(signal.SIGALRM)
+    try:
+        with pytest.raises(OSError, match="replace failed"):
+            sweep["main"]()
+    finally:
+        signal.signal(signal.SIGALRM, handler)
+    assert out.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.json"]
