@@ -14,13 +14,16 @@ check; `setup_s`) and the seconds of set-up and analyze together (the
 bound's own seconds, timings["bound"] of the report, go to the totals
 line and --json).  Before analyze, each row checks the paper's scroll
 claim on its point table (veronese.scroll_plucker_check) and stores the
-verdict as `scroll`.  A row is flagged when its scroll check fails
-("FLAG scroll") or its bound exceeds its exact delta ("FLAG bound >
-delta": the bound is then wrong).  The totals of exact, capped and
-timed-out rows and of flagged rows come last, with the number of
-projective spaces built (pg.space's cache misses: one per distinct
+verdict as `scroll`, and it stores `symmetry_s`, the seconds of the
+column-symmetry certificate (timings["symmetry"] of the report), null
+when no conclusion of the row needed the symmetries.  A row is flagged
+when its scroll check fails ("FLAG scroll") or its bound exceeds its
+exact delta ("FLAG bound > delta": the bound is then wrong).  The
+totals of exact, capped and timed-out rows and of flagged rows come
+last, with the number of projective spaces built (pg.space's cache misses: one per distinct
 (p, m, n), since the rows of one space are consecutive), the summed
-seconds and the summed set-up seconds, and the exit status is 1 when a
+seconds, the summed set-up seconds and the summed certificate seconds
+with the number of rows that paid them, and the exit status is 1 when a
 row is flagged.  --json writes {"rows": [...], "spaces_built": N}
 through twistver.cli.write, so a failed write leaves any old file whole.
 
@@ -72,7 +75,8 @@ def grid(max_nu):
 def run_row(p, m, n, sigma):
     """The row's outcome as a dict; a row past its alarm is a timeout."""
     row = {"p": p, "m": m, "n": n, "sigma": list(sigma), "bound": None,
-           "bound_s": None, "scroll": None, "setup_s": None}
+           "bound_s": None, "scroll": None, "setup_s": None,
+           "symmetry_s": None}
     start = time.perf_counter()
     signal.alarm(ROW_SECONDS)
     try:
@@ -92,6 +96,7 @@ def run_row(p, m, n, sigma):
             else report.delta_lower_bound,
             exact=report.delta_exact, status=report.status,
             bound=report.cyclic_bound, bound_s=report.timings["bound"],
+            symmetry_s=report.timings.get("symmetry"),
             witness=report.witness,
             count=report.min_weight_support_count)
     finally:
@@ -148,11 +153,13 @@ def main():
     bound_s = max((r["bound_s"] for r in rows if r["bound_s"] is not None),
                   default=0.0)
     setup_s = sum(r["setup_s"] for r in rows if r["setup_s"] is not None)
+    proved = [r["symmetry_s"] for r in rows if r["symmetry_s"] is not None]
     spaces = space.cache_info().misses - built
     print(f"{len(rows)} rows: {totals['exact']} exact, {totals['capped']} "
           f"capped, {totals['timeout']} timeout; {flagged} flagged; "
           f"{spaces} spaces built; "
           f"{sum(r['seconds'] for r in rows):.1f} s, set-up {setup_s:.2f} s, "
+          f"symmetries {sum(proved):.2f} s in {len(proved)} rows, "
           f"the bound at most {bound_s:.4f} s a row")
     if args.json:
         text = json.dumps({"rows": rows, "spaces_built": spaces}, indent=1)

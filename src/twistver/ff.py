@@ -21,10 +21,14 @@ cache keeps the FIELD_CACHE_SIZE fields used last (at most 8 MiB each),
 and a search worker forked from the process inherits it.
 `Field.ops` is the one element arithmetic: add, sub, neg, mul, div and
 inv, written as lookups (`ops.mul[a, b]`) on numpy arrays or single
-elements.  LogOps computes them by exp/log gathers and digit-wise base-p
-addition (XOR when p = 2).  Up to PAIR_TABLE_MAX `ops` is FieldTables,
-LogOps tabulated once into a pairwise int16 table per operation, so each
-operation has one implementation.  The scalar methods are one `ops` read
+elements, and the fused multiply-add `ops.fma(x, c, y)` = x + c * y,
+entrywise with numpy broadcasting, the step of linalg.matmul's sum of
+products.  LogOps computes them by exp/log gathers and digit-wise base-p
+addition (XOR when p = 2), and its fma as add[x, mul[c, y]].  Up to
+PAIR_TABLE_MAX `ops` is FieldTables, LogOps tabulated once into a
+pairwise int16 table per operation, so each operation has one
+implementation; its fma reads the mul and add tables by two flat `take`s
+instead of two 2-D gathers.  The scalar methods are one `ops` read
 each; `Field.pow` and `Field.eval_monomials` gather in the log domain.
 The polynomial helpers are the one polynomial arithmetic: they find the
 modulus and the generator and build the exp table, and add_poly,
@@ -205,7 +209,8 @@ def _exp_table(p: int, m: int, modulus: list[int], g: int) -> np.ndarray:
 class FieldTables:
     """Pairwise numpy operation tables, LogOps.tabulate's result: the
     array ops of a field of order <= PAIR_TABLE_MAX, one gather per
-    operation (`mul[a, b]`, `neg[a]`).
+    operation (`mul[a, b]`, `neg[a]`), and fma(x, c, y) = x + c * y as
+    two `take`s on the flattened mul and add tables.
 
     All arrays are indexed by the integer element encoding.  Division by
     zero and the inverse of zero read 0; callers reject them first.
@@ -219,6 +224,14 @@ class FieldTables:
     mul: np.ndarray
     div: np.ndarray
     inv: np.ndarray
+
+    def fma(self, x, c, y):
+        """x + c * y entrywise, with numpy broadcasting.  Entry (a, b) of
+        a flattened table is at a * Q + b, Q the order; the offsets are
+        intp, since they overflow int16 once Q^2 > 32767."""
+        order = self.neg.size
+        prod = self.mul.ravel().take(np.multiply(c, order, dtype=np.intp) + y)
+        return self.add.ravel().take(np.multiply(x, order, dtype=np.intp) + prod)
 
 
 class _Computed:
@@ -234,7 +247,8 @@ class _Computed:
 class LogOps:
     """The array ops of any field by exp/log gathers and digit-wise
     addition, indexed like FieldTables so that callers need not know
-    which they hold.  Division by zero and the inverse of zero give 0."""
+    which they hold; fma(x, c, y) = x + c * y is add[x, mul[c, y]].
+    Division by zero and the inverse of zero give 0."""
 
     dtype = np.int32
 
@@ -247,6 +261,10 @@ class LogOps:
         self.mul = _Computed(lambda a, b: self._via_log(a, b, 1))
         self.div = _Computed(lambda a, b: self._via_log(a, b, -1))
         self.inv = _Computed(lambda a: self._via_log(1, a, -1))
+
+    def fma(self, x, c, y):
+        """x + c * y entrywise, with numpy broadcasting."""
+        return self.add[x, self.mul[c, y]]
 
     def _digitwise(self, a, b, sign: int):
         if self.p == 2:

@@ -14,7 +14,9 @@ canonical(field, a), the one projective normal form, scales each vector
 along the last axis of a so that its first nonzero entry is 1.
 Every entry operation goes through the field's array ops (`Field.ops`),
 a whole row or block at a time, so all fields up to ff.DEFAULT_MAX_ORDER
-run the same code.
+run the same code.  matmul(field, a, b), batched like np.matmul, adds up
+its products one inner index at a time with the fused `ops.fma`; it is
+the column-symmetry certificate's product (codes._is_column_symmetry).
 
 The subset-independence workhorse is IncrementalElim: a stack of
 column-reduced copies of a fixed matrix that lets a subset-enumeration
@@ -106,12 +108,13 @@ def canonical(field: Field, a) -> tuple[np.ndarray, np.ndarray]:
 def matmul(field: Field, a, b) -> np.ndarray:
     """The product a b over field, batched over the leading axes like
     np.matmul: both have at least 2 axes, and the last axis of a meets
-    the second last of b in a sum of products, one term at a time."""
+    the second last of b in a sum of products, one term at a time: the
+    first by ops.mul, each further one added by one ops.fma."""
     ops = field.ops
     a, b = np.asarray(a), np.asarray(b)
     acc = ops.mul[a[..., :1], b[..., :1, :]]
     for k in range(1, a.shape[-1]):
-        acc = ops.add[acc, ops.mul[a[..., k:k + 1], b[..., k:k + 1, :]]]
+        acc = ops.fma(acc, a[..., k:k + 1], b[..., k:k + 1, :])
     return acc
 
 

@@ -835,10 +835,27 @@ def test_symmetry_proof_matches_rank_form_on_benchmark_cases(cfg):
 
 
 def test_symmetry_check_rejects_non_symmetries():
-    c = get_code(3, 3, 2, (0, 0, 2))
+    _rejects_non_symmetries(get_code(3, 3, 2, (0, 0, 2)), _proved)
+
+
+@pytest.mark.parametrize("cfg,rank_form", [
+    ((3, 5, 2, (0, 0, 2)), True),    # FieldTables, Q^2 > 32767
+    ((2, 11, 2, (0, 0, 2)), False),  # LogOps
+], ids=["gf243", "gf2048"])
+def test_symmetry_check_rejects_non_symmetries_on_both_fmas(cfg, rank_form):
+    # the same rejections on the two ops.fma implementations; on GF(2^11),
+    # nu = 2049, the scalar rank form takes seconds, so the verdicts are
+    # asserted alone
+    check = _proved if rank_form else codes_mod._is_column_symmetry
+    _rejects_non_symmetries(get_code(*cfg), check)
+
+
+def _rejects_non_symmetries(c, check):
+    """check(c, perms, scales), a symmetry verdict, accepts the induced
+    candidates and rejects each kind of non-symmetry."""
 
     def proved(perm, scale):  # a stack of one candidate
-        return _proved(c, perm[None], scale[None])
+        return check(c, perm[None], scale[None])
 
     perms, scales = _induced(c, pg._gl_generators(c.field, 2)[2:3])
     perm, scale = perms[0], scales[0]
@@ -870,17 +887,17 @@ def test_symmetry_check_rejects_non_symmetries():
     singular, singular_scale = _induced(c, np.array([[[1, 0], [0, 0]]]))
     assert -1 in singular[0].tolist()
     assert not singular_scale.all()
-    assert not _proved(c, singular, singular_scale)
+    assert not check(c, singular, singular_scale)
     # one bad candidate among the generators rejects the whole stack
     perms, scales = _induced(c, pg._gl_generators(c.field, 2))
-    assert _proved(c, perms, scales)
+    assert check(c, perms, scales)
     for i in range(len(perms)):
         # a bijection with nonzero scales: only the joint span test sees it
         bad_perms, bad_scales = perms.copy(), scales.copy()
         bad_perms[i], bad_scales[i] = swap, ones
-        assert not _proved(c, bad_perms, bad_scales)
+        assert not check(c, bad_perms, bad_scales)
         bad_perms[i], bad_scales[i] = np.roll(perms[i], 1), scales[i]
-        assert not _proved(c, bad_perms, bad_scales)
+        assert not check(c, bad_perms, bad_scales)
 
 
 @pytest.mark.parametrize("cfg", [

@@ -205,6 +205,52 @@ def test_pair_ops_match_log_ops(p, m):
     assert (pair.inv[x] == log.inv[x]).all()
 
 
+def _both_fmas(f):
+    """(FieldTables, LogOps) of a field of order <= PAIR_TABLE_MAX."""
+    pair, log = f.ops, LogOps(f.p, f.m, f._exp, f._log)
+    assert isinstance(pair, FieldTables)
+    return pair, log
+
+
+@pytest.mark.parametrize("p,m", [(2, 4), (3, 3)])
+def test_fma_on_every_triple(p, m):
+    # every (x, c, y) as one broadcast of three axes, against
+    # add_poly(x, mul_poly(c, y)) read from tables of the references
+    f = get_field(p, m)
+    x = list(range(f.order))
+    add = np.array([[f.add_poly(a, b) for b in x] for a in x])
+    mul = np.array([[f.mul_poly(a, b) for b in x] for a in x])
+    xs, cs, ys = np.ogrid[:f.order, :f.order, :f.order]
+    want = add[xs, mul[cs, ys]]
+    for ops in _both_fmas(f):
+        got = ops.fma(xs, cs, ys)
+        assert got.shape == (f.order,) * 3
+        assert (got == want).all(), type(ops).__name__
+
+
+@pytest.mark.parametrize("p,m", [(3, 5), (2, 10)])
+def test_fma_where_int16_offsets_overflow(p, m):
+    # Q^2 > 32767, so a flat offset c * Q + y wraps in int16; random
+    # triples, int16 operands like the tables' own entries, broadcast
+    # shapes and one scalar triple
+    f = get_field(p, m)
+    assert f.order ** 2 > np.iinfo(np.int16).max
+    rng = np.random.default_rng(p * 100 + m)
+    top = f.order - 1
+    for shapes in [((300,), (300,), (300,)), ((3, 1, 4), (1, 5, 1), (5, 4)),
+                   ((), (6, 1), (1, 7)), ((), (), ())]:
+        x, c, y = (rng.integers(0, f.order, size=s).astype(np.int16)
+                   for s in shapes)
+        if x.ndim:
+            x[..., 0], c[..., 0], y[..., 0] = top, top, top
+        bx, bc, by = (a.ravel().tolist() for a in np.broadcast_arrays(x, c, y))
+        want = [f.add_poly(a, f.mul_poly(b, d)) for a, b, d in zip(bx, bc, by)]
+        for ops in _both_fmas(f):
+            got = np.asarray(ops.fma(x, c, y))
+            assert got.shape == np.broadcast_shapes(*shapes)
+            assert got.ravel().tolist() == want, type(ops).__name__
+
+
 @pytest.mark.parametrize("p,m", [(2, 11), (3, 7)])
 def test_log_ops_match_polynomial_mode(p, m):
     f = get_field(p, m)

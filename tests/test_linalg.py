@@ -401,10 +401,12 @@ def poly_matmul(f, a, b) -> list:
             for i in range(a.shape[0])]
 
 
-@pytest.mark.parametrize("p,m_", [(7, 1), (3, 3), (2, 11)])
+@pytest.mark.parametrize("p,m_", [(7, 1), (3, 3), (3, 5), (2, 10), (2, 11)])
 def test_matmul_equals_polynomial_products(p, m_):
     # unbatched, batched on both sides, and one side broadcast over the
-    # other's stack, against scalar products that share no code with ops
+    # other's stack, against scalar products that share no code with ops;
+    # GF(3^5) and GF(2^10) are table fields whose flat offsets overflow
+    # int16
     f = get_field(p, m_)
     rng = np.random.default_rng(p * 100 + m_)
     for rows, inner, cols in [(1, 1, 1), (3, 3, 3), (2, 5, 4), (4, 1, 3)]:

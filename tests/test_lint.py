@@ -10,6 +10,9 @@
   temporary file and replaces the target with it whole: no script calls
   `write_text`, `write_bytes` or `open` in a write mode, any of which
   leaves a truncated report when a run is interrupted mid-write.
+* Only `ff` names an op class (`FieldTables`, `LogOps`): `Field.ops` is
+  the one element arithmetic, so no other module may branch on which
+  class it holds or build one.
 * Every name the benchmark's tracer wraps (`perfbench/spans.py`
   `TARGETS`) exists: a missing one makes `perfbench/run.py --trace 1`
   fail inside `Tracer.installed()`.
@@ -84,6 +87,20 @@ def test_scripts_write_only_through_the_cli_writer():
                     name == "open" and set(_open_mode(node)) & set("wax+")):
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, f"scripts writing around twistver.cli.write: {found}"
+
+
+def test_only_ff_names_an_op_class():
+    files = sorted(p for p in SRC.glob("*.py") if p.name != "ff.py")
+    assert files
+    found = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            # a Name's id, an Attribute's attr, an imported alias's name
+            name = next((getattr(node, k) for k in ("id", "attr", "name")
+                         if hasattr(node, k)), None)
+            if name in ("FieldTables", "LogOps"):
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, f"op classes named outside ff: {found}"
 
 
 def test_benchmark_trace_targets_resolve():

@@ -116,6 +116,13 @@ def test_sweep_flags_no_row_on_a_tiny_grid(tmp_path):
     assert all(0 <= r["setup_s"] <= r["seconds"] + 5e-4 for r in rows)
     total = sum(r["setup_s"] for r in rows)
     assert f"set-up {total:.2f} s," in res.stdout.splitlines()[-1]
+    # so are the certificate's seconds, where a conclusion needed the
+    # symmetries, and the totals line sums them too
+    proved = [(r["symmetry_s"], r["seconds"]) for r in rows
+              if r["symmetry_s"] is not None]
+    assert proved and all(0 <= s <= seconds for s, seconds in proved)
+    assert (f"symmetries {sum(s for s, _ in proved):.2f} s in "
+            f"{len(proved)} rows," in res.stdout.splitlines()[-1])
 
 
 def test_scripts_refuse_an_output_path_before_the_first_row(tmp_path):
